@@ -5,9 +5,10 @@
 //   for b in build/bench/*; do $b; done
 //
 // Fault injection: set F2DB_FAILPOINTS (same spec grammar as
-// failpoint::EnableFromSpec, e.g. "engine.refit=prob:0.1") to run any bench
-// against an injected failure mix — PrintHeader applies the variable and
-// echoes the active spec so logs are self-describing.
+// failpoint::EnableFromSpec, e.g. "engine.refit=prob:0.1" or, for a durable
+// bench, "io.wal_append=eio:nth:3") to run any bench against an injected
+// failure mix — PrintHeader applies the variable and echoes the active spec
+// so logs are self-describing.
 
 #ifndef F2DB_BENCH_BENCH_UTIL_H_
 #define F2DB_BENCH_BENCH_UTIL_H_

@@ -70,11 +70,11 @@
 #include <thread>
 
 #include "baselines/advisor_builder.h"
+#include "common/failpoint.h"
 #include "data/datasets.h"
 #include "engine/engine.h"
 #include "engine/sharded_engine.h"
 #include "server/server.h"
-#include "storage/iofault.h"
 
 int main(int argc, char** argv) {
   using namespace f2db;
@@ -149,13 +149,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Arm errno-level I/O fault injection when F2DB_IOFAULTS is set
-  // (DESIGN.md §15) so operators can rehearse disk-failure drills against
-  // the real serving binary.
-  const std::string iofaults = storage::iofault::InitFromEnv();
-  if (!iofaults.empty()) {
-    std::fprintf(stderr, "f2db_serve: io faults armed from F2DB_IOFAULTS: %s\n",
-                 iofaults.c_str());
+  // Arm fault injection when F2DB_FAILPOINTS is set (DESIGN.md §7, §15) so
+  // operators can rehearse engine and disk-failure drills against the real
+  // serving binary.
+  const std::string failpoints = failpoint::InitFromEnv();
+  if (!failpoints.empty()) {
+    std::fprintf(stderr, "f2db_serve: failpoints armed: %s\n",
+                 failpoints.c_str());
   }
 
   auto data = MakeTourism();

@@ -1,6 +1,6 @@
 #include "common/failpoint.h"
 
-#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -22,7 +22,7 @@ struct Site {
   std::unique_ptr<Rng> rng;  ///< Seeded stream for kProbability sites.
 };
 
-/// Registry state. `any_enabled` is the hot-path guard: Triggered() reads
+/// Registry state. `g_any_enabled` is the hot-path guard: Evaluate() reads
 /// it with one relaxed load and bails before touching the mutex when no
 /// site is armed anywhere.
 std::atomic<bool> g_any_enabled{false};
@@ -50,12 +50,12 @@ void RefreshAnyEnabledLocked() {
 }
 
 /// Evaluates an armed site's policy. Caller holds RegistryMutex().
-bool EvaluateLocked(Site& site) {
+Fault EvaluateLocked(Site& site) {
   const Policy& policy = site.policy;
-  if (policy.mode == Policy::Mode::kOff) return false;
+  if (policy.mode == Policy::Mode::kOff) return {};
   ++site.evaluations;
   if (policy.max_triggers > 0 && site.triggers >= policy.max_triggers) {
-    return false;
+    return {};
   }
   bool fire = false;
   switch (policy.mode) {
@@ -72,66 +72,76 @@ bool EvaluateLocked(Site& site) {
       fire = site.rng->NextDouble() < policy.probability;
       break;
   }
-  if (fire) ++site.triggers;
-  return fire;
+  if (!fire) return {};
+  ++site.triggers;
+  return Fault{policy.fault, policy.err};
 }
 
-/// Parses one "<site>=<policy>" entry. Returns the armed (site, policy).
+/// Parses one "<site>=off | [<fault>][:<mode>]" entry.
 Result<std::pair<std::string, Policy>> ParseEntry(std::string_view entry) {
+  const auto invalid = [&](const char* what) {
+    return Status::InvalidArgument(std::string("failpoint spec ") + what +
+                                   ": " + std::string(entry));
+  };
+  const auto parse_max = [&](const std::string& text) -> Result<std::size_t> {
+    F2DB_ASSIGN_OR_RETURN(const std::int64_t max, ParseInt(text));
+    if (max < 0) return invalid("max must be >= 0");
+    return static_cast<std::size_t>(max);
+  };
   const std::size_t eq = entry.find('=');
-  if (eq == std::string_view::npos) {
-    return Status::InvalidArgument("failpoint spec entry missing '=': " +
-                                   std::string(entry));
-  }
+  if (eq == std::string_view::npos) return invalid("entry missing '='");
   const std::string site{TrimWhitespace(entry.substr(0, eq))};
-  if (site.empty()) {
-    return Status::InvalidArgument("failpoint spec entry has empty site: " +
-                                   std::string(entry));
-  }
+  if (site.empty()) return invalid("entry has empty site");
   const std::vector<std::string> parts =
       SplitString(TrimWhitespace(entry.substr(eq + 1)), ':');
   if (parts.empty() || parts[0].empty()) {
-    return Status::InvalidArgument("failpoint spec entry has empty policy: " +
-                                   std::string(entry));
+    return invalid("entry has empty policy");
   }
-  const std::string& kind = parts[0];
-  Policy policy;
-  if (kind == "off" && parts.size() == 1) {
-    policy = Policy::Off();
-  } else if (kind == "always" && parts.size() <= 2) {
-    std::size_t max_triggers = 0;
-    if (parts.size() == 2) {
-      F2DB_ASSIGN_OR_RETURN(const std::int64_t max, ParseInt(parts[1]));
-      max_triggers = static_cast<std::size_t>(max);
+  if (parts[0] == "off") {
+    if (parts.size() != 1) return invalid("'off' takes no arguments");
+    return std::make_pair(site, Policy::Off());
+  }
+
+  // An optional fault keyword leads; on its own it means "always".
+  Policy policy = Policy::Always();
+  std::size_t at = 1;
+  if (parts[0] == "short") {
+    policy.fault = FaultKind::kShortWrite;
+  } else if (parts[0] == "enospc") {
+    policy.err = ENOSPC;
+  } else if (parts[0] != "eio") {
+    at = 0;
+  }
+  if (at == parts.size()) return std::make_pair(site, policy);
+
+  const std::string& mode = parts[at];
+  const std::size_t args = parts.size() - at - 1;
+  if (mode == "always" && args <= 1) {
+    if (args == 1) {
+      F2DB_ASSIGN_OR_RETURN(policy.max_triggers, parse_max(parts[at + 1]));
     }
-    policy = Policy::Always(max_triggers);
-  } else if (kind == "nth" && (parts.size() == 2 || parts.size() == 3)) {
-    F2DB_ASSIGN_OR_RETURN(const std::int64_t n, ParseInt(parts[1]));
-    if (n < 1) {
-      return Status::InvalidArgument("failpoint nth period must be >= 1: " +
-                                     std::string(entry));
+  } else if (mode == "nth" && (args == 1 || args == 2)) {
+    F2DB_ASSIGN_OR_RETURN(const std::int64_t n, ParseInt(parts[at + 1]));
+    if (n < 1) return invalid("nth period must be >= 1");
+    policy.mode = Policy::Mode::kEveryNth;
+    policy.every_n = static_cast<std::size_t>(n);
+    if (args == 2) {
+      F2DB_ASSIGN_OR_RETURN(policy.max_triggers, parse_max(parts[at + 2]));
     }
-    std::size_t max_triggers = 0;
-    if (parts.size() == 3) {
-      F2DB_ASSIGN_OR_RETURN(const std::int64_t max, ParseInt(parts[2]));
-      max_triggers = static_cast<std::size_t>(max);
+  } else if (mode == "prob" && (args == 1 || args == 2)) {
+    F2DB_ASSIGN_OR_RETURN(const double p, ParseDouble(parts[at + 1]));
+    // Written so NaN fails too: it would arm a site that never fires.
+    if (!(p >= 0.0 && p <= 1.0)) {
+      return invalid("probability must be in [0, 1]");
     }
-    policy = Policy::EveryNth(static_cast<std::size_t>(n), max_triggers);
-  } else if (kind == "prob" && (parts.size() == 2 || parts.size() == 3)) {
-    F2DB_ASSIGN_OR_RETURN(const double p, ParseDouble(parts[1]));
-    if (p < 0.0 || p > 1.0) {
-      return Status::InvalidArgument(
-          "failpoint probability must be in [0, 1]: " + std::string(entry));
+    policy.mode = Policy::Mode::kProbability;
+    policy.probability = p;
+    if (args == 2) {
+      F2DB_ASSIGN_OR_RETURN(const std::int64_t seed, ParseInt(parts[at + 2]));
+      policy.seed = static_cast<std::uint64_t>(seed);
     }
-    std::uint64_t seed = 42;
-    if (parts.size() == 3) {
-      F2DB_ASSIGN_OR_RETURN(const std::int64_t s, ParseInt(parts[2]));
-      seed = static_cast<std::uint64_t>(s);
-    }
-    policy = Policy::WithProbability(p, seed);
   } else {
-    return Status::InvalidArgument("unknown failpoint policy: " +
-                                   std::string(entry));
+    return invalid("has an unknown policy");
   }
   return std::make_pair(site, policy);
 }
@@ -196,16 +206,16 @@ std::size_t Triggers(const std::string& site) {
   return it == Registry().end() ? 0 : it->second.triggers;
 }
 
-bool Triggered(const char* site) {
-  if (!g_any_enabled.load(std::memory_order_relaxed)) return false;
+Fault Evaluate(const char* site) {
+  if (site == nullptr) return {};
+  if (!g_any_enabled.load(std::memory_order_relaxed)) return {};
   std::lock_guard<std::mutex> lock(RegistryMutex());
   Site& entry = Registry()[site];
   return EvaluateLocked(entry);
 }
 
-Status EnableFromSpec(const std::string& spec) {
-  // Validate the whole spec before arming anything, so a malformed entry
-  // cannot leave the registry half-configured.
+Result<std::vector<std::pair<std::string, Policy>>> ParseSpec(
+    const std::string& spec) {
   std::vector<std::pair<std::string, Policy>> parsed;
   for (const std::string& raw : SplitString(spec, ';')) {
     const std::string_view entry = TrimWhitespace(raw);
@@ -213,6 +223,13 @@ Status EnableFromSpec(const std::string& spec) {
     F2DB_ASSIGN_OR_RETURN(auto armed, ParseEntry(entry));
     parsed.push_back(std::move(armed));
   }
+  return parsed;
+}
+
+Status EnableFromSpec(const std::string& spec) {
+  // Validate the whole spec before arming anything, so a malformed entry
+  // cannot leave the registry half-configured.
+  F2DB_ASSIGN_OR_RETURN(const auto parsed, ParseSpec(spec));
   for (const auto& [site, policy] : parsed) Enable(site, policy);
   return Status::OK();
 }

@@ -216,9 +216,6 @@ Result<CheckpointState> ParseCheckpoint(const std::string& text) {
 }
 
 Status WriteCheckpoint(const std::string& dir, const CheckpointState& state) {
-  if (failpoint::Triggered(kFailpointCheckpointWrite)) {
-    return failpoint::InjectedFailure(kFailpointCheckpointWrite);
-  }
   // Routed through the storage choke point: tmp + fsync + rename + dir
   // fsync, with the io.checkpoint_write fault site armed on the tmp-file
   // write and fsync. The rename is the commit point — before it the old

@@ -25,15 +25,9 @@
 #include <tuple>
 #include <vector>
 
-#include "common/failpoint.h"
 #include "common/status.h"
 
 namespace f2db {
-
-/// Fault-injection site: the checkpoint body write fails before the rename
-/// (disk-full analogue). The previous checkpoint and every WAL segment must
-/// stay untouched so recovery is unaffected.
-F2DB_DEFINE_FAILPOINT(kFailpointCheckpointWrite, "engine.checkpoint_write")
 
 /// On-disk checkpoint format version; bumped on any layout change.
 inline constexpr std::uint8_t kCheckpointFormatVersion = 1;

@@ -148,7 +148,7 @@ struct EngineOptions {
   double disk_retry_backoff_ms = 2.0;
   /// Read-only probe cadence in seconds: while read-only, a background
   /// thread writes and removes a sentinel file (<data_dir>/.f2db-health-
-  /// probe, iofault site io.probe_write) on this interval and exits
+  /// probe, failpoint site io.probe_write) on this interval and exits
   /// read-only on the first durable success. 0 disables the probe thread
   /// (read-only then persists until restart). Ignored in-memory.
   double disk_probe_interval_seconds = 0.25;
@@ -786,7 +786,7 @@ class F2dbEngine : public EngineInterface {
   void RecordDiskOutcome(const Status& status);
 
   /// Body of the read-only probe thread: while read-only, durably writes
-  /// and removes <data_dir>/.f2db-health-probe (iofault site
+  /// and removes <data_dir>/.f2db-health-probe (failpoint site
   /// io.probe_write) each interval and exits read-only on success.
   void ProbeLoop();
 

@@ -71,9 +71,6 @@ Status WriteAllFd(int fd, const char* data, std::size_t size) {
 }
 
 Status FsyncFd(int fd, const char* what) {
-  if (failpoint::Triggered(kFailpointWalFsync)) {
-    return failpoint::InjectedFailure(kFailpointWalFsync);
-  }
   return storage::FsyncFd(fd, storage::kIoSiteWalFsync, what);
 }
 
@@ -351,8 +348,7 @@ Result<WalWriter> WalWriter::Create(const std::string& dir,
                                     std::uint64_t epoch, FsyncPolicy policy,
                                     std::size_t batch_records) {
   const std::string path = WalPath(dir, epoch);
-  const storage::iofault::Fault fault =
-      storage::iofault::Evaluate(storage::kIoSiteWalCreate);
+  const failpoint::Fault fault = failpoint::Evaluate(storage::kIoSiteWalCreate);
   if (fault.injected()) return storage::IoError("create", path, fault.err);
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
@@ -396,7 +392,6 @@ Result<WalWriter> WalWriter::Reopen(const std::string& dir,
 
 Status WalWriter::Append(const WalRecord& record) {
   if (fd_ < 0) return Status::FailedPrecondition("WAL writer is closed");
-  F2DB_INJECT_FAILPOINT(kFailpointWalAppend);
   const std::string frame = EncodeWalRecord(record);
   const Status written = WriteAllFd(fd_, frame.data(), frame.size());
   if (!written.ok()) {

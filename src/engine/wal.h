@@ -33,18 +33,9 @@
 #include <string>
 #include <vector>
 
-#include "common/failpoint.h"
 #include "common/status.h"
 
 namespace f2db {
-
-/// Fault-injection site: a WAL append fails before any byte is written
-/// (disk-full analogue); the surrounding operation must be rejected with
-/// kUnavailable and leave no state change in memory or on disk.
-F2DB_DEFINE_FAILPOINT(kFailpointWalAppend, "engine.wal_append")
-/// Fault-injection site: the post-append fsync fails; the append must be
-/// rolled back (truncated) so the rejected operation is never replayed.
-F2DB_DEFINE_FAILPOINT(kFailpointWalFsync, "engine.wal_fsync")
 
 /// On-disk format version; bumped on any layout change so old binaries
 /// fail loudly instead of misparsing (checked by the golden-file tests).

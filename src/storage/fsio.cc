@@ -88,14 +88,14 @@ int ErrnoFromStatus(const Status& status) {
 
 Status WriteAllFd(int fd, const char* data, std::size_t size,
                   const char* site, const std::string& what) {
-  const iofault::Fault fault = iofault::Evaluate(site);
-  if (fault.kind == iofault::FaultKind::kError) {
+  const failpoint::Fault fault = failpoint::Evaluate(site);
+  if (fault.kind == failpoint::FaultKind::kError) {
     return IoError("write", what, fault.err);
   }
   // An injected short write lands a real prefix of the buffer so torn-
   // tail rollback paths are exercised against genuine on-disk state.
   const std::size_t limit =
-      fault.kind == iofault::FaultKind::kShortWrite ? size / 2 : size;
+      fault.kind == failpoint::FaultKind::kShortWrite ? size / 2 : size;
   std::size_t written = 0;
   while (written < limit) {
     const ssize_t n = ::write(fd, data + written, limit - written);
@@ -106,14 +106,14 @@ Status WriteAllFd(int fd, const char* data, std::size_t size,
     if (n < 0 && errno == EINTR) continue;
     return IoError("write", what, errno);
   }
-  if (fault.kind == iofault::FaultKind::kShortWrite) {
+  if (fault.kind == failpoint::FaultKind::kShortWrite) {
     return IoError("short write", what, fault.err);
   }
   return Status::OK();
 }
 
 Status FsyncFd(int fd, const char* site, const std::string& what) {
-  const iofault::Fault fault = iofault::Evaluate(site);
+  const failpoint::Fault fault = failpoint::Evaluate(site);
   if (fault.injected()) return IoError("fsync", what, fault.err);
   if (::fsync(fd) != 0) return IoError("fsync", what, errno);
   return Status::OK();

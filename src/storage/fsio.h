@@ -8,11 +8,11 @@
 // either the old file or the new file, never a torn one.
 //
 // This header is also the durability-I/O choke point (DESIGN.md §15):
-// WriteAllFd / FsyncFd / WriteFileDurably carry an optional iofault site
+// WriteAllFd / FsyncFd / WriteFileDurably carry an optional failpoint site
 // name so every device-facing write — WAL append and fsync, checkpoint
 // write, segment seal, manifest commit, the disk-health probe — can be
 // stormed with errno-level faults (EIO, ENOSPC, short writes) from a
-// seeded F2DB_IOFAULTS spec. Failures (real or injected) surface as
+// seeded F2DB_FAILPOINTS spec. Failures (real or injected) surface as
 // kUnavailable with a machine-parseable " [errno:<n>]" marker so the
 // engine's DiskHealth tracker can classify them without a richer Status.
 
@@ -23,21 +23,21 @@
 #include <string>
 #include <string_view>
 
+#include "common/failpoint.h"
 #include "common/status.h"
-#include "storage/iofault.h"
 
 namespace f2db::storage {
 
-// Named durability-I/O fault sites. Every site is an iofault registry
-// entry, armable via F2DB_IOFAULTS ("io.wal_append=eio:nth:3") or
-// iofault::Enable; see iofault.h for the spec grammar.
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteWalAppend, "io.wal_append")
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteWalFsync, "io.wal_fsync")
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteWalCreate, "io.wal_create")
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteCheckpointWrite, "io.checkpoint_write")
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteSegmentWrite, "io.segment_write")
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteManifestCommit, "io.manifest_commit")
-F2DB_DEFINE_IOFAULT_SITE(kIoSiteProbeWrite, "io.probe_write")
+// Named durability-I/O failpoint sites, armable via F2DB_FAILPOINTS
+// ("io.wal_append=eio:nth:3") or failpoint::Enable; see
+// common/failpoint.h for the spec grammar.
+F2DB_DEFINE_FAILPOINT(kIoSiteWalAppend, "io.wal_append")
+F2DB_DEFINE_FAILPOINT(kIoSiteWalFsync, "io.wal_fsync")
+F2DB_DEFINE_FAILPOINT(kIoSiteWalCreate, "io.wal_create")
+F2DB_DEFINE_FAILPOINT(kIoSiteCheckpointWrite, "io.checkpoint_write")
+F2DB_DEFINE_FAILPOINT(kIoSiteSegmentWrite, "io.segment_write")
+F2DB_DEFINE_FAILPOINT(kIoSiteManifestCommit, "io.manifest_commit")
+F2DB_DEFINE_FAILPOINT(kIoSiteProbeWrite, "io.probe_write")
 
 /// Process-global crash hook: when set, FireStorageCrashHook invokes it
 /// with the protocol point name. The crash fuzzer installs a hook that
@@ -72,7 +72,7 @@ Status IoError(const std::string& op, const std::string& what, int err);
 int ErrnoFromStatus(const Status& status);
 
 /// write(2) loop that retries EINTR and genuine short writes, evaluated
-/// against iofault site `site` (nullptr = never injected). An injected
+/// against failpoint site `site` (nullptr = never injected). An injected
 /// short write lands a real prefix of the buffer on the fd before the
 /// error returns — callers owning append-only files must truncate back.
 /// `what` names the target in error messages.

@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "core/configuration.h"
@@ -26,8 +27,6 @@
 #include "engine/engine.h"
 #include "engine/sharded_engine.h"
 #include "engine/wal.h"
-#include "storage/fsio.h"
-#include "storage/iofault.h"
 #include "storage/fsio.h"
 #include "testing/differential.h"
 #include "testing/oracle.h"
@@ -160,6 +159,18 @@ void StorageKillHook(const char* point) {
   ::_exit(1);
 }
 
+/// The dirty-disk fault mix, seeded per run: 10% of WAL appends tear with a
+/// short write and 5% of WAL fsyncs fail with EIO.
+void ArmDirtyDisk(std::uint64_t seed) {
+  failpoint::Enable(storage::kIoSiteWalAppend,
+                    failpoint::Policy::WithProbability(0.10,
+                                                       seed ^ 0xD177D15CULL)
+                        .WithShortWrite());
+  failpoint::Enable(storage::kIoSiteWalFsync,
+                    failpoint::Policy::WithProbability(0.05,
+                                                       seed ^ 0xF5C7EEULL));
+}
+
 /// The crashing process: open durable, load config, run the attempt
 /// prefix (checkpointing mid-way when planned), then die without warning.
 [[noreturn]] void RunChild(const WorkloadSpec& spec,
@@ -212,15 +223,7 @@ void StorageKillHook(const char* point) {
   // no retry wrapper, so faults there would abort instead of being
   // absorbed. From here on every insert may tear or fail mid-write.
   if (dirty_disk) {
-    namespace iofault = storage::iofault;
-    iofault::Enable(storage::kIoSiteWalAppend,
-                    iofault::Policy::ShortWrite(
-                        EIO, iofault::Policy::Mode::kProbability, 0, 0.10,
-                        seed ^ 0xD177D15CULL));
-    iofault::Enable(storage::kIoSiteWalFsync,
-                    iofault::Policy::Error(EIO,
-                                           iofault::Policy::Mode::kProbability,
-                                           0, 0.05, seed ^ 0xF5C7EEULL));
+    ArmDirtyDisk(seed);
   }
 
   for (std::size_t i = 0; i < kill_after; ++i) {
@@ -296,15 +299,7 @@ void StorageKillHook(const char* point) {
   }
 
   if (dirty_disk) {
-    namespace iofault = storage::iofault;
-    iofault::Enable(storage::kIoSiteWalAppend,
-                    iofault::Policy::ShortWrite(
-                        EIO, iofault::Policy::Mode::kProbability, 0, 0.10,
-                        seed ^ 0xD177D15CULL));
-    iofault::Enable(storage::kIoSiteWalFsync,
-                    iofault::Policy::Error(EIO,
-                                           iofault::Policy::Mode::kProbability,
-                                           0, 0.05, seed ^ 0xF5C7EEULL));
+    ArmDirtyDisk(seed);
   }
 
   // A bare global oracle tracks the frontier and the expected verdicts. A

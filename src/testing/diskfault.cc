@@ -13,12 +13,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/evaluator.h"
 #include "engine/engine.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "storage/fsio.h"
-#include "storage/iofault.h"
 #include "testing/crash.h"
 #include "testing/differential.h"
 #include "testing/oracle.h"
@@ -156,7 +156,6 @@ AnswerSnapshot SnapshotAnswer(const F2dbEngine& engine,
 
 DiskFaultDifferentialReport RunDiskFaultDifferential(
     const WorkloadSpec& spec, const DiskFaultDifferentialOptions& options) {
-  namespace iofault = storage::iofault;
   DiskFaultDifferentialReport report;
   const auto fail = [&](const std::string& what) {
     report.ok = false;
@@ -164,7 +163,7 @@ DiskFaultDifferentialReport RunDiskFaultDifferential(
                      " workload_seed=" + std::to_string(spec.seed) +
                      " shape=" + spec.shape_name + " site=" +
                      options.fault_site + ": " + what;
-    iofault::DisableAll();
+    failpoint::DisableAll();
     if (!options.keep_dir_on_failure) RemoveDirectoryTree(options.data_dir);
     return report;
   };
@@ -180,7 +179,7 @@ DiskFaultDifferentialReport RunDiskFaultDifferential(
   }
 
   // Whatever the exit path, no fault policy outlives the run.
-  iofault::ScopedDisableAll disarm_guard;
+  failpoint::ScopedDisableAll disarm_guard;
 
   // ---- setup: one oracle + one durable engine per executor -------------
   EngineOptions engine_options;
@@ -384,15 +383,12 @@ DiskFaultDifferentialReport RunDiskFaultDifferential(
   };
 
   // ---- the fault window over the op list -------------------------------
-  const iofault::Policy window_policy =
-      options.short_writes
-          ? iofault::Policy::ShortWrite(
-                options.fault_errno, iofault::Policy::Mode::kProbability, 0,
-                options.fault_probability, options.seed ^ 0xD15CFA17ULL)
-          : iofault::Policy::Error(
-                options.fault_errno, iofault::Policy::Mode::kProbability, 0,
-                options.fault_probability, options.seed ^ 0xD15CFA17ULL);
-  iofault::Enable(options.fault_site, window_policy);
+  failpoint::Policy window_policy =
+      failpoint::Policy::WithProbability(options.fault_probability,
+                                         options.seed ^ 0xD15CFA17ULL)
+          .WithErrno(options.fault_errno);
+  if (options.short_writes) window_policy = window_policy.WithShortWrite();
+  failpoint::Enable(options.fault_site, window_policy);
 
   const std::vector<OracleAddress> addresses = oracle_a.AllAddresses();
   for (std::size_t i = 0; i < spec.ops.size(); ++i) {
@@ -450,13 +446,11 @@ DiskFaultDifferentialReport RunDiskFaultDifferential(
   }
 
   // ---- forced storm: every durable insert fails until read-only --------
-  iofault::DisableAll();
-  iofault::Enable(storage::kIoSiteWalAppend,
-                  iofault::Policy::Error(5 /* EIO */));
+  failpoint::DisableAll();
+  failpoint::Enable(storage::kIoSiteWalAppend, failpoint::Policy::Always());
   // The health probe must keep failing too, or it would end the episode
   // between storm inserts.
-  iofault::Enable(storage::kIoSiteProbeWrite,
-                  iofault::Policy::Error(5 /* EIO */));
+  failpoint::Enable(storage::kIoSiteProbeWrite, failpoint::Policy::Always());
 
   const auto storm = [&](bool wire, F2dbEngine& engine) -> std::string {
     ReferenceOracle& oracle = wire ? oracle_b : oracle_a;
@@ -519,7 +513,7 @@ DiskFaultDifferentialReport RunDiskFaultDifferential(
   }
 
   // ---- disarm and auto-heal through the probe --------------------------
-  iofault::DisableAll();
+  failpoint::DisableAll();
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(

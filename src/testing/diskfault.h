@@ -9,7 +9,7 @@
 //      directory, and
 //   3. a second durable engine behind a loopback F2dbServer, driven over
 //      the wire through F2dbClient,
-// with a seeded probabilistic iofault policy armed on one I/O site for the
+// with a seeded probabilistic failpoint policy armed on one I/O site for the
 // whole op window. After every op the engines must either agree with
 // their oracle (values within tolerance, verdicts by status code,
 // degradation annotations exact — degraded-never-wrong) or reject the
@@ -55,12 +55,12 @@ struct DiskFaultDifferentialOptions {
 
   // ---- the fault window over the op list ----
 
-  /// iofault site armed for the whole op window ("io.wal_append",
+  /// I/O failpoint site armed for the whole op window ("io.wal_append",
   /// "io.wal_fsync", ...).
   std::string fault_site = "io.wal_append";
   /// errno injected at the site (5 = EIO, 28 = ENOSPC).
   int fault_errno = 5;
-  /// Inject torn short writes (Policy::ShortWrite) instead of clean
+  /// Inject torn short writes (Policy::WithShortWrite) instead of clean
   /// errors — exercises the WAL append-rollback path.
   bool short_writes = false;
   /// Per-evaluation trigger probability of the window policy.

@@ -1,14 +1,21 @@
+// The one fault-injection registry: trigger modes, fault kinds, the spec
+// grammar shared by logical (engine.*, ts.*, math.*) and I/O (io.*) sites,
+// and F2DB_FAILPOINTS.
+
 #include "common/failpoint.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 namespace f2db {
 namespace {
 
+using failpoint::FaultKind;
 using failpoint::Policy;
 
 F2DB_DEFINE_FAILPOINT(kTestSite, "test.failpoint_site");
@@ -109,12 +116,88 @@ TEST_F(FailpointTest, EnableFromSpecParsesProbabilityWithSeed) {
 }
 
 TEST_F(FailpointTest, MalformedSpecRejectedWithoutArmingAnything) {
-  EXPECT_FALSE(failpoint::EnableFromSpec("test.failpoint_site=always;oops")
-                   .ok());
-  EXPECT_FALSE(failpoint::EnableFromSpec("test.failpoint_site=nth:0").ok());
-  EXPECT_FALSE(failpoint::EnableFromSpec("=always").ok());
-  EXPECT_FALSE(failpoint::EnableFromSpec("test.failpoint_site=prob:1.5").ok());
-  EXPECT_FALSE(failpoint::AnyEnabled());  // atomic spec: nothing armed
+  for (const char* spec : {
+           "test.failpoint_site=always;oops",
+           "test.failpoint_site=nth:0",
+           "=always",
+           "test.failpoint_site=prob:1.5",
+           "test.failpoint_site=off:1",
+           // A negative max would fire without limit; a non-finite
+           // probability would arm a site that never fires.
+           "t.a=always:-1",
+           "t.a=nth:2:-5",
+           "io.x=short:nth:3:-1",
+           "t.a=prob:nan",
+           "t.a=prob:inf",
+       }) {
+    EXPECT_EQ(failpoint::EnableFromSpec(spec).code(),
+              StatusCode::kInvalidArgument)
+        << spec;
+    EXPECT_FALSE(failpoint::AnyEnabled()) << spec;  // atomic: nothing armed
+  }
+}
+
+TEST_F(FailpointTest, EveryDocumentedSpecParsesToItsPolicy) {
+  // Every spec quoted in README.md, DESIGN.md and the headers, the forms the
+  // logical-site and I/O-site grammars accepted before they were one, and a
+  // spec mixing both kinds of site.
+  using Mode = Policy::Mode;
+  struct Armed {
+    std::string site;
+    Mode mode;
+    FaultKind fault;
+    int err;
+    std::size_t every_n = 0;
+    double probability = 0.0;
+    std::uint64_t seed = 42;
+  };
+  const Armed refit_prob{"engine.refit", Mode::kProbability, FaultKind::kError,
+                         EIO, 0, 0.1};
+  const std::vector<std::pair<std::string, std::vector<Armed>>> cases = {
+      {"engine.refit=prob:0.1", {refit_prob}},
+      {"engine.refit=prob:0.1;ts.ets_fit=nth:3",
+       {refit_prob,
+        {"ts.ets_fit", Mode::kEveryNth, FaultKind::kError, EIO, 3}}},
+      {"engine.refit=always;engine.insert=nth:3;ts.arima_fit=prob:0.1:7",
+       {{"engine.refit", Mode::kAlways, FaultKind::kError, EIO},
+        {"engine.insert", Mode::kEveryNth, FaultKind::kError, EIO, 3},
+        {"ts.arima_fit", Mode::kProbability, FaultKind::kError, EIO, 0, 0.1,
+         7}}},
+      {"io.wal_append=eio:nth:3;io.checkpoint_write=enospc;"
+       "io.wal_fsync=short:prob:0.1:7",
+       {{"io.wal_append", Mode::kEveryNth, FaultKind::kError, EIO, 3},
+        {"io.checkpoint_write", Mode::kAlways, FaultKind::kError, ENOSPC},
+        {"io.wal_fsync", Mode::kProbability, FaultKind::kShortWrite, EIO, 0,
+         0.1, 7}}},
+      {"io.wal_append=eio; io.segment_write=short:prob:0.01:7",
+       {{"io.wal_append", Mode::kAlways, FaultKind::kError, EIO},
+        {"io.segment_write", Mode::kProbability, FaultKind::kShortWrite, EIO,
+         0, 0.01, 7}}},
+      {"io.wal_append=always",
+       {{"io.wal_append", Mode::kAlways, FaultKind::kError, EIO}}},
+      {"engine.refit=always;engine.insert=nth:3;io.wal_append=eio:prob:0.1:7",
+       {{"engine.refit", Mode::kAlways, FaultKind::kError, EIO},
+        {"engine.insert", Mode::kEveryNth, FaultKind::kError, EIO, 3},
+        {"io.wal_append", Mode::kProbability, FaultKind::kError, EIO, 0, 0.1,
+         7}}},
+  };
+  for (const auto& [spec, want] : cases) {
+    SCOPED_TRACE(spec);
+    const auto parsed = failpoint::ParseSpec(spec);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    ASSERT_EQ(parsed.value().size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const auto& [site, policy] = parsed.value()[i];
+      EXPECT_EQ(site, want[i].site);
+      EXPECT_EQ(policy.mode, want[i].mode);
+      EXPECT_EQ(policy.fault, want[i].fault);
+      EXPECT_EQ(policy.err, want[i].err);
+      EXPECT_EQ(policy.every_n, want[i].every_n);
+      EXPECT_DOUBLE_EQ(policy.probability, want[i].probability);
+      EXPECT_EQ(policy.seed, want[i].seed);
+      EXPECT_EQ(policy.max_triggers, 0u);
+    }
+  }
 }
 
 TEST_F(FailpointTest, ScopedDisableAllCleansUp) {

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/failpoint.h"
+#include "storage/fsio.h"
 #include "gtest/gtest.h"
 
 namespace f2db {
@@ -116,10 +117,11 @@ TEST_F(CheckpointTest, FailedWriteLeavesThePreviousCheckpointIntact) {
 
   CheckpointState second = SampleState();
   second.inserts = 99;
-  failpoint::Enable(kFailpointCheckpointWrite, failpoint::Policy::Always());
+  failpoint::Enable(storage::kIoSiteCheckpointWrite,
+                    failpoint::Policy::Always());
   const Status failed = WriteCheckpoint(dir_, second);
   EXPECT_FALSE(failed.ok());
-  failpoint::Disable(kFailpointCheckpointWrite);
+  failpoint::Disable(storage::kIoSiteCheckpointWrite);
 
   // Atomicity: the old checkpoint still loads, no tmp residue corrupts it.
   auto loaded = LoadCheckpoint(dir_);

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "storage/fsio.h"
 #include "gtest/gtest.h"
 
 namespace f2db {
@@ -189,12 +190,13 @@ TEST_F(WalTest, BatchPolicySyncsEveryNthRecord) {
   auto writer = WalWriter::Create(dir_, 1, FsyncPolicy::kBatch, 3);
   ASSERT_TRUE(writer.ok());
   // Armed with a period it never reaches, the site only counts evaluations.
-  failpoint::Enable(kFailpointWalFsync, failpoint::Policy::EveryNth(1000000));
+  failpoint::Enable(storage::kIoSiteWalFsync,
+                    failpoint::Policy::EveryNth(1000000));
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(writer.value().Append(WalRecord::Insert(1, i, 1.0)).ok());
   }
-  EXPECT_EQ(failpoint::Evaluations(kFailpointWalFsync), 2u);
-  failpoint::Disable(kFailpointWalFsync);
+  EXPECT_EQ(failpoint::Evaluations(storage::kIoSiteWalFsync), 2u);
+  failpoint::Disable(storage::kIoSiteWalFsync);
   writer.value().Close();
 }
 
@@ -203,10 +205,10 @@ TEST_F(WalTest, AppendFailpointRejectsBeforeWriting) {
   ASSERT_TRUE(writer.ok());
   const std::uint64_t size_before = FileSize(WalPath(dir_, 1));
 
-  failpoint::Enable(kFailpointWalAppend, failpoint::Policy::Always());
+  failpoint::Enable(storage::kIoSiteWalAppend, failpoint::Policy::Always());
   const Status rejected = writer.value().Append(WalRecord::Insert(1, 10, 1.0));
   EXPECT_EQ(rejected.code(), StatusCode::kUnavailable);
-  failpoint::Disable(kFailpointWalAppend);
+  failpoint::Disable(storage::kIoSiteWalAppend);
 
   EXPECT_EQ(FileSize(WalPath(dir_, 1)), size_before);
   EXPECT_EQ(writer.value().records_appended(), 0u);
@@ -219,10 +221,10 @@ TEST_F(WalTest, FsyncFailureRollsTheAppendBack) {
   ASSERT_TRUE(writer.ok());
   const std::uint64_t size_before = FileSize(WalPath(dir_, 1));
 
-  failpoint::Enable(kFailpointWalFsync, failpoint::Policy::Always());
+  failpoint::Enable(storage::kIoSiteWalFsync, failpoint::Policy::Always());
   const Status rejected = writer.value().Append(WalRecord::Insert(1, 10, 1.0));
   EXPECT_EQ(rejected.code(), StatusCode::kUnavailable);
-  failpoint::Disable(kFailpointWalFsync);
+  failpoint::Disable(storage::kIoSiteWalFsync);
 
   // The rejected record must not survive on disk: disk and caller agree.
   EXPECT_EQ(FileSize(WalPath(dir_, 1)), size_before);

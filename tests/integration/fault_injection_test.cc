@@ -8,6 +8,10 @@
 //   - the EngineStats degradation counters equal the annotated row count,
 //   - repeated refit failures quarantine a node; the next data advance
 //     lifts the quarantine and the node recovers to its primary model.
+// The registry holds the io.* disk-fault sites too; those are reached by
+// the durable-engine pass of the single-site sweep.
+
+#include <stdlib.h>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +25,8 @@
 #include "common/failpoint.h"
 #include "engine/engine.h"
 #include "math/optimizer.h"
+#include "storage/fsio.h"
+#include "testing/crash.h"
 #include "testing/test_cubes.h"
 
 namespace f2db {
@@ -53,6 +59,21 @@ class FaultInjectionTest : public ::testing::Test {
         testing::MakeFigure2Cube(60, 0.05), options);
     EXPECT_TRUE(engine->LoadConfiguration(config_, evaluator_).ok());
     return engine;
+  }
+
+  /// The same loaded engine over a fresh data directory: every insert and
+  /// lazy refit also goes through the WAL.
+  std::unique_ptr<F2dbEngine> MakeDurableEngine(const std::string& dir) {
+    EngineOptions options;
+    options.reestimate_after_updates = 2;
+    options.data_dir = dir;
+    options.disk_probe_interval_seconds = 0.0;
+    auto engine =
+        F2dbEngine::Open(testing::MakeFigure2Cube(60, 0.05), options);
+    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+    if (!engine.ok()) return nullptr;
+    EXPECT_TRUE(engine.value()->LoadConfiguration(config_, evaluator_).ok());
+    return std::move(engine).value();
   }
 
   /// Advances `periods` full periods; inserts may fail when the insert
@@ -95,7 +116,7 @@ class FaultInjectionTest : public ::testing::Test {
 
 TEST_F(FaultInjectionTest, EveryRegisteredFailpointIndividually) {
   const std::vector<std::string> sites = failpoint::RegisteredSites();
-  ASSERT_GE(sites.size(), 6u);  // optimizer, arima, ets, refit, insert, catalog
+  ASSERT_GE(sites.size(), 13u);  // 6 logical sites + 7 io.* sites
   for (const std::string& site : sites) {
     SCOPED_TRACE(site);
     auto engine = MakeEngine();
@@ -103,6 +124,26 @@ TEST_F(FaultInjectionTest, EveryRegisteredFailpointIndividually) {
     failpoint::Enable(site, failpoint::Policy::Always());
     SweepAllNodes(*engine);
     failpoint::DisableAll();
+  }
+  // The io.* sites sit under durable writes only, so sweep again on a
+  // durable engine: there a lazy refit's model-install record reaches
+  // io.wal_append.
+  for (const std::string& site : sites) {
+    SCOPED_TRACE("durable " + site);
+    char tmpl[] = "/tmp/f2db_faults_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr);
+    {
+      auto engine = MakeDurableEngine(tmpl);
+      ASSERT_NE(engine, nullptr);
+      Advance(*engine, 3);
+      failpoint::Enable(site, failpoint::Policy::Always());
+      SweepAllNodes(*engine);
+      if (site == storage::kIoSiteWalAppend) {
+        EXPECT_GT(failpoint::Evaluations(site), 0u);
+      }
+      failpoint::DisableAll();
+    }
+    testing::RemoveDirectoryTree(tmpl);
   }
 }
 

@@ -16,6 +16,7 @@
 #include "engine/engine.h"
 #include "engine/wal.h"
 #include "server/server.h"
+#include "storage/fsio.h"
 #include "testing/crash.h"
 #include "testing/test_cubes.h"
 
@@ -190,9 +191,10 @@ TEST_F(RecoveryTest, FailedCheckpointLeavesARecoverableDirectory) {
     auto engine = Open(DurableOptions());
     LoadConfig(*engine);
     Advance(*engine, 1);
-    failpoint::Enable(kFailpointCheckpointWrite, failpoint::Policy::Always());
+    failpoint::Enable(storage::kIoSiteCheckpointWrite,
+                      failpoint::Policy::Always());
     EXPECT_FALSE(engine->CheckpointNow().ok());
-    failpoint::Disable(kFailpointCheckpointWrite);
+    failpoint::Disable(storage::kIoSiteCheckpointWrite);
     EXPECT_EQ(engine->stats().checkpoint_failures, 1u);
     EXPECT_EQ(engine->stats().checkpoints_completed, 0u);
 

@@ -16,19 +16,17 @@
 #include <vector>
 
 #include "baselines/advisor_builder.h"
+#include "common/failpoint.h"
 #include "core/evaluator.h"
 #include "engine/engine.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "storage/fsio.h"
-#include "storage/iofault.h"
 #include "testing/crash.h"
 #include "testing/test_cubes.h"
 
 namespace f2db {
 namespace {
-
-namespace iofault = storage::iofault;
 
 constexpr const char* kQuerySql =
     "SELECT time, SUM(sales) FROM facts GROUP BY time AS OF now() + '3'";
@@ -55,7 +53,7 @@ class ReadOnlyWireTest : public ::testing::Test {
   }
 
   void TearDown() override {
-    iofault::DisableAll();
+    failpoint::DisableAll();
     server_.reset();
     engine_.reset();
     testing::RemoveDirectoryTree(dir_);
@@ -134,7 +132,7 @@ TEST_F(ReadOnlyWireTest, WireInsertsRejectWithHintWhileQueriesServe) {
   ASSERT_EQ(healthy.value().status, StatusCode::kOk) << healthy.value().body;
   const std::string rows_before = healthy.value().body;
 
-  iofault::Enable(storage::kIoSiteWalAppend, iofault::Policy::Error(EIO));
+  failpoint::Enable(storage::kIoSiteWalAppend, failpoint::Policy::Always());
   StormToReadOnly(client);
 
   // The read-only rejection crosses the wire with its hint intact.
@@ -160,8 +158,8 @@ TEST_F(ReadOnlyWireTest, CallWithReconnectWaitsOutTheBrownout) {
   client_options.max_retry_after_seconds = 0.05;
   F2dbClient client = Connect(client_options);
 
-  iofault::Enable(storage::kIoSiteWalAppend, iofault::Policy::Error(EIO));
-  iofault::Enable(storage::kIoSiteProbeWrite, iofault::Policy::Error(EIO));
+  failpoint::Enable(storage::kIoSiteWalAppend, failpoint::Policy::Always());
+  failpoint::Enable(storage::kIoSiteProbeWrite, failpoint::Policy::Always());
   StormToReadOnly(client);
 
   // The device heals mid-retry-loop; the probe exits read-only and the
@@ -169,7 +167,7 @@ TEST_F(ReadOnlyWireTest, CallWithReconnectWaitsOutTheBrownout) {
   // error.
   std::thread healer([] {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    iofault::DisableAll();
+    failpoint::DisableAll();
   });
   auto response = client.CallWithReconnect(FrameType::kInsert,
                                            InsertSql(Frontier() + 1000, 2.0));
