@@ -40,6 +40,10 @@ ModelConfigurationAdvisor::ModelConfigurationAdvisor(
   local_cache_.resize(graph.num_nodes());
   num_threads_ = options_.num_threads == 0 ? ThreadPool::DefaultConcurrency()
                                            : options_.num_threads;
+  nearest_scratch_.reserve(num_threads_);
+  for (std::size_t w = 0; w < num_threads_; ++w) {
+    nearest_scratch_.emplace_back(graph.num_nodes());
+  }
   batch_size_ = options_.models_per_iteration == 0 ? num_threads_
                                                    : options_.models_per_iteration;
   adaptive_batch_ = batch_size_;
@@ -67,9 +71,33 @@ std::size_t ModelConfigurationAdvisor::DetermineIndicatorSize() const {
 
 const LocalIndicator& ModelConfigurationAdvisor::LocalOf(NodeId node) {
   if (!local_cache_[node].has_value()) {
-    local_cache_[node] = indicators_.ComputeLocal(node, indicator_size_);
+    LocalIndicator& local = local_cache_[node].emplace();
+    local.entries.reserve(indicator_size_ + 1);
+    indicators_.ComputeLocalInto(node, indicator_size_, nearest_scratch_[0],
+                                 &local);
   }
   return *local_cache_[node];
+}
+
+void ModelConfigurationAdvisor::ComputeLocals(const std::vector<NodeId>& nodes,
+                                              ThreadPool& pool) {
+  std::vector<LocalIndicator*> missing;
+  for (NodeId node : nodes) {
+    if (local_cache_[node].has_value()) continue;
+    LocalIndicator& local = local_cache_[node].emplace();
+    local.source = node;
+    local.entries.reserve(indicator_size_ + 1);
+    missing.push_back(&local);
+  }
+  // Task w fills every tasks-th local with scratch slot w (one slot per
+  // pool worker).
+  const std::size_t tasks = std::min(missing.size(), nearest_scratch_.size());
+  pool.ParallelFor(tasks, [&](std::size_t w) {
+    for (std::size_t i = w; i < missing.size(); i += tasks) {
+      indicators_.ComputeLocalInto(missing[i]->source, indicator_size_,
+                                   nearest_scratch_[w], missing[i]);
+    }
+  });
 }
 
 void ModelConfigurationAdvisor::RebuildGlobal(const ModelConfiguration& config) {
@@ -79,11 +107,10 @@ void ModelConfigurationAdvisor::RebuildGlobal(const ModelConfiguration& config) 
 }
 
 void ModelConfigurationAdvisor::SelectCandidates(
-    const ModelConfiguration& config, std::vector<NodeId>& positive,
-    std::vector<NodeId>& negative) {
+    const ModelConfiguration& config, ThreadPool& pool,
+    std::vector<NodeId>& positive, std::vector<NodeId>& negative) {
   positive.clear();
   negative.clear();
-  RebuildGlobal(config);
 
   const double mean = global_.Mean();
   const double stddev = global_.StdDev();
@@ -130,6 +157,7 @@ void ModelConfigurationAdvisor::SelectCandidates(
                       positive.end(), by_value_spread);
     positive.resize(candidate_cap);
   }
+  ComputeLocals(positive, pool);
 
   // Ranking of positive candidates: mean of the temporary global indicator
   // min(global, local_v), lower first (Section IV-A2). The first
@@ -208,8 +236,7 @@ void ModelConfigurationAdvisor::SelectCandidates(
       }
     }
     // Removal penalty of r: sum over owned entries of (second - first).
-    std::unordered_map<NodeId, double> penalty;
-    for (NodeId m : model_nodes) penalty[m] = 0.0;
+    std::vector<double> penalty(num_nodes, 0.0);
     for (std::size_t t = 0; t < num_nodes; ++t) {
       if (owner[t] != kNoOwner) penalty[owner[t]] += min2[t] - min1[t];
     }
@@ -222,7 +249,8 @@ void ModelConfigurationAdvisor::SelectCandidates(
 }
 
 std::vector<ModelConfigurationAdvisor::CandidateModel>
-ModelConfigurationAdvisor::CreateModels(const std::vector<NodeId>& ranked) {
+ModelConfigurationAdvisor::CreateModels(const std::vector<NodeId>& ranked,
+                                        ThreadPool& pool) {
   const std::size_t n = std::min(adaptive_batch_, ranked.size());
   std::vector<CandidateModel> out(n);
   for (std::size_t i = 0; i < n; ++i) out[i].node = ranked[i];
@@ -241,8 +269,6 @@ ModelConfigurationAdvisor::CreateModels(const std::vector<NodeId>& ranked) {
     }
   }
 
-  ThreadPool pool(std::min<std::size_t>(num_threads_, std::max<std::size_t>(
-                                                          1, to_build.size())));
   pool.ParallelFor(to_build.size(), [&](std::size_t j) {
     CandidateModel& cand = out[to_build[j]];
     StopWatch watch;
@@ -319,6 +345,10 @@ Result<AdvisorResult> ModelConfigurationAdvisor::Run() {
     F2DB_RETURN_IF_ERROR(config.SetNodeWeights(options_.node_weights));
   }
 
+  global_ = GlobalIndicator(graph_->num_nodes());
+  // One worker pool for the whole run, shared by the local-indicator
+  // batches and model creation; joined before Run returns.
+  ThreadPool pool(num_threads_);
   MultiSourceOptimizer multi_source(evaluator_, options_.multi_source,
                                     options_.seed);
   if (options_.async_multi_source &&
@@ -353,6 +383,7 @@ Result<AdvisorResult> ModelConfigurationAdvisor::Run() {
       creation_samples_ = 1;
       config.AddModel(top, std::move(entry));
       config.ApplyModelSchemes(evaluator_, top);
+      global_.Merge(LocalOf(top));
       ++result.models_created;
       ++result.models_accepted;
     } else {
@@ -374,7 +405,7 @@ Result<AdvisorResult> ModelConfigurationAdvisor::Run() {
     StopWatch selection_watch;
     std::vector<NodeId> positive;
     std::vector<NodeId> negative;
-    SelectCandidates(config, positive, negative);
+    SelectCandidates(config, pool, positive, negative);
     const double selection_seconds = selection_watch.ElapsedSeconds();
 
     if (positive.empty() && negative.empty()) break;  // nothing left to do
@@ -383,23 +414,18 @@ Result<AdvisorResult> ModelConfigurationAdvisor::Run() {
     StopWatch evaluation_watch;
     double error_before_iteration = config.MeanError();
 
-    std::vector<CandidateModel> candidates = CreateModels(positive);
+    std::vector<CandidateModel> candidates = CreateModels(positive, pool);
     for (CandidateModel& cand : candidates) {
       if (!cand.created) continue;
       if (cand.newly_built) ++result.models_created;
       const double err_old = config.MeanError();
       const double cost_old = config.TotalCostSeconds();
 
-      // Snapshot the assignments this model could touch, for rollback.
+      // The assignments the model improves, kept for rollback.
       std::vector<std::pair<NodeId, NodeAssignment>> saved;
-      saved.emplace_back(cand.node, config.assignment(cand.node));
-      for (NodeId target : cand.entry.coverage) {
-        saved.emplace_back(target, config.assignment(target));
-      }
-
       const NodeId node = cand.node;
       config.AddModel(node, std::move(cand.entry));
-      config.ApplyModelSchemes(evaluator_, node);
+      config.ApplyModelSchemes(evaluator_, node, &saved);
       const double err_new = config.MeanError();
       const double cost_new = config.TotalCostSeconds();
 
@@ -417,10 +443,10 @@ Result<AdvisorResult> ModelConfigurationAdvisor::Run() {
         consecutive_rejects = 0;
       } else {
         ModelEntry removed = config.RemoveModel(node);
-        // Restoring the snapshot undoes exactly the improvements
+        // Restoring the saved assignments undoes exactly the improvements
         // ApplyModelSchemes made (it never worsens other assignments).
         for (auto& [target, assignment] : saved) {
-          config.set_assignment(target, assignment);
+          config.set_assignment(target, std::move(assignment));
         }
         ++result.models_rejected;
         ++consecutive_rejects;

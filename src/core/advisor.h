@@ -37,6 +37,8 @@
 
 namespace f2db {
 
+class ThreadPool;
+
 /// User-definable termination conditions (Section IV-D).
 struct StopCriteria {
   /// Stop once the configuration error is at or below this value.
@@ -57,7 +59,8 @@ struct StopCriteria {
 struct AdvisorOptions {
   /// Train fraction of every series (the paper uses about 80%).
   double train_fraction = 0.8;
-  /// Worker threads for model creation; 0 = hardware concurrency.
+  /// Worker threads for model creation and local-indicator batches; 0 =
+  /// hardware concurrency. One pool of this width lives for each Run.
   std::size_t num_threads = 0;
   /// Models created per iteration (the paper's n, "restricted by the number
   /// of available processors"); 0 = same as the worker thread count. Set
@@ -180,16 +183,23 @@ class ModelConfigurationAdvisor {
   /// Lazily computes and caches the local indicator of `node`.
   const LocalIndicator& LocalOf(NodeId node);
 
+  /// Computes the uncached local indicators of `nodes` across the pool.
+  /// Every entries buffer is allocated here, on the calling thread; the
+  /// workers only fill them.
+  void ComputeLocals(const std::vector<NodeId>& nodes, ThreadPool& pool);
+
   /// Rebuilds the global indicator from the locals of all model nodes.
   void RebuildGlobal(const ModelConfiguration& config);
 
-  /// Phase 1: preselection + ranking. Returns ranked V_A and V_R.
-  void SelectCandidates(const ModelConfiguration& config,
+  /// Phase 1: preselection + ranking. Returns ranked V_A and V_R. The
+  /// global indicator must already cover exactly the model nodes.
+  void SelectCandidates(const ModelConfiguration& config, ThreadPool& pool,
                         std::vector<NodeId>& positive,
                         std::vector<NodeId>& negative);
 
   /// Creates (or revives) models for the top-n positive candidates.
-  std::vector<CandidateModel> CreateModels(const std::vector<NodeId>& ranked);
+  std::vector<CandidateModel> CreateModels(const std::vector<NodeId>& ranked,
+                                           ThreadPool& pool);
 
   /// Acceptance criterion of Eq. 8 on normalized (error, cost) pairs.
   bool Accept(double err_new, double cost_new, double err_old,
@@ -222,6 +232,11 @@ class ModelConfigurationAdvisor {
   std::size_t improvement_samples_ = 0;
 
   std::vector<std::optional<LocalIndicator>> local_cache_;
+  /// Nearest-node search buffers: slot w serves pool task w of
+  /// ComputeLocals, slot 0 also LocalOf on the calling thread.
+  std::vector<TimeSeriesGraph::NearestScratch> nearest_scratch_;
+  /// Element-wise minimum over the locals of the model nodes; merged on
+  /// every accept, rebuilt on every deletion.
   GlobalIndicator global_;
   std::vector<bool> blacklisted_;
   /// Models rejected with error improvement are parked for cheap retry at

@@ -78,25 +78,34 @@ double ModelConfiguration::MeanError() const {
 }
 
 std::size_t ModelConfiguration::ApplyModelSchemes(
-    const ConfigurationEvaluator& evaluator, NodeId source) {
+    const ConfigurationEvaluator& evaluator, NodeId source,
+    std::vector<std::pair<NodeId, NodeAssignment>>* undo) {
   const auto it = models_.find(source);
   if (it == models_.end()) return 0;
   const ModelEntry& entry = it->second;
-  const std::vector<double>* forecast = &entry.test_forecast;
 
   std::size_t improved = 0;
   auto try_target = [&](NodeId target) {
-    const DerivationScheme scheme = DerivationScheme::Single(source);
-    const double error = evaluator.SchemeError(scheme, {forecast}, target);
-    if (error < assignments_[target].error) {
-      assignments_[target].error = error;
-      assignments_[target].scheme = scheme;
+    if (TrySingleSource(evaluator, source, entry.test_forecast, target, undo)) {
       ++improved;
     }
   };
   try_target(source);
   for (NodeId target : entry.coverage) try_target(target);
   return improved;
+}
+
+bool ModelConfiguration::TrySingleSource(
+    const ConfigurationEvaluator& evaluator, NodeId source,
+    const std::vector<double>& forecast, NodeId target,
+    std::vector<std::pair<NodeId, NodeAssignment>>* undo) {
+  const double error = evaluator.SchemeError(source, forecast, target);
+  NodeAssignment& assignment = assignments_[target];
+  if (!(error < assignment.error)) return false;
+  if (undo != nullptr) undo->emplace_back(target, std::move(assignment));
+  assignment.error = error;
+  assignment.scheme = DerivationScheme::Single(source);
+  return true;
 }
 
 bool ModelConfiguration::TryMultiSourceScheme(
@@ -141,14 +150,8 @@ void ModelConfiguration::RecomputeNodes(const ConfigurationEvaluator& evaluator,
   for (NodeId target : targets) assignments_[target] = NodeAssignment{};
 
   for (const auto& [node, entry] : models_) {
-    const std::vector<double>* forecast = &entry.test_forecast;
     auto try_target = [&](NodeId target) {
-      const DerivationScheme scheme = DerivationScheme::Single(node);
-      const double error = evaluator.SchemeError(scheme, {forecast}, target);
-      if (error < assignments_[target].error) {
-        assignments_[target].error = error;
-        assignments_[target].scheme = scheme;
-      }
+      TrySingleSource(evaluator, node, entry.test_forecast, target);
     };
     if (target_set.count(node) > 0) try_target(node);
     // Coverage is sorted; visit only the targets of interest.

@@ -99,9 +99,12 @@ class ModelConfiguration {
 
   /// Tries all single-source schemes from the model at `source` to every
   /// node in its coverage (and itself); lowers assignments where the new
-  /// scheme is better. Returns the number of improved nodes.
-  std::size_t ApplyModelSchemes(const ConfigurationEvaluator& evaluator,
-                                NodeId source);
+  /// scheme is better. Returns the number of improved nodes. When `undo` is
+  /// given, the previous assignment of every improved node is appended to
+  /// it, so restoring those undoes the call exactly.
+  std::size_t ApplyModelSchemes(
+      const ConfigurationEvaluator& evaluator, NodeId source,
+      std::vector<std::pair<NodeId, NodeAssignment>>* undo = nullptr);
 
   /// Installs a multi-source scheme for `target` when it improves on the
   /// current assignment; remembered so recomputation can re-validate it.
@@ -125,6 +128,13 @@ class ModelConfiguration {
       const DerivationScheme& scheme) const;
 
  private:
+  /// Installs {source} -> target when its error beats the current
+  /// assignment; the scheme is built only then. Returns true when adopted.
+  bool TrySingleSource(
+      const ConfigurationEvaluator& evaluator, NodeId source,
+      const std::vector<double>& forecast, NodeId target,
+      std::vector<std::pair<NodeId, NodeAssignment>>* undo = nullptr);
+
   std::vector<NodeAssignment> assignments_;
   /// Normalized per-node weights; empty = uniform.
   std::vector<double> node_weights_;

@@ -71,6 +71,26 @@ double ConfigurationEvaluator::SchemeError(
   return Smape(TestActual(target), derived);
 }
 
+double ConfigurationEvaluator::SchemeError(NodeId source,
+                                           const std::vector<double>& forecast,
+                                           NodeId target) const {
+  // Smape(TestActual(target), Derive(k, {&forecast})) without the copies.
+  const std::vector<double>& series = graph_->series(target).values();
+  const std::size_t begin = std::min(train_length_, series.size());
+  const std::size_t n = std::min(test_length_, series.size() - begin);
+  if (n == 0 || n != forecast.size()) return 1.0;
+  const double k = Weight(source, target);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double actual = series[begin + i];
+    const double derived = forecast[i] * k;
+    const double denom = std::abs(actual) + std::abs(derived);
+    if (denom < 1e-12) continue;
+    sum += std::abs(actual - derived) / denom;
+  }
+  return sum / static_cast<double>(n);
+}
+
 double ConfigurationEvaluator::HistoricalError(NodeId source,
                                                NodeId target) const {
   return HistoricalErrorMulti({source}, target);

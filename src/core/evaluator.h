@@ -11,6 +11,7 @@
 #ifndef F2DB_CORE_EVALUATOR_H_
 #define F2DB_CORE_EVALUATOR_H_
 
+#include <cmath>
 #include <vector>
 
 #include "core/derivation.h"
@@ -43,6 +44,12 @@ class ConfigurationEvaluator {
   /// denominator vanishes.
   double Weight(const std::vector<NodeId>& sources, NodeId target) const;
 
+  /// Single-source Weight, without the source vector.
+  double Weight(NodeId source, NodeId target) const {
+    const double denom = history_sums_[source];
+    return std::abs(denom) < 1e-12 ? 0.0 : history_sums_[target] / denom;
+  }
+
   /// Element-wise k * sum of source forecasts (Eq. 1). All forecasts must
   /// have equal length.
   static std::vector<double> Derive(
@@ -52,6 +59,13 @@ class ConfigurationEvaluator {
   /// forecasts are given (ordered as scheme.sources).
   double SchemeError(const DerivationScheme& scheme,
                      const std::vector<const std::vector<double>*>& forecasts,
+                     NodeId target) const;
+
+  /// SchemeError of the single-source scheme {source} -> target, computed
+  /// in place: no scheme, derived forecast or test-actual copy is built.
+  /// Bit-identical to SchemeError(DerivationScheme::Single(source),
+  /// {&forecast}, target).
+  double SchemeError(NodeId source, const std::vector<double>& forecast,
                      NodeId target) const;
 
   /// Historical-error indicator component (Section III-B): assume a perfect

@@ -49,6 +49,9 @@ class IndicatorComputer {
       : evaluator_(&evaluator), options_(options) {}
 
   /// Combined indicator of the scheme source -> target; 0 when equal.
+  /// Equals historical_weight * HistoricalError + similarity_weight *
+  /// min(1, WeightInstability) bit for bit, computed in two walks of the
+  /// training history without allocating.
   double Indicate(NodeId source, NodeId target) const;
 
   /// Builds the local indicator of `source` covering itself and its
@@ -56,6 +59,14 @@ class IndicatorComputer {
   /// indicator of a node s is constructed by including those nodes which
   /// are closest to s in the time series graph").
   LocalIndicator ComputeLocal(NodeId source, std::size_t size) const;
+
+  /// ComputeLocal into `*local`, searching through `scratch`. Allocates
+  /// nothing when `local->entries` already has capacity for the result
+  /// (min(size, num_nodes - 1) + 1 entries) and `scratch` was built for the
+  /// graph, so concurrent callers can fill buffers their caller allocated.
+  void ComputeLocalInto(NodeId source, std::size_t size,
+                        TimeSeriesGraph::NearestScratch& scratch,
+                        LocalIndicator* local) const;
 
  private:
   const ConfigurationEvaluator* evaluator_;

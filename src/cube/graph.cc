@@ -62,6 +62,35 @@ Result<TimeSeriesGraph> TimeSeriesGraph::Create(CubeSchema schema) {
                    [&graph](NodeId a, NodeId b) {
                      return graph.LevelSum(a) < graph.LevelSum(b);
                    });
+
+  // Neighbour lists: per dimension the children, then the parent. Moving
+  // one coordinate changes only that dimension's mixed-radix digit.
+  graph.neighbor_offsets_.reserve(total + 1);
+  graph.neighbor_offsets_.push_back(0);
+  for (NodeId node = 0; node < total; ++node) {
+    const NodeAddress address = graph.AddressOf(node);
+    std::size_t stride = 1;
+    for (std::size_t d = 0; d < dims; ++d) {
+      const Hierarchy& h = graph.schema_.hierarchy(d);
+      const auto [level, value] = address.coords[d];
+      const std::size_t base = node - graph.SlotOf(d, level, value) * stride;
+      if (level > 0) {
+        for (ValueIndex v : h.child_values(level, value)) {
+          graph.neighbors_.push_back(static_cast<NodeId>(
+              base + graph.SlotOf(d, static_cast<LevelIndex>(level - 1), v) *
+                         stride));
+        }
+      }
+      if (level < h.num_levels()) {
+        graph.neighbors_.push_back(static_cast<NodeId>(
+            base + graph.SlotOf(d, static_cast<LevelIndex>(level + 1),
+                                h.parent_value(level, value)) *
+                       stride));
+      }
+      stride *= graph.slots_per_dim_[d];
+    }
+    graph.neighbor_offsets_.push_back(graph.neighbors_.size());
+  }
   return graph;
 }
 
@@ -78,26 +107,22 @@ bool TimeSeriesGraph::IsBaseNode(NodeId node) const {
   return true;
 }
 
+NodeAddress::Coordinate TimeSeriesGraph::CoordinateOf(std::size_t dim,
+                                                      std::size_t slot) const {
+  // The level is the last one whose first slot is at or below `slot`.
+  auto level = static_cast<LevelIndex>(schema_.hierarchy(dim).num_levels());
+  while (level > 0 && slot < level_offsets_[dim][level]) --level;
+  return {level, static_cast<ValueIndex>(slot - level_offsets_[dim][level])};
+}
+
 NodeAddress TimeSeriesGraph::AddressOf(NodeId node) const {
   const std::size_t dims = schema_.num_dimensions();
   NodeAddress address;
   address.coords.resize(dims);
   std::size_t rest = node;
   for (std::size_t d = 0; d < dims; ++d) {
-    const std::size_t slot = rest % slots_per_dim_[d];
+    address.coords[d] = CoordinateOf(d, rest % slots_per_dim_[d]);
     rest /= slots_per_dim_[d];
-    // Find the level containing this slot.
-    const Hierarchy& h = schema_.hierarchy(d);
-    LevelIndex level = 0;
-    for (LevelIndex l = h.num_levels();; --l) {
-      if (slot >= level_offsets_[d][l]) {
-        level = l;
-        break;
-      }
-      if (l == 0) break;
-    }
-    address.coords[d] = {level, static_cast<ValueIndex>(
-                                    slot - level_offsets_[d][level])};
   }
   return address;
 }
@@ -135,18 +160,9 @@ void TimeSeriesGraph::NodeNameInto(NodeId node, std::string* out) const {
   const std::size_t dims = schema_.num_dimensions();
   std::size_t rest = node;
   for (std::size_t d = 0; d < dims; ++d) {
-    const std::size_t slot = rest % slots_per_dim_[d];
+    const auto [level, value] = CoordinateOf(d, rest % slots_per_dim_[d]);
     rest /= slots_per_dim_[d];
     const Hierarchy& h = schema_.hierarchy(d);
-    LevelIndex level = 0;
-    for (LevelIndex l = h.num_levels();; --l) {
-      if (slot >= level_offsets_[d][l]) {
-        level = l;
-        break;
-      }
-      if (l == 0) break;
-    }
-    const auto value = static_cast<ValueIndex>(slot - level_offsets_[d][level]);
     if (d > 0) out->push_back(',');
     out->append(h.level_name(level));
     out->push_back('=');
@@ -207,15 +223,16 @@ Result<NodeId> TimeSeriesGraph::Parent(NodeId node, std::size_t dim) const {
 }
 
 std::size_t TimeSeriesGraph::Distance(NodeId a, NodeId b) const {
-  const NodeAddress aa = AddressOf(a);
-  const NodeAddress bb = AddressOf(b);
+  // Decodes both ids digit by digit; no NodeAddress is built.
+  std::size_t rest_a = a;
+  std::size_t rest_b = b;
   std::size_t total = 0;
   for (std::size_t d = 0; d < schema_.num_dimensions(); ++d) {
     const Hierarchy& h = schema_.hierarchy(d);
-    LevelIndex la = aa.coords[d].level;
-    LevelIndex lb = bb.coords[d].level;
-    ValueIndex va = aa.coords[d].value;
-    ValueIndex vb = bb.coords[d].value;
+    auto [la, va] = CoordinateOf(d, rest_a % slots_per_dim_[d]);
+    auto [lb, vb] = CoordinateOf(d, rest_b % slots_per_dim_[d]);
+    rest_a /= slots_per_dim_[d];
+    rest_b /= slots_per_dim_[d];
     std::size_t steps = 0;
     auto lift = [&h](LevelIndex& level, ValueIndex& value) {
       value = h.parent_value(level, value);
@@ -240,37 +257,54 @@ std::size_t TimeSeriesGraph::Distance(NodeId a, NodeId b) const {
   return total;
 }
 
+TimeSeriesGraph::NearestScratch::NearestScratch(std::size_t num_nodes)
+    : seen(num_nodes, 0) {
+  frontier.reserve(num_nodes);
+  next.reserve(num_nodes);
+  nearest.reserve(num_nodes);
+}
+
 std::vector<NodeId> TimeSeriesGraph::NearestNodes(NodeId node,
                                                   std::size_t k) const {
-  std::vector<NodeId> out;
+  NearestScratch scratch;  // unsized: the result grows only to its length
+  NearestNodesInto(node, k, scratch);
+  return std::move(scratch.nearest);
+}
+
+const std::vector<NodeId>& TimeSeriesGraph::NearestNodesInto(
+    NodeId node, std::size_t k, NearestScratch& scratch) const {
+  std::vector<NodeId>& out = scratch.nearest;
+  out.clear();
   if (k == 0) return out;
-  std::vector<bool> visited(num_nodes_, false);
-  visited[node] = true;
-  std::vector<NodeId> frontier{node};
-  while (!frontier.empty() && out.size() < k) {
-    std::vector<NodeId> next;
-    for (NodeId cur : frontier) {
-      // Neighbors: children in every dimension plus parents.
-      for (std::size_t d = 0; d < schema_.num_dimensions(); ++d) {
-        for (NodeId child : Children(cur, d)) {
-          if (!visited[child]) {
-            visited[child] = true;
-            next.push_back(child);
-          }
-        }
-        const auto parent = Parent(cur, d);
-        if (parent.ok() && !visited[parent.value()]) {
-          visited[parent.value()] = true;
-          next.push_back(parent.value());
+  if (scratch.seen.size() != num_nodes_) {
+    scratch.seen.assign(num_nodes_, 0);
+    scratch.stamp = 0;
+  }
+  if (++scratch.stamp == 0) {  // stamps wrapped: forget every old visit
+    std::fill(scratch.seen.begin(), scratch.seen.end(), 0);
+    scratch.stamp = 1;
+  }
+  const std::uint32_t stamp = scratch.stamp;
+  scratch.seen[node] = stamp;
+  scratch.frontier.assign(1, node);
+  while (!scratch.frontier.empty() && out.size() < k) {
+    scratch.next.clear();
+    for (NodeId cur : scratch.frontier) {
+      for (std::size_t e = neighbor_offsets_[cur];
+           e < neighbor_offsets_[cur + 1]; ++e) {
+        const NodeId neighbor = neighbors_[e];
+        if (scratch.seen[neighbor] != stamp) {
+          scratch.seen[neighbor] = stamp;
+          scratch.next.push_back(neighbor);
         }
       }
     }
-    std::sort(next.begin(), next.end());
-    for (NodeId id : next) {
+    std::sort(scratch.next.begin(), scratch.next.end());
+    for (NodeId id : scratch.next) {
       if (out.size() >= k) break;
       out.push_back(id);
     }
-    frontier = std::move(next);
+    std::swap(scratch.frontier, scratch.next);
   }
   return out;
 }

@@ -93,9 +93,28 @@ class TimeSeriesGraph {
   /// through the lowest common ancestor per dimension).
   std::size_t Distance(NodeId a, NodeId b) const;
 
+  /// Reusable buffers of NearestNodesInto; one per concurrent caller.
+  /// Constructed for the graph's node count, a search through it allocates
+  /// nothing; default-constructed, it is sized by its first search.
+  struct NearestScratch {
+    NearestScratch() = default;
+    explicit NearestScratch(std::size_t num_nodes);
+
+    std::vector<std::uint32_t> seen;  ///< per node: stamp of its last visit
+    std::uint32_t stamp = 0;
+    std::vector<NodeId> frontier;
+    std::vector<NodeId> next;
+    std::vector<NodeId> nearest;  ///< the result of the last search
+  };
+
   /// Up to `k` nearest other nodes by breadth-first search over
   /// parent/child edges; deterministic order (distance, then id).
   std::vector<NodeId> NearestNodes(NodeId node, std::size_t k) const;
+
+  /// NearestNodes into `scratch.nearest`, returned by reference. Walks the
+  /// neighbour lists precomputed by Create.
+  const std::vector<NodeId>& NearestNodesInto(NodeId node, std::size_t k,
+                                              NearestScratch& scratch) const;
 
   // ------------------------------------------------------------------ data
 
@@ -138,6 +157,9 @@ class TimeSeriesGraph {
   /// Per-dimension mixed-radix slot of a coordinate.
   std::size_t SlotOf(std::size_t dim, LevelIndex level, ValueIndex value) const;
 
+  /// Inverse of SlotOf: the (level, value) at `slot` of dimension `dim`.
+  NodeAddress::Coordinate CoordinateOf(std::size_t dim, std::size_t slot) const;
+
   CubeSchema schema_;
   std::size_t num_nodes_ = 0;
   /// slots_per_dim_[d] = number of (level, value) combinations in dim d.
@@ -150,6 +172,10 @@ class TimeSeriesGraph {
   bool aggregates_built_ = false;
   /// Non-base nodes ordered by increasing level sum (aggregation order).
   std::vector<NodeId> aggregation_order_;
+  /// Parent/child neighbours in CSR form: the neighbours of node v are
+  /// neighbors_[neighbor_offsets_[v] .. neighbor_offsets_[v + 1]).
+  std::vector<std::size_t> neighbor_offsets_;
+  std::vector<NodeId> neighbors_;
 };
 
 }  // namespace f2db

@@ -187,6 +187,85 @@ TEST(Advisor, DeterministicAcrossRuns) {
             rb.value().configuration.model_nodes());
 }
 
+// The worker count changes only how the local-indicator batches and model
+// fits are spread, never what the advisor decides: with models priced by
+// count, 1, 2 and 4 threads produce the same configuration, per-node
+// assignments and history, bit for bit.
+TEST(Advisor, ConfigurationIndependentOfThreadCount) {
+  const TimeSeriesGraph graph = testing::MakeFigure2Cube(60);
+  for (const bool top_seed : {true, false}) {
+    auto run = [&](std::size_t threads) {
+      AdvisorOptions options = FastOptions();
+      options.num_threads = threads;
+      options.count_models_as_cost = true;
+      options.start_with_top_model = top_seed;
+      ModelConfigurationAdvisor advisor(graph, HwFactory(12), options);
+      auto result = advisor.Run();
+      EXPECT_TRUE(result.ok());
+      return std::move(result).value();
+    };
+    const AdvisorResult reference = run(1);
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE(::testing::Message() << "threads " << threads
+                                        << " top_seed " << top_seed);
+      const AdvisorResult r = run(threads);
+      EXPECT_EQ(r.final_error, reference.final_error);
+      EXPECT_EQ(r.configuration.model_nodes(),
+                reference.configuration.model_nodes());
+      for (NodeId node = 0; node < graph.num_nodes(); ++node) {
+        EXPECT_EQ(r.configuration.assignment(node).scheme,
+                  reference.configuration.assignment(node).scheme);
+        EXPECT_EQ(r.configuration.assignment(node).error,
+                  reference.configuration.assignment(node).error);
+      }
+      ASSERT_EQ(r.history.size(), reference.history.size());
+      for (std::size_t i = 0; i < r.history.size(); ++i) {
+        EXPECT_EQ(r.history[i].iteration, reference.history[i].iteration);
+        EXPECT_EQ(r.history[i].error, reference.history[i].error);
+        EXPECT_EQ(r.history[i].cost_seconds, reference.history[i].cost_seconds);
+        EXPECT_EQ(r.history[i].num_models, reference.history[i].num_models);
+        EXPECT_EQ(r.history[i].alpha, reference.history[i].alpha);
+        EXPECT_EQ(r.history[i].gamma, reference.history[i].gamma);
+      }
+      EXPECT_EQ(r.models_created, reference.models_created);
+      EXPECT_EQ(r.models_accepted, reference.models_accepted);
+      EXPECT_EQ(r.models_deleted, reference.models_deleted);
+    }
+  }
+}
+
+// Pins the decisions of one reproducible run (models priced by count), so a
+// kernel change that alters any selection, acceptance or deletion shows up
+// here even when it is consistent across thread counts. The global
+// indicator's incremental upkeep is checked this way: a missed merge
+// changes which candidates are selected.
+TEST(Advisor, PinnedDecisionsOnFigure2Cube) {
+  const TimeSeriesGraph graph = testing::MakeFigure2Cube(60);
+  struct Pin {
+    bool top_seed;
+    std::size_t iterations;
+    std::size_t models_created;
+    std::vector<NodeId> model_nodes;
+  };
+  const Pin pins[] = {
+      {true, 18, 23, {0, 4, 7, 8, 10, 12, 13, 14, 17, 18, 20}},
+      {false, 16, 19, {0, 1, 2, 4, 6, 7, 8, 10, 12, 14, 16, 17, 18, 20}},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(::testing::Message() << "top_seed " << pin.top_seed);
+    AdvisorOptions options = FastOptions();
+    options.num_threads = 2;
+    options.count_models_as_cost = true;
+    options.start_with_top_model = pin.top_seed;
+    ModelConfigurationAdvisor advisor(graph, HwFactory(12), options);
+    auto result = advisor.Run();
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().iterations, pin.iterations);
+    EXPECT_EQ(result.value().models_created, pin.models_created);
+    EXPECT_EQ(result.value().configuration.model_nodes(), pin.model_nodes);
+  }
+}
+
 TEST(Advisor, AsyncMultiSourceRunsCleanly) {
   const TimeSeriesGraph graph = testing::MakeFigure2Cube(60);
   AdvisorOptions options = FastOptions();

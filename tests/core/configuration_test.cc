@@ -68,6 +68,40 @@ TEST_F(ConfigurationTest, ApplyModelSchemesImprovesCoveredNodes) {
   }
 }
 
+TEST_F(ConfigurationTest, ApplyModelSchemesUndoRestoresExactly) {
+  ModelConfiguration config(graph_.num_nodes());
+  const NodeId top = graph_.top_node();
+  const NodeId base0 = graph_.base_nodes()[0];
+  std::vector<NodeId> all_nodes;
+  for (NodeId n = 0; n < graph_.num_nodes(); ++n) {
+    if (n != base0) all_nodes.push_back(n);
+  }
+  config.AddModel(base0, MakeEntry(evaluator_, base0, {top}));
+  config.ApplyModelSchemes(evaluator_, base0);
+  std::vector<NodeAssignment> before;
+  for (NodeId n = 0; n < graph_.num_nodes(); ++n) {
+    before.push_back(config.assignment(n));
+  }
+
+  config.AddModel(top, MakeEntry(evaluator_, top, all_nodes));
+  std::vector<std::pair<NodeId, NodeAssignment>> undo;
+  const std::size_t improved = config.ApplyModelSchemes(evaluator_, top, &undo);
+  EXPECT_EQ(undo.size(), improved);
+  EXPECT_GT(improved, 0u);
+  for (const auto& [node, assignment] : undo) {
+    EXPECT_EQ(assignment.error, before[node].error);
+    EXPECT_EQ(assignment.scheme, before[node].scheme);
+  }
+  config.RemoveModel(top);
+  for (auto& [node, assignment] : undo) {
+    config.set_assignment(node, std::move(assignment));
+  }
+  for (NodeId n = 0; n < graph_.num_nodes(); ++n) {
+    EXPECT_EQ(config.assignment(n).error, before[n].error);
+    EXPECT_EQ(config.assignment(n).scheme, before[n].scheme);
+  }
+}
+
 TEST_F(ConfigurationTest, ApplyModelSchemesNeverWorsens) {
   ModelConfiguration config(graph_.num_nodes());
   const NodeId top = graph_.top_node();

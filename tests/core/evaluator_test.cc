@@ -91,6 +91,33 @@ TEST(Evaluator, SchemeErrorPerfectSourceMatchesSmape) {
               0.0, 1e-12);
 }
 
+// The single-source SchemeError equals the general one on a Single scheme,
+// bit for bit, over every (source, target) pair and several forecasts.
+TEST(Evaluator, SingleSourceSchemeErrorMatchesGeneral) {
+  for (const TimeSeriesGraph& graph :
+       {testing::MakeZeroStepCube(), testing::MakeFigure2Cube(60)}) {
+    ConfigurationEvaluator evaluator(graph, 0.8);
+    const std::size_t h = evaluator.test_length();
+    for (NodeId s = 0; s < graph.num_nodes(); ++s) {
+      std::vector<double> signed_zeros(h, 0.0);
+      for (std::size_t i = 0; i < h; ++i) {
+        signed_zeros[i] = i % 3 == 0 ? -0.0 : (i % 3 == 1 ? -2.5 : 4.0);
+      }
+      const std::vector<std::vector<double>> forecasts = {
+          evaluator.TestActual(s), signed_zeros, std::vector<double>(h, 0.0),
+          std::vector<double>(h + 1, 1.0), {}};
+      for (const std::vector<double>& forecast : forecasts) {
+        for (NodeId t = 0; t < graph.num_nodes(); ++t) {
+          EXPECT_EQ(evaluator.SchemeError(s, forecast, t),
+                    evaluator.SchemeError(DerivationScheme::Single(s),
+                                          {&forecast}, t))
+              << "source " << s << " target " << t;
+        }
+      }
+    }
+  }
+}
+
 TEST(Evaluator, SchemeErrorEmptySchemeIsWorstCase) {
   const TimeSeriesGraph graph = testing::MakeRegionCube(40);
   ConfigurationEvaluator evaluator(graph, 0.8);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "testing/test_cubes.h"
 
 namespace f2db {
@@ -123,6 +125,52 @@ TEST(Indicators, UncoveredDominatesAnyComputedValue) {
     for (NodeId t = 0; t < graph.num_nodes(); ++t) {
       EXPECT_LT(computer.Indicate(s, t), kUncoveredIndicator);
     }
+  }
+}
+
+// The fused Indicate kernel equals its two evaluator components combined,
+// bit for bit, over every (source, target) pair: zero-valued source steps
+// (skipped weights), a zero history sum, fewer than two weights, sign
+// changes, and the ablation weights.
+TEST(Indicators, FusedKernelMatchesComponentsBitForBit) {
+  const IndicatorOptions weightings[] = {
+      {}, {0.0, 1.0}, {1.0, 0.0}, {0.7, 0.3}};
+  for (const TimeSeriesGraph& graph :
+       {testing::MakeZeroStepCube(), testing::MakeFigure2Cube(60),
+        testing::MakeRegionCube(40, 2.0)}) {
+    ConfigurationEvaluator evaluator(graph, 0.8);
+    for (const IndicatorOptions& options : weightings) {
+      IndicatorComputer computer(evaluator, options);
+      for (NodeId s = 0; s < graph.num_nodes(); ++s) {
+        for (NodeId t = 0; t < graph.num_nodes(); ++t) {
+          const double expected =
+              s == t ? 0.0
+                     : options.historical_weight *
+                               evaluator.HistoricalError(s, t) +
+                           options.similarity_weight *
+                               std::min(1.0, evaluator.WeightInstability(s, t));
+          EXPECT_EQ(computer.Indicate(s, t), expected)
+              << "source " << s << " target " << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(Indicators, ComputeLocalIntoReusesScratchAndBuffer) {
+  const TimeSeriesGraph graph = testing::MakeFigure2Cube(60);
+  ConfigurationEvaluator evaluator(graph, 0.8);
+  IndicatorComputer computer(evaluator, IndicatorOptions{});
+  TimeSeriesGraph::NearestScratch scratch(graph.num_nodes());
+  LocalIndicator local;
+  local.entries.reserve(13);
+  const auto* buffer = local.entries.data();
+  for (NodeId node = 0; node < graph.num_nodes(); ++node) {
+    computer.ComputeLocalInto(node, 12, scratch, &local);
+    const LocalIndicator fresh = computer.ComputeLocal(node, 12);
+    EXPECT_EQ(local.source, node);
+    EXPECT_EQ(local.entries, fresh.entries);
+    EXPECT_EQ(local.entries.data(), buffer);  // filled in place
   }
 }
 

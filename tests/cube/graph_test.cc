@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <set>
 
 #include "testing/test_cubes.h"
@@ -209,6 +211,116 @@ TEST(Graph, NearestNodesCoversWholeGraph) {
   const TimeSeriesGraph graph = testing::MakeFigure2Cube();
   const auto all = graph.NearestNodes(graph.top_node(), 1000);
   EXPECT_EQ(all.size(), graph.num_nodes() - 1);
+}
+
+// The NearestNodes search before neighbour lists were precomputed: BFS
+// over Children/Parent, one sorted level at a time. Also reports the BFS
+// level of every returned node.
+std::vector<NodeId> ReferenceNearest(const TimeSeriesGraph& graph, NodeId node,
+                                     std::size_t k,
+                                     std::vector<std::size_t>* levels) {
+  std::vector<NodeId> out;
+  if (k == 0) return out;
+  std::vector<bool> visited(graph.num_nodes(), false);
+  visited[node] = true;
+  std::vector<NodeId> frontier{node};
+  for (std::size_t level = 1; !frontier.empty() && out.size() < k; ++level) {
+    std::vector<NodeId> next;
+    for (NodeId cur : frontier) {
+      for (std::size_t d = 0; d < graph.schema().num_dimensions(); ++d) {
+        for (NodeId child : graph.Children(cur, d)) {
+          if (!visited[child]) {
+            visited[child] = true;
+            next.push_back(child);
+          }
+        }
+        const auto parent = graph.Parent(cur, d);
+        if (parent.ok() && !visited[parent.value()]) {
+          visited[parent.value()] = true;
+          next.push_back(parent.value());
+        }
+      }
+    }
+    std::sort(next.begin(), next.end());
+    for (NodeId id : next) {
+      if (out.size() >= k) break;
+      out.push_back(id);
+      levels->push_back(level);
+    }
+    frontier = std::move(next);
+  }
+  return out;
+}
+
+/// Three dimensions of unequal depth: city -> region -> country, item ->
+/// category, and a flat channel. 11 * 6 * 3 = 198 nodes.
+TimeSeriesGraph MakeThreeDimensionalGraph() {
+  Hierarchy location("location");
+  Status s = location.AddLevel("city", {"C1", "C2", "C3", "C4", "C5"});
+  s = location.AddLevel("region", {"R1", "R2", "R3"});
+  s = location.AddLevel("country", {"N1", "N2"});
+  const ValueIndex city_region[] = {0, 0, 1, 2, 2};
+  for (ValueIndex c = 0; c < 5; ++c) {
+    s = location.SetParent(0, c, city_region[c]);
+  }
+  s = location.SetParent(1, 0, 0);
+  s = location.SetParent(1, 1, 0);
+  s = location.SetParent(1, 2, 1);
+  s = location.Finalize();
+
+  Hierarchy product("product");
+  s = product.AddLevel("item", {"I1", "I2", "I3"});
+  s = product.AddLevel("category", {"K1", "K2"});
+  s = product.SetParent(0, 0, 0);
+  s = product.SetParent(0, 1, 0);
+  s = product.SetParent(0, 2, 1);
+  s = product.Finalize();
+
+  CubeSchema schema;
+  s = schema.AddHierarchy(std::move(location));
+  s = schema.AddHierarchy(std::move(product));
+  s = schema.AddHierarchy(Hierarchy::Flat("channel", {"web", "store"}));
+  (void)s;
+  return std::move(TimeSeriesGraph::Create(std::move(schema))).value();
+}
+
+TEST(Graph, NearestNodesMatchesReferenceBfs) {
+  for (const TimeSeriesGraph& graph :
+       {testing::MakeFigure2Cube(), MakeThreeDimensionalGraph()}) {
+    const std::size_t n = graph.num_nodes();
+    // One scratch across every search, as a worker thread reuses it.
+    TimeSeriesGraph::NearestScratch scratch(n);
+    for (NodeId node = 0; node < n; ++node) {
+      for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                            std::size_t{5}, std::size_t{13}, n - 1, n + 7}) {
+        std::vector<std::size_t> levels;
+        const std::vector<NodeId> expected =
+            ReferenceNearest(graph, node, k, &levels);
+        EXPECT_EQ(graph.NearestNodes(node, k), expected)
+            << "node " << node << " k " << k;
+        EXPECT_EQ(graph.NearestNodesInto(node, k, scratch), expected)
+            << "node " << node << " k " << k;
+        // The BFS level of a node is its graph distance.
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          EXPECT_EQ(graph.Distance(node, expected[i]), levels[i]);
+        }
+      }
+    }
+  }
+}
+
+TEST(Graph, NearestScratchSurvivesStampWraparound) {
+  const TimeSeriesGraph graph = testing::MakeFigure2Cube();
+  TimeSeriesGraph::NearestScratch scratch(graph.num_nodes());
+  const NodeId node = graph.base_nodes()[0];
+  const std::vector<NodeId> expected = graph.NearestNodes(node, 20);
+  EXPECT_EQ(graph.NearestNodesInto(node, 20, scratch), expected);
+  scratch.stamp = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_EQ(graph.NearestNodesInto(node, 20, scratch), expected);
+  EXPECT_EQ(graph.NearestNodesInto(node, 20, scratch), expected);
+  // A default-constructed scratch is sized on first use.
+  TimeSeriesGraph::NearestScratch empty;
+  EXPECT_EQ(graph.NearestNodesInto(node, 20, empty), expected);
 }
 
 TEST(Graph, SetBaseSeriesValidation) {

@@ -90,6 +90,40 @@ inline TimeSeriesGraph MakeFigure2Cube(std::size_t length = 48,
   return std::move(graph).value();
 }
 
+/// Figure 2's city -> region hierarchy over hand-written base series that
+/// hit the kernels' edge cases: C1 is zero or ~1e-13 at some steps
+/// (skipped weight steps), C2 is zero throughout (zero history sum, zero
+/// derivation weight), C3 is nonzero at one step only (fewer than two
+/// weights) and C4 alternates sign. 7 nodes.
+inline TimeSeriesGraph MakeZeroStepCube(std::size_t length = 40) {
+  Hierarchy location("location");
+  Status s = location.AddLevel("city", {"C1", "C2", "C3", "C4"});
+  s = location.AddLevel("region", {"R1", "R2"});
+  s = location.SetParent(0, 0, 0);
+  s = location.SetParent(0, 1, 0);
+  s = location.SetParent(0, 2, 1);
+  s = location.SetParent(0, 3, 1);
+  s = location.Finalize();
+
+  CubeSchema schema;
+  s = schema.AddHierarchy(std::move(location));
+  auto graph = TimeSeriesGraph::Create(std::move(schema));
+  std::vector<std::vector<double>> base(4, std::vector<double>(length, 0.0));
+  for (std::size_t t = 0; t < length; ++t) {
+    base[0][t] = t % 4 == 3 ? 0.0 : 10.0 + double(t % 5);
+    if (t == 6) base[0][t] = 1e-13;  // below the 1e-12 zero threshold
+    base[2][t] = t == 5 ? 7.0 : 0.0;
+    base[3][t] = (t % 2 == 0 ? 1.0 : -1.0) * (3.0 + double(t % 3));
+  }
+  for (std::size_t c = 0; c < 4; ++c) {
+    s = graph.value().SetBaseSeries(graph.value().base_nodes()[c],
+                                    TimeSeries(base[c]));
+  }
+  s = graph.value().BuildAggregates();
+  (void)s;
+  return std::move(graph).value();
+}
+
 }  // namespace f2db::testing
 
 #endif  // F2DB_TESTS_TESTING_TEST_CUBES_H_
