@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Flake audit (satellite f): run the concurrency-sensitive suites —
-# concurrent engine stress, thread pool, fault injection, and the TCP
-# server integration tests — repeatedly under ThreadSanitizer until one
-# fails or the repeat budget is exhausted. A test that cannot survive
-# REPEATS back-to-back runs under tsan is flaky by definition and must be
-# deflaked, not retried.
+# concurrent engine stress, thread pool, fault injection, the TCP server
+# integration tests and the shared series buffers — repeatedly under
+# ThreadSanitizer until one fails or the repeat budget is exhausted. A
+# test that cannot survive REPEATS back-to-back runs under tsan is flaky
+# by definition and must be deflaked, not retried.
 #
 # Usage: scripts/flake_audit.sh [REPEATS]
 #   REPEATS   repeats per test (default 50; CI uses the default)
@@ -26,6 +26,7 @@ SUITES=(
   "ThreadPool"
   "FaultInjection"
   "ServerIntegration"
+  "TimeSeries"
 )
 
 cd "$REPO_ROOT"

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 namespace f2db {
 
@@ -36,12 +37,49 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
 void ThreadPool::ParallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  std::vector<std::future<void>> futures;
-  futures.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    futures.push_back(Submit([&fn, i] { fn(i); }));
+  // One loop shared by the caller and the helpers. A helper that starts
+  // after every index is claimed touches only this block (it owns a
+  // reference), never `fn`, which lives only until the caller returns.
+  struct Loop {
+    const std::function<void(std::size_t)>* fn = nullptr;
+    std::size_t n = 0;
+    std::size_t grain = 1;  ///< indices per claim
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> done{0};
+    std::mutex mutex;
+    std::condition_variable cv;
+  };
+  const std::size_t helpers = std::min(size(), n - 1);
+  auto loop = std::make_shared<Loop>();
+  loop->fn = &fn;
+  loop->n = n;
+  // About eight claims per participant: cheap iterations do not contend on
+  // the counter, expensive ones still balance.
+  loop->grain = std::max<std::size_t>(1, n / (8 * (helpers + 1)));
+  const auto drain = [](Loop& l) {
+    for (std::size_t begin; (begin = l.next.fetch_add(l.grain)) < l.n;) {
+      const std::size_t end = std::min(l.n, begin + l.grain);
+      for (std::size_t i = begin; i < end; ++i) {
+        // A throwing index ends only itself; the loop and the pool go on.
+        try {
+          (*l.fn)(i);
+        } catch (...) {
+        }
+      }
+      if (l.done.fetch_add(end - begin) + (end - begin) == l.n) {
+        std::lock_guard<std::mutex> lock(l.mutex);
+        l.cv.notify_all();
+      }
+    }
+  };
+  for (std::size_t h = 0; h < helpers; ++h) {
+    Submit([loop, drain] { drain(*loop); });
   }
-  for (auto& f : futures) f.wait();
+  // The caller claims indices too, so a ParallelFor issued from inside a
+  // pool task finishes even when every worker is busy.
+  drain(*loop);
+  std::unique_lock<std::mutex> lock(loop->mutex);
+  loop->cv.wait(lock, [&loop, n] { return loop->done.load() == n; });
 }
 
 std::size_t ThreadPool::DefaultConcurrency() {

@@ -34,7 +34,11 @@ class ThreadPool {
   /// Enqueues `task`; the future resolves when the task has run.
   std::future<void> Submit(std::function<void()> task);
 
-  /// Runs `fn(i)` for i in [0, n) across the pool and blocks until done.
+  /// Runs `fn(i)` for i in [0, n) and blocks until done. The caller and at
+  /// most size() helper tasks claim runs of consecutive indices from one
+  /// shared counter, so a call costs O(size()) queue operations, not O(n),
+  /// and a call from inside a pool task cannot deadlock. An exception
+  /// thrown by `fn(i)` is swallowed and ends only index i.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Number of worker threads.

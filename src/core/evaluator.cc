@@ -38,7 +38,7 @@ TimeSeries ConfigurationEvaluator::TrainSeries(NodeId node) const {
 
 std::vector<double> ConfigurationEvaluator::TestActual(NodeId node) const {
   const TimeSeries tail = graph_->series(node).Slice(train_length_, test_length_);
-  return tail.values();
+  return tail.ToVector();
 }
 
 double ConfigurationEvaluator::Weight(const std::vector<NodeId>& sources,
@@ -75,7 +75,7 @@ double ConfigurationEvaluator::SchemeError(NodeId source,
                                            const std::vector<double>& forecast,
                                            NodeId target) const {
   // Smape(TestActual(target), Derive(k, {&forecast})) without the copies.
-  const std::vector<double>& series = graph_->series(target).values();
+  const std::span<const double> series = graph_->series(target).values();
   const std::size_t begin = std::min(train_length_, series.size());
   const std::size_t n = std::min(test_length_, series.size() - begin);
   if (n == 0 || n != forecast.size()) return 1.0;

@@ -10,8 +10,8 @@ namespace f2db {
 double IndicatorComputer::Indicate(NodeId source, NodeId target) const {
   if (source == target) return 0.0;
   const TimeSeriesGraph& graph = evaluator_->graph();
-  const std::vector<double>& src = graph.series(source).values();
-  const std::vector<double>& tgt = graph.series(target).values();
+  const std::span<const double> src = graph.series(source).values();
+  const std::span<const double> tgt = graph.series(target).values();
   const std::size_t n = evaluator_->train_length();
   const double k = evaluator_->Weight(source, target);
 

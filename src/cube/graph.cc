@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <limits>
 #include <numeric>
 
@@ -10,93 +9,109 @@ namespace f2db {
 
 Result<TimeSeriesGraph> TimeSeriesGraph::Create(CubeSchema schema) {
   TimeSeriesGraph graph;
-  graph.schema_ = std::move(schema);
-  const std::size_t dims = graph.schema_.num_dimensions();
+  auto st = std::make_shared<Structure>();
+  graph.structure_ = st;  // the member functions below read it as it fills
+  st->schema = std::move(schema);
+  const std::size_t dims = st->schema.num_dimensions();
   if (dims == 0) {
     return Status::InvalidArgument("graph needs at least one dimension");
   }
 
-  graph.slots_per_dim_.resize(dims);
-  graph.level_offsets_.resize(dims);
+  st->slots_per_dim.resize(dims);
+  st->level_offsets.resize(dims);
   std::size_t total = 1;
   for (std::size_t d = 0; d < dims; ++d) {
-    const Hierarchy& h = graph.schema_.hierarchy(d);
+    const Hierarchy& h = st->schema.hierarchy(d);
     std::size_t slots = 0;
-    graph.level_offsets_[d].resize(h.num_levels() + 1);
+    st->level_offsets[d].resize(h.num_levels() + 1);
     for (LevelIndex l = 0; l <= h.num_levels(); ++l) {
-      graph.level_offsets_[d][l] = slots;
+      st->level_offsets[d][l] = slots;
       slots += h.num_values(l);
     }
-    graph.slots_per_dim_[d] = slots;
+    st->slots_per_dim[d] = slots;
     if (total > std::numeric_limits<NodeId>::max() / slots) {
       return Status::OutOfRange("graph too large for 32-bit node ids");
     }
     total *= slots;
   }
-  graph.num_nodes_ = total;
+  st->num_nodes = total;
   graph.series_.resize(total);
 
   // Base nodes in node-id order (deterministic) and the top node.
   for (NodeId node = 0; node < total; ++node) {
-    if (graph.IsBaseNode(node)) graph.base_nodes_.push_back(node);
+    if (graph.IsBaseNode(node)) st->base_nodes.push_back(node);
   }
   {
     NodeAddress top;
     top.coords.resize(dims);
     for (std::size_t d = 0; d < dims; ++d) {
       top.coords[d] = {
-          static_cast<LevelIndex>(graph.schema_.hierarchy(d).num_levels()), 0};
+          static_cast<LevelIndex>(st->schema.hierarchy(d).num_levels()), 0};
     }
     const auto id = graph.NodeFor(top);
     assert(id.ok());
-    graph.top_node_ = id.value();
+    st->top_node = id.value();
   }
 
   // Precompute the bottom-up aggregation order over non-base nodes.
-  graph.aggregation_order_.reserve(total - graph.base_nodes_.size());
+  st->aggregation_order.reserve(total - st->base_nodes.size());
   for (NodeId node = 0; node < total; ++node) {
-    if (!graph.IsBaseNode(node)) graph.aggregation_order_.push_back(node);
+    if (!graph.IsBaseNode(node)) st->aggregation_order.push_back(node);
   }
-  std::stable_sort(graph.aggregation_order_.begin(),
-                   graph.aggregation_order_.end(),
+  std::stable_sort(st->aggregation_order.begin(), st->aggregation_order.end(),
                    [&graph](NodeId a, NodeId b) {
                      return graph.LevelSum(a) < graph.LevelSum(b);
                    });
 
+  // Summands: each aggregate sums its children along the first dimension
+  // that is above level 0; those children have a strictly smaller level
+  // sum, so they precede it in the aggregation order.
+  st->summand_offsets.reserve(st->aggregation_order.size() + 1);
+  st->summand_offsets.push_back(0);
+  for (NodeId node : st->aggregation_order) {
+    const NodeAddress address = graph.AddressOf(node);
+    std::size_t dim = 0;
+    while (address.coords[dim].level == 0) ++dim;
+    const std::vector<NodeId> children = graph.Children(node, dim);
+    assert(!children.empty());
+    st->summands.insert(st->summands.end(), children.begin(), children.end());
+    st->summand_offsets.push_back(st->summands.size());
+  }
+
   // Neighbour lists: per dimension the children, then the parent. Moving
   // one coordinate changes only that dimension's mixed-radix digit.
-  graph.neighbor_offsets_.reserve(total + 1);
-  graph.neighbor_offsets_.push_back(0);
+  st->neighbor_offsets.reserve(total + 1);
+  st->neighbor_offsets.push_back(0);
   for (NodeId node = 0; node < total; ++node) {
     const NodeAddress address = graph.AddressOf(node);
     std::size_t stride = 1;
     for (std::size_t d = 0; d < dims; ++d) {
-      const Hierarchy& h = graph.schema_.hierarchy(d);
+      const Hierarchy& h = st->schema.hierarchy(d);
       const auto [level, value] = address.coords[d];
       const std::size_t base = node - graph.SlotOf(d, level, value) * stride;
       if (level > 0) {
         for (ValueIndex v : h.child_values(level, value)) {
-          graph.neighbors_.push_back(static_cast<NodeId>(
+          st->neighbors.push_back(static_cast<NodeId>(
               base + graph.SlotOf(d, static_cast<LevelIndex>(level - 1), v) *
                          stride));
         }
       }
       if (level < h.num_levels()) {
-        graph.neighbors_.push_back(static_cast<NodeId>(
+        st->neighbors.push_back(static_cast<NodeId>(
             base + graph.SlotOf(d, static_cast<LevelIndex>(level + 1),
                                 h.parent_value(level, value)) *
                        stride));
       }
-      stride *= graph.slots_per_dim_[d];
+      stride *= st->slots_per_dim[d];
     }
-    graph.neighbor_offsets_.push_back(graph.neighbors_.size());
+    st->neighbor_offsets.push_back(st->neighbors.size());
   }
   return graph;
 }
 
 std::size_t TimeSeriesGraph::SlotOf(std::size_t dim, LevelIndex level,
                                     ValueIndex value) const {
-  return level_offsets_[dim][level] + value;
+  return structure_->level_offsets[dim][level] + value;
 }
 
 bool TimeSeriesGraph::IsBaseNode(NodeId node) const {
@@ -110,32 +125,33 @@ bool TimeSeriesGraph::IsBaseNode(NodeId node) const {
 NodeAddress::Coordinate TimeSeriesGraph::CoordinateOf(std::size_t dim,
                                                       std::size_t slot) const {
   // The level is the last one whose first slot is at or below `slot`.
-  auto level = static_cast<LevelIndex>(schema_.hierarchy(dim).num_levels());
-  while (level > 0 && slot < level_offsets_[dim][level]) --level;
-  return {level, static_cast<ValueIndex>(slot - level_offsets_[dim][level])};
+  const std::vector<std::size_t>& offsets = structure_->level_offsets[dim];
+  auto level = static_cast<LevelIndex>(offsets.size() - 1);
+  while (level > 0 && slot < offsets[level]) --level;
+  return {level, static_cast<ValueIndex>(slot - offsets[level])};
 }
 
 NodeAddress TimeSeriesGraph::AddressOf(NodeId node) const {
-  const std::size_t dims = schema_.num_dimensions();
+  const std::size_t dims = schema().num_dimensions();
   NodeAddress address;
   address.coords.resize(dims);
   std::size_t rest = node;
   for (std::size_t d = 0; d < dims; ++d) {
-    address.coords[d] = CoordinateOf(d, rest % slots_per_dim_[d]);
-    rest /= slots_per_dim_[d];
+    address.coords[d] = CoordinateOf(d, rest % structure_->slots_per_dim[d]);
+    rest /= structure_->slots_per_dim[d];
   }
   return address;
 }
 
 Result<NodeId> TimeSeriesGraph::NodeFor(const NodeAddress& address) const {
-  const std::size_t dims = schema_.num_dimensions();
+  const std::size_t dims = schema().num_dimensions();
   if (address.coords.size() != dims) {
     return Status::InvalidArgument("address has wrong dimensionality");
   }
   std::size_t id = 0;
   for (std::size_t d = dims; d-- > 0;) {
     const auto& c = address.coords[d];
-    const Hierarchy& h = schema_.hierarchy(d);
+    const Hierarchy& h = schema().hierarchy(d);
     if (c.level > h.num_levels()) {
       return Status::OutOfRange("level out of range in dimension " +
                                 std::to_string(d));
@@ -144,7 +160,7 @@ Result<NodeId> TimeSeriesGraph::NodeFor(const NodeAddress& address) const {
       return Status::OutOfRange("value out of range in dimension " +
                                 std::to_string(d));
     }
-    id = id * slots_per_dim_[d] + SlotOf(d, c.level, c.value);
+    id = id * structure_->slots_per_dim[d] + SlotOf(d, c.level, c.value);
   }
   return static_cast<NodeId>(id);
 }
@@ -157,12 +173,13 @@ std::string TimeSeriesGraph::NodeName(NodeId node) const {
 
 void TimeSeriesGraph::NodeNameInto(NodeId node, std::string* out) const {
   out->clear();
-  const std::size_t dims = schema_.num_dimensions();
+  const std::size_t dims = schema().num_dimensions();
   std::size_t rest = node;
   for (std::size_t d = 0; d < dims; ++d) {
-    const auto [level, value] = CoordinateOf(d, rest % slots_per_dim_[d]);
-    rest /= slots_per_dim_[d];
-    const Hierarchy& h = schema_.hierarchy(d);
+    const std::size_t slots = structure_->slots_per_dim[d];
+    const auto [level, value] = CoordinateOf(d, rest % slots);
+    rest /= slots;
+    const Hierarchy& h = schema().hierarchy(d);
     if (d > 0) out->push_back(',');
     out->append(h.level_name(level));
     out->push_back('=');
@@ -182,7 +199,7 @@ std::vector<NodeId> TimeSeriesGraph::Children(NodeId node,
   NodeAddress address = AddressOf(node);
   const auto& c = address.coords[dim];
   if (c.level == 0) return {};
-  const Hierarchy& h = schema_.hierarchy(dim);
+  const Hierarchy& h = schema().hierarchy(dim);
   const std::vector<ValueIndex>& child_values =
       h.child_values(c.level, c.value);
   std::vector<NodeId> out;
@@ -200,7 +217,7 @@ std::vector<NodeId> TimeSeriesGraph::Children(NodeId node,
 std::vector<std::pair<std::size_t, std::vector<NodeId>>>
 TimeSeriesGraph::ChildSets(NodeId node) const {
   std::vector<std::pair<std::size_t, std::vector<NodeId>>> out;
-  for (std::size_t d = 0; d < schema_.num_dimensions(); ++d) {
+  for (std::size_t d = 0; d < schema().num_dimensions(); ++d) {
     std::vector<NodeId> children = Children(node, d);
     if (!children.empty()) out.emplace_back(d, std::move(children));
   }
@@ -210,7 +227,7 @@ TimeSeriesGraph::ChildSets(NodeId node) const {
 Result<NodeId> TimeSeriesGraph::Parent(NodeId node, std::size_t dim) const {
   NodeAddress address = AddressOf(node);
   const auto& c = address.coords[dim];
-  const Hierarchy& h = schema_.hierarchy(dim);
+  const Hierarchy& h = schema().hierarchy(dim);
   if (c.level >= h.num_levels()) {
     return Status::OutOfRange("node already at ALL in dimension " +
                               std::to_string(dim));
@@ -227,12 +244,12 @@ std::size_t TimeSeriesGraph::Distance(NodeId a, NodeId b) const {
   std::size_t rest_a = a;
   std::size_t rest_b = b;
   std::size_t total = 0;
-  for (std::size_t d = 0; d < schema_.num_dimensions(); ++d) {
-    const Hierarchy& h = schema_.hierarchy(d);
-    auto [la, va] = CoordinateOf(d, rest_a % slots_per_dim_[d]);
-    auto [lb, vb] = CoordinateOf(d, rest_b % slots_per_dim_[d]);
-    rest_a /= slots_per_dim_[d];
-    rest_b /= slots_per_dim_[d];
+  for (std::size_t d = 0; d < schema().num_dimensions(); ++d) {
+    const Hierarchy& h = schema().hierarchy(d);
+    auto [la, va] = CoordinateOf(d, rest_a % structure_->slots_per_dim[d]);
+    auto [lb, vb] = CoordinateOf(d, rest_b % structure_->slots_per_dim[d]);
+    rest_a /= structure_->slots_per_dim[d];
+    rest_b /= structure_->slots_per_dim[d];
     std::size_t steps = 0;
     auto lift = [&h](LevelIndex& level, ValueIndex& value) {
       value = h.parent_value(level, value);
@@ -276,8 +293,8 @@ const std::vector<NodeId>& TimeSeriesGraph::NearestNodesInto(
   std::vector<NodeId>& out = scratch.nearest;
   out.clear();
   if (k == 0) return out;
-  if (scratch.seen.size() != num_nodes_) {
-    scratch.seen.assign(num_nodes_, 0);
+  if (scratch.seen.size() != num_nodes()) {
+    scratch.seen.assign(num_nodes(), 0);
     scratch.stamp = 0;
   }
   if (++scratch.stamp == 0) {  // stamps wrapped: forget every old visit
@@ -285,14 +302,15 @@ const std::vector<NodeId>& TimeSeriesGraph::NearestNodesInto(
     scratch.stamp = 1;
   }
   const std::uint32_t stamp = scratch.stamp;
+  const std::size_t* offsets = structure_->neighbor_offsets.data();
+  const NodeId* neighbors = structure_->neighbors.data();
   scratch.seen[node] = stamp;
   scratch.frontier.assign(1, node);
   while (!scratch.frontier.empty() && out.size() < k) {
     scratch.next.clear();
     for (NodeId cur : scratch.frontier) {
-      for (std::size_t e = neighbor_offsets_[cur];
-           e < neighbor_offsets_[cur + 1]; ++e) {
-        const NodeId neighbor = neighbors_[e];
+      for (std::size_t e = offsets[cur]; e < offsets[cur + 1]; ++e) {
+        const NodeId neighbor = neighbors[e];
         if (scratch.seen[neighbor] != stamp) {
           scratch.seen[neighbor] = stamp;
           scratch.next.push_back(neighbor);
@@ -310,7 +328,7 @@ const std::vector<NodeId>& TimeSeriesGraph::NearestNodesInto(
 }
 
 Status TimeSeriesGraph::SetBaseSeries(NodeId node, TimeSeries series) {
-  if (node >= num_nodes_) return Status::OutOfRange("node id out of range");
+  if (node >= num_nodes()) return Status::OutOfRange("node id out of range");
   if (!IsBaseNode(node)) {
     return Status::InvalidArgument("SetBaseSeries: not a base node");
   }
@@ -320,56 +338,50 @@ Status TimeSeriesGraph::SetBaseSeries(NodeId node, TimeSeries series) {
 }
 
 Status TimeSeriesGraph::BuildAggregates() {
-  if (base_nodes_.empty()) return Status::FailedPrecondition("no base nodes");
-  const std::size_t n = series_[base_nodes_[0]].size();
-  const std::int64_t t0 = series_[base_nodes_[0]].start_time();
-  for (NodeId node : base_nodes_) {
+  const Structure& st = *structure_;
+  if (st.base_nodes.empty()) return Status::FailedPrecondition("no base nodes");
+  const std::size_t n = series_[st.base_nodes[0]].size();
+  const std::int64_t t0 = series_[st.base_nodes[0]].start_time();
+  for (NodeId node : st.base_nodes) {
     if (series_[node].size() != n || series_[node].start_time() != t0) {
       return Status::FailedPrecondition(
           "base series are not aligned; node " + NodeName(node));
     }
   }
-  for (NodeId node : aggregation_order_) {
-    // Aggregate along the first dimension that is above level 0; children
-    // there have a strictly smaller level sum and are already computed.
-    const NodeAddress address = AddressOf(node);
-    std::size_t dim = 0;
-    while (address.coords[dim].level == 0) ++dim;
-    const std::vector<NodeId> children = Children(node, dim);
-    assert(!children.empty());
+  for (std::size_t k = 0; k < st.aggregation_order.size(); ++k) {
     std::vector<double> sum(n, 0.0);
-    for (NodeId child : children) {
-      const TimeSeries& child_series = series_[child];
+    for (std::size_t e = st.summand_offsets[k]; e < st.summand_offsets[k + 1];
+         ++e) {
+      const TimeSeries& child_series = series_[st.summands[e]];
       assert(child_series.size() == n);
       for (std::size_t i = 0; i < n; ++i) sum[i] += child_series[i];
     }
-    series_[node] = TimeSeries(std::move(sum), t0);
+    series_[st.aggregation_order[k]] = TimeSeries(std::move(sum), t0);
   }
   aggregates_built_ = true;
   return Status::OK();
 }
 
 Status TimeSeriesGraph::AdvanceTime(const std::vector<double>& base_values) {
-  if (base_values.size() != base_nodes_.size()) {
+  const Structure& st = *structure_;
+  if (base_values.size() != st.base_nodes.size()) {
     return Status::InvalidArgument(
         "AdvanceTime: need exactly one value per base node");
   }
   if (!aggregates_built_) {
     return Status::FailedPrecondition("AdvanceTime: call BuildAggregates first");
   }
-  for (std::size_t i = 0; i < base_nodes_.size(); ++i) {
-    series_[base_nodes_[i]].Append(base_values[i]);
+  for (std::size_t i = 0; i < st.base_nodes.size(); ++i) {
+    series_[st.base_nodes[i]].Append(base_values[i]);
   }
-  for (NodeId node : aggregation_order_) {
-    const NodeAddress address = AddressOf(node);
-    std::size_t dim = 0;
-    while (address.coords[dim].level == 0) ++dim;
+  for (std::size_t k = 0; k < st.aggregation_order.size(); ++k) {
     double sum = 0.0;
-    for (NodeId child : Children(node, dim)) {
-      const TimeSeries& child_series = series_[child];
+    for (std::size_t e = st.summand_offsets[k]; e < st.summand_offsets[k + 1];
+         ++e) {
+      const TimeSeries& child_series = series_[st.summands[e]];
       sum += child_series[child_series.size() - 1];
     }
-    series_[node].Append(sum);
+    series_[st.aggregation_order[k]].Append(sum);
   }
   return Status::OK();
 }
@@ -388,28 +400,29 @@ Status TimeSeriesGraph::DropHistoryBefore(std::int64_t t) {
 
 Result<std::vector<double>> TimeSeriesGraph::AggregateBaseScalars(
     const std::vector<double>& base_scalars) const {
-  if (base_scalars.size() != base_nodes_.size()) {
+  const Structure& st = *structure_;
+  if (base_scalars.size() != st.base_nodes.size()) {
     return Status::InvalidArgument(
         "AggregateBaseScalars: need exactly one scalar per base node");
   }
-  std::vector<double> out(num_nodes_, 0.0);
-  for (std::size_t i = 0; i < base_nodes_.size(); ++i) {
-    out[base_nodes_[i]] = base_scalars[i];
+  std::vector<double> out(st.num_nodes, 0.0);
+  for (std::size_t i = 0; i < st.base_nodes.size(); ++i) {
+    out[st.base_nodes[i]] = base_scalars[i];
   }
-  for (NodeId node : aggregation_order_) {
-    const NodeAddress address = AddressOf(node);
-    std::size_t dim = 0;
-    while (address.coords[dim].level == 0) ++dim;
+  for (std::size_t k = 0; k < st.aggregation_order.size(); ++k) {
     double sum = 0.0;
-    for (NodeId child : Children(node, dim)) sum += out[child];
-    out[node] = sum;
+    for (std::size_t e = st.summand_offsets[k]; e < st.summand_offsets[k + 1];
+         ++e) {
+      sum += out[st.summands[e]];
+    }
+    out[st.aggregation_order[k]] = sum;
   }
   return out;
 }
 
 std::size_t TimeSeriesGraph::series_length() const {
-  if (base_nodes_.empty()) return 0;
-  return series_[base_nodes_[0]].size();
+  if (base_nodes().empty()) return 0;
+  return series_[base_nodes()[0]].size();
 }
 
 }  // namespace f2db

@@ -13,6 +13,7 @@
 #define F2DB_CUBE_GRAPH_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,22 +38,29 @@ struct NodeAddress {
 };
 
 /// The complete instance-level aggregation graph with per-node series data.
+///
+/// The structure (schema, node numbering, aggregation order and neighbour
+/// lists) lives in one immutable block that every copy shares; a copy
+/// copies only the per-node series handles, each O(1) (see TimeSeries), so
+/// copying a graph costs O(nodes) whatever the history length.
 class TimeSeriesGraph {
  public:
   /// Builds the (empty-data) graph for a schema. Fails when the node count
   /// would overflow NodeId.
   static Result<TimeSeriesGraph> Create(CubeSchema schema);
 
-  const CubeSchema& schema() const { return schema_; }
+  const CubeSchema& schema() const { return structure_->schema; }
 
-  std::size_t num_nodes() const { return num_nodes_; }
-  std::size_t num_base_nodes() const { return base_nodes_.size(); }
+  std::size_t num_nodes() const { return structure_->num_nodes; }
+  std::size_t num_base_nodes() const { return structure_->base_nodes.size(); }
 
   /// All base nodes (level 0 in every dimension) in deterministic order.
-  const std::vector<NodeId>& base_nodes() const { return base_nodes_; }
+  const std::vector<NodeId>& base_nodes() const {
+    return structure_->base_nodes;
+  }
 
   /// The single node aggregated over everything (ALL in every dimension).
-  NodeId top_node() const { return top_node_; }
+  NodeId top_node() const { return structure_->top_node; }
 
   /// True when every coordinate is at level 0.
   bool IsBaseNode(NodeId node) const;
@@ -132,7 +140,8 @@ class TimeSeriesGraph {
 
   /// Appends one new observation per base node (ordered as base_nodes())
   /// and incrementally updates every aggregate — the engine's batched
-  /// time-advance (Section V, Maintenance Processor).
+  /// time-advance (Section V, Maintenance Processor). O(nodes) amortized
+  /// and allocation-free except when a series outgrows its buffer.
   Status AdvanceTime(const std::vector<double>& base_values);
 
   /// Length of the (aligned) series; 0 before data is loaded.
@@ -152,6 +161,30 @@ class TimeSeriesGraph {
       const std::vector<double>& base_scalars) const;
 
  private:
+  /// Everything but the series data; built once by Create, then shared
+  /// immutably by every copy of the graph.
+  struct Structure {
+    CubeSchema schema;
+    std::size_t num_nodes = 0;
+    /// slots_per_dim[d] = number of (level, value) combinations in dim d.
+    std::vector<std::size_t> slots_per_dim;
+    /// level_offsets[d][l] = first slot of level l in dimension d.
+    std::vector<std::vector<std::size_t>> level_offsets;
+    std::vector<NodeId> base_nodes;
+    NodeId top_node = 0;
+    /// Non-base nodes ordered by increasing level sum (aggregation order).
+    std::vector<NodeId> aggregation_order;
+    /// The children aggregation_order[k] sums, in CSR form: along its first
+    /// dimension above level 0, in Children() order, at
+    /// summands[summand_offsets[k] .. summand_offsets[k + 1]).
+    std::vector<std::size_t> summand_offsets;
+    std::vector<NodeId> summands;
+    /// Parent/child neighbours in CSR form: the neighbours of node v are
+    /// neighbors[neighbor_offsets[v] .. neighbor_offsets[v + 1]).
+    std::vector<std::size_t> neighbor_offsets;
+    std::vector<NodeId> neighbors;
+  };
+
   TimeSeriesGraph() = default;
 
   /// Per-dimension mixed-radix slot of a coordinate.
@@ -160,22 +193,9 @@ class TimeSeriesGraph {
   /// Inverse of SlotOf: the (level, value) at `slot` of dimension `dim`.
   NodeAddress::Coordinate CoordinateOf(std::size_t dim, std::size_t slot) const;
 
-  CubeSchema schema_;
-  std::size_t num_nodes_ = 0;
-  /// slots_per_dim_[d] = number of (level, value) combinations in dim d.
-  std::vector<std::size_t> slots_per_dim_;
-  /// level_offsets_[d][l] = first slot of level l in dimension d.
-  std::vector<std::vector<std::size_t>> level_offsets_;
-  std::vector<NodeId> base_nodes_;
-  NodeId top_node_ = 0;
+  std::shared_ptr<const Structure> structure_;
   std::vector<TimeSeries> series_;
   bool aggregates_built_ = false;
-  /// Non-base nodes ordered by increasing level sum (aggregation order).
-  std::vector<NodeId> aggregation_order_;
-  /// Parent/child neighbours in CSR form: the neighbours of node v are
-  /// neighbors_[neighbor_offsets_[v] .. neighbor_offsets_[v + 1]).
-  std::vector<std::size_t> neighbor_offsets_;
-  std::vector<NodeId> neighbors_;
 };
 
 }  // namespace f2db

@@ -111,11 +111,15 @@ F2dbEngine::F2dbEngine(TimeSeriesGraph graph, EngineOptions options)
     base_slot_[owned->base_nodes()[i]] = i;
   }
   auto initial = std::make_shared<EngineSnapshot>();
-  initial->schemes.resize(owned->num_nodes());
-  initial->history_sums.resize(owned->num_nodes(), 0.0);
+  initial->schemes =
+      SharedTable<std::vector<NodeId>>(std::vector<std::vector<NodeId>>(
+          owned->num_nodes()));
+  std::vector<double> sums(owned->num_nodes(), 0.0);
   for (NodeId node = 0; node < owned->num_nodes(); ++node) {
-    initial->history_sums[node] = owned->series(node).Sum();
+    sums[node] = owned->series(node).Sum();
   }
+  initial->history_sums = SharedTable<double>(std::move(sums));
+  initial->models = ModelTable(owned->num_nodes());
   initial->graph = std::move(owned);
   snapshot_.store(std::move(initial), std::memory_order_release);
 }
@@ -297,7 +301,7 @@ Status F2dbEngine::LoadConfiguration(const ModelConfiguration& config,
   }
 
   auto next = cur->CopyForWrite();
-  next->models.clear();
+  next->models.Clear();
 
   // Install models: clone the advisor's fitted model (trained on the
   // training prefix) and catch it up to the full stored history through
@@ -324,14 +328,15 @@ Status F2dbEngine::LoadConfiguration(const ModelConfiguration& config,
     for (std::size_t i = 0; i < model_nodes.size(); ++i) catch_up(i);
   }
   for (std::size_t i = 0; i < model_nodes.size(); ++i) {
-    next->models[model_nodes[i]] = std::move(built[i]);
+    next->models.Set(model_nodes[i], std::move(built[i]));
   }
 
   // Install schemes; uncovered nodes fall back to their nearest model node.
+  std::vector<std::vector<NodeId>>& schemes = next->schemes.Mutable();
   for (NodeId node = 0; node < graph.num_nodes(); ++node) {
     const NodeAssignment& assignment = config.assignment(node);
     if (!assignment.scheme.IsEmpty()) {
-      next->schemes[node] = assignment.scheme.sources;
+      schemes[node] = assignment.scheme.sources;
       continue;
     }
     NodeId best = model_nodes.front();
@@ -343,7 +348,7 @@ Status F2dbEngine::LoadConfiguration(const ModelConfiguration& config,
         best = m;
       }
     }
-    next->schemes[node] = {best};
+    schemes[node] = {best};
   }
   // Log the configuration before it becomes visible: a crash after the
   // append replays into this exact state (the caught-up models included),
@@ -368,8 +373,9 @@ Status F2dbEngine::LoadCatalogImpl(const ConfigurationCatalog& catalog,
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const SnapshotPtr cur = LoadSnapshot();
   auto next = cur->CopyForWrite();
-  next->models.clear();
-  for (auto& scheme : next->schemes) scheme.clear();
+  next->models.Clear();
+  std::vector<std::vector<NodeId>>& schemes = next->schemes.Mutable();
+  for (auto& scheme : schemes) scheme.clear();
   for (const ModelRow& row : catalog.model_table()) {
     // Per-row injection point: any row failing must abort the whole load
     // with the previous state still published (transactional contract).
@@ -382,7 +388,7 @@ Status F2dbEngine::LoadCatalogImpl(const ConfigurationCatalog& catalog,
     auto live = std::make_shared<LiveModel>();
     live->model = std::shared_ptr<const ForecastModel>(std::move(model));
     live->creation_seconds = row.creation_seconds;
-    next->models[row.node] = std::move(live);
+    next->models.Set(row.node, std::move(live));
   }
   for (const SchemeRow& row : catalog.scheme_table()) {
     if (row.target >= cur->graph->num_nodes()) {
@@ -393,7 +399,7 @@ Status F2dbEngine::LoadCatalogImpl(const ConfigurationCatalog& catalog,
         return Status::OutOfRange("scheme source references unknown node");
       }
     }
-    next->schemes[row.target] = row.sources;
+    schemes[row.target] = row.sources;
   }
   // A scheme source needs either a stored model or a derivation scheme of
   // its own (the query path serves the latter through the degraded-fallback
@@ -401,7 +407,7 @@ Status F2dbEngine::LoadCatalogImpl(const ConfigurationCatalog& catalog,
   // scheme row may follow the row that references it.
   for (const SchemeRow& row : catalog.scheme_table()) {
     for (NodeId s : row.sources) {
-      if (next->models.count(s) == 0 && next->schemes[s].empty()) {
+      if (next->models.Find(s) == nullptr && schemes[s].empty()) {
         return Status::InvalidArgument(
             "scheme source " + std::to_string(s) +
             " has neither a stored model nor a derivation scheme");
@@ -952,8 +958,8 @@ void F2dbEngine::OfferReestimate(
   // Install only when the entry is still the one the refit started from;
   // if maintenance advanced the model meanwhile, the refit is stale for
   // the current state (but remains correct for the reader's snapshot).
-  const auto it = cur->models.find(node);
-  if (it == cur->models.end() || it->second != expected) return;
+  const ModelTable::Entry& entry = cur->models.Find(node);
+  if (entry == nullptr || entry != expected) return;
   // Log before publishing. If the append fails the refit simply is not
   // installed (the caller still serves its result once) — a degradation,
   // never a divergence between the log and the published state.
@@ -964,7 +970,7 @@ void F2dbEngine::OfferReestimate(
     return;
   }
   auto next = cur->CopyForWrite();
-  next->models[node] = std::move(fresh);
+  next->models.Set(node, std::move(fresh));
   Publish(std::move(next));
 }
 
@@ -976,8 +982,8 @@ void F2dbEngine::OfferRefitFailure(
   // against the entry the attempt actually ran on. If maintenance (or a
   // concurrent query's failure record) replaced it, this attempt's
   // outcome no longer describes the published state.
-  const auto it = cur->models.find(node);
-  if (it == cur->models.end() || it->second != expected) return;
+  const ModelTable::Entry& entry = cur->models.Find(node);
+  if (entry == nullptr || entry != expected) return;
   auto updated = std::make_shared<LiveModel>(*expected);
   updated->refit_failures = expected->refit_failures + 1;
   updated->last_refit_attempt_seconds = uptime_.ElapsedSeconds();
@@ -998,7 +1004,7 @@ void F2dbEngine::OfferRefitFailure(
     stats_.quarantines.Add();
   }
   auto next = cur->CopyForWrite();
-  next->models[node] = std::move(updated);
+  next->models.Set(node, std::move(updated));
   Publish(std::move(next));
 }
 
@@ -1180,9 +1186,10 @@ Status F2dbEngine::AdvanceWhileCompleteLocked() {
     if (!complete) break;
 
     if (!next) {
-      // First complete batch: start the copy-on-write successor. The graph
-      // data is deep-copied once per publication, models are cloned once
-      // and advanced privately.
+      // First complete batch: start the copy-on-write successor. Copying
+      // the graph copies series handles only (the data buffers are shared
+      // append-only, see snapshot.h); models are cloned once and advanced
+      // privately.
       next = cur->CopyForWrite();
       graph = std::make_shared<TimeSeriesGraph>(*cur->graph);
       models.reserve(cur->models.size());
@@ -1206,9 +1213,10 @@ Status F2dbEngine::AdvanceWhileCompleteLocked() {
 
     // Incremental maintenance: history sums and model states. The model
     // updates are independent per model and fan out across the pool.
+    std::vector<double>& sums = next->history_sums.Mutable();
     for (NodeId node = 0; node < graph->num_nodes(); ++node) {
       const TimeSeries& series = graph->series(node);
-      next->history_sums[node] += series[series.size() - 1];
+      sums[node] += series[series.size() - 1];
     }
     const auto update_one = [&](std::size_t i) {
       PendingModel& pending = models[i];
@@ -1238,7 +1246,7 @@ Status F2dbEngine::AdvanceWhileCompleteLocked() {
     // keep the default refit_failures = 0 / quarantined = false, so the
     // next query referencing an invalid model retries the fit against the
     // new history.
-    next->models[pending.node] = std::move(live);
+    next->models.Set(pending.node, std::move(live));
   }
   next->graph = std::move(graph);
   stats_.time_advances.Add(advances);
@@ -1284,8 +1292,9 @@ Status F2dbEngine::ApplyCheckpointState(CheckpointState&& state,
 
   auto next = cur->CopyForWrite();
   next->graph = graph;
+  std::vector<double>& sums = next->history_sums.Mutable();
   for (NodeId node = 0; node < graph->num_nodes(); ++node) {
-    next->history_sums[node] = graph->series(node).Sum();
+    sums[node] = graph->series(node).Sum();
   }
   // The checkpointed series start where retention left them: the sums of
   // the forgotten prefix live in the manifest's offsets and must be folded
@@ -1304,18 +1313,19 @@ Status F2dbEngine::ApplyCheckpointState(CheckpointState&& state,
     F2DB_ASSIGN_OR_RETURN(std::vector<double> node_offsets,
                           graph->AggregateBaseScalars(base_offsets));
     for (NodeId node = 0; node < graph->num_nodes(); ++node) {
-      next->history_sums[node] += node_offsets[node];
+      sums[node] += node_offsets[node];
     }
   }
-  for (auto& scheme : next->schemes) scheme.clear();
+  std::vector<std::vector<NodeId>>& schemes = next->schemes.Mutable();
+  for (auto& scheme : schemes) scheme.clear();
   for (auto& [target, sources] : state.schemes) {
     if (target >= graph->num_nodes()) {
       return Status::Internal("checkpoint scheme references unknown node " +
                               std::to_string(target));
     }
-    next->schemes[target] = std::move(sources);
+    schemes[target] = std::move(sources);
   }
-  next->models.clear();
+  next->models.Clear();
   for (CheckpointModel& model : state.models) {
     if (model.node >= graph->num_nodes()) {
       return Status::Internal("checkpoint model references unknown node " +
@@ -1330,7 +1340,7 @@ Status F2dbEngine::ApplyCheckpointState(CheckpointState&& state,
     live->updates_since_estimate = model.updates_since_estimate;
     live->refit_failures = model.refit_failures;
     live->quarantined = model.quarantined;
-    next->models[model.node] = std::move(live);
+    next->models.Set(model.node, std::move(live));
   }
 
   pending_.clear();
@@ -1390,22 +1400,22 @@ Status F2dbEngine::ApplyWalRecord(const WalRecord& record) {
       live->model = std::shared_ptr<const ForecastModel>(std::move(model));
       live->creation_seconds = record.value;
       auto next = cur->CopyForWrite();
-      next->models[record.node] = std::move(live);
+      next->models.Set(record.node, std::move(live));
       Publish(std::move(next));
       return Status::OK();
     }
     case WalRecord::Kind::kQuarantine: {
       std::lock_guard<std::mutex> lock(writer_mutex_);
       const SnapshotPtr cur = LoadSnapshot();
-      const auto it = cur->models.find(record.node);
+      const ModelTable::Entry& entry = cur->models.Find(record.node);
       // A later record may have replaced the entry the transition applied
       // to (catalog reload); the transition is then moot.
-      if (it == cur->models.end()) return Status::OK();
-      auto updated = std::make_shared<LiveModel>(*it->second);
+      if (entry == nullptr) return Status::OK();
+      auto updated = std::make_shared<LiveModel>(*entry);
       updated->refit_failures = record.count;
       updated->quarantined = true;
       auto next = cur->CopyForWrite();
-      next->models[record.node] = std::move(updated);
+      next->models.Set(record.node, std::move(updated));
       Publish(std::move(next));
       stats_.quarantines.Add();
       return Status::OK();
@@ -1431,7 +1441,7 @@ CheckpointState F2dbEngine::BuildCheckpointStateLocked(
   }
   state.base_series.reserve(graph.num_base_nodes());
   for (NodeId node : graph.base_nodes()) {
-    state.base_series.emplace_back(node, graph.series(node).values());
+    state.base_series.emplace_back(node, graph.series(node).ToVector());
   }
   for (NodeId node = 0; node < graph.num_nodes(); ++node) {
     if (!snap->schemes[node].empty()) {
@@ -1609,14 +1619,16 @@ Status F2dbEngine::ApplySegmentState(const storage::ManifestData& manifest,
   }
   F2DB_ASSIGN_OR_RETURN(std::vector<double> node_offsets,
                         graph->AggregateBaseScalars(base_offsets));
+  std::vector<double>& sums = next->history_sums.Mutable();
   for (NodeId node = 0; node < graph->num_nodes(); ++node) {
-    next->history_sums[node] = graph->series(node).Sum() + node_offsets[node];
+    sums[node] = graph->series(node).Sum() + node_offsets[node];
   }
 
   // Configuration, quarantine flags, and the pending buffer arrive via
   // the rewritten records at the head of the manifest's WAL epoch.
-  for (auto& scheme : next->schemes) scheme.clear();
-  next->models.clear();
+  next->schemes = SharedTable<std::vector<NodeId>>(
+      std::vector<std::vector<NodeId>>(graph->num_nodes()));
+  next->models.Clear();
   pending_.clear();
 
   // Restore the maintenance counters so post-recovery stats continue the
@@ -1758,10 +1770,9 @@ Status F2dbEngine::CompactNow() {
             static_cast<std::size_t>(sealed_from - series.start_time());
         storage::SegmentSeries out;
         out.node = node;
-        out.values.assign(
-            series.values().begin() + static_cast<std::ptrdiff_t>(begin),
-            series.values().begin() +
-                static_cast<std::ptrdiff_t>(begin + count));
+        const std::span<const double> sealed =
+            series.values().subspan(begin, count);
+        out.values.assign(sealed.begin(), sealed.end());
         segment.series.push_back(std::move(out));
       }
       F2DB_ASSIGN_OR_RETURN(const std::uint64_t bytes,

@@ -12,9 +12,19 @@ double EngineSnapshot::Weight(const std::vector<NodeId>& sources,
   return history_sums[target] / denom;
 }
 
+void ModelTable::Set(NodeId node, Entry entry) {
+  if (slots_[node] != nullptr) --count_;
+  if (entry != nullptr) ++count_;
+  slots_[node] = std::move(entry);
+}
+
+void ModelTable::Clear() {
+  for (Entry& slot : slots_) slot.reset();
+  count_ = 0;
+}
+
 std::shared_ptr<const LiveModel> EngineSnapshot::FindModel(NodeId node) const {
-  const auto it = models.find(node);
-  return it == models.end() ? nullptr : it->second;
+  return models.Find(node);
 }
 
 std::shared_ptr<EngineSnapshot> EngineSnapshot::CopyForWrite() const {

@@ -10,13 +10,34 @@
 // next snapshot off to the side and installs it with a single atomic store
 // (copy-on-write). Old snapshots stay alive for as long as some reader
 // still holds them.
+//
+// A successor shares everything it does not change, so publishing costs
+// O(new facts + models), not O(nodes x history):
+//   - The graph structure is one immutable block every graph copy shares,
+//     and each series is a window over a shared append-only buffer (see
+//     TimeSeries). Copying the graph copies only the series handles.
+//   - `schemes` and `history_sums` are SharedTables: a successor shares
+//     them until it writes them.
+//   - `models` is a dense node-indexed slot vector of shared entries;
+//     copying it copies pointers.
+//
+// The shared-buffer invariant that makes this safe: a single writer (the
+// engine's writer mutex) builds a successor; a series append in the
+// successor claims the buffer's next slot with an atomic compare-and-swap,
+// so two copies never write the same slot and a copy that loses the claim
+// appends into a private buffer instead; and a reader never reads past its
+// own window's length, so slots appended after its snapshot was taken are
+// invisible to it even though they live in the same buffer. Publication
+// through the atomic shared_ptr orders the writer's appends before any
+// reader of the successor.
 
 #ifndef F2DB_ENGINE_SNAPSHOT_H_
 #define F2DB_ENGINE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cube/graph.h"
@@ -55,17 +76,104 @@ struct LiveModel {
   double last_refit_attempt_seconds = 0.0;
 };
 
+/// A node-indexed table that successive snapshots share until one of them
+/// writes it (copy-on-write on the first Mutable() call).
+template <typename Row>
+class SharedTable {
+ public:
+  explicit SharedTable(std::vector<Row> rows = {})
+      : rows_(std::make_shared<std::vector<Row>>(std::move(rows))) {}
+
+  std::size_t size() const { return rows_->size(); }
+  const Row& operator[](std::size_t i) const { return (*rows_)[i]; }
+  typename std::vector<Row>::const_iterator begin() const {
+    return rows_->begin();
+  }
+  typename std::vector<Row>::const_iterator end() const { return rows_->end(); }
+
+  /// The rows for writing: copied first unless this table holds the only
+  /// reference. Only the writer building an unpublished successor calls
+  /// it; the snapshot it copied from keeps the table shared until then.
+  std::vector<Row>& Mutable() {
+    if (rows_.use_count() != 1) {
+      rows_ = std::make_shared<std::vector<Row>>(*rows_);
+    }
+    return *rows_;
+  }
+
+ private:
+  std::shared_ptr<std::vector<Row>> rows_;
+};
+
+/// The published model entries, one slot per graph node (nullptr = no
+/// model). Iteration visits the occupied slots in node order as
+/// (node, entry) pairs.
+class ModelTable {
+ public:
+  using Entry = std::shared_ptr<const LiveModel>;
+
+  ModelTable() = default;
+  explicit ModelTable(std::size_t num_nodes) : slots_(num_nodes) {}
+
+  /// The entry stored for `node`, or nullptr.
+  const Entry& Find(NodeId node) const { return slots_[node]; }
+  /// Stores (or, with nullptr, removes) the entry of `node`.
+  void Set(NodeId node, Entry entry);
+  /// Removes every entry.
+  void Clear();
+
+  /// Number of stored entries.
+  std::size_t size() const { return count_; }
+  bool empty() const { return count_ == 0; }
+
+  class const_iterator {
+   public:
+    using value_type = std::pair<NodeId, const Entry&>;
+    using difference_type = std::ptrdiff_t;
+    using iterator_category = std::forward_iterator_tag;
+
+    const_iterator(const std::vector<Entry>* slots, std::size_t i)
+        : slots_(slots), i_(i) {
+      SkipEmpty();
+    }
+    value_type operator*() const {
+      return {static_cast<NodeId>(i_), (*slots_)[i_]};
+    }
+    const_iterator& operator++() {
+      ++i_;
+      SkipEmpty();
+      return *this;
+    }
+    bool operator==(const const_iterator& other) const {
+      return i_ == other.i_;
+    }
+
+   private:
+    void SkipEmpty() {
+      while (i_ < slots_->size() && (*slots_)[i_] == nullptr) ++i_;
+    }
+    const std::vector<Entry>* slots_;
+    std::size_t i_;
+  };
+  const_iterator begin() const { return {&slots_, 0}; }
+  const_iterator end() const { return {&slots_, slots_.size()}; }
+
+ private:
+  std::vector<Entry> slots_;
+  std::size_t count_ = 0;
+};
+
 /// The complete immutable engine state at one point in time.
 struct EngineSnapshot {
   /// Graph structure plus series data as of this snapshot's frontier.
   std::shared_ptr<const TimeSeriesGraph> graph;
   /// schemes[node] = stored derivation sources (empty = uncovered).
-  std::vector<std::vector<NodeId>> schemes;
+  SharedTable<std::vector<NodeId>> schemes;
   /// Full-history sum per node — numerator/denominator of the derivation
   /// weight (Eq. 3), maintained incrementally on time advance.
-  std::vector<double> history_sums;
+  SharedTable<double> history_sums;
   /// Published model state per model node.
-  std::unordered_map<NodeId, std::shared_ptr<const LiveModel>> models;
+  ModelTable models;
   /// Monotone publication counter (diagnostics; successor snapshots have
   /// strictly larger versions).
   std::uint64_t version = 0;
@@ -77,9 +185,10 @@ struct EngineSnapshot {
   /// The model entry stored for `node`, or nullptr.
   std::shared_ptr<const LiveModel> FindModel(NodeId node) const;
 
-  /// Successor builder: shares the graph and every model entry with this
-  /// snapshot and bumps the version. The caller replaces what changed
-  /// (swap the graph, reassign model entries) before publishing.
+  /// Successor builder: shares the graph, the tables and every model entry
+  /// with this snapshot and bumps the version; it copies pointers only.
+  /// The caller replaces what changed (swap the graph, write a table
+  /// through Mutable(), reassign model entries) before publishing.
   std::shared_ptr<EngineSnapshot> CopyForWrite() const;
 };
 

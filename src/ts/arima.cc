@@ -126,7 +126,7 @@ Status ArimaModel::Fit(const TimeSeries& history) {
   // A single NaN/Inf observation poisons the CSS recursion and every
   // forecast downstream; reject it up front instead of fitting garbage.
   F2DB_RETURN_IF_ERROR(history.ValidateFinite());
-  raw_ = history.values();
+  raw_ = history.ToVector();
   const std::vector<double> w = Difference(raw_);
   const std::size_t ar_len = order_.p + order_.sp * order_.season;
   const std::size_t ma_len = order_.q + order_.sq * order_.season;

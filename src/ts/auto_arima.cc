@@ -58,8 +58,8 @@ Result<AutoArimaResult> AutoArima(const TimeSeries& history,
 
   // Differencing orders by heuristic (AIC values are not comparable across
   // different differencing, so these are fixed before the grid search).
-  const std::size_t d = SelectDifferencingOrder(history.values(), options.max_d);
-  std::vector<double> d_differenced = history.values();
+  std::vector<double> d_differenced = history.ToVector();
+  const std::size_t d = SelectDifferencingOrder(d_differenced, options.max_d);
   for (std::size_t k = 0; k < d; ++k) {
     d_differenced = DifferenceOnce(d_differenced, 1);
   }

@@ -61,7 +61,7 @@ Result<AutoSelection> AutoSelectModel(const TimeSeries& history,
   for (auto& candidate : BuildCandidates(options)) {
     if (!candidate->Fit(train).ok()) continue;
     const std::vector<double> forecast = candidate->Forecast(test.size());
-    const double error = Smape(test.values(), forecast);
+    const double error = Smape(test.ToVector(), forecast);
     if (error < best.holdout_smape) {
       best.holdout_smape = error;
       best.chosen_type = candidate->type();

@@ -52,7 +52,7 @@ Result<Decomposition> Decompose(const TimeSeries& series, std::size_t period,
   if (n < 2 * period) {
     return Status::InvalidArgument("Decompose: need >= 2 full seasons");
   }
-  const std::vector<double>& xs = series.values();
+  const std::vector<double> xs = series.ToVector();
   if (type == DecompositionType::kMultiplicative) {
     for (double v : xs) {
       if (v <= 0.0) {

@@ -317,14 +317,16 @@ Status ExponentialSmoothingModel::Fit(const TimeSeries& history) {
 
   // Final pass: record fitted values and the end-of-history state.
   state_ = init;
-  fitted_values_.clear();
-  fitted_values_.reserve(history.size());
+  std::vector<double> fitted;
+  fitted.reserve(history.size());
   double sse_final = 0.0;
   for (std::size_t t = 0; t < history.size(); ++t) {
-    fitted_values_.push_back(Step(state_, history[t], alpha_, beta_, gamma_, phi_));
-    const double err = history[t] - fitted_values_.back();
+    fitted.push_back(Step(state_, history[t], alpha_, beta_, gamma_, phi_));
+    const double err = history[t] - fitted.back();
     sse_final += err * err;
   }
+  fitted_values_ =
+      std::make_shared<const std::vector<double>>(std::move(fitted));
   sigma2_ = history.empty() ? 0.0
                             : sse_final / static_cast<double>(history.size());
   fitted_ = true;

@@ -71,7 +71,9 @@ class ExponentialSmoothingModel final : public ForecastModel {
   bool is_fitted() const override { return fitted_; }
   std::vector<double> SaveState() const override;
   Status RestoreState(const std::vector<double>& state) override;
-  std::vector<double> FittedValues() const override { return fitted_values_; }
+  std::vector<double> FittedValues() const override {
+    return fitted_values_ ? *fitted_values_ : std::vector<double>{};
+  }
   std::vector<double> ForecastVariance(std::size_t horizon) const override;
   double residual_variance() const override { return sigma2_; }
 
@@ -108,7 +110,9 @@ class ExponentialSmoothingModel final : public ForecastModel {
   bool fitted_ = false;
   double alpha_ = 0.3, beta_ = 0.1, gamma_ = 0.1, phi_ = 0.98;
   State state_;
-  std::vector<double> fitted_values_;
+  /// In-sample one-step forecasts of the last Fit. Immutable once fitted
+  /// and shared between clones, so Clone copies no history.
+  std::shared_ptr<const std::vector<double>> fitted_values_;
   /// One-step in-sample residual variance from the final fitting pass.
   double sigma2_ = 0.0;
 };

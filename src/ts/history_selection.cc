@@ -45,7 +45,7 @@ Result<HistorySelection> SelectHistoryLength(
     if (!model.ok()) continue;
     ++best.candidates_tried;
     const double error =
-        Smape(validation.values(),
+        Smape(validation.ToVector(),
               model.value()->Forecast(options.validation_length));
     if (error < best.validation_smape) {
       best.validation_smape = error;

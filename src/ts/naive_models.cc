@@ -13,7 +13,7 @@ Status MeanModel::Fit(const TimeSeries& history) {
   if (history.empty()) return Status::InvalidArgument("MeanModel: empty series");
   mean_ = history.Mean();
   count_ = static_cast<double>(history.size());
-  sigma2_ = Variance(history.values());
+  sigma2_ = Variance(history.ToVector());
   fitted_ = true;
   return Status::OK();
 }

@@ -40,7 +40,7 @@ SeasonalityResult DetectSeasonality(const TimeSeries& series,
   if (n < 8) return result;
 
   const std::vector<double> data =
-      options.detrend ? Detrend(series.values()) : series.values();
+      options.detrend ? Detrend(series.ToVector()) : series.ToVector();
 
   const std::size_t longest =
       std::min(options.max_period, n / 3 > 1 ? n / 3 : 1);

@@ -20,7 +20,7 @@ Status ThetaModel::Fit(const TimeSeries& history) {
 
   // Deseasonalize multiplicatively when a season is configured and the
   // history covers at least two full cycles.
-  std::vector<double> work = history.values();
+  std::vector<double> work = history.ToVector();
   seasonal_.clear();
   pos_ = 0;
   if (period_ >= 2 && n >= 2 * period_) {

@@ -4,8 +4,40 @@
 #include <cassert>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 namespace f2db {
+namespace {
+
+/// Slots of the first buffer an append to an empty series allocates.
+constexpr std::size_t kMinCapacity = 8;
+
+}  // namespace
+
+TimeSeries::TimeSeries(std::vector<double> values, std::int64_t start_time)
+    : size_(values.size()), start_time_(start_time) {
+  if (values.empty()) return;
+  // The vector's spare capacity becomes unclaimed slots past the tip.
+  values.resize(values.capacity());
+  buffer_ = std::make_shared<Buffer>(std::move(values), size_);
+  data_ = buffer_->slots.data();
+}
+
+TimeSeries::TimeSeries(TimeSeries&& other) noexcept
+    : buffer_(std::move(other.buffer_)),
+      data_(std::exchange(other.data_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      start_time_(other.start_time_) {}
+
+TimeSeries& TimeSeries::operator=(TimeSeries&& other) noexcept {
+  if (this != &other) {
+    buffer_ = std::move(other.buffer_);
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+    start_time_ = other.start_time_;
+  }
+  return *this;
+}
 
 Result<TimeSeries> TimeSeries::Create(std::vector<double> values,
                                       std::int64_t start_time) {
@@ -15,8 +47,8 @@ Result<TimeSeries> TimeSeries::Create(std::vector<double> values,
 }
 
 Status TimeSeries::ValidateFinite() const {
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    if (!std::isfinite(values_[i])) {
+  for (std::size_t i = 0; i < size_; ++i) {
+    if (!std::isfinite(data_[i])) {
       return Status::InvalidArgument(
           "non-finite observation at index " + std::to_string(i) +
           " (time " + std::to_string(start_time_ + static_cast<std::int64_t>(i)) +
@@ -26,48 +58,75 @@ Status TimeSeries::ValidateFinite() const {
   return Status::OK();
 }
 
+void TimeSeries::Append(double value) {
+  if (buffer_) {
+    std::size_t end =
+        static_cast<std::size_t>(data_ - buffer_->slots.data()) + size_;
+    // Claim slot `end`: succeeds only for the one copy whose window ends
+    // at the tip, so no two copies ever write the same slot.
+    if (end < buffer_->slots.size() &&
+        buffer_->tip.compare_exchange_strong(end, end + 1)) {
+      data_[size_++] = value;
+      return;
+    }
+  }
+  Reallocate(std::max(2 * size_, kMinCapacity));
+  buffer_->tip.store(size_ + 1);
+  data_[size_++] = value;
+}
+
+void TimeSeries::Reallocate(std::size_t capacity) {
+  assert(capacity >= size_);
+  std::vector<double> slots(capacity);
+  std::copy(data_, data_ + size_, slots.begin());
+  buffer_ = std::make_shared<Buffer>(std::move(slots), size_);
+  data_ = buffer_->slots.data();
+}
+
+void TimeSeries::Detach() {
+  if (size_ > 0 && buffer_.use_count() > 1) Reallocate(size_);
+}
+
 void TimeSeries::DropFront(std::size_t count) {
-  count = std::min(count, values_.size());
-  values_.erase(values_.begin(),
-                values_.begin() + static_cast<std::ptrdiff_t>(count));
+  count = std::min(count, size_);
+  if (count == 0) return;
+  data_ += count;
+  size_ -= count;
   start_time_ += static_cast<std::int64_t>(count);
 }
 
 double TimeSeries::Sum() const {
   double sum = 0.0;
-  for (double v : values_) sum += v;
+  for (double v : values()) sum += v;
   return sum;
 }
 
 double TimeSeries::Mean() const {
-  if (values_.empty()) return 0.0;
-  return Sum() / static_cast<double>(values_.size());
+  if (size_ == 0) return 0.0;
+  return Sum() / static_cast<double>(size_);
 }
 
 TimeSeries TimeSeries::Slice(std::size_t begin, std::size_t count) const {
-  assert(begin <= values_.size());
-  count = std::min(count, values_.size() - begin);
-  std::vector<double> out(values_.begin() + static_cast<std::ptrdiff_t>(begin),
-                          values_.begin() +
-                              static_cast<std::ptrdiff_t>(begin + count));
-  return TimeSeries(std::move(out),
+  assert(begin <= size_);
+  count = std::min(count, size_ - begin);
+  return TimeSeries(std::vector<double>(data_ + begin, data_ + begin + count),
                     start_time_ + static_cast<std::int64_t>(begin));
 }
 
 TimeSeries TimeSeries::Tail(std::size_t count) const {
-  count = std::min(count, values_.size());
-  return Slice(values_.size() - count, count);
+  count = std::min(count, size_);
+  return Slice(size_ - count, count);
 }
 
 std::pair<TimeSeries, TimeSeries> TimeSeries::TrainTestSplit(
     double train_fraction) const {
   train_fraction = std::clamp(train_fraction, 0.0, 1.0);
   std::size_t train_count = static_cast<std::size_t>(
-      train_fraction * static_cast<double>(values_.size()));
-  if (values_.size() >= 2) {
-    train_count = std::clamp<std::size_t>(train_count, 1, values_.size() - 1);
+      train_fraction * static_cast<double>(size_));
+  if (size_ >= 2) {
+    train_count = std::clamp<std::size_t>(train_count, 1, size_ - 1);
   }
-  return {Head(train_count), Slice(train_count, values_.size() - train_count)};
+  return {Head(train_count), Slice(train_count, size_ - train_count)};
 }
 
 Result<TimeSeries> TimeSeries::SumOf(
@@ -86,21 +145,20 @@ Status TimeSeries::AddInPlace(const TimeSeries& other) {
         "AddInPlace: series are not aligned (size " + std::to_string(size()) +
         " vs " + std::to_string(other.size()) + ")");
   }
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    values_[i] += other.values_[i];
-  }
+  Detach();
+  for (std::size_t i = 0; i < size_; ++i) data_[i] += other.data_[i];
   return Status::OK();
 }
 
 std::string TimeSeries::ToString() const {
   std::ostringstream out;
-  out << "TimeSeries(t0=" << start_time_ << ", n=" << values_.size() << ", [";
-  const std::size_t show = std::min<std::size_t>(values_.size(), 8);
+  out << "TimeSeries(t0=" << start_time_ << ", n=" << size_ << ", [";
+  const std::size_t show = std::min<std::size_t>(size_, 8);
   for (std::size_t i = 0; i < show; ++i) {
     if (i > 0) out << ", ";
-    out << values_[i];
+    out << data_[i];
   }
-  if (values_.size() > show) out << ", ...";
+  if (size_ > show) out << ", ...";
   out << "])";
   return out.str();
 }

@@ -6,11 +6,28 @@
 // categorical dimensions. Both are represented by this container. The time
 // axis is a dense integer index (period number); calendar mapping is the
 // caller's concern.
+//
+// Storage is shared and append-only. A TimeSeries is a window (first
+// element, length, start time) over a reference-counted buffer, so copying
+// one costs O(1). Append writes in place when the window ends at the
+// buffer's tip, the first slot no copy has claimed yet; the slot is claimed
+// with an atomic compare-and-swap, so of several copies ending at the tip
+// exactly one extends the buffer and the others copy their window into a
+// fresh buffer of twice its length. A reader never looks past its own
+// window, so an append through one copy is invisible to every other copy,
+// and copies in different threads need no lock as long as each copy
+// object is written by one thread at a time. DropFront only moves the
+// window. The mutable accessors (non-const operator[], AddInPlace) first
+// give the series a private buffer unless it already holds the only
+// reference.
 
 #ifndef F2DB_TS_TIME_SERIES_H_
 #define F2DB_TS_TIME_SERIES_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,8 +42,13 @@ class TimeSeries {
   TimeSeries() = default;
 
   /// Series over `values` with the first observation at `start_time`.
-  explicit TimeSeries(std::vector<double> values, std::int64_t start_time = 0)
-      : start_time_(start_time), values_(std::move(values)) {}
+  explicit TimeSeries(std::vector<double> values, std::int64_t start_time = 0);
+
+  TimeSeries(const TimeSeries&) = default;
+  TimeSeries& operator=(const TimeSeries&) = default;
+  /// A moved-from series is empty, like a moved-from vector.
+  TimeSeries(TimeSeries&& other) noexcept;
+  TimeSeries& operator=(TimeSeries&& other) noexcept;
 
   /// Validated construction: rejects NaN/Inf observations with a clear
   /// InvalidArgument naming the offending index. Ingestion boundaries
@@ -40,33 +62,46 @@ class TimeSeries {
   Status ValidateFinite() const;
 
   /// Number of observations.
-  std::size_t size() const { return values_.size(); }
-  bool empty() const { return values_.empty(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   /// Time index of the first observation.
   std::int64_t start_time() const { return start_time_; }
   /// Time index one past the last observation.
   std::int64_t end_time() const {
-    return start_time_ + static_cast<std::int64_t>(values_.size());
+    return start_time_ + static_cast<std::int64_t>(size_);
   }
 
   /// Observation by position (0-based), not by time index.
-  double operator[](std::size_t i) const { return values_[i]; }
-  double& operator[](std::size_t i) { return values_[i]; }
+  double operator[](std::size_t i) const { return data_[i]; }
+  /// Writable observation; detaches from shared storage first. The
+  /// reference is valid until the next non-const call on this series;
+  /// copies taken while it is held share what is written through it.
+  double& operator[](std::size_t i) {
+    Detach();
+    return data_[i];
+  }
 
   /// Observation at absolute time index t; requires t in range.
   double AtTime(std::int64_t t) const {
-    return values_[static_cast<std::size_t>(t - start_time_)];
+    return data_[static_cast<std::size_t>(t - start_time_)];
   }
 
-  const std::vector<double>& values() const { return values_; }
+  /// The observations, oldest first.
+  std::span<const double> values() const { return {data_, size_}; }
 
-  /// Appends one observation at the next time index.
-  void Append(double value) { values_.push_back(value); }
+  /// The observations copied into a vector (for vector-taking helpers).
+  std::vector<double> ToVector() const { return {data_, data_ + size_}; }
+
+  /// Appends one observation at the next time index: in place when this
+  /// window ends at the buffer's tip, otherwise into a private copy with
+  /// room to grow. Amortized O(1).
+  void Append(double value);
 
   /// Drops the oldest `count` observations (clamped to size()) and moves
   /// start_time forward accordingly — the retention primitive: the series
   /// keeps its identity and time axis but forgets its oldest history.
+  /// O(1): only the window moves.
   void DropFront(std::size_t count);
 
   /// Sum over the whole history (the h_s of Eq. 2 in the paper).
@@ -75,7 +110,9 @@ class TimeSeries {
   /// Arithmetic mean of the history.
   double Mean() const;
 
-  /// Sub-series of `count` observations starting at position `begin`.
+  /// Sub-series of `count` observations starting at position `begin`, in
+  /// storage of its own: a short slice of a long history does not keep the
+  /// whole history alive or spread its reads over it.
   TimeSeries Slice(std::size_t begin, std::size_t count) const;
 
   /// First `count` observations.
@@ -99,8 +136,25 @@ class TimeSeries {
   std::string ToString() const;
 
  private:
+  /// Fixed-length storage shared by every copy of a series. `slots` never
+  /// changes length after construction; `tip` is the number of leading
+  /// slots some copy has claimed.
+  struct Buffer {
+    Buffer(std::vector<double> values, std::size_t claimed)
+        : slots(std::move(values)), tip(claimed) {}
+    std::vector<double> slots;
+    std::atomic<std::size_t> tip;
+  };
+
+  /// Moves the window into a fresh, private buffer of `capacity` slots.
+  void Reallocate(std::size_t capacity);
+  /// Reallocates unless this series holds the only buffer reference.
+  void Detach();
+
+  std::shared_ptr<Buffer> buffer_;
+  double* data_ = nullptr;  ///< first observation of the window
+  std::size_t size_ = 0;
   std::int64_t start_time_ = 0;
-  std::vector<double> values_;
 };
 
 }  // namespace f2db

@@ -141,5 +141,42 @@ TEST(ThreadPool, ShutdownWithThrowingTasksStillDrains) {
   EXPECT_EQ(counter.load(), 32);
 }
 
+TEST(ThreadPool, ParallelForCoversEveryIndexAroundThePoolWidth) {
+  // Fewer, exactly as many and more indices than workers: each index runs
+  // exactly once whatever the split between caller and helpers.
+  ThreadPool pool(4);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 1000u}) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.ParallelFor(n, [&hits](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(ThreadPool, ParallelForFromInsidePoolTask) {
+  // Every worker blocks inside an outer ParallelFor while issuing an inner
+  // one; the inner loops still finish because their callers claim indices.
+  for (const std::size_t width : {1u, 2u}) {
+    ThreadPool pool(width);
+    constexpr std::size_t kOuter = 6;
+    constexpr std::size_t kInner = 50;
+    std::vector<std::atomic<int>> hits(kOuter * kInner);
+    pool.ParallelFor(kOuter, [&](std::size_t o) {
+      pool.ParallelFor(kInner, [&](std::size_t i) { ++hits[o * kInner + i]; });
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "width=" << width << " slot=" << i;
+    }
+    // And from a plain submitted task, with the only worker busy.
+    std::atomic<int> inner{0};
+    pool.Submit([&] {
+          pool.ParallelFor(kInner, [&inner](std::size_t) { ++inner; });
+        })
+        .wait();
+    EXPECT_EQ(inner.load(), static_cast<int>(kInner));
+  }
+}
+
 }  // namespace
 }  // namespace f2db

@@ -32,7 +32,7 @@ TEST(SarimaGenerator, Ar1HasExpectedAutocorrelation) {
   process.phi = {0.8};
   Rng rng(2);
   const TimeSeries series = SimulateSarima(process, 5000, rng);
-  const auto acf = Autocorrelation(series.values(), 2);
+  const auto acf = Autocorrelation(series.ToVector(), 2);
   EXPECT_NEAR(acf[1], 0.8, 0.05);
   EXPECT_NEAR(acf[2], 0.64, 0.08);
 }
@@ -44,7 +44,7 @@ TEST(SarimaGenerator, SeasonalDifferencingCreatesSeasonality) {
   process.noise_stddev = 0.1;
   Rng rng(3);
   const TimeSeries series = SimulateSarima(process, 600, rng);
-  const auto acf = Autocorrelation(series.values(), 12);
+  const auto acf = Autocorrelation(series.ToVector(), 12);
   EXPECT_GT(acf[12], 0.5) << "seasonal integration implies high lag-12 ACF";
 }
 
@@ -138,7 +138,7 @@ TEST(Datasets, EnergyHasDailySeasonality) {
   ASSERT_TRUE(data.ok());
   const TimeSeries& top =
       data.value().graph.series(data.value().graph.top_node());
-  const auto acf = Autocorrelation(top.values(), 24);
+  const auto acf = Autocorrelation(top.ToVector(), 24);
   EXPECT_GT(acf[24], 0.5);
 }
 

@@ -14,6 +14,8 @@
 // preset); it deliberately exercises the lazy re-estimation publish race
 // via a small re-estimation threshold.
 
+#include <stdlib.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,6 +26,7 @@
 
 #include "baselines/advisor_builder.h"
 #include "engine/engine.h"
+#include "testing/crash.h"
 #include "testing/test_cubes.h"
 
 namespace f2db {
@@ -239,6 +242,129 @@ TEST_F(ConcurrentEngineTest, IntervalQueriesRaceWithParallelMaintenance) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(engine->stats().queries, reader_queries.load());
   EXPECT_EQ(engine->stats().inserts, bases.size() * kWriterPeriods);
+}
+
+
+TEST_F(ConcurrentEngineTest, PinnedSnapshotsStayBitIdenticalThroughAdvanceAndRetention) {
+  // Successive snapshots share their series buffers: each advance appends
+  // in place past the pinned snapshots' lengths, and retention moves the
+  // successor's windows forward. Neither may change what a pinned snapshot
+  // shows: its series and its forecasts stay bit-identical.
+  char tmpl[] = "/tmp/f2db_pinned_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  EngineOptions options;
+  options.data_dir = tmpl;
+  options.retention_window = 16;
+  options.maintenance_threads = 2;
+  options.disk_probe_interval_seconds = 0.0;
+  auto opened = F2dbEngine::Open(testing::MakeFigure2Cube(60, 0.05), options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<F2dbEngine> engine = std::move(opened).value();
+  ASSERT_TRUE(engine->LoadConfiguration(config_, evaluator_).ok());
+
+  constexpr int kPeriods = 64;
+  constexpr int kCompactEvery = 8;
+  constexpr std::size_t kHorizon = 3;
+  const std::vector<NodeId> bases = engine->graph().base_nodes();
+  const std::size_t num_nodes = engine->graph().num_nodes();
+  const auto value_at = [](int period, std::size_t base) {
+    return 20.0 + 0.25 * static_cast<double>(period) +
+           static_cast<double>(base);
+  };
+
+  /// Everything a pinned snapshot shows, copied out.
+  struct View {
+    SnapshotPtr snap;
+    std::vector<std::int64_t> starts;
+    std::vector<std::vector<double>> series;
+    std::vector<std::vector<double>> forecasts;
+  };
+  const auto capture = [&](SnapshotPtr snap) {
+    View view;
+    view.snap = std::move(snap);
+    for (NodeId node = 0; node < num_nodes; ++node) {
+      const TimeSeries& series = view.snap->graph->series(node);
+      view.starts.push_back(series.start_time());
+      view.series.push_back(series.ToVector());
+      auto forecast = engine->ForecastNode(view.snap, node, kHorizon);
+      view.forecasts.push_back(forecast.ok() ? forecast.value()
+                                             : std::vector<double>{});
+    }
+    return view;
+  };
+  const auto unchanged = [&](const View& view) {
+    for (NodeId node = 0; node < num_nodes; ++node) {
+      const TimeSeries& series = view.snap->graph->series(node);
+      if (series.start_time() != view.starts[node] ||
+          series.ToVector() != view.series[node]) {
+        return false;
+      }
+      auto forecast = engine->ForecastNode(view.snap, node, kHorizon);
+      if (!forecast.ok() || forecast.value() != view.forecasts[node]) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  const View first = capture(engine->snapshot());
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    for (int period = 0; period < kPeriods; ++period) {
+      const std::int64_t t =
+          engine->snapshot()->graph->series(bases[0]).end_time();
+      for (std::size_t i = 0; i < bases.size(); ++i) {
+        if (!engine->InsertFact(bases[i], t, value_at(period, i)).ok()) {
+          ++failures;
+        }
+      }
+      if ((period + 1) % kCompactEvery == 0 && !engine->CompactNow().ok()) {
+        ++failures;
+      }
+    }
+    writer_done = true;
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      // Each reader also pins snapshots mid-stream and re-checks them
+      // while later advances and retention passes land.
+      std::vector<View> pinned;
+      while (!writer_done.load()) {
+        if (!unchanged(first)) ++failures;
+        for (const View& view : pinned) {
+          if (!unchanged(view)) ++failures;
+        }
+        if (pinned.size() < 4) pinned.push_back(capture(engine->snapshot()));
+        std::this_thread::yield();
+      }
+      for (const View& view : pinned) {
+        if (!unchanged(view)) ++failures;
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_TRUE(unchanged(first));
+  // Retention really ran, and the retained history is exactly what was
+  // inserted.
+  EXPECT_GT(engine->stats().retention_records_dropped, 0u);
+  const SnapshotPtr last = engine->snapshot();
+  for (std::size_t i = 0; i < bases.size(); ++i) {
+    const TimeSeries& series = last->graph->series(bases[i]);
+    ASSERT_EQ(series.end_time(), 60 + kPeriods);
+    ASSERT_GT(series.start_time(), 0);
+    ASSERT_GE(series.size(), options.retention_window);
+    for (std::int64_t t = std::max<std::int64_t>(series.start_time(), 60);
+         t < series.end_time(); ++t) {
+      ASSERT_EQ(series.AtTime(t), value_at(static_cast<int>(t - 60), i));
+    }
+  }
+  engine.reset();
+  testing::RemoveDirectoryTree(tmpl);
 }
 
 }  // namespace

@@ -401,6 +401,16 @@ TEST_F(FaultInjectionTest, ConcurrentQueriesSurviveProbabilisticRefitFaults) {
   writer.join();
   for (std::thread& reader : readers) reader.join();
 
+  // The race decides how many refits the readers attempt, possibly none
+  // (they can finish before the second advance invalidates a model). A
+  // sweep over every node after the joins attempts each model that is
+  // still invalid; a model that is not was refit, or failed, after its
+  // last invalidation. Either way the failpoint is evaluated at least
+  // once, and seed 7's first draw fires.
+  for (NodeId node = 0; node < num_nodes; ++node) {
+    if (!engine->ForecastNode(node, 2).ok()) ++bad_status;
+  }
+
   EXPECT_EQ(bad_status.load(), 0);
   // The injected failures were recorded through the copy-on-write path.
   EXPECT_GT(failpoint::Triggers(kFailpointEngineRefit), 0u);

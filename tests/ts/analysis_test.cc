@@ -176,9 +176,9 @@ TEST(Theta, BeatsNaiveOnTrendedData) {
   const auto [train, test] = series.TrainTestSplit(0.8);
   ThetaModel theta(1);
   ASSERT_TRUE(theta.Fit(train).ok());
-  const double theta_err = Smape(test.values(), theta.Forecast(test.size()));
+  const double theta_err = Smape(test.ToVector(), theta.Forecast(test.size()));
   const double naive_err =
-      Smape(test.values(),
+      Smape(test.ToVector(),
             std::vector<double>(test.size(), train.values().back()));
   EXPECT_LT(theta_err, naive_err);
 }
@@ -190,8 +190,8 @@ TEST(Theta, DeseasonalizesWhenPeriodGiven) {
   ThetaModel plain(1);
   ASSERT_TRUE(seasonal.Fit(train).ok());
   ASSERT_TRUE(plain.Fit(train).ok());
-  EXPECT_LT(Smape(test.values(), seasonal.Forecast(test.size())),
-            Smape(test.values(), plain.Forecast(test.size())));
+  EXPECT_LT(Smape(test.ToVector(), seasonal.Forecast(test.size())),
+            Smape(test.ToVector(), plain.Forecast(test.size())));
 }
 
 TEST(Theta, DriftIsHalfTheSlope) {
@@ -248,7 +248,7 @@ TEST(AutoArima, SeasonalDifferencingForStrongSeason) {
   process.noise_stddev = 0.2;
   Rng rng(15);
   const TimeSeries series = SimulateSarima(process, 240, rng);
-  EXPECT_EQ(SelectSeasonalDifferencing(series.values(), 12, 1), 1u);
+  EXPECT_EQ(SelectSeasonalDifferencing(series.ToVector(), 12, 1), 1u);
   std::vector<double> noise(240);
   for (double& v : noise) v = rng.NextGaussian();
   EXPECT_EQ(SelectSeasonalDifferencing(noise, 12, 1), 0u);
@@ -293,9 +293,9 @@ TEST(AutoArima, ForecastsSarimaBetterThanNaive) {
   auto result = AutoArima(train, options);
   ASSERT_TRUE(result.ok());
   const double model_err =
-      Smape(test.values(), result.value().model->Forecast(test.size()));
+      Smape(test.ToVector(), result.value().model->Forecast(test.size()));
   const double naive_err = Smape(
-      test.values(), std::vector<double>(test.size(), train.values().back()));
+      test.ToVector(), std::vector<double>(test.size(), train.values().back()));
   EXPECT_LT(model_err, naive_err);
 }
 

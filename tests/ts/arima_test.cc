@@ -122,9 +122,9 @@ TEST(Arima, SeasonalModelTracksSarimaProcess) {
   ArimaModel model(order);
   ASSERT_TRUE(model.Fit(train).ok());
   const auto naive_error =
-      Smape(test.values(),
+      Smape(test.ToVector(),
             std::vector<double>(test.size(), train.values().back()));
-  const auto model_error = Smape(test.values(), model.Forecast(test.size()));
+  const auto model_error = Smape(test.ToVector(), model.Forecast(test.size()));
   EXPECT_LT(model_error, naive_error);
 }
 

@@ -72,7 +72,7 @@ TEST(HoltWinters, AdditiveTracksSeasonalSeries) {
   const auto [train, test] = ts.TrainTestSplit(0.8);
   auto model = ExponentialSmoothingModel::HoltWintersAdditive(12);
   ASSERT_TRUE(model->Fit(train).ok());
-  const double error = Smape(test.values(), model->Forecast(test.size()));
+  const double error = Smape(test.ToVector(), model->Forecast(test.size()));
   EXPECT_LT(error, 0.03);
 }
 
@@ -89,7 +89,7 @@ TEST(HoltWinters, MultiplicativeTracksMultiplicativeSeasonality) {
   const auto [train, test] = ts.TrainTestSplit(0.8);
   auto model = ExponentialSmoothingModel::HoltWintersMultiplicative(12);
   ASSERT_TRUE(model->Fit(train).ok());
-  const double error = Smape(test.values(), model->Forecast(test.size()));
+  const double error = Smape(test.ToVector(), model->Forecast(test.size()));
   EXPECT_LT(error, 0.05);
 }
 
@@ -101,8 +101,8 @@ TEST(HoltWinters, BeatsSesOnSeasonalData) {
   auto ses = ExponentialSmoothingModel::Ses();
   ASSERT_TRUE(hw->Fit(train).ok());
   ASSERT_TRUE(ses->Fit(train).ok());
-  EXPECT_LT(Smape(test.values(), hw->Forecast(test.size())),
-            Smape(test.values(), ses->Forecast(test.size())));
+  EXPECT_LT(Smape(test.ToVector(), hw->Forecast(test.size())),
+            Smape(test.ToVector(), ses->Forecast(test.size())));
 }
 
 TEST(HoltWinters, UpdateMatchesRefitRecursion) {
@@ -160,6 +160,37 @@ TEST(Ets, FittedValuesLengthMatchesHistory) {
   ASSERT_TRUE(
       model->Fit(TimeSeries(SeasonalTrendSeries(30, 12, 1.0, 7))).ok());
   EXPECT_EQ(model->FittedValues().size(), 30u);
+}
+
+TEST(Ets, CloneSharesFittedValuesAndDivergesOnUpdate) {
+  auto model = ExponentialSmoothingModel::HoltWintersAdditive(12);
+  ASSERT_TRUE(
+      model->Fit(TimeSeries(SeasonalTrendSeries(60, 12, 1.0, 11))).ok());
+  const std::vector<double> fitted = model->FittedValues();
+  const std::vector<double> forecast = model->Forecast(12);
+  const std::vector<double> state = model->SaveState();
+
+  auto clone = model->Clone();
+  EXPECT_EQ(clone->FittedValues(), fitted);  // bit-identical
+  EXPECT_EQ(clone->Forecast(12), forecast);
+  EXPECT_EQ(clone->residual_variance(), model->residual_variance());
+
+  // Advancing the clone leaves the original untouched.
+  clone->Update(500.0);
+  clone->Update(-20.0);
+  EXPECT_NE(clone->Forecast(12), forecast);
+  EXPECT_EQ(model->Forecast(12), forecast);
+  EXPECT_EQ(model->SaveState(), state);
+  EXPECT_EQ(model->FittedValues(), fitted);
+  // In-sample fitted values describe the fit, not later updates.
+  EXPECT_EQ(clone->FittedValues(), fitted);
+
+  // Refitting the clone replaces its fitted values only.
+  ASSERT_TRUE(
+      clone->Fit(TimeSeries(SeasonalTrendSeries(36, 12, 1.0, 12))).ok());
+  EXPECT_EQ(clone->FittedValues().size(), 36u);
+  EXPECT_EQ(model->FittedValues(), fitted);
+  EXPECT_EQ(model->Forecast(12), forecast);
 }
 
 TEST(Ets, SaveRestoreRoundTrip) {

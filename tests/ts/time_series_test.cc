@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <thread>
+#include <vector>
 
 namespace f2db {
 namespace {
@@ -129,6 +131,138 @@ TEST(TimeSeries, ValidateFiniteFlagsPoisonedSeries) {
   EXPECT_TRUE(clean.ValidateFinite().ok());
   TimeSeries dirty({1.0, std::numeric_limits<double>::quiet_NaN()}, 0);
   EXPECT_EQ(dirty.ValidateFinite().code(), StatusCode::kInvalidArgument);
+}
+
+
+// ---- shared append-only storage: copies are O(1) views of one buffer ----
+
+std::vector<double> Values(const TimeSeries& ts) { return ts.ToVector(); }
+
+TEST(TimeSeries, AppendOnOneCopyIsInvisibleToTheOther) {
+  TimeSeries original({1, 2, 3}, 10);
+  const TimeSeries pinned = original;
+  original.Append(4);
+  original.Append(5);
+  EXPECT_EQ(Values(original), (std::vector<double>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(Values(pinned), (std::vector<double>{1, 2, 3}));
+  EXPECT_EQ(pinned.end_time(), 13);
+  // A copy taken after the appends sees them, and so does its own copy.
+  const TimeSeries later = original;
+  EXPECT_EQ(Values(later), Values(original));
+}
+
+TEST(TimeSeries, CopiesAppendingDivergeCorrectly) {
+  TimeSeries a({1, 2}, 0);
+  TimeSeries b = a;
+  a.Append(10);  // claims the shared tip
+  b.Append(20);  // loses the claim: copies its window, then appends
+  a.Append(11);
+  b.Append(21);
+  EXPECT_EQ(Values(a), (std::vector<double>{1, 2, 10, 11}));
+  EXPECT_EQ(Values(b), (std::vector<double>{1, 2, 20, 21}));
+  // b now owns a buffer of its own; a copy of b claims that buffer's tip
+  // and b, appending next, copies in turn.
+  TimeSeries c = b;
+  c.Append(30);
+  b.Append(22);
+  EXPECT_EQ(Values(c), (std::vector<double>{1, 2, 20, 21, 30}));
+  EXPECT_EQ(Values(b), (std::vector<double>{1, 2, 20, 21, 22}));
+  EXPECT_EQ(Values(a), (std::vector<double>{1, 2, 10, 11}));
+}
+
+TEST(TimeSeries, ManyAppendsThroughCopiesKeepEveryVersion) {
+  // One writer appending through successive copies (the engine's
+  // publication chain) while every earlier version stays readable.
+  std::vector<TimeSeries> versions{TimeSeries({0.0}, 0)};
+  for (int i = 1; i < 200; ++i) {
+    TimeSeries next = versions.back();
+    next.Append(static_cast<double>(i));
+    versions.push_back(std::move(next));
+  }
+  for (std::size_t v = 0; v < versions.size(); ++v) {
+    ASSERT_EQ(versions[v].size(), v + 1);
+    for (std::size_t i = 0; i <= v; ++i) {
+      ASSERT_EQ(versions[v][i], static_cast<double>(i));
+    }
+  }
+}
+
+TEST(TimeSeries, DropFrontThenAppend) {
+  TimeSeries ts({1, 2, 3, 4}, 100);
+  const TimeSeries pinned = ts;
+  ts.DropFront(3);
+  EXPECT_EQ(ts.start_time(), 103);
+  ts.Append(5);
+  ts.Append(6);
+  EXPECT_EQ(Values(ts), (std::vector<double>{4, 5, 6}));
+  EXPECT_DOUBLE_EQ(ts.AtTime(105), 6.0);
+  EXPECT_EQ(Values(pinned), (std::vector<double>{1, 2, 3, 4}));
+  ts.DropFront(100);  // clamps: empty, time axis moved to the end
+  EXPECT_TRUE(ts.empty());
+  EXPECT_EQ(ts.start_time(), 106);
+  ts.Append(7);
+  EXPECT_EQ(Values(ts), (std::vector<double>{7}));
+  EXPECT_EQ(ts.start_time(), 106);
+}
+
+TEST(TimeSeries, AddInPlaceDetachesFromCopies) {
+  TimeSeries a({1, 2}, 0);
+  const TimeSeries copy = a;
+  ASSERT_TRUE(a.AddInPlace(TimeSeries({10, 20}, 0)).ok());
+  EXPECT_EQ(Values(a), (std::vector<double>{11, 22}));
+  EXPECT_EQ(Values(copy), (std::vector<double>{1, 2}));
+  // Adding a series to itself (shared buffer, sole owner) doubles it.
+  ASSERT_TRUE(a.AddInPlace(a).ok());
+  EXPECT_EQ(Values(a), (std::vector<double>{22, 44}));
+}
+
+TEST(TimeSeries, MutableIndexDetachesFromCopies) {
+  TimeSeries a({1, 2, 3}, 0);
+  const TimeSeries copy = a;
+  a[1] = 50;
+  EXPECT_EQ(Values(a), (std::vector<double>{1, 50, 3}));
+  EXPECT_EQ(Values(copy), (std::vector<double>{1, 2, 3}));
+  // The detached series appends on its own buffer.
+  a.Append(4);
+  EXPECT_EQ(Values(a), (std::vector<double>{1, 50, 3, 4}));
+  EXPECT_EQ(Values(copy), (std::vector<double>{1, 2, 3}));
+}
+
+TEST(TimeSeries, MovedFromSeriesIsEmpty) {
+  TimeSeries a({1, 2}, 5);
+  TimeSeries b = std::move(a);
+  EXPECT_EQ(Values(b), (std::vector<double>{1, 2}));
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move): defined here
+  a.Append(3);
+  EXPECT_EQ(Values(a), (std::vector<double>{3}));
+  EXPECT_EQ(Values(b), (std::vector<double>{1, 2}));
+}
+
+TEST(TimeSeries, ConcurrentCopiesAppendWithoutSharingASlot) {
+  // Threads race to extend copies of one series: exactly one claims each
+  // slot of the shared buffer, the others copy; every result is exact.
+  constexpr int kThreads = 4;
+  constexpr int kAppends = 500;
+  TimeSeries grown({1, 2}, 0);
+  grown.Append(3);  // reallocates with spare slots past the tip
+  const TimeSeries base = grown;
+  std::vector<TimeSeries> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&base, &results, t] {
+      TimeSeries mine = base;
+      for (int i = 0; i < kAppends; ++i) mine.Append(t * 1000.0 + i);
+      results[t] = std::move(mine);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(Values(base), (std::vector<double>{1, 2, 3}));
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(results[t].size(), 3u + kAppends);
+    for (int i = 0; i < kAppends; ++i) {
+      ASSERT_EQ(results[t][3 + i], t * 1000.0 + i) << "thread " << t;
+    }
+  }
 }
 
 }  // namespace
