@@ -100,8 +100,9 @@ void BM_GraphAdvanceTime(benchmark::State& state) {
   auto data = MakeGenX(static_cast<std::size_t>(state.range(0)), 4, 48);
   TimeSeriesGraph graph = std::move(data.value().graph);
   const std::vector<double> values(graph.num_base_nodes(), 1.0);
+  std::vector<double> column;
   for (auto _ : state) {
-    const Status advanced = graph.AdvanceTime(values);
+    const Status advanced = graph.AdvanceTime(values, &column);
     benchmark::DoNotOptimize(advanced);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Flake audit (satellite f): run the concurrency-sensitive suites —
 # concurrent engine stress, thread pool, fault injection, the TCP server
-# integration tests and the shared series buffers — repeatedly under
+# integration tests, the shared series panels and the flat model tables
+# (parameter/state split, allocation-free publication) — repeatedly under
 # ThreadSanitizer until one fails or the repeat budget is exhausted. A
 # test that cannot survive REPEATS back-to-back runs under tsan is flaky
 # by definition and must be deflaked, not retried.
@@ -27,6 +28,10 @@ SUITES=(
   "FaultInjection"
   "ServerIntegration"
   "TimeSeries"
+  "Graph"
+  "ModelContract"
+  "Arima"
+  "PublicationAllocation"
 )
 
 cd "$REPO_ROOT"

@@ -334,6 +334,7 @@ Status TimeSeriesGraph::SetBaseSeries(NodeId node, TimeSeries series) {
   }
   series_[node] = std::move(series);
   aggregates_built_ = false;
+  packed_ = false;
   return Status::OK();
 }
 
@@ -348,21 +349,33 @@ Status TimeSeriesGraph::BuildAggregates() {
           "base series are not aligned; node " + NodeName(node));
     }
   }
+  std::vector<TimeSeries*> rows;
+  rows.reserve(st.aggregation_order.size());
+  for (NodeId node : st.aggregation_order) {
+    series_[node] = TimeSeries(std::vector<double>{}, t0);
+    rows.push_back(&series_[node]);
+  }
+  TimeSeries::Pack(rows, n);
+  std::vector<double> sum(n);
   for (std::size_t k = 0; k < st.aggregation_order.size(); ++k) {
-    std::vector<double> sum(n, 0.0);
+    std::fill(sum.begin(), sum.end(), 0.0);
     for (std::size_t e = st.summand_offsets[k]; e < st.summand_offsets[k + 1];
          ++e) {
       const TimeSeries& child_series = series_[st.summands[e]];
       assert(child_series.size() == n);
       for (std::size_t i = 0; i < n; ++i) sum[i] += child_series[i];
     }
-    series_[st.aggregation_order[k]] = TimeSeries(std::move(sum), t0);
+    const bool filled = rows[k]->TryAppend(sum);
+    assert(filled);
+    (void)filled;
   }
   aggregates_built_ = true;
+  packed_ = false;
   return Status::OK();
 }
 
-Status TimeSeriesGraph::AdvanceTime(const std::vector<double>& base_values) {
+Status TimeSeriesGraph::AdvanceTime(const std::vector<double>& base_values,
+                                    std::vector<double>* column) {
   const Structure& st = *structure_;
   if (base_values.size() != st.base_nodes.size()) {
     return Status::InvalidArgument(
@@ -371,19 +384,31 @@ Status TimeSeriesGraph::AdvanceTime(const std::vector<double>& base_values) {
   if (!aggregates_built_) {
     return Status::FailedPrecondition("AdvanceTime: call BuildAggregates first");
   }
-  for (std::size_t i = 0; i < st.base_nodes.size(); ++i) {
-    series_[st.base_nodes[i]].Append(base_values[i]);
-  }
-  for (std::size_t k = 0; k < st.aggregation_order.size(); ++k) {
-    double sum = 0.0;
-    for (std::size_t e = st.summand_offsets[k]; e < st.summand_offsets[k + 1];
-         ++e) {
-      const TimeSeries& child_series = series_[st.summands[e]];
-      sum += child_series[child_series.size() - 1];
-    }
-    series_[st.aggregation_order[k]].Append(sum);
+  AggregateInto(base_values, *column);
+  if (!packed_) Regrow();
+  const std::span<TimeSeries> rows(series_);
+  const std::span<const double> values(*column);
+  // A row that cannot append (full, or its tip claimed by a discarded
+  // successor) regrows the panel; it and every later row then append in
+  // place.
+  std::size_t done = TimeSeries::TryAppendEach(rows, values);
+  while (done < rows.size()) {
+    Regrow();
+    done += TimeSeries::TryAppendEach(rows.subspan(done), values.subspan(done));
   }
   return Status::OK();
+}
+
+void TimeSeriesGraph::Regrow() {
+  std::vector<TimeSeries*> rows;
+  rows.reserve(series_.size());
+  std::size_t longest = 0;
+  for (TimeSeries& series : series_) {
+    rows.push_back(&series);
+    longest = std::max(longest, series.size());
+  }
+  TimeSeries::Pack(rows, std::max<std::size_t>(2 * longest, 8));
+  packed_ = true;
 }
 
 Status TimeSeriesGraph::DropHistoryBefore(std::int64_t t) {
@@ -400,12 +425,19 @@ Status TimeSeriesGraph::DropHistoryBefore(std::int64_t t) {
 
 Result<std::vector<double>> TimeSeriesGraph::AggregateBaseScalars(
     const std::vector<double>& base_scalars) const {
-  const Structure& st = *structure_;
-  if (base_scalars.size() != st.base_nodes.size()) {
+  if (base_scalars.size() != structure_->base_nodes.size()) {
     return Status::InvalidArgument(
         "AggregateBaseScalars: need exactly one scalar per base node");
   }
-  std::vector<double> out(st.num_nodes, 0.0);
+  std::vector<double> out;
+  AggregateInto(base_scalars, out);
+  return out;
+}
+
+void TimeSeriesGraph::AggregateInto(const std::vector<double>& base_scalars,
+                                    std::vector<double>& out) const {
+  const Structure& st = *structure_;
+  out.resize(st.num_nodes);
   for (std::size_t i = 0; i < st.base_nodes.size(); ++i) {
     out[st.base_nodes[i]] = base_scalars[i];
   }
@@ -417,7 +449,6 @@ Result<std::vector<double>> TimeSeriesGraph::AggregateBaseScalars(
     }
     out[st.aggregation_order[k]] = sum;
   }
-  return out;
 }
 
 std::size_t TimeSeriesGraph::series_length() const {

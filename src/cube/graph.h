@@ -40,9 +40,12 @@ struct NodeAddress {
 /// The complete instance-level aggregation graph with per-node series data.
 ///
 /// The structure (schema, node numbering, aggregation order and neighbour
-/// lists) lives in one immutable block that every copy shares; a copy
+/// lists) lives in one immutable block that every copy shares. A copy
 /// copies only the per-node series handles, each O(1) (see TimeSeries), so
-/// copying a graph costs O(nodes) whatever the history length.
+/// copying a graph costs O(nodes) whatever the history length. From the
+/// first AdvanceTime on, every node's series is a row of one panel (see
+/// TimeSeries::Pack), so those handles all share the panel's single
+/// reference count.
 class TimeSeriesGraph {
  public:
   /// Builds the (empty-data) graph for a schema. Fails when the node count
@@ -130,8 +133,9 @@ class TimeSeriesGraph {
   /// start time and length.
   Status SetBaseSeries(NodeId node, TimeSeries series);
 
-  /// Computes every aggregated series bottom-up. Requires all base series
-  /// to be set and aligned.
+  /// Computes every aggregated series bottom-up, straight into one panel
+  /// without spare slots; the base series keep their own storage. Requires
+  /// all base series to be set and aligned.
   Status BuildAggregates();
 
   /// Series of a node (base or aggregated). Aggregates are valid only
@@ -140,9 +144,17 @@ class TimeSeriesGraph {
 
   /// Appends one new observation per base node (ordered as base_nodes())
   /// and incrementally updates every aggregate — the engine's batched
-  /// time-advance (Section V, Maintenance Processor). O(nodes) amortized
-  /// and allocation-free except when a series outgrows its buffer.
-  Status AdvanceTime(const std::vector<double>& base_values);
+  /// time-advance (Section V, Maintenance Processor). Fills *column with
+  /// the new value of every node (the AggregateBaseScalars sums, in
+  /// BuildAggregates' child order) and appends column[node] to each row.
+  /// The first advance packs every series into one panel; later, when a
+  /// row cannot append in place (its panel row is full, or a discarded
+  /// successor claimed the tip), the whole panel is regrown. Either way
+  /// the new panel has room for twice the longest window. O(nodes)
+  /// amortized and allocation-free once *column has its size, except when
+  /// the panel regrows.
+  Status AdvanceTime(const std::vector<double>& base_values,
+                     std::vector<double>* column);
 
   /// Length of the (aligned) series; 0 before data is loaded.
   std::size_t series_length() const;
@@ -193,9 +205,20 @@ class TimeSeriesGraph {
   /// Inverse of SlotOf: the (level, value) at `slot` of dimension `dim`.
   NodeAddress::Coordinate CoordinateOf(std::size_t dim, std::size_t slot) const;
 
+  /// The AggregateBaseScalars loop: `out` (num_nodes values) gets the base
+  /// scalars at the base nodes and every aggregate's child sum.
+  void AggregateInto(const std::vector<double>& base_scalars,
+                     std::vector<double>& out) const;
+
+  /// Packs every series into a fresh panel with room for twice the longest
+  /// window.
+  void Regrow();
+
   std::shared_ptr<const Structure> structure_;
   std::vector<TimeSeries> series_;
   bool aggregates_built_ = false;
+  /// True when every series is a row of one panel.
+  bool packed_ = false;
 };
 
 }  // namespace f2db

@@ -43,17 +43,19 @@ namespace {
 /// the ladder skips to the naive rung instead of walking the graph.
 constexpr std::size_t kMaxDerivationDepth = 4;
 
-/// Evaluates `model` into a DegradedForecast tagged with `level`/`reason`.
-/// Fails with kUnimplemented when variances are requested but unsupported.
+/// Evaluates `model` from `state` into a DegradedForecast tagged with
+/// `level`/`reason`. Fails with kUnimplemented when variances are requested
+/// but unsupported.
 Result<DegradedForecast> ForecastFromModel(const ForecastModel& model,
+                                           std::span<const double> state,
                                            NodeId source, std::size_t horizon,
                                            bool want_variance,
                                            DegradationLevel level,
                                            std::string reason) {
   DegradedForecast out;
-  out.values = model.Forecast(horizon);
+  out.values = model.Forecast(state, horizon);
   if (want_variance) {
-    out.variances = model.ForecastVariance(horizon);
+    out.variances = model.ForecastVariance(state, horizon);
     if (out.variances.size() != horizon) {
       return Status::Unimplemented("model at node " + std::to_string(source) +
                                    " does not support interval forecasts");
@@ -301,14 +303,13 @@ Status F2dbEngine::LoadConfiguration(const ModelConfiguration& config,
   }
 
   auto next = cur->CopyForWrite();
-  next->models.Clear();
 
   // Install models: clone the advisor's fitted model (trained on the
   // training prefix) and catch it up to the full stored history through
   // incremental updates — exactly the maintenance path. Catch-up is
   // per-model independent and fans out across the maintenance pool.
   const std::size_t train_length = evaluator.train_length();
-  std::vector<std::shared_ptr<const LiveModel>> built(model_nodes.size());
+  std::vector<ModelTable::Entry> built(model_nodes.size());
   const auto catch_up = [&](std::size_t i) {
     const NodeId node = model_nodes[i];
     const ModelEntry* entry = config.entry(node);
@@ -317,19 +318,16 @@ Status F2dbEngine::LoadConfiguration(const ModelConfiguration& config,
     for (std::size_t t = train_length; t < series.size(); ++t) {
       model->Update(series[t]);
     }
-    auto live = std::make_shared<LiveModel>();
-    live->model = std::shared_ptr<const ForecastModel>(std::move(model));
-    live->creation_seconds = entry->creation_seconds;
-    built[i] = std::move(live);
+    built[i].node = node;
+    built[i].model = std::move(model);
+    built[i].record.creation_seconds = entry->creation_seconds;
   };
   if (ThreadPool* pool = MaintenancePool()) {
     pool->ParallelFor(model_nodes.size(), catch_up);
   } else {
     for (std::size_t i = 0; i < model_nodes.size(); ++i) catch_up(i);
   }
-  for (std::size_t i = 0; i < model_nodes.size(); ++i) {
-    next->models.Set(model_nodes[i], std::move(built[i]));
-  }
+  next->models.Assign(std::move(built));
 
   // Install schemes; uncovered nodes fall back to their nearest model node.
   std::vector<std::vector<NodeId>>& schemes = next->schemes.Mutable();
@@ -373,9 +371,10 @@ Status F2dbEngine::LoadCatalogImpl(const ConfigurationCatalog& catalog,
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const SnapshotPtr cur = LoadSnapshot();
   auto next = cur->CopyForWrite();
-  next->models.Clear();
   std::vector<std::vector<NodeId>>& schemes = next->schemes.Mutable();
   for (auto& scheme : schemes) scheme.clear();
+  std::vector<ModelTable::Entry> models;
+  models.reserve(catalog.model_table().size());
   for (const ModelRow& row : catalog.model_table()) {
     // Per-row injection point: any row failing must abort the whole load
     // with the previous state still published (transactional contract).
@@ -385,11 +384,12 @@ Status F2dbEngine::LoadCatalogImpl(const ConfigurationCatalog& catalog,
     }
     F2DB_ASSIGN_OR_RETURN(std::unique_ptr<ForecastModel> model,
                           ModelFactory::DeserializeModel(row.payload));
-    auto live = std::make_shared<LiveModel>();
-    live->model = std::shared_ptr<const ForecastModel>(std::move(model));
-    live->creation_seconds = row.creation_seconds;
-    next->models.Set(row.node, std::move(live));
+    ModelTable::Entry& entry = models.emplace_back();
+    entry.node = row.node;
+    entry.model = std::move(model);
+    entry.record.creation_seconds = row.creation_seconds;
   }
+  next->models.Assign(std::move(models));  // a later row for a node wins
   for (const SchemeRow& row : catalog.scheme_table()) {
     if (row.target >= cur->graph->num_nodes()) {
       return Status::OutOfRange("scheme row references unknown node");
@@ -407,7 +407,7 @@ Status F2dbEngine::LoadCatalogImpl(const ConfigurationCatalog& catalog,
   // scheme row may follow the row that references it.
   for (const SchemeRow& row : catalog.scheme_table()) {
     for (NodeId s : row.sources) {
-      if (next->models.Find(s) == nullptr && schemes[s].empty()) {
+      if (!next->models.Find(s) && schemes[s].empty()) {
         return Status::InvalidArgument(
             "scheme source " + std::to_string(s) +
             " has neither a stored model nor a derivation scheme");
@@ -434,15 +434,13 @@ ConfigurationCatalog F2dbEngine::CatalogFromSnapshot(const EngineSnapshot& snap)
     row.weight = snap.Weight(row.sources, node);
     catalog.scheme_table().push_back(std::move(row));
   }
-  for (const auto& [node, live] : snap.models) {
+  for (const ModelView live : snap.models) {  // slots are in node order
     ModelRow row;
-    row.node = node;
-    row.payload = ModelFactory::SerializeModel(*live->model);
-    row.creation_seconds = live->creation_seconds;
+    row.node = live.node;
+    row.payload = ModelFactory::SerializeModel(*live.model, live.state);
+    row.creation_seconds = live.record->creation_seconds;
     catalog.model_table().push_back(std::move(row));
   }
-  std::sort(catalog.model_table().begin(), catalog.model_table().end(),
-            [](const ModelRow& a, const ModelRow& b) { return a.node < b.node; });
   return catalog;
 }
 
@@ -557,8 +555,8 @@ Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
     const std::vector<NodeId>& sources = snap->schemes[node];
     bool all_valid = !sources.empty();
     for (NodeId source : sources) {
-      const std::shared_ptr<const LiveModel> live = snap->FindModel(source);
-      if (live == nullptr || live->invalid || !live->model->is_fitted()) {
+      const ModelView live = snap->models.Find(source);
+      if (!live || live.record->invalid || !live.model->is_fitted()) {
         all_valid = false;
         break;
       }
@@ -567,13 +565,14 @@ Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
       thread_local std::vector<double> values;
       thread_local std::vector<double> source_scratch;
       if (sources.size() == 1) {
-        snap->FindModel(sources[0])->model->ForecastInto(horizon, &values);
+        const ModelView live = snap->models.Find(sources[0]);
+        live.model->ForecastInto(live.state, horizon, &values);
       } else {
         values.clear();
         values.resize(horizon, 0.0);
         for (NodeId source : sources) {
-          snap->FindModel(source)->model->ForecastInto(horizon,
-                                                       &source_scratch);
+          const ModelView live = snap->models.Find(source);
+          live.model->ForecastInto(live.state, horizon, &source_scratch);
           for (std::size_t h = 0; h < horizon; ++h) {
             values[h] += source_scratch[h];
           }
@@ -647,19 +646,19 @@ Result<ExplainResult> F2dbEngine::Explain(const ForecastQuery& query) const {
   out.weight = snap->Weight(out.sources, node);
   out.horizon = query.horizon;
   for (NodeId source : out.sources) {
-    const std::shared_ptr<const LiveModel> live = snap->FindModel(source);
+    const ModelView live = snap->models.Find(source);
     std::string description = "node " + std::to_string(source) + " (" +
                               snap->graph->NodeName(source) + "): ";
-    if (live == nullptr) {
+    if (!live) {
       description += "<missing model>";
     } else {
-      description += ModelTypeName(live->model->type());
+      description += ModelTypeName(live.model->type());
       description +=
-          ", " + std::to_string(live->model->num_parameters()) + " params";
-      if (live->invalid) description += ", INVALID (lazy re-estimate)";
-      if (live->quarantined) {
+          ", " + std::to_string(live.model->num_parameters()) + " params";
+      if (live.record->invalid) description += ", INVALID (lazy re-estimate)";
+      if (live.record->quarantined) {
         description += ", QUARANTINED (" +
-                       std::to_string(live->refit_failures) +
+                       std::to_string(live.record->refit_failures) +
                        " refit failures)";
       }
     }
@@ -820,16 +819,16 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
                                                     bool want_variance,
                                                     bool brownout,
                                                     std::size_t depth) const {
-  const std::shared_ptr<const LiveModel> live = snapshot->FindModel(source);
+  const ModelView live = snapshot->models.Find(source);
 
   // Primary path: a valid published model.
-  if (live != nullptr && !live->invalid) {
-    return ForecastFromModel(*live->model, source, horizon, want_variance,
-                             DegradationLevel::kNone, "");
+  if (live && !live.record->invalid) {
+    return ForecastFromModel(*live.model, live.state, source, horizon,
+                             want_variance, DegradationLevel::kNone, "");
   }
 
   std::string reason;
-  if (live == nullptr) {
+  if (!live) {
     // Previously a hard kInternal; now the first rung of the ladder.
     reason = "scheme source " + std::to_string(source) + " lost its model";
   } else {
@@ -843,31 +842,29 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
       stats_.brownout_refits_skipped.Add();
       reason = "node " + std::to_string(source) +
                " re-estimation skipped under brownout";
-    } else if (RefitAllowed(*live)) {
+    } else if (RefitAllowed(*live.record)) {
       StopWatch watch;
-      std::unique_ptr<ForecastModel> refit = live->model->Clone();
+      std::unique_ptr<ForecastModel> refit = live.model->Clone();
       const Status fitted =
           failpoint::Triggered(kFailpointEngineRefit)
               ? failpoint::InjectedFailure(kFailpointEngineRefit)
               : refit->Fit(snapshot->graph->series(source));
       if (fitted.ok()) {
-        auto fresh = std::make_shared<LiveModel>();
-        fresh->model = std::shared_ptr<const ForecastModel>(std::move(refit));
-        fresh->creation_seconds = live->creation_seconds;
+        std::shared_ptr<const ForecastModel> model = std::move(refit);
         stats_.reestimates.Add();
         stats_.maintenance_seconds.Add(watch.ElapsedSeconds());
-        const std::shared_ptr<const ForecastModel> model = fresh->model;
-        OfferReestimate(source, live, std::move(fresh));
-        return ForecastFromModel(*model, source, horizon, want_variance,
-                                 DegradationLevel::kNone, "");
+        OfferReestimate(source, live.record->generation, model,
+                        live.record->creation_seconds);
+        return ForecastFromModel(*model, model->state(), source, horizon,
+                                 want_variance, DegradationLevel::kNone, "");
       }
       stats_.refit_failures.Add();
-      OfferRefitFailure(source, live);
+      OfferRefitFailure(source, *live.record);
       reason = "re-estimation of node " + std::to_string(source) +
                " failed: " + fitted.message();
-    } else if (live->quarantined) {
+    } else if (live.record->quarantined) {
       reason = "node " + std::to_string(source) + " quarantined after " +
-               std::to_string(live->refit_failures) +
+               std::to_string(live.record->refit_failures) +
                " failed re-estimations";
     } else {
       reason = "node " + std::to_string(source) +
@@ -877,9 +874,9 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
     // Rung 1: the stale pre-invalidation model. Its parameters are out of
     // date but its state was advanced through every insert, so it still
     // produces a usable forecast for this snapshot's frontier.
-    if (live->model != nullptr && live->model->is_fitted()) {
-      return ForecastFromModel(*live->model, source, horizon, want_variance,
-                               DegradationLevel::kStaleModel,
+    if (live.model->is_fitted()) {
+      return ForecastFromModel(*live.model, live.state, source, horizon,
+                               want_variance, DegradationLevel::kStaleModel,
                                reason + "; serving stale model");
     }
   }
@@ -909,8 +906,8 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
   DriftModel drift;
   const Status drift_fitted = drift.Fit(snapshot->graph->series(source));
   if (drift_fitted.ok()) {
-    return ForecastFromModel(drift, source, horizon, want_variance,
-                             DegradationLevel::kNaiveFallback,
+    return ForecastFromModel(drift, drift.state(), source, horizon,
+                             want_variance, DegradationLevel::kNaiveFallback,
                              reason + "; serving naive drift fallback");
   }
 
@@ -920,7 +917,7 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
                              drift_fitted.message());
 }
 
-bool F2dbEngine::RefitAllowed(const LiveModel& live) const {
+bool F2dbEngine::RefitAllowed(const ModelRecord& live) const {
   if (live.quarantined) return false;
   if (live.refit_failures == 0) return true;
   if (options_.refit_retry_backoff_seconds <= 0.0) return true;
@@ -951,60 +948,63 @@ void F2dbEngine::CountDegradedRows(DegradationLevel level,
 }
 
 void F2dbEngine::OfferReestimate(
-    NodeId node, const std::shared_ptr<const LiveModel>& expected,
-    std::shared_ptr<const LiveModel> fresh) const {
+    NodeId node, std::uint64_t expected_generation,
+    std::shared_ptr<const ForecastModel> fresh,
+    double creation_seconds) const {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const SnapshotPtr cur = LoadSnapshot();
-  // Install only when the entry is still the one the refit started from;
-  // if maintenance advanced the model meanwhile, the refit is stale for
-  // the current state (but remains correct for the reader's snapshot).
-  const ModelTable::Entry& entry = cur->models.Find(node);
-  if (entry == nullptr || entry != expected) return;
+  // Install only when the model is still the one the refit started from;
+  // if maintenance advanced it meanwhile (every advance restamps every
+  // model), the refit is stale for the current state (but remains correct
+  // for the reader's snapshot).
+  const ModelView live = cur->models.Find(node);
+  if (!live || live.record->generation != expected_generation) return;
   // Log before publishing. If the append fails the refit simply is not
   // installed (the caller still serves its result once) — a degradation,
   // never a divergence between the log and the published state.
   if (!WalAppendLocked(
-           WalRecord::ModelInstall(node, fresh->creation_seconds,
-                                   ModelFactory::SerializeModel(*fresh->model)))
+           WalRecord::ModelInstall(node, creation_seconds,
+                                   ModelFactory::SerializeModel(*fresh)))
            .ok()) {
     return;
   }
   auto next = cur->CopyForWrite();
-  next->models.Set(node, std::move(fresh));
+  ModelRecord record;
+  record.creation_seconds = creation_seconds;
+  next->models.Install(node, std::move(fresh), record);
   Publish(std::move(next));
 }
 
-void F2dbEngine::OfferRefitFailure(
-    NodeId node, const std::shared_ptr<const LiveModel>& expected) const {
+void F2dbEngine::OfferRefitFailure(NodeId node,
+                                   const ModelRecord& expected) const {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const SnapshotPtr cur = LoadSnapshot();
-  // Same identity check as OfferReestimate: record the failure only
-  // against the entry the attempt actually ran on. If maintenance (or a
-  // concurrent query's failure record) replaced it, this attempt's
-  // outcome no longer describes the published state.
-  const ModelTable::Entry& entry = cur->models.Find(node);
-  if (entry == nullptr || entry != expected) return;
-  auto updated = std::make_shared<LiveModel>(*expected);
-  updated->refit_failures = expected->refit_failures + 1;
-  updated->last_refit_attempt_seconds = uptime_.ElapsedSeconds();
-  if (options_.quarantine_after_refit_failures > 0 &&
-      updated->refit_failures >= options_.quarantine_after_refit_failures &&
-      !updated->quarantined) {
+  // Same generation check as OfferReestimate: record the failure only
+  // against the model the attempt actually ran on. If maintenance (or a
+  // concurrent query's failure record) rewrote it, this attempt's outcome
+  // no longer describes the published state.
+  const ModelView live = cur->models.Find(node);
+  if (!live || live.record->generation != expected.generation) return;
+  const std::size_t failures = expected.refit_failures + 1;
+  const std::size_t threshold = options_.quarantine_after_refit_failures;
+  const bool quarantine =
+      threshold > 0 && failures >= threshold && !expected.quarantined;
+  if (quarantine) {
     // The quarantine TRANSITION is durable (plain failure-count bumps are
     // not: they reset to the last logged transition on recovery, which
     // only makes post-crash refits retry sooner). An append failure skips
     // the whole publication; the state stays unchanged and a later
     // attempt retries the transition.
-    if (!WalAppendLocked(
-             WalRecord::Quarantine(node, updated->refit_failures))
-             .ok()) {
+    if (!WalAppendLocked(WalRecord::Quarantine(node, failures)).ok()) {
       return;
     }
-    updated->quarantined = true;
     stats_.quarantines.Add();
   }
   auto next = cur->CopyForWrite();
-  next->models.Set(node, std::move(updated));
+  ModelRecord& record = next->models.MutableRecord(live.slot);
+  record.refit_failures = failures;
+  record.last_refit_attempt_seconds = uptime_.ElapsedSeconds();
+  if (quarantine) record.quarantined = true;
   Publish(std::move(next));
 }
 
@@ -1157,20 +1157,8 @@ std::size_t F2dbEngine::pending_inserts() const {
 
 Status F2dbEngine::AdvanceWhileCompleteLocked() {
   const SnapshotPtr cur = LoadSnapshot();
-
-  /// Writer-private clone of one model, advanced in place across the
-  /// batched advances of this call and frozen into the next snapshot.
-  struct PendingModel {
-    NodeId node = 0;
-    std::unique_ptr<ForecastModel> model;
-    double creation_seconds = 0.0;
-    bool invalid = false;
-    std::size_t updates_since_estimate = 0;
-  };
-
   std::shared_ptr<EngineSnapshot> next;     // successor under construction
   std::shared_ptr<TimeSeriesGraph> graph;   // writable copy of the data
-  std::vector<PendingModel> models;
   std::size_t advances = 0;
 
   for (;;) {
@@ -1187,67 +1175,50 @@ Status F2dbEngine::AdvanceWhileCompleteLocked() {
 
     if (!next) {
       // First complete batch: start the copy-on-write successor. Copying
-      // the graph copies series handles only (the data buffers are shared
-      // append-only, see snapshot.h); models are cloned once and advanced
-      // privately.
+      // the graph copies row handles under the panel's one reference count
+      // (see snapshot.h); the model tables are shared until StepAll below.
       next = cur->CopyForWrite();
       graph = std::make_shared<TimeSeriesGraph>(*cur->graph);
-      models.reserve(cur->models.size());
-      for (const auto& [node, live] : cur->models) {
-        PendingModel pending;
-        pending.node = node;
-        pending.model = live->model->Clone();
-        pending.creation_seconds = live->creation_seconds;
-        pending.invalid = live->invalid;
-        pending.updates_since_estimate = live->updates_since_estimate;
-        models.push_back(std::move(pending));
-      }
     }
 
     // Advance the whole graph by one period (batched inserts, Section V).
-    std::vector<double> values(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) values[i] = *batch[i];
+    advance_values_.resize(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      advance_values_[i] = *batch[i];
+    }
     pending_.erase(it);
-    F2DB_RETURN_IF_ERROR(graph->AdvanceTime(values));
+    F2DB_RETURN_IF_ERROR(
+        graph->AdvanceTime(advance_values_, &advance_column_));
     ++advances;
 
-    // Incremental maintenance: history sums and model states. The model
-    // updates are independent per model and fan out across the pool.
+    // Incremental maintenance from the period's column: history sums and
+    // model states. The model steps are independent per model and fan out
+    // across the pool.
+    const std::vector<double>& column = advance_column_;
     std::vector<double>& sums = next->history_sums.Mutable();
-    for (NodeId node = 0; node < graph->num_nodes(); ++node) {
-      const TimeSeries& series = graph->series(node);
-      sums[node] += series[series.size() - 1];
+    for (std::size_t node = 0; node < sums.size(); ++node) {
+      sums[node] += column[node];
     }
-    const auto update_one = [&](std::size_t i) {
-      PendingModel& pending = models[i];
-      const TimeSeries& series = graph->series(pending.node);
-      pending.model->Update(series[series.size() - 1]);
-      ++pending.updates_since_estimate;
-      if (options_.reestimate_after_updates > 0 &&
-          pending.updates_since_estimate >= options_.reestimate_after_updates) {
-        pending.invalid = true;  // re-estimated lazily on next query reference
-      }
-    };
-    if (ThreadPool* pool = MaintenancePool()) {
-      pool->ParallelFor(models.size(), update_one);
-    } else {
-      for (std::size_t i = 0; i < models.size(); ++i) update_one(i);
-    }
+    next->models.StepAll(
+        MaintenancePool(),
+        [&](const ForecastModel& model, NodeId node, std::span<double> state,
+            ModelRecord& record) {
+          model.StepState(state, column[node]);
+          ++record.updates_since_estimate;
+          if (options_.reestimate_after_updates > 0 &&
+              record.updates_since_estimate >=
+                  options_.reestimate_after_updates) {
+            record.invalid = true;  // re-estimated lazily on next reference
+          }
+          // Quarantine ends on data advance: the next query referencing an
+          // invalid model retries the fit against the new history.
+          record.refit_failures = 0;
+          record.quarantined = false;
+          record.last_refit_attempt_seconds = 0.0;
+        });
   }
 
   if (advances == 0) return Status::OK();
-  for (PendingModel& pending : models) {
-    auto live = std::make_shared<LiveModel>();
-    live->model = std::shared_ptr<const ForecastModel>(std::move(pending.model));
-    live->creation_seconds = pending.creation_seconds;
-    live->invalid = pending.invalid;
-    live->updates_since_estimate = pending.updates_since_estimate;
-    // Quarantine ends on data advance by construction: the fresh entries
-    // keep the default refit_failures = 0 / quarantined = false, so the
-    // next query referencing an invalid model retries the fit against the
-    // new history.
-    next->models.Set(pending.node, std::move(live));
-  }
   next->graph = std::move(graph);
   stats_.time_advances.Add(advances);
   Publish(std::move(next));
@@ -1325,7 +1296,8 @@ Status F2dbEngine::ApplyCheckpointState(CheckpointState&& state,
     }
     schemes[target] = std::move(sources);
   }
-  next->models.Clear();
+  std::vector<ModelTable::Entry> models;
+  models.reserve(state.models.size());
   for (CheckpointModel& model : state.models) {
     if (model.node >= graph->num_nodes()) {
       return Status::Internal("checkpoint model references unknown node " +
@@ -1333,15 +1305,16 @@ Status F2dbEngine::ApplyCheckpointState(CheckpointState&& state,
     }
     F2DB_ASSIGN_OR_RETURN(std::unique_ptr<ForecastModel> restored,
                           ModelFactory::DeserializeModel(model.payload));
-    auto live = std::make_shared<LiveModel>();
-    live->model = std::shared_ptr<const ForecastModel>(std::move(restored));
-    live->creation_seconds = model.creation_seconds;
-    live->invalid = model.invalid;
-    live->updates_since_estimate = model.updates_since_estimate;
-    live->refit_failures = model.refit_failures;
-    live->quarantined = model.quarantined;
-    next->models.Set(model.node, std::move(live));
+    ModelTable::Entry& entry = models.emplace_back();
+    entry.node = model.node;
+    entry.model = std::move(restored);
+    entry.record.creation_seconds = model.creation_seconds;
+    entry.record.invalid = model.invalid;
+    entry.record.updates_since_estimate = model.updates_since_estimate;
+    entry.record.refit_failures = model.refit_failures;
+    entry.record.quarantined = model.quarantined;
   }
+  next->models.Assign(std::move(models));
 
   pending_.clear();
   for (const auto& [time, slot, value] : state.pending) {
@@ -1396,26 +1369,24 @@ Status F2dbEngine::ApplyWalRecord(const WalRecord& record) {
         return Status::Internal("model install references unknown node " +
                                 std::to_string(record.node));
       }
-      auto live = std::make_shared<LiveModel>();
-      live->model = std::shared_ptr<const ForecastModel>(std::move(model));
-      live->creation_seconds = record.value;
       auto next = cur->CopyForWrite();
-      next->models.Set(record.node, std::move(live));
+      ModelRecord fresh;
+      fresh.creation_seconds = record.value;
+      next->models.Install(record.node, std::move(model), fresh);
       Publish(std::move(next));
       return Status::OK();
     }
     case WalRecord::Kind::kQuarantine: {
       std::lock_guard<std::mutex> lock(writer_mutex_);
       const SnapshotPtr cur = LoadSnapshot();
-      const ModelTable::Entry& entry = cur->models.Find(record.node);
-      // A later record may have replaced the entry the transition applied
+      const ModelView live = cur->models.Find(record.node);
+      // A later record may have replaced the model the transition applied
       // to (catalog reload); the transition is then moot.
-      if (entry == nullptr) return Status::OK();
-      auto updated = std::make_shared<LiveModel>(*entry);
-      updated->refit_failures = record.count;
-      updated->quarantined = true;
+      if (!live) return Status::OK();
       auto next = cur->CopyForWrite();
-      next->models.Set(record.node, std::move(updated));
+      ModelRecord& updated = next->models.MutableRecord(live.slot);
+      updated.refit_failures = record.count;
+      updated.quarantined = true;
       Publish(std::move(next));
       stats_.quarantines.Add();
       return Status::OK();
@@ -1449,21 +1420,17 @@ CheckpointState F2dbEngine::BuildCheckpointStateLocked(
     }
   }
   state.models.reserve(snap->models.size());
-  for (const auto& [node, live] : snap->models) {
+  for (const ModelView live : snap->models) {  // slots are in node order
     CheckpointModel model;
-    model.node = node;
-    model.invalid = live->invalid;
-    model.updates_since_estimate = live->updates_since_estimate;
-    model.refit_failures = live->refit_failures;
-    model.quarantined = live->quarantined;
-    model.creation_seconds = live->creation_seconds;
-    model.payload = ModelFactory::SerializeModel(*live->model);
+    model.node = live.node;
+    model.invalid = live.record->invalid;
+    model.updates_since_estimate = live.record->updates_since_estimate;
+    model.refit_failures = live.record->refit_failures;
+    model.quarantined = live.record->quarantined;
+    model.creation_seconds = live.record->creation_seconds;
+    model.payload = ModelFactory::SerializeModel(*live.model, live.state);
     state.models.push_back(std::move(model));
   }
-  std::sort(state.models.begin(), state.models.end(),
-            [](const CheckpointModel& a, const CheckpointModel& b) {
-              return a.node < b.node;
-            });
   for (const auto& [time, batch] : pending_) {
     for (std::size_t slot = 0; slot < batch.size(); ++slot) {
       if (batch[slot].has_value()) {
@@ -1628,7 +1595,7 @@ Status F2dbEngine::ApplySegmentState(const storage::ManifestData& manifest,
   // the rewritten records at the head of the manifest's WAL epoch.
   next->schemes = SharedTable<std::vector<NodeId>>(
       std::vector<std::vector<NodeId>>(graph->num_nodes()));
-  next->models.Clear();
+  next->models.Assign({});
   pending_.clear();
 
   // Restore the maintenance counters so post-recovery stats continue the
@@ -1703,14 +1670,13 @@ Status F2dbEngine::CompactNow() {
         F2DB_RETURN_IF_ERROR(WalAppendLocked(WalRecord::Catalog(
             CatalogFromSnapshot(*snap).SerializeToString())));
       }
-      std::vector<std::pair<NodeId, std::uint64_t>> quarantined;
-      for (const auto& [node, live] : snap->models) {
-        if (live->quarantined) quarantined.emplace_back(node, live->refit_failures);
-      }
-      std::sort(quarantined.begin(), quarantined.end());
-      for (const auto& [node, failures] : quarantined) {
-        F2DB_RETURN_IF_ERROR(
-            WalAppendLocked(WalRecord::Quarantine(node, failures)));
+      std::uint64_t quarantined = 0;
+      for (const ModelView live : snap->models) {  // in node order
+        if (live.record->quarantined) {
+          F2DB_RETURN_IF_ERROR(WalAppendLocked(
+              WalRecord::Quarantine(live.node, live.record->refit_failures)));
+          ++quarantined;
+        }
       }
       std::uint64_t pending_count = 0;
       const std::vector<NodeId>& base_nodes = snap->graph->base_nodes();
@@ -1741,7 +1707,7 @@ Status F2dbEngine::CompactNow() {
       next.inserts = stats_.inserts.Load() - pending_count;
       next.time_advances = stats_.time_advances.Load();
       next.reestimates = stats_.reestimates.Load();
-      next.quarantines = stats_.quarantines.Load() - quarantined.size();
+      next.quarantines = stats_.quarantines.Load() - quarantined;
       next.refit_failures = stats_.refit_failures.Load();
       next.records_dropped = base.records_dropped;
       next.offsets = base.offsets;

@@ -698,22 +698,22 @@ class F2dbEngine : public EngineInterface {
                                           bool want_variance, bool brownout,
                                           std::size_t depth) const;
 
-  /// Whether a refit of `live` may be attempted now (not quarantined and
-  /// outside the exponential backoff window).
-  bool RefitAllowed(const LiveModel& live) const;
+  /// Whether a refit of the model with record `live` may be attempted now
+  /// (not quarantined and outside the exponential backoff window).
+  bool RefitAllowed(const ModelRecord& live) const;
 
-  /// Publishes a re-estimated model entry unless maintenance has replaced
-  /// the entry since `expected` was read (then the refit is discarded).
-  void OfferReestimate(NodeId node,
-                       const std::shared_ptr<const LiveModel>& expected,
-                       std::shared_ptr<const LiveModel> fresh) const;
+  /// Publishes a re-estimated model (parameters and its own state) unless
+  /// the node's model has been rewritten since the refit read it at
+  /// `expected_generation` (then the refit is discarded).
+  void OfferReestimate(NodeId node, std::uint64_t expected_generation,
+                       std::shared_ptr<const ForecastModel> fresh,
+                       double creation_seconds) const;
 
   /// Records a failed re-estimation attempt copy-on-write: bumps the
-  /// entry's consecutive-failure count, stamps the attempt time, and
-  /// quarantines the node once the threshold is crossed. Identity-checked
-  /// like OfferReestimate.
-  void OfferRefitFailure(NodeId node,
-                         const std::shared_ptr<const LiveModel>& expected) const;
+  /// model's consecutive-failure count, stamps the attempt time, and
+  /// quarantines the node once the threshold is crossed. Checked against
+  /// `expected`'s generation like OfferReestimate.
+  void OfferRefitFailure(NodeId node, const ModelRecord& expected) const;
 
   /// Attributes `rows` forecast rows to the stats counter of `level`.
   void CountDegradedRows(DegradationLevel level, std::size_t rows) const;
@@ -811,7 +811,7 @@ class F2dbEngine : public EngineInterface {
   /// synchronized; invalidated by LoadConfiguration / LoadCatalog.
   mutable PlanCache plan_cache_;
 
-  /// Engine-relative clock for the refit retry backoff (LiveModel stamps
+  /// Engine-relative clock for the refit retry backoff (ModelRecord stamps
   /// last_refit_attempt_seconds against this watch).
   const StopWatch uptime_;
 
@@ -832,6 +832,10 @@ class F2dbEngine : public EngineInterface {
   /// Insert buffer: time -> per-base-slot pending values.
   std::map<std::int64_t, std::vector<std::optional<double>>> pending_;
   std::unordered_map<NodeId, std::size_t> base_slot_;
+  /// Reused by every time advance: one period's base values, and the
+  /// per-node column AdvanceTime computes from them.
+  std::vector<double> advance_values_;
+  std::vector<double> advance_column_;
 
   /// The WAL of the current epoch; nullptr for an in-memory engine.
   /// Rotated by CheckpointNow. Guarded by writer_mutex_ (mutable for the

@@ -11,25 +11,37 @@
 // (copy-on-write). Old snapshots stay alive for as long as some reader
 // still holds them.
 //
-// A successor shares everything it does not change, so publishing costs
-// O(new facts + models), not O(nodes x history):
+// A successor shares everything it does not change, so a time advance
+// costs two flat copies and one pass over a dense column, not
+// O(nodes x history) and not one object per model:
 //   - The graph structure is one immutable block every graph copy shares,
-//     and each series is a window over a shared append-only buffer (see
-//     TimeSeries). Copying the graph copies only the series handles.
+//     and once the graph has advanced every series is a row of one panel
+//     (see TimeSeries::Pack): copying the graph copies the row handles
+//     under the panel's one reference count.
 //   - `schemes` and `history_sums` are SharedTables: a successor shares
 //     them until it writes them.
-//   - `models` is a dense node-indexed slot vector of shared entries;
-//     copying it copies pointers.
+//   - `models` splits each model into parameters, state and record. The
+//     parameters are shared const ForecastModel objects, replaced only by
+//     a load, a refit or recovery. The states of all models live in one
+//     flat array, and the records (the bookkeeping below) in one plain
+//     array. An advance copies those two arrays and steps every state in
+//     place; it allocates nothing per model and copies no pointers.
+//
+// Every model record carries a generation stamp: the version of the
+// snapshot that last wrote the model's state or record. A re-estimation
+// remembers the stamp it started from and is installed only if the stamp
+// is still current, so a refit that raced an advance (which restamps every
+// model) is discarded.
 //
 // The shared-buffer invariant that makes this safe: a single writer (the
 // engine's writer mutex) builds a successor; a series append in the
-// successor claims the buffer's next slot with an atomic compare-and-swap,
-// so two copies never write the same slot and a copy that loses the claim
-// appends into a private buffer instead; and a reader never reads past its
-// own window's length, so slots appended after its snapshot was taken are
-// invisible to it even though they live in the same buffer. Publication
-// through the atomic shared_ptr orders the writer's appends before any
-// reader of the successor.
+// successor claims the row's next slot with an atomic compare-and-swap,
+// so two copies never write the same slot, and a graph whose row loses the
+// claim (or is full) regrows its whole panel instead; and a reader never
+// reads past its own window's length, so slots appended after its snapshot
+// was taken are invisible to it even though they live in the same panel.
+// Publication through the atomic shared_ptr orders the writer's appends
+// before any reader of the successor.
 
 #ifndef F2DB_ENGINE_SNAPSHOT_H_
 #define F2DB_ENGINE_SNAPSHOT_H_
@@ -37,43 +49,45 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "cube/graph.h"
 #include "ts/model.h"
 
 namespace f2db {
 
-/// One published model state. Frozen after publication: maintenance clones
-/// the model, advances the clone, and publishes a fresh entry; queries only
-/// call the const members (Forecast, ForecastVariance), which are safe to
-/// run concurrently on a shared model.
-struct LiveModel {
-  std::shared_ptr<const ForecastModel> model;
+/// Plain-data bookkeeping of one live model, published copy-on-write with
+/// the rest of the model table.
+struct ModelRecord {
   /// Wall-clock seconds spent fitting (the paper's maintenance-cost proxy).
   double creation_seconds = 0.0;
   /// Threshold invalidation: set by maintenance, resolved by the first
   /// query that re-estimates the model (lazy re-estimation). A query that
   /// sees this flag fits a fresh clone on the snapshot's history and
-  /// publishes it copy-on-write — the flagged entry itself never mutates.
+  /// publishes it copy-on-write — the flagged record itself never mutates.
   bool invalid = false;
   /// Incremental updates since the last parameter estimation.
   std::size_t updates_since_estimate = 0;
 
-  // ---- re-estimation failure bookkeeping (published copy-on-write like
-  // every other field; see "Failure semantics" in DESIGN.md) ----
+  // ---- re-estimation failure bookkeeping (see "Failure semantics" in
+  // DESIGN.md) ----
 
   /// Consecutive failed lazy re-estimation attempts since the last success
   /// or data advance.
   std::size_t refit_failures = 0;
   /// Set once refit_failures reaches the engine's quarantine threshold:
   /// queries stop retrying the fit and serve the degradation ladder until
-  /// the next data advance resets the entry.
+  /// the next data advance resets the record.
   bool quarantined = false;
   /// Engine-uptime seconds of the most recent failed refit attempt — the
   /// reference point for the retry backoff window.
   double last_refit_attempt_seconds = 0.0;
+
+  /// Version of the snapshot that last wrote this model (see above).
+  std::uint64_t generation = 0;
 };
 
 /// A node-indexed table that successive snapshots share until one of them
@@ -86,6 +100,7 @@ class SharedTable {
 
   std::size_t size() const { return rows_->size(); }
   const Row& operator[](std::size_t i) const { return (*rows_)[i]; }
+  const Row* data() const { return rows_->data(); }
   typename std::vector<Row>::const_iterator begin() const {
     return rows_->begin();
   }
@@ -105,62 +120,135 @@ class SharedTable {
   std::shared_ptr<std::vector<Row>> rows_;
 };
 
-/// The published model entries, one slot per graph node (nullptr = no
-/// model). Iteration visits the occupied slots in node order as
-/// (node, entry) pairs.
+/// One model as a snapshot holds it, borrowed from the snapshot's tables;
+/// valid while the snapshot is. A default view means "no model".
+struct ModelView {
+  std::size_t slot = 0;
+  NodeId node = 0;
+  const ForecastModel* model = nullptr;  ///< the parameters
+  std::span<const double> state;
+  const ModelRecord* record = nullptr;
+
+  explicit operator bool() const { return model != nullptr; }
+};
+
+/// The published models: parameters, flat states and records, indexed by a
+/// dense model slot (slots are in node order).
 class ModelTable {
  public:
-  using Entry = std::shared_ptr<const LiveModel>;
+  /// One model placed by Assign.
+  struct Entry {
+    NodeId node = 0;
+    std::shared_ptr<const ForecastModel> model;
+    /// The model's state; empty means the model's own.
+    std::span<const double> state;
+    ModelRecord record;
+  };
 
   ModelTable() = default;
-  explicit ModelTable(std::size_t num_nodes) : slots_(num_nodes) {}
+  /// An empty table for a graph of `num_nodes` nodes.
+  explicit ModelTable(std::size_t num_nodes);
 
-  /// The entry stored for `node`, or nullptr.
-  const Entry& Find(NodeId node) const { return slots_[node]; }
-  /// Stores (or, with nullptr, removes) the entry of `node`.
-  void Set(NodeId node, Entry entry);
-  /// Removes every entry.
-  void Clear();
+  /// Number of models.
+  std::size_t size() const { return layout_ ? layout_->nodes.size() : 0; }
+  bool empty() const { return size() == 0; }
 
-  /// Number of stored entries.
-  std::size_t size() const { return count_; }
-  bool empty() const { return count_ == 0; }
+  /// The model in `slot` (< size()).
+  ModelView At(std::size_t slot) const;
+  /// The model of `node`, or a default view.
+  ModelView Find(NodeId node) const;
 
   class const_iterator {
    public:
-    using value_type = std::pair<NodeId, const Entry&>;
+    using value_type = ModelView;
     using difference_type = std::ptrdiff_t;
     using iterator_category = std::forward_iterator_tag;
 
-    const_iterator(const std::vector<Entry>* slots, std::size_t i)
-        : slots_(slots), i_(i) {
-      SkipEmpty();
-    }
-    value_type operator*() const {
-      return {static_cast<NodeId>(i_), (*slots_)[i_]};
-    }
+    const_iterator(const ModelTable* table, std::size_t slot)
+        : table_(table), slot_(slot) {}
+    ModelView operator*() const { return table_->At(slot_); }
     const_iterator& operator++() {
-      ++i_;
-      SkipEmpty();
+      ++slot_;
       return *this;
     }
     bool operator==(const const_iterator& other) const {
-      return i_ == other.i_;
+      return slot_ == other.slot_;
     }
 
    private:
-    void SkipEmpty() {
-      while (i_ < slots_->size() && (*slots_)[i_] == nullptr) ++i_;
-    }
-    const std::vector<Entry>* slots_;
-    std::size_t i_;
+    const ModelTable* table_;
+    std::size_t slot_;
   };
-  const_iterator begin() const { return {&slots_, 0}; }
-  const_iterator end() const { return {&slots_, slots_.size()}; }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size()}; }
+
+  // ---- writer side: only the writer building an unpublished successor
+  // calls these. Every record they write gets the table's stamp.
+
+  /// Sets the generation stamp of records written from now on.
+  void set_generation(std::uint64_t generation) { generation_ = generation; }
+
+  /// Replaces every model.
+  void Assign(std::vector<Entry> entries);
+  /// Installs `model` with its own state and `record` as the model of
+  /// `node`, replacing the node's previous model if it had one.
+  void Install(NodeId node, std::shared_ptr<const ForecastModel> model,
+               ModelRecord record);
+  /// The record of `slot` for writing, stamped.
+  ModelRecord& MutableRecord(std::size_t slot);
+
+  /// The time-advance step: copies the states and records once (unless
+  /// this table already owns them), stamps every record, then calls
+  /// step(model, node, state, record) for every model with its parameters,
+  /// node and writable state and record — over `pool` when there is one
+  /// (models are independent), else in order.
+  template <typename Step>
+  void StepAll(ThreadPool* pool, Step&& step) {
+    if (empty()) return;
+    double* states = states_.Mutable().data();
+    ModelRecord* records = records_.Mutable().data();
+    const Layout& layout = *layout_;
+    const std::shared_ptr<const ForecastModel>* params = params_.data();
+    const std::uint64_t generation = generation_;
+    const std::size_t count = size();
+    const auto step_slot = [&](std::size_t slot) {
+      // The parameter objects are scattered over the heap: fetch the ones
+      // a few slots ahead while this one steps.
+      if (slot + 8 < count) {
+        const auto* ahead =
+            reinterpret_cast<const char*>(params[slot + 8].get());
+        __builtin_prefetch(ahead);
+        __builtin_prefetch(ahead + 64);
+      }
+      const std::size_t offset = layout.offsets[slot];
+      records[slot].generation = generation;
+      step(*params[slot], layout.nodes[slot],
+           std::span<double>(states + offset,
+                             layout.offsets[slot + 1] - offset),
+           records[slot]);
+    };
+    if (pool != nullptr) {
+      pool->ParallelFor(count, step_slot);
+    } else {
+      for (std::size_t slot = 0; slot < count; ++slot) step_slot(slot);
+    }
+  }
 
  private:
-  std::vector<Entry> slots_;
-  std::size_t count_ = 0;
+  /// Which nodes carry models and where their states live; replaced only
+  /// by Assign, shared by every successor otherwise.
+  struct Layout {
+    std::vector<NodeId> nodes;          ///< slot -> node
+    std::vector<std::uint32_t> slots;   ///< node -> slot or kNoSlot
+    std::vector<std::size_t> offsets;   ///< slot -> first state value
+  };
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  std::shared_ptr<const Layout> layout_;
+  SharedTable<std::shared_ptr<const ForecastModel>> params_;
+  SharedTable<double> states_;
+  SharedTable<ModelRecord> records_;
+  std::uint64_t generation_ = 0;
 };
 
 /// The complete immutable engine state at one point in time.
@@ -172,7 +260,7 @@ struct EngineSnapshot {
   /// Full-history sum per node — numerator/denominator of the derivation
   /// weight (Eq. 3), maintained incrementally on time advance.
   SharedTable<double> history_sums;
-  /// Published model state per model node.
+  /// Published models: parameters, states and records.
   ModelTable models;
   /// Monotone publication counter (diagnostics; successor snapshots have
   /// strictly larger versions).
@@ -182,13 +270,11 @@ struct EngineSnapshot {
   /// history sums (Eq. 3); 0 when the denominator vanishes.
   double Weight(const std::vector<NodeId>& sources, NodeId target) const;
 
-  /// The model entry stored for `node`, or nullptr.
-  std::shared_ptr<const LiveModel> FindModel(NodeId node) const;
-
-  /// Successor builder: shares the graph, the tables and every model entry
-  /// with this snapshot and bumps the version; it copies pointers only.
-  /// The caller replaces what changed (swap the graph, write a table
-  /// through Mutable(), reassign model entries) before publishing.
+  /// Successor builder: shares the graph and every table with this
+  /// snapshot, bumps the version and stamps model records written from now
+  /// on with it; it copies a few pointers only. The caller replaces what
+  /// changed (swap the graph, write a table through Mutable() or the model
+  /// table's writers) before publishing.
   std::shared_ptr<EngineSnapshot> CopyForWrite() const;
 };
 

@@ -10,12 +10,18 @@
 namespace f2db {
 namespace {
 
-// Maximum observations kept after RestoreState; recursions never look
-// further back than the expanded polynomial orders plus the differencing
-// window, so a bounded tail is sufficient.
+// Least number of values each state tail keeps room for.
 constexpr std::size_t kMinTail = 4;
 
 double SafeTanh(double x) { return std::tanh(x); }
+
+/// Appends `value` to a right-aligned tail block holding `count` values and
+/// returns the new count.
+double PushTail(std::span<double> block, double count, double value) {
+  std::copy(block.begin() + 1, block.end(), block.begin());
+  block.back() = value;
+  return std::min(count + 1.0, static_cast<double>(block.size()));
+}
 
 }  // namespace
 
@@ -73,8 +79,8 @@ void ArimaModel::ExpandPolynomials() {
 }
 
 std::vector<double> ArimaModel::Difference(
-    const std::vector<double>& raw) const {
-  std::vector<double> out = raw;
+    std::span<const double> raw) const {
+  std::vector<double> out(raw.begin(), raw.end());
   const std::size_t s = order_.season;
   for (std::size_t k = 0; k < order_.sd; ++k) {
     if (out.size() <= s) return {};
@@ -89,6 +95,55 @@ std::vector<double> ArimaModel::Difference(
     out = std::move(next);
   }
   return out;
+}
+
+double ArimaModel::NewestDifference(std::span<const double> tail) const {
+  // The same differences as Difference(), in place: each pass runs from
+  // the newest value down, so x[t - lag] is still the previous pass's
+  // value when x[t] reads it.
+  thread_local std::vector<double> x;
+  x.assign(tail.begin(), tail.end());
+  std::size_t begin = 0;
+  const auto pass = [&](std::size_t lag) {
+    for (std::size_t t = x.size() - 1; t >= begin + lag; --t) {
+      x[t] -= x[t - lag];
+    }
+    begin += lag;
+  };
+  for (std::size_t k = 0; k < order_.sd; ++k) pass(order_.season);
+  for (std::size_t k = 0; k < order_.d; ++k) pass(1);
+  return x.back();
+}
+
+std::size_t ArimaModel::raw_capacity() const {
+  return std::max(kMinTail,
+                  order_.d + (order_.sd + 1) * order_.season + 2);
+}
+
+std::size_t ArimaModel::z_capacity() const {
+  return std::max(kMinTail, order_.p + order_.sp * order_.season + 1);
+}
+
+std::size_t ArimaModel::error_capacity() const {
+  return std::max(kMinTail, order_.q + order_.sq * order_.season + 1);
+}
+
+void ArimaModel::SetState(std::span<const double> raw,
+                          std::span<const double> z,
+                          std::span<const double> errors) {
+  const std::size_t capacities[] = {raw_capacity(), z_capacity(),
+                                    error_capacity()};
+  const std::span<const double> tails[] = {raw, z, errors};
+  state_.assign(kTails + capacities[0] + capacities[1] + capacities[2], 0.0);
+  std::size_t end = kTails;
+  for (std::size_t i = 0; i < 3; ++i) {
+    end += capacities[i];
+    const std::size_t count = std::min(tails[i].size(), capacities[i]);
+    state_[i] = static_cast<double>(count);
+    std::copy(tails[i].end() - static_cast<std::ptrdiff_t>(count),
+              tails[i].end(),
+              state_.begin() + static_cast<std::ptrdiff_t>(end - count));
+  }
 }
 
 double ArimaModel::ConditionalSse(const std::vector<double>& z,
@@ -126,8 +181,8 @@ Status ArimaModel::Fit(const TimeSeries& history) {
   // A single NaN/Inf observation poisons the CSS recursion and every
   // forecast downstream; reject it up front instead of fitting garbage.
   F2DB_RETURN_IF_ERROR(history.ValidateFinite());
-  raw_ = history.ToVector();
-  const std::vector<double> w = Difference(raw_);
+  const std::span<const double> raw = history.values();
+  const std::vector<double> w = Difference(raw);
   const std::size_t ar_len = order_.p + order_.sp * order_.season;
   const std::size_t ma_len = order_.q + order_.sq * order_.season;
   const std::size_t min_obs = ar_len + ma_len + 5;
@@ -182,10 +237,10 @@ Status ArimaModel::Fit(const TimeSeries& history) {
     apply(best.x);
   }
 
-  const double sse = ConditionalSse(z, &errors_);
-  z_ = std::move(z);
+  std::vector<double> errors;
+  const double sse = ConditionalSse(z, &errors);
   const double n_eff =
-      static_cast<double>(z_.size() > ar_len ? z_.size() - ar_len : 1);
+      static_cast<double>(z.size() > ar_len ? z.size() - ar_len : 1);
   sigma2_ = std::max(sse / n_eff, 0.0);
   const double sigma2 = std::max(sigma2_, 1e-300);
   aic_ = n_eff * std::log(sigma2) +
@@ -193,32 +248,50 @@ Status ArimaModel::Fit(const TimeSeries& history) {
 
   // One-step in-sample fit on the original scale: y_t - e_t (differencing
   // uses past actuals, so the innovation carries over linearly).
-  fitted_values_ = raw_;
-  const std::size_t offset = raw_.size() - z_.size();
-  for (std::size_t t = 0; t < z_.size(); ++t) {
-    fitted_values_[offset + t] = raw_[offset + t] - errors_[t];
+  std::vector<double> fitted(raw.begin(), raw.end());
+  const std::size_t offset = raw.size() - z.size();
+  for (std::size_t t = 0; t < z.size(); ++t) {
+    fitted[offset + t] = raw[offset + t] - errors[t];
   }
+  fitted_values_ =
+      std::make_shared<const std::vector<double>>(std::move(fitted));
 
+  SetState(raw, z, errors);
   fitted_ = true;
   return Status::OK();
 }
 
-std::vector<double> ArimaModel::Forecast(std::size_t horizon) const {
+void ArimaModel::ForecastInto(std::span<const double> state,
+                              std::size_t horizon,
+                              std::vector<double>* out) const {
   assert(fitted_);
   const std::size_t ar_len = expanded_ar_.size();
   const std::size_t ma_len = expanded_ma_.size();
-  const std::size_t n = z_.size();
+  const std::size_t raw_cap = raw_capacity();
+  const std::size_t z_cap = z_capacity();
+  const auto raw_count = static_cast<std::size_t>(state[kRawCount]);
+  const auto n = static_cast<std::size_t>(state[kZCount]);
+  const auto e_count = static_cast<std::size_t>(state[kErrorCount]);
+  const std::span<const double> raw =
+      state.subspan(kTails + raw_cap - raw_count, raw_count);
+  const std::span<const double> z =
+      state.subspan(kTails + raw_cap + z_cap - n, n);
+  const std::span<const double> errors = state.last(e_count);
 
-  // Forecast the demeaned differenced series.
+  // Forecast the demeaned differenced series. Time t indexes the z tail;
+  // the innovation tail ends at the same time.
   std::vector<double> future_z(horizon, 0.0);
   auto z_at = [&](std::ptrdiff_t t) -> double {
     if (t < 0) return 0.0;
-    if (t < static_cast<std::ptrdiff_t>(n)) return z_[static_cast<std::size_t>(t)];
+    if (t < static_cast<std::ptrdiff_t>(n)) {
+      return z[static_cast<std::size_t>(t)];
+    }
     return future_z[static_cast<std::size_t>(t) - n];
   };
   auto e_at = [&](std::ptrdiff_t t) -> double {
     if (t < 0 || t >= static_cast<std::ptrdiff_t>(n)) return 0.0;
-    return errors_[static_cast<std::size_t>(t)];
+    const std::size_t back = n - static_cast<std::size_t>(t);
+    return back <= e_count ? errors[e_count - back] : 0.0;
   };
   for (std::size_t h = 0; h < horizon; ++h) {
     const std::ptrdiff_t t = static_cast<std::ptrdiff_t>(n + h);
@@ -240,7 +313,7 @@ std::vector<double> ArimaModel::Forecast(std::size_t horizon) const {
   // v = Delta_s^D y (after removing the d regular differences).
   // Build the "v tails" for each regular-integration level.
   const std::size_t s = order_.season;
-  std::vector<double> v_full = raw_;
+  std::vector<double> v_full(raw.begin(), raw.end());
   for (std::size_t k = 0; k < order_.sd; ++k) {
     std::vector<double> next(v_full.size() > s ? v_full.size() - s : 0);
     for (std::size_t t = s; t < v_full.size(); ++t) {
@@ -272,9 +345,9 @@ std::vector<double> ArimaModel::Forecast(std::size_t horizon) const {
   // Integrate the D seasonal differences. Reconstruct per level of
   // seasonal integration, starting from v forecasts up to raw y.
   std::vector<std::vector<double>> season_levels;  // level 0 = raw y
-  season_levels.push_back(raw_);
+  season_levels.emplace_back(raw.begin(), raw.end());
   {
-    std::vector<double> tmp = raw_;
+    std::vector<double> tmp(raw.begin(), raw.end());
     for (std::size_t k = 0; k < order_.sd; ++k) {
       std::vector<double> next(tmp.size() > s ? tmp.size() - s : 0);
       for (std::size_t t = s; t < tmp.size(); ++t) next[t - s] = tmp[t] - tmp[t - s];
@@ -302,45 +375,50 @@ std::vector<double> ArimaModel::Forecast(std::size_t horizon) const {
     }
     current = std::move(integrated);
   }
-  return current;
+  *out = std::move(current);
 }
 
-void ArimaModel::Update(double value) {
-  raw_.push_back(value);
+void ArimaModel::StepState(std::span<double> state, double value) const {
+  const std::size_t raw_cap = raw_capacity();
+  const std::size_t z_cap = z_capacity();
+  const std::span<double> raw = state.subspan(kTails, raw_cap);
+  const std::span<double> z = state.subspan(kTails + raw_cap, z_cap);
+  const std::span<double> errors = state.subspan(kTails + raw_cap + z_cap);
+  state[kRawCount] = PushTail(raw, state[kRawCount], value);
   // New differenced value needs the last d + D*s raw observations.
   const std::size_t s = order_.season;
   const std::size_t need = order_.d + order_.sd * s + 1;
-  if (raw_.size() < need) {
+  const auto raw_count = static_cast<std::size_t>(state[kRawCount]);
+  if (raw_count < need) {
     return;  // not enough history yet to form a differenced value
   }
   // Compute the newest w by differencing the tail.
-  std::vector<double> tail(raw_.end() - static_cast<std::ptrdiff_t>(
-                                            std::min(raw_.size(), need + s)),
-                           raw_.end());
-  const std::vector<double> w_tail = Difference(tail);
-  if (w_tail.empty()) return;
-  const double z_new = w_tail.back() - mu_;
+  const double z_new =
+      NewestDifference(raw.last(std::min(raw_count, need + s))) - mu_;
 
   // New innovation from the recursion.
   const std::size_t ar_len = expanded_ar_.size();
   const std::size_t ma_len = expanded_ma_.size();
-  const std::size_t t = z_.size();
+  const auto z_count = static_cast<std::size_t>(state[kZCount]);
+  const auto e_count = static_cast<std::size_t>(state[kErrorCount]);
   double pred = 0.0;
-  for (std::size_t i = 1; i <= ar_len && i <= t; ++i) {
-    pred += expanded_ar_[i - 1] * z_[t - i];
+  for (std::size_t i = 1; i <= ar_len && i <= z_count; ++i) {
+    pred += expanded_ar_[i - 1] * z[z_cap - i];
   }
-  for (std::size_t j = 1; j <= ma_len && j <= t; ++j) {
-    pred += expanded_ma_[j - 1] * errors_[t - j];
+  for (std::size_t j = 1; j <= ma_len && j <= e_count; ++j) {
+    pred += expanded_ma_[j - 1] * errors[errors.size() - j];
   }
-  z_.push_back(z_new);
-  errors_.push_back(z_new - pred);
+  state[kZCount] = PushTail(z, state[kZCount], z_new);
+  state[kErrorCount] = PushTail(errors, state[kErrorCount], z_new - pred);
 }
 
 std::unique_ptr<ForecastModel> ArimaModel::Clone() const {
   return std::make_unique<ArimaModel>(*this);
 }
 
-std::vector<double> ArimaModel::ForecastVariance(std::size_t horizon) const {
+std::vector<double> ArimaModel::ForecastVariance(std::span<const double> state,
+                                                 std::size_t horizon) const {
+  (void)state;
   // Psi-weight recursion on the full (integrated) AR polynomial:
   //   Phi(B) = A(B) * (1-B)^d * (1-B^s)^D, with A(B) the expanded
   //   stationary AR polynomial. Then
@@ -390,7 +468,7 @@ std::vector<double> ArimaModel::parameters() const {
   return out;
 }
 
-std::vector<double> ArimaModel::SaveState() const {
+std::vector<double> ArimaModel::SaveState(std::span<const double> state) const {
   std::vector<double> out;
   out.push_back(static_cast<double>(order_.p));
   out.push_back(static_cast<double>(order_.d));
@@ -405,24 +483,18 @@ std::vector<double> ArimaModel::SaveState() const {
   for (const auto* group : {&phi_, &theta_, &seasonal_phi_, &seasonal_theta_}) {
     out.insert(out.end(), group->begin(), group->end());
   }
-  // Bounded tails are sufficient for Forecast and Update.
-  const std::size_t s = order_.season;
-  const std::size_t raw_tail =
-      std::min(raw_.size(),
-               std::max(kMinTail, order_.d + (order_.sd + 1) * s + 2));
-  const std::size_t z_tail =
-      std::min(z_.size(), std::max(kMinTail, expanded_ar_.size() + 1));
-  const std::size_t e_tail =
-      std::min(errors_.size(), std::max(kMinTail, expanded_ma_.size() + 1));
-  out.push_back(static_cast<double>(raw_tail));
-  out.push_back(static_cast<double>(z_tail));
-  out.push_back(static_cast<double>(e_tail));
-  out.insert(out.end(), raw_.end() - static_cast<std::ptrdiff_t>(raw_tail),
-             raw_.end());
-  out.insert(out.end(), z_.end() - static_cast<std::ptrdiff_t>(z_tail),
-             z_.end());
-  out.insert(out.end(), errors_.end() - static_cast<std::ptrdiff_t>(e_tail),
-             errors_.end());
+  // The tail counts, then the valid part of each tail.
+  out.insert(out.end(), state.begin(), state.begin() + kTails);
+  const std::size_t capacities[] = {raw_capacity(), z_capacity(),
+                                    error_capacity()};
+  std::size_t end = kTails;
+  for (std::size_t i = 0; i < 3; ++i) {
+    end += capacities[i];
+    const auto count = static_cast<std::size_t>(state[i]);
+    out.insert(out.end(),
+               state.begin() + static_cast<std::ptrdiff_t>(end - count),
+               state.begin() + static_cast<std::ptrdiff_t>(end));
+  }
   return out;
 }
 
@@ -460,11 +532,12 @@ Status ArimaModel::RestoreState(const std::vector<double>& state) {
   const std::size_t raw_tail = static_cast<std::size_t>(state[idx++]);
   const std::size_t z_tail = static_cast<std::size_t>(state[idx++]);
   const std::size_t e_tail = static_cast<std::size_t>(state[idx++]);
-  F2DB_ASSIGN_OR_RETURN(raw_, take(raw_tail));
-  F2DB_ASSIGN_OR_RETURN(z_, take(z_tail));
-  F2DB_ASSIGN_OR_RETURN(errors_, take(e_tail));
+  F2DB_ASSIGN_OR_RETURN(const std::vector<double> raw, take(raw_tail));
+  F2DB_ASSIGN_OR_RETURN(const std::vector<double> z, take(z_tail));
+  F2DB_ASSIGN_OR_RETURN(const std::vector<double> errors, take(e_tail));
   if (idx != state.size()) return Status::InvalidArgument("ARIMA: extra state");
-  fitted_values_.clear();
+  SetState(raw, z, errors);
+  fitted_values_.reset();
   fitted_ = true;
   return Status::OK();
 }

@@ -12,6 +12,7 @@
 #define F2DB_TS_ARIMA_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -48,9 +49,17 @@ class ArimaModel final : public ForecastModel {
  public:
   explicit ArimaModel(ArimaOrder order);
 
+  using ForecastModel::ForecastInto;
+  using ForecastModel::ForecastVariance;
+  using ForecastModel::SaveState;
+
   Status Fit(const TimeSeries& history) override;
-  std::vector<double> Forecast(std::size_t horizon) const override;
-  void Update(double value) override;
+  void StepState(std::span<double> state, double value) const override;
+  void ForecastInto(std::span<const double> state, std::size_t horizon,
+                    std::vector<double>* out) const override;
+  std::vector<double> ForecastVariance(std::span<const double> state,
+                                       std::size_t horizon) const override;
+  std::vector<double> SaveState(std::span<const double> state) const override;
   std::unique_ptr<ForecastModel> Clone() const override;
   ModelType type() const override { return ModelType::kArima; }
   std::size_t num_parameters() const override {
@@ -58,10 +67,10 @@ class ArimaModel final : public ForecastModel {
   }
   std::vector<double> parameters() const override;
   bool is_fitted() const override { return fitted_; }
-  std::vector<double> SaveState() const override;
   Status RestoreState(const std::vector<double>& state) override;
-  std::vector<double> FittedValues() const override { return fitted_values_; }
-  std::vector<double> ForecastVariance(std::size_t horizon) const override;
+  std::vector<double> FittedValues() const override {
+    return fitted_values_ ? *fitted_values_ : std::vector<double>{};
+  }
   double residual_variance() const override { return sigma2_; }
 
   const ArimaOrder& order() const { return order_; }
@@ -76,11 +85,35 @@ class ArimaModel final : public ForecastModel {
   double aic() const { return aic_; }
 
  private:
+  // The state holds bounded tails of the recent raw values, the demeaned
+  // differenced values and the innovations: the recursions never look
+  // further back than the expanded polynomial orders plus the differencing
+  // window. Layout: [raw_count, z_count, e_count, raw x R, z x Z, e x E];
+  // each block is right-aligned (its newest value is last) and holds its
+  // `count` newest values, count <= capacity. SaveState writes exactly the
+  // valid part of each block.
+  static constexpr std::size_t kRawCount = 0;
+  static constexpr std::size_t kZCount = 1;
+  static constexpr std::size_t kErrorCount = 2;
+  static constexpr std::size_t kTails = 3;
+
+  /// Tail capacities R, Z and E, fixed by the orders.
+  std::size_t raw_capacity() const;
+  std::size_t z_capacity() const;
+  std::size_t error_capacity() const;
+
+  /// Lays the newest values of `raw`, `z` and `errors` out as the state.
+  void SetState(std::span<const double> raw, std::span<const double> z,
+                std::span<const double> errors);
+
   /// Rebuilds the expanded AR/MA polynomials from the coefficient groups.
   void ExpandPolynomials();
 
   /// Applies d regular and D seasonal differences to `raw`.
-  std::vector<double> Difference(const std::vector<double>& raw) const;
+  std::vector<double> Difference(std::span<const double> raw) const;
+
+  /// The newest value of Difference(tail), computed in a reused buffer.
+  double NewestDifference(std::span<const double> tail) const;
 
   /// Computes innovations over a demeaned differenced series.
   /// Returns the conditional sum of squares; fills `errors` when non-null.
@@ -94,13 +127,8 @@ class ArimaModel final : public ForecastModel {
   std::vector<double> expanded_ar_, expanded_ma_;  ///< Multiplied polynomials.
   double aic_ = 0.0;
   double sigma2_ = 0.0;  ///< CSS innovation variance.
-
-  // State advanced by Update(): recent raw values, demeaned differenced
-  // values, and innovations. Bounded lags only are ever read.
-  std::vector<double> raw_;
-  std::vector<double> z_;
-  std::vector<double> errors_;
-  std::vector<double> fitted_values_;
+  /// In-sample one-step forecasts of the last Fit, shared between clones.
+  std::shared_ptr<const std::vector<double>> fitted_values_;
 };
 
 }  // namespace f2db

@@ -84,8 +84,8 @@ std::vector<double> ExponentialSmoothingModel::parameters() const {
   return out;
 }
 
-Status ExponentialSmoothingModel::InitializeState(const TimeSeries& history,
-                                                  State& state) const {
+Status ExponentialSmoothingModel::InitializeState(
+    const TimeSeries& history, std::vector<double>& state) const {
   const std::size_t n = history.size();
   const std::size_t m = spec_.seasonal ? spec_.period : 1;
   if (spec_.seasonal && m < 2) {
@@ -99,32 +99,33 @@ Status ExponentialSmoothingModel::InitializeState(const TimeSeries& history,
   }
 
   if (!spec_.seasonal) {
-    state.level = history[0];
-    state.trend = spec_.trend && n >= 2 ? history[1] - history[0] : 0.0;
-    state.seasonal.clear();
+    state.assign(kSeasonal, 0.0);
+    state[kLevel] = history[0];
+    state[kTrend] = spec_.trend && n >= 2 ? history[1] - history[0] : 0.0;
     return Status::OK();
   }
 
   // Classical initialization: level = mean of the first season; trend =
   // difference of the first two season means (or overall slope when only
   // one full season is available); seasonal indices averaged per position.
+  state.assign(kSeasonal + m, spec_.multiplicative ? 1.0 : 0.0);
+  const std::span<double> seasonal(state.data() + kSeasonal, m);
   double season1 = 0.0;
   for (std::size_t i = 0; i < m; ++i) season1 += history[i];
   season1 /= static_cast<double>(m);
-  state.level = season1;
+  state[kLevel] = season1;
 
   if (n >= 2 * m) {
     double season2 = 0.0;
     for (std::size_t i = m; i < 2 * m; ++i) season2 += history[i];
     season2 /= static_cast<double>(m);
-    state.trend = (season2 - season1) / static_cast<double>(m);
+    state[kTrend] = (season2 - season1) / static_cast<double>(m);
   } else {
-    state.trend =
+    state[kTrend] =
         (history[n - 1] - history[0]) / static_cast<double>(n - 1);
   }
-  if (!spec_.trend) state.trend = 0.0;
+  if (!spec_.trend) state[kTrend] = 0.0;
 
-  state.seasonal.assign(m, spec_.multiplicative ? 1.0 : 0.0);
   std::vector<std::size_t> counts(m, 0);
   const std::size_t full_seasons = n / m;
   for (std::size_t k = 0; k < full_seasons; ++k) {
@@ -136,35 +137,35 @@ Status ExponentialSmoothingModel::InitializeState(const TimeSeries& history,
       const double y = history[k * m + j];
       const double idx =
           spec_.multiplicative ? y / season_mean : y - season_mean;
-      state.seasonal[j] += idx;
+      seasonal[j] += idx;
       ++counts[j];
     }
   }
   for (std::size_t j = 0; j < m; ++j) {
     if (counts[j] > 0) {
-      state.seasonal[j] /= static_cast<double>(counts[j]);
+      seasonal[j] /= static_cast<double>(counts[j]);
       if (spec_.multiplicative) {
         // Remove the initial 1.0 contribution from assign().
-        state.seasonal[j] -= 1.0 / static_cast<double>(counts[j]);
+        seasonal[j] -= 1.0 / static_cast<double>(counts[j]);
       }
     }
   }
   // Normalize seasonal indices (sum 0 for additive, mean 1 for mult.).
   double total = 0.0;
-  for (double s : state.seasonal) total += s;
+  for (double s : seasonal) total += s;
   if (spec_.multiplicative) {
     const double mean = total / static_cast<double>(m);
     if (std::abs(mean) > 1e-12) {
-      for (double& s : state.seasonal) s /= mean;
+      for (double& s : seasonal) s /= mean;
     }
   } else {
     const double mean = total / static_cast<double>(m);
-    for (double& s : state.seasonal) s -= mean;
+    for (double& s : seasonal) s -= mean;
   }
   return Status::OK();
 }
 
-double ExponentialSmoothingModel::PointForecast(const State& state,
+double ExponentialSmoothingModel::PointForecast(std::span<const double> state,
                                                 std::size_t k) const {
   // k >= 1 steps ahead of the current state.
   double trend_sum = 0.0;
@@ -179,47 +180,47 @@ double ExponentialSmoothingModel::PointForecast(const State& state,
       trend_sum = static_cast<double>(k);
     }
   }
-  const double base = state.level + trend_sum * state.trend;
+  const double base = state[kLevel] + trend_sum * state[kTrend];
   if (!spec_.seasonal) return base;
-  const double s = state.seasonal[(k - 1) % state.seasonal.size()];
+  const double s = state[kSeasonal + (k - 1) % season_length()];
   return spec_.multiplicative ? base * s : base + s;
 }
 
-double ExponentialSmoothingModel::Step(State& state, double y, double alpha,
-                                       double beta, double gamma,
+double ExponentialSmoothingModel::Step(std::span<double> state, double y,
+                                       double alpha, double beta, double gamma,
                                        double phi) const {
-  const double damped_trend = spec_.damped ? phi * state.trend : state.trend;
+  double& level = state[kLevel];
+  double& trend = state[kTrend];
+  const double damped_trend = spec_.damped ? phi * trend : trend;
   double prediction;
   if (spec_.seasonal) {
-    const double s0 = state.seasonal.front();
-    const double base = state.level + (spec_.trend ? damped_trend : 0.0);
+    double* seasonal = state.data() + kSeasonal;
+    const std::size_t m = season_length();
+    const double s0 = seasonal[0];
+    const double base = level + (spec_.trend ? damped_trend : 0.0);
     prediction = spec_.multiplicative ? base * s0 : base + s0;
 
     const double deseasonalized =
         spec_.multiplicative ? (std::abs(s0) > 1e-12 ? y / s0 : y) : y - s0;
-    const double prev_level = state.level;
-    state.level = alpha * deseasonalized +
-                  (1.0 - alpha) * (prev_level + (spec_.trend ? damped_trend : 0.0));
+    const double prev_level = level;
+    level = alpha * deseasonalized +
+            (1.0 - alpha) * (prev_level + (spec_.trend ? damped_trend : 0.0));
     if (spec_.trend) {
-      state.trend =
-          beta * (state.level - prev_level) + (1.0 - beta) * damped_trend;
+      trend = beta * (level - prev_level) + (1.0 - beta) * damped_trend;
     }
     const double detrended = spec_.multiplicative
-                                 ? (std::abs(state.level) > 1e-12
-                                        ? y / state.level
-                                        : s0)
-                                 : y - state.level;
+                                 ? (std::abs(level) > 1e-12 ? y / level : s0)
+                                 : y - level;
     const double new_seasonal = gamma * detrended + (1.0 - gamma) * s0;
-    state.seasonal.erase(state.seasonal.begin());
-    state.seasonal.push_back(new_seasonal);
+    std::copy(seasonal + 1, seasonal + m, seasonal);
+    seasonal[m - 1] = new_seasonal;
   } else {
-    const double base = state.level + (spec_.trend ? damped_trend : 0.0);
+    const double base = level + (spec_.trend ? damped_trend : 0.0);
     prediction = base;
-    const double prev_level = state.level;
-    state.level = alpha * y + (1.0 - alpha) * base;
+    const double prev_level = level;
+    level = alpha * y + (1.0 - alpha) * base;
     if (spec_.trend) {
-      state.trend =
-          beta * (state.level - prev_level) + (1.0 - beta) * damped_trend;
+      trend = beta * (level - prev_level) + (1.0 - beta) * damped_trend;
     }
   }
   return prediction;
@@ -227,12 +228,14 @@ double ExponentialSmoothingModel::Step(State& state, double y, double alpha,
 
 Status ExponentialSmoothingModel::Fit(const TimeSeries& history) {
   F2DB_INJECT_FAILPOINT(kFailpointEtsFit);
-  State init;
+  std::vector<double> init;
   F2DB_RETURN_IF_ERROR(InitializeState(history, init));
 
-  // One-step-ahead SSE of a full pass over the history.
+  // One-step-ahead SSE of a full pass over the history; every pass restarts
+  // from `init` in one reused buffer.
+  std::vector<double> state(init.size());
   auto sse_for = [&](double alpha, double beta, double gamma, double phi) {
-    State state = init;
+    std::copy(init.begin(), init.end(), state.begin());
     double sse = 0.0;
     for (std::size_t t = 0; t < history.size(); ++t) {
       const double pred = Step(state, history[t], alpha, beta, gamma, phi);
@@ -316,7 +319,7 @@ Status ExponentialSmoothingModel::Fit(const TimeSeries& history) {
   if (!spec_.damped) phi_ = 1.0;
 
   // Final pass: record fitted values and the end-of-history state.
-  state_ = init;
+  state_ = std::move(init);
   std::vector<double> fitted;
   fitted.reserve(history.size());
   double sse_final = 0.0;
@@ -333,25 +336,20 @@ Status ExponentialSmoothingModel::Fit(const TimeSeries& history) {
   return Status::OK();
 }
 
-std::vector<double> ExponentialSmoothingModel::Forecast(
-    std::size_t horizon) const {
-  std::vector<double> out(horizon);
-  ForecastInto(horizon, &out);
-  return out;
-}
-
-void ExponentialSmoothingModel::ForecastInto(std::size_t horizon,
+void ExponentialSmoothingModel::ForecastInto(std::span<const double> state,
+                                             std::size_t horizon,
                                              std::vector<double>* out) const {
   assert(fitted_);
   out->clear();
   out->resize(horizon);
   for (std::size_t h = 0; h < horizon; ++h) {
-    (*out)[h] = PointForecast(state_, h + 1);
+    (*out)[h] = PointForecast(state, h + 1);
   }
 }
 
-void ExponentialSmoothingModel::Update(double value) {
-  Step(state_, value, alpha_, beta_, gamma_, phi_);
+void ExponentialSmoothingModel::StepState(std::span<double> state,
+                                          double value) const {
+  Step(state, value, alpha_, beta_, gamma_, phi_);
 }
 
 std::unique_ptr<ForecastModel> ExponentialSmoothingModel::Clone() const {
@@ -359,7 +357,8 @@ std::unique_ptr<ForecastModel> ExponentialSmoothingModel::Clone() const {
 }
 
 std::vector<double> ExponentialSmoothingModel::ForecastVariance(
-    std::size_t horizon) const {
+    std::span<const double> state, std::size_t horizon) const {
+  (void)state;
   // Class-1 ETS forecast variance (Hyndman et al. 2008, Table 6.2):
   //   var_h = sigma2 * (1 + sum_{j=1}^{h-1} c_j^2)
   // with c_j = alpha (1 + beta* S_j) + gamma (1 - alpha) [j mod m == 0],
@@ -392,7 +391,8 @@ std::vector<double> ExponentialSmoothingModel::ForecastVariance(
   return out;
 }
 
-std::vector<double> ExponentialSmoothingModel::SaveState() const {
+std::vector<double> ExponentialSmoothingModel::SaveState(
+    std::span<const double> state) const {
   std::vector<double> out;
   out.push_back(spec_.trend ? 1.0 : 0.0);
   out.push_back(spec_.damped ? 1.0 : 0.0);
@@ -404,9 +404,7 @@ std::vector<double> ExponentialSmoothingModel::SaveState() const {
   out.push_back(gamma_);
   out.push_back(phi_);
   out.push_back(sigma2_);
-  out.push_back(state_.level);
-  out.push_back(state_.trend);
-  out.insert(out.end(), state_.seasonal.begin(), state_.seasonal.end());
+  out.insert(out.end(), state.begin(), state.end());
   return out;
 }
 
@@ -429,9 +427,7 @@ Status ExponentialSmoothingModel::RestoreState(
   gamma_ = state[7];
   phi_ = state[8];
   sigma2_ = state[9];
-  state_.level = state[10];
-  state_.trend = state[11];
-  state_.seasonal.assign(state.begin() + 12, state.end());
+  state_.assign(state.begin() + 10, state.end());
   fitted_ = true;
   return Status::OK();
 }

@@ -59,22 +59,26 @@ class ExponentialSmoothingModel final : public ForecastModel {
   static std::unique_ptr<ExponentialSmoothingModel> HoltWintersMultiplicative(
       std::size_t period);
 
+  using ForecastModel::ForecastInto;
+  using ForecastModel::ForecastVariance;
+  using ForecastModel::SaveState;
+
   Status Fit(const TimeSeries& history) override;
-  std::vector<double> Forecast(std::size_t horizon) const override;
-  void ForecastInto(std::size_t horizon,
+  void StepState(std::span<double> state, double value) const override;
+  void ForecastInto(std::span<const double> state, std::size_t horizon,
                     std::vector<double>* out) const override;
-  void Update(double value) override;
+  std::vector<double> ForecastVariance(std::span<const double> state,
+                                       std::size_t horizon) const override;
+  std::vector<double> SaveState(std::span<const double> state) const override;
   std::unique_ptr<ForecastModel> Clone() const override;
   ModelType type() const override;
   std::size_t num_parameters() const override;
   std::vector<double> parameters() const override;
   bool is_fitted() const override { return fitted_; }
-  std::vector<double> SaveState() const override;
   Status RestoreState(const std::vector<double>& state) override;
   std::vector<double> FittedValues() const override {
     return fitted_values_ ? *fitted_values_ : std::vector<double>{};
   }
-  std::vector<double> ForecastVariance(std::size_t horizon) const override;
   double residual_variance() const override { return sigma2_; }
 
   const EtsSpec& spec() const { return spec_; }
@@ -86,30 +90,35 @@ class ExponentialSmoothingModel final : public ForecastModel {
   double phi() const { return phi_; }
 
  private:
-  /// Mutable smoothing state advanced one observation at a time.
-  struct State {
-    double level = 0.0;
-    double trend = 0.0;
-    /// seasonal[0] applies to the next observation; rotated on update.
-    std::vector<double> seasonal;
-  };
+  // The state is [level, trend, seasonal x m] with m = period when
+  // seasonal, else 0; seasonal[0] applies to the next observation and the
+  // indices rotate by one on every step.
+  static constexpr std::size_t kLevel = 0;
+  static constexpr std::size_t kTrend = 1;
+  static constexpr std::size_t kSeasonal = 2;
 
-  /// Initializes level/trend/seasonal from the first observations.
-  Status InitializeState(const TimeSeries& history, State& state) const;
+  /// Number of seasonal slots in the state.
+  std::size_t season_length() const {
+    return spec_.seasonal ? spec_.period : 0;
+  }
+
+  /// Initializes level/trend/seasonal from the first observations into
+  /// `state` (resized to the state layout).
+  Status InitializeState(const TimeSeries& history,
+                         std::vector<double>& state) const;
 
   /// Advances `state` by observation y under the given parameters and
   /// returns the one-step-ahead forecast made before seeing y.
-  double Step(State& state, double y, double alpha, double beta, double gamma,
-              double phi) const;
+  double Step(std::span<double> state, double y, double alpha, double beta,
+              double gamma, double phi) const;
 
   /// One-step forecast implied by the current state (k steps ahead).
-  double PointForecast(const State& state, std::size_t k) const;
+  double PointForecast(std::span<const double> state, std::size_t k) const;
 
   EtsSpec spec_;
   EtsOptimizer optimizer_;
   bool fitted_ = false;
   double alpha_ = 0.3, beta_ = 0.1, gamma_ = 0.1, phi_ = 0.98;
-  State state_;
   /// In-sample one-step forecasts of the last Fit. Immutable once fitted
   /// and shared between clones, so Clone copies no history.
   std::shared_ptr<const std::vector<double>> fitted_values_;

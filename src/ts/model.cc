@@ -1,6 +1,19 @@
 #include "ts/model.h"
 
+#include <algorithm>
+
 namespace f2db {
+
+void ForecastModel::CopyState(std::span<double> out) const {
+  std::copy(state_.begin(), state_.end(), out.begin());
+}
+
+std::vector<double> ForecastModel::Forecast(std::span<const double> state,
+                                            std::size_t horizon) const {
+  std::vector<double> out;
+  ForecastInto(state, horizon, &out);
+  return out;
+}
 
 const char* ModelTypeName(ModelType type) {
   switch (type) {

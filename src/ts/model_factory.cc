@@ -77,11 +77,12 @@ Result<std::unique_ptr<ForecastModel>> ModelFactory::CreateAndFit(
   return model;
 }
 
-std::string ModelFactory::SerializeModel(const ForecastModel& model) {
+std::string ModelFactory::SerializeModel(const ForecastModel& model,
+                                        std::span<const double> state) {
   std::ostringstream out;
   out.precision(17);
   out << ModelTypeName(model.type());
-  for (double v : model.SaveState()) out << ";" << v;
+  for (double v : model.SaveState(state)) out << ";" << v;
   return out.str();
 }
 

@@ -82,7 +82,13 @@ class ModelFactory {
 
   /// Serializes a fitted model to a single-line string for the engine's
   /// model table.
-  static std::string SerializeModel(const ForecastModel& model);
+  static std::string SerializeModel(const ForecastModel& model) {
+    return SerializeModel(model, model.state());
+  }
+  /// Serializes a model's parameters with an external `state`, exactly as
+  /// a model holding that state would serialize.
+  static std::string SerializeModel(const ForecastModel& model,
+                                    std::span<const double> state);
 
   /// Restores a model serialized with SerializeModel.
   static Result<std::unique_ptr<ForecastModel>> DeserializeModel(

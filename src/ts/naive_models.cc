@@ -11,48 +11,45 @@ namespace f2db {
 
 Status MeanModel::Fit(const TimeSeries& history) {
   if (history.empty()) return Status::InvalidArgument("MeanModel: empty series");
-  mean_ = history.Mean();
-  count_ = static_cast<double>(history.size());
+  state_ = {history.Mean(), static_cast<double>(history.size())};
   sigma2_ = Variance(history.ToVector());
   fitted_ = true;
   return Status::OK();
 }
 
-std::vector<double> MeanModel::Forecast(std::size_t horizon) const {
-  return std::vector<double>(horizon, mean_);
+void MeanModel::StepState(std::span<double> state, double value) const {
+  state[1] += 1.0;
+  state[0] += (value - state[0]) / state[1];
 }
 
-void MeanModel::ForecastInto(std::size_t horizon,
+void MeanModel::ForecastInto(std::span<const double> state,
+                             std::size_t horizon,
                              std::vector<double>* out) const {
   out->clear();
-  out->resize(horizon, mean_);
-}
-
-void MeanModel::Update(double value) {
-  count_ += 1.0;
-  mean_ += (value - mean_) / count_;
+  out->resize(horizon, state[0]);
 }
 
 std::unique_ptr<ForecastModel> MeanModel::Clone() const {
   return std::make_unique<MeanModel>(*this);
 }
 
-std::vector<double> MeanModel::SaveState() const {
-  return {mean_, count_, sigma2_};
+std::vector<double> MeanModel::SaveState(std::span<const double> state) const {
+  return {state[0], state[1], sigma2_};
 }
 
 Status MeanModel::RestoreState(const std::vector<double>& state) {
   if (state.size() != 3) return Status::InvalidArgument("MeanModel: bad state");
-  mean_ = state[0];
-  count_ = state[1];
+  state_ = {state[0], state[1]};
   sigma2_ = state[2];
   fitted_ = true;
   return Status::OK();
 }
 
-std::vector<double> MeanModel::ForecastVariance(std::size_t horizon) const {
+std::vector<double> MeanModel::ForecastVariance(std::span<const double> state,
+                                                std::size_t horizon) const {
   // Forecast = sample mean: var = sigma2 * (1 + 1/n) at every horizon.
-  const double v = sigma2_ * (1.0 + (count_ > 0 ? 1.0 / count_ : 0.0));
+  const double count = state[1];
+  const double v = sigma2_ * (1.0 + (count > 0 ? 1.0 / count : 0.0));
   return std::vector<double>(horizon, v);
 }
 
@@ -60,7 +57,7 @@ std::vector<double> MeanModel::ForecastVariance(std::size_t horizon) const {
 
 Status NaiveModel::Fit(const TimeSeries& history) {
   if (history.empty()) return Status::InvalidArgument("NaiveModel: empty series");
-  last_ = history[history.size() - 1];
+  state_ = {history[history.size() - 1]};
   std::vector<double> diffs;
   diffs.reserve(history.size());
   for (std::size_t i = 1; i < history.size(); ++i) {
@@ -73,35 +70,36 @@ Status NaiveModel::Fit(const TimeSeries& history) {
   return Status::OK();
 }
 
-std::vector<double> NaiveModel::Forecast(std::size_t horizon) const {
-  return std::vector<double>(horizon, last_);
+void NaiveModel::StepState(std::span<double> state, double value) const {
+  state[0] = value;
 }
 
-void NaiveModel::ForecastInto(std::size_t horizon,
+void NaiveModel::ForecastInto(std::span<const double> state,
+                              std::size_t horizon,
                               std::vector<double>* out) const {
   out->clear();
-  out->resize(horizon, last_);
+  out->resize(horizon, state[0]);
 }
-
-void NaiveModel::Update(double value) { last_ = value; }
 
 std::unique_ptr<ForecastModel> NaiveModel::Clone() const {
   return std::make_unique<NaiveModel>(*this);
 }
 
-std::vector<double> NaiveModel::SaveState() const {
-  return {last_, sigma2_};
+std::vector<double> NaiveModel::SaveState(std::span<const double> state) const {
+  return {state[0], sigma2_};
 }
 
 Status NaiveModel::RestoreState(const std::vector<double>& state) {
   if (state.size() != 2) return Status::InvalidArgument("NaiveModel: bad state");
-  last_ = state[0];
+  state_ = {state[0]};
   sigma2_ = state[1];
   fitted_ = true;
   return Status::OK();
 }
 
-std::vector<double> NaiveModel::ForecastVariance(std::size_t horizon) const {
+std::vector<double> NaiveModel::ForecastVariance(std::span<const double> state,
+                                                 std::size_t horizon) const {
+  (void)state;
   // Random walk: errors accumulate, var_h = sigma2 * h.
   std::vector<double> out(horizon);
   for (std::size_t h = 0; h < horizon; ++h) {
@@ -119,11 +117,10 @@ Status SeasonalNaiveModel::Fit(const TimeSeries& history) {
         "SeasonalNaive: need at least one full season (" +
         std::to_string(period_) + " observations)");
   }
-  season_.resize(period_);
+  state_.assign(1 + period_, 0.0);  // pos 0: the ring starts in order
   for (std::size_t i = 0; i < period_; ++i) {
-    season_[i] = history[history.size() - period_ + i];
+    state_[1 + i] = history[history.size() - period_ + i];
   }
-  pos_ = 0;
   double sum_sq = 0.0;
   std::size_t count = 0;
   for (std::size_t i = period_; i < history.size(); ++i) {
@@ -136,37 +133,36 @@ Status SeasonalNaiveModel::Fit(const TimeSeries& history) {
   return Status::OK();
 }
 
-std::vector<double> SeasonalNaiveModel::Forecast(std::size_t horizon) const {
-  std::vector<double> out(horizon);
-  ForecastInto(horizon, &out);
-  return out;
-}
-
-void SeasonalNaiveModel::ForecastInto(std::size_t horizon,
+void SeasonalNaiveModel::ForecastInto(std::span<const double> state,
+                                      std::size_t horizon,
                                       std::vector<double>* out) const {
+  const auto pos = static_cast<std::size_t>(state[0]);
   out->clear();
   out->resize(horizon);
   for (std::size_t h = 0; h < horizon; ++h) {
-    (*out)[h] = season_[(pos_ + h % period_) % period_];
+    (*out)[h] = state[1 + (pos + h % period_) % period_];
   }
 }
 
-void SeasonalNaiveModel::Update(double value) {
+void SeasonalNaiveModel::StepState(std::span<double> state,
+                                   double value) const {
   // Overwrite the oldest slot (the season the new value belongs to).
-  season_[pos_] = value;
-  pos_ = (pos_ + 1) % period_;
+  const auto pos = static_cast<std::size_t>(state[0]);
+  state[1 + pos] = value;
+  state[0] = static_cast<double>((pos + 1) % period_);
 }
 
 std::unique_ptr<ForecastModel> SeasonalNaiveModel::Clone() const {
   return std::make_unique<SeasonalNaiveModel>(*this);
 }
 
-std::vector<double> SeasonalNaiveModel::SaveState() const {
+std::vector<double> SeasonalNaiveModel::SaveState(
+    std::span<const double> state) const {
   std::vector<double> out;
   out.push_back(static_cast<double>(period_));
-  out.push_back(static_cast<double>(pos_));
+  out.push_back(state[0]);
   out.push_back(sigma2_);
-  out.insert(out.end(), season_.begin(), season_.end());
+  out.insert(out.end(), state.begin() + 1, state.end());
   return out;
 }
 
@@ -179,15 +175,17 @@ Status SeasonalNaiveModel::RestoreState(const std::vector<double>& state) {
     return Status::InvalidArgument("SeasonalNaive: bad state size");
   }
   period_ = period;
-  pos_ = static_cast<std::size_t>(state[1]) % period_;
   sigma2_ = state[2];
-  season_.assign(state.begin() + 3, state.end());
+  state_.assign(1 + period_, 0.0);
+  state_[0] = static_cast<double>(static_cast<std::size_t>(state[1]) % period_);
+  std::copy(state.begin() + 3, state.end(), state_.begin() + 1);
   fitted_ = true;
   return Status::OK();
 }
 
 std::vector<double> SeasonalNaiveModel::ForecastVariance(
-    std::size_t horizon) const {
+    std::span<const double> state, std::size_t horizon) const {
+  (void)state;
   // var_h = sigma2 * (number of completed seasonal cycles + 1).
   std::vector<double> out(horizon);
   for (std::size_t h = 0; h < horizon; ++h) {
@@ -203,9 +201,8 @@ Status DriftModel::Fit(const TimeSeries& history) {
     return Status::InvalidArgument("DriftModel: need >= 2 observations");
   }
   first_ = history[0];
-  last_ = history[history.size() - 1];
-  count_ = static_cast<double>(history.size());
-  const double slope = (last_ - first_) / (count_ - 1.0);
+  state_ = {history[history.size() - 1], static_cast<double>(history.size())};
+  const double slope = Slope(state_);
   double sum_sq = 0.0;
   for (std::size_t i = 1; i < history.size(); ++i) {
     const double d = history[i] - history[i - 1] - slope;
@@ -216,25 +213,26 @@ Status DriftModel::Fit(const TimeSeries& history) {
   return Status::OK();
 }
 
-std::vector<double> DriftModel::Forecast(std::size_t horizon) const {
-  std::vector<double> out(horizon);
-  ForecastInto(horizon, &out);
-  return out;
+double DriftModel::Slope(std::span<const double> state) const {
+  const double last = state[0];
+  const double count = state[1];
+  return (count > 1.0) ? (last - first_) / (count - 1.0) : 0.0;
 }
 
-void DriftModel::ForecastInto(std::size_t horizon,
+void DriftModel::ForecastInto(std::span<const double> state,
+                              std::size_t horizon,
                               std::vector<double>* out) const {
-  const double slope = (count_ > 1.0) ? (last_ - first_) / (count_ - 1.0) : 0.0;
+  const double slope = Slope(state);
   out->clear();
   out->resize(horizon);
   for (std::size_t h = 0; h < horizon; ++h) {
-    (*out)[h] = last_ + slope * static_cast<double>(h + 1);
+    (*out)[h] = state[0] + slope * static_cast<double>(h + 1);
   }
 }
 
-void DriftModel::Update(double value) {
-  last_ = value;
-  count_ += 1.0;
+void DriftModel::StepState(std::span<double> state, double value) const {
+  state[0] = value;
+  state[1] += 1.0;
 }
 
 std::unique_ptr<ForecastModel> DriftModel::Clone() const {
@@ -242,28 +240,27 @@ std::unique_ptr<ForecastModel> DriftModel::Clone() const {
 }
 
 std::vector<double> DriftModel::parameters() const {
-  const double slope = (count_ > 1.0) ? (last_ - first_) / (count_ - 1.0) : 0.0;
-  return {slope};
+  return {state_.empty() ? 0.0 : Slope(state_)};
 }
 
-std::vector<double> DriftModel::SaveState() const {
-  return {first_, last_, count_, sigma2_};
+std::vector<double> DriftModel::SaveState(std::span<const double> state) const {
+  return {first_, state[0], state[1], sigma2_};
 }
 
 Status DriftModel::RestoreState(const std::vector<double>& state) {
   if (state.size() != 4) return Status::InvalidArgument("DriftModel: bad state");
   first_ = state[0];
-  last_ = state[1];
-  count_ = state[2];
+  state_ = {state[1], state[2]};
   sigma2_ = state[3];
   fitted_ = true;
   return Status::OK();
 }
 
-std::vector<double> DriftModel::ForecastVariance(std::size_t horizon) const {
+std::vector<double> DriftModel::ForecastVariance(std::span<const double> state,
+                                                 std::size_t horizon) const {
   // Hyndman & Athanasopoulos: var_h = sigma2 * h * (1 + h / (n - 1)).
   std::vector<double> out(horizon);
-  const double n1 = std::max(count_ - 1.0, 1.0);
+  const double n1 = std::max(state[1] - 1.0, 1.0);
   for (std::size_t h = 0; h < horizon; ++h) {
     const double hh = static_cast<double>(h + 1);
     out[h] = sigma2_ * hh * (1.0 + hh / n1);

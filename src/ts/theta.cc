@@ -9,9 +9,9 @@
 
 namespace f2db {
 
-double ThetaModel::SeasonalIndexAhead(std::size_t k) const {
+double ThetaModel::SeasonalIndexAhead(std::size_t pos, std::size_t k) const {
   if (seasonal_.empty()) return 1.0;
-  return seasonal_[(pos_ + k - 1) % seasonal_.size()];
+  return seasonal_[(pos + k - 1) % seasonal_.size()];
 }
 
 Status ThetaModel::Fit(const TimeSeries& history) {
@@ -22,7 +22,7 @@ Status ThetaModel::Fit(const TimeSeries& history) {
   // history covers at least two full cycles.
   std::vector<double> work = history.ToVector();
   seasonal_.clear();
-  pos_ = 0;
+  std::size_t pos = 0;
   if (period_ >= 2 && n >= 2 * period_) {
     bool positive = true;
     for (double v : work) positive = positive && v > 0.0;
@@ -38,8 +38,8 @@ Status ThetaModel::Fit(const TimeSeries& history) {
           const double index = seasonal_[t % period_];
           if (std::abs(index) > 1e-12) work[t] /= index;
         }
-        // seasonal_[pos_] must apply to the NEXT observation (time n).
-        pos_ = n % period_;
+        // The state's pos must select the index of the NEXT observation.
+        pos = n % period_;
       }
     }
   }
@@ -81,53 +81,60 @@ Status ThetaModel::Fit(const TimeSeries& history) {
   alpha_ = std::clamp(best.x[0], 0.01, 0.99);
 
   // Final pass: level, fitted values, residual variance.
-  level_ = work[0];
-  fitted_values_.assign(n, 0.0);
+  double level = work[0];
+  std::vector<double> fitted(n, 0.0);
   double sse = 0.0;
   for (std::size_t t = 0; t < n; ++t) {
     const double index = seasonal_.empty() ? 1.0 : seasonal_[t % period_];
-    const double predicted = (level_ + drift_) * index;
-    fitted_values_[t] = t == 0 ? history[0] : predicted;
-    const double err = history[t] - fitted_values_[t];
+    const double predicted = (level + drift_) * index;
+    fitted[t] = t == 0 ? history[0] : predicted;
+    const double err = history[t] - fitted[t];
     sse += err * err;
-    level_ = alpha_ * work[t] + (1.0 - alpha_) * level_;
+    level = alpha_ * work[t] + (1.0 - alpha_) * level;
   }
+  state_ = {level, static_cast<double>(pos)};
+  fitted_values_ =
+      std::make_shared<const std::vector<double>>(std::move(fitted));
   sigma2_ = sse / nn;
   fitted_ = true;
   return Status::OK();
 }
 
-std::vector<double> ThetaModel::Forecast(std::size_t horizon) const {
+void ThetaModel::ForecastInto(std::span<const double> state,
+                              std::size_t horizon,
+                              std::vector<double>* out) const {
   assert(fitted_);
-  std::vector<double> out(horizon);
+  const auto pos = static_cast<std::size_t>(state[kPos]);
+  out->clear();
+  out->resize(horizon);
   for (std::size_t h = 0; h < horizon; ++h) {
-    const double base = level_ + drift_ * static_cast<double>(h + 1);
-    out[h] = base * SeasonalIndexAhead(h + 1);
+    const double base = state[kLevel] + drift_ * static_cast<double>(h + 1);
+    (*out)[h] = base * SeasonalIndexAhead(pos, h + 1);
   }
-  return out;
 }
 
-void ThetaModel::Update(double value) {
+void ThetaModel::StepState(std::span<double> state, double value) const {
   double deseasonalized = value;
   if (!seasonal_.empty()) {
-    const double index = seasonal_[pos_];
+    const auto pos = static_cast<std::size_t>(state[kPos]);
+    const double index = seasonal_[pos];
     if (std::abs(index) > 1e-12) deseasonalized = value / index;
-    pos_ = (pos_ + 1) % seasonal_.size();
+    state[kPos] = static_cast<double>((pos + 1) % seasonal_.size());
   }
-  level_ = alpha_ * deseasonalized + (1.0 - alpha_) * level_;
+  state[kLevel] = alpha_ * deseasonalized + (1.0 - alpha_) * state[kLevel];
 }
 
 std::unique_ptr<ForecastModel> ThetaModel::Clone() const {
   return std::make_unique<ThetaModel>(*this);
 }
 
-std::vector<double> ThetaModel::SaveState() const {
+std::vector<double> ThetaModel::SaveState(std::span<const double> state) const {
   std::vector<double> out{static_cast<double>(period_),
                           static_cast<double>(seasonal_.size()),
-                          static_cast<double>(pos_),
+                          state[kPos],
                           alpha_,
                           drift_,
-                          level_,
+                          state[kLevel],
                           sigma2_};
   out.insert(out.end(), seasonal_.begin(), seasonal_.end());
   return out;
@@ -140,18 +147,21 @@ Status ThetaModel::RestoreState(const std::vector<double>& state) {
     return Status::InvalidArgument("Theta: bad state size");
   }
   period_ = static_cast<std::size_t>(state[0]);
-  pos_ = static_cast<std::size_t>(state[2]);
+  auto pos = static_cast<std::size_t>(state[2]);
   alpha_ = state[3];
   drift_ = state[4];
-  level_ = state[5];
   sigma2_ = state[6];
   seasonal_.assign(state.begin() + 7, state.end());
-  if (!seasonal_.empty()) pos_ %= seasonal_.size();
+  if (!seasonal_.empty()) pos %= seasonal_.size();
+  state_ = {state[5], static_cast<double>(pos)};
+  fitted_values_.reset();
   fitted_ = true;
   return Status::OK();
 }
 
-std::vector<double> ThetaModel::ForecastVariance(std::size_t horizon) const {
+std::vector<double> ThetaModel::ForecastVariance(std::span<const double> state,
+                                                 std::size_t horizon) const {
+  (void)state;
   // SES-style error accumulation: var_h = sigma2 (1 + (h-1) alpha^2).
   std::vector<double> out(horizon);
   for (std::size_t h = 0; h < horizon; ++h) {

@@ -22,18 +22,26 @@ class ThetaModel final : public ForecastModel {
   /// `period` >= 2 enables deseasonalization; 1 runs on the raw series.
   explicit ThetaModel(std::size_t period = 1) : period_(period) {}
 
+  using ForecastModel::ForecastInto;
+  using ForecastModel::ForecastVariance;
+  using ForecastModel::SaveState;
+
   Status Fit(const TimeSeries& history) override;
-  std::vector<double> Forecast(std::size_t horizon) const override;
-  void Update(double value) override;
+  void StepState(std::span<double> state, double value) const override;
+  void ForecastInto(std::span<const double> state, std::size_t horizon,
+                    std::vector<double>* out) const override;
+  std::vector<double> ForecastVariance(std::span<const double> state,
+                                       std::size_t horizon) const override;
+  std::vector<double> SaveState(std::span<const double> state) const override;
   std::unique_ptr<ForecastModel> Clone() const override;
   ModelType type() const override { return ModelType::kTheta; }
   std::size_t num_parameters() const override { return 2; }  // alpha, drift
   std::vector<double> parameters() const override { return {alpha_, drift_}; }
   bool is_fitted() const override { return fitted_; }
-  std::vector<double> SaveState() const override;
   Status RestoreState(const std::vector<double>& state) override;
-  std::vector<double> FittedValues() const override { return fitted_values_; }
-  std::vector<double> ForecastVariance(std::size_t horizon) const override;
+  std::vector<double> FittedValues() const override {
+    return fitted_values_ ? *fitted_values_ : std::vector<double>{};
+  }
   double residual_variance() const override { return sigma2_; }
 
   double alpha() const { return alpha_; }
@@ -41,20 +49,25 @@ class ThetaModel final : public ForecastModel {
   double drift() const { return drift_; }
 
  private:
+  // The state is [level, pos]: the SES level of the deseasonalized series
+  // and the seasonal ring position that applies to the next observation.
+  static constexpr std::size_t kLevel = 0;
+  static constexpr std::size_t kPos = 1;
+
   /// Seasonal index applying to the observation k steps ahead (k >= 1).
-  double SeasonalIndexAhead(std::size_t k) const;
+  double SeasonalIndexAhead(std::size_t pos, std::size_t k) const;
 
   std::size_t period_;
   bool fitted_ = false;
   double alpha_ = 0.3;
   double drift_ = 0.0;
-  double level_ = 0.0;
-  /// Multiplicative seasonal ring; seasonal_[pos_] applies to the next
-  /// observation. Empty when period_ < 2 or no seasonality detected.
+  /// Multiplicative seasonal indices; the state's pos selects the one for
+  /// the next observation. Empty when period_ < 2 or no seasonality
+  /// detected.
   std::vector<double> seasonal_;
-  std::size_t pos_ = 0;
   double sigma2_ = 0.0;
-  std::vector<double> fitted_values_;
+  /// In-sample one-step forecasts of the last Fit, shared between clones.
+  std::shared_ptr<const std::vector<double>> fitted_values_;
 };
 
 }  // namespace f2db

@@ -12,15 +12,50 @@ namespace {
 /// Slots of the first buffer an append to an empty series allocates.
 constexpr std::size_t kMinCapacity = 8;
 
+/// Upper bound on one block of a panel's slots (unless a single row is
+/// larger). Blocks this small come from the allocator's heap and reuse the
+/// memory earlier series released, where one block per panel would be a
+/// fresh mapping every time a panel regrows.
+constexpr std::size_t kPanelBlockBytes = 64 * 1024;
+
 }  // namespace
+
+struct TimeSeries::Owned {
+  Owned(std::vector<double> values, std::size_t claimed)
+      : storage(std::move(values)) {
+    buffer.slots = storage.data();
+    buffer.capacity = storage.size();
+    buffer.tip.store(claimed, std::memory_order_relaxed);
+  }
+  Buffer buffer;
+  std::vector<double> storage;
+};
+
+struct TimeSeries::Panel {
+  /// `rows` rows of `capacity` slots, `rows_per_block` rows per block.
+  Panel(std::size_t rows, std::size_t capacity, std::size_t rows_per_block)
+      : buffers(new Buffer[rows]) {
+    for (std::size_t first = 0; first < rows; first += rows_per_block) {
+      const std::size_t count = std::min(rows_per_block, rows - first);
+      blocks.emplace_back(new double[count * capacity]);
+      for (std::size_t i = 0; i < count; ++i) {
+        buffers[first + i].slots = blocks.back().get() + i * capacity;
+        buffers[first + i].capacity = capacity;
+      }
+    }
+  }
+  std::unique_ptr<Buffer[]> buffers;
+  std::vector<std::unique_ptr<double[]>> blocks;
+};
 
 TimeSeries::TimeSeries(std::vector<double> values, std::int64_t start_time)
     : size_(values.size()), start_time_(start_time) {
   if (values.empty()) return;
   // The vector's spare capacity becomes unclaimed slots past the tip.
   values.resize(values.capacity());
-  buffer_ = std::make_shared<Buffer>(std::move(values), size_);
-  data_ = buffer_->slots.data();
+  auto owned = std::make_shared<Owned>(std::move(values), size_);
+  buffer_ = std::shared_ptr<Buffer>(owned, &owned->buffer);
+  data_ = buffer_->slots;
 }
 
 TimeSeries::TimeSeries(TimeSeries&& other) noexcept
@@ -58,18 +93,43 @@ Status TimeSeries::ValidateFinite() const {
   return Status::OK();
 }
 
-void TimeSeries::Append(double value) {
-  if (buffer_) {
-    std::size_t end =
-        static_cast<std::size_t>(data_ - buffer_->slots.data()) + size_;
-    // Claim slot `end`: succeeds only for the one copy whose window ends
-    // at the tip, so no two copies ever write the same slot.
-    if (end < buffer_->slots.size() &&
-        buffer_->tip.compare_exchange_strong(end, end + 1)) {
-      data_[size_++] = value;
-      return;
-    }
+bool TimeSeries::TryAppend(double value) {
+  return TryAppend(std::span<const double>(&value, 1));
+}
+
+bool TimeSeries::TryAppend(std::span<const double> values) {
+  if (values.empty()) return true;
+  if (!buffer_) return false;
+  std::size_t end = static_cast<std::size_t>(data_ - buffer_->slots) + size_;
+  // Claim the slots from `end` on: succeeds only for the one copy whose
+  // window ends at the tip, so no two copies ever write the same slot.
+  if (end + values.size() <= buffer_->capacity &&
+      buffer_->tip.compare_exchange_strong(end, end + values.size())) {
+    std::copy(values.begin(), values.end(), data_ + size_);
+    size_ += values.size();
+    return true;
   }
+  return false;
+}
+
+std::size_t TimeSeries::TryAppendEach(std::span<TimeSeries> rows,
+                                      std::span<const double> values) {
+  constexpr std::size_t kAhead = 16;  // rows between a fetch and its write
+  const auto fetch = [](const TimeSeries& row) {
+    if (row.data_ != nullptr) __builtin_prefetch(row.data_ + row.size_, 1);
+  };
+  for (std::size_t i = 0; i < std::min(kAhead, rows.size()); ++i) {
+    fetch(rows[i]);
+  }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i + kAhead < rows.size()) fetch(rows[i + kAhead]);
+    if (!rows[i].TryAppend(values[i])) return i;
+  }
+  return rows.size();
+}
+
+void TimeSeries::Append(double value) {
+  if (TryAppend(value)) return;
   Reallocate(std::max(2 * size_, kMinCapacity));
   buffer_->tip.store(size_ + 1);
   data_[size_++] = value;
@@ -79,8 +139,27 @@ void TimeSeries::Reallocate(std::size_t capacity) {
   assert(capacity >= size_);
   std::vector<double> slots(capacity);
   std::copy(data_, data_ + size_, slots.begin());
-  buffer_ = std::make_shared<Buffer>(std::move(slots), size_);
-  data_ = buffer_->slots.data();
+  auto owned = std::make_shared<Owned>(std::move(slots), size_);
+  buffer_ = std::shared_ptr<Buffer>(owned, &owned->buffer);
+  data_ = buffer_->slots;
+}
+
+void TimeSeries::Pack(std::span<TimeSeries* const> rows,
+                      std::size_t capacity) {
+  const std::size_t row_bytes =
+      std::max<std::size_t>(capacity, 1) * sizeof(double);
+  auto panel = std::make_shared<Panel>(
+      rows.size(), capacity,
+      std::max<std::size_t>(kPanelBlockBytes / row_bytes, 1));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    TimeSeries& row = *rows[i];
+    assert(row.size_ <= capacity);
+    Buffer& buffer = panel->buffers[i];
+    buffer.tip.store(row.size_, std::memory_order_relaxed);
+    std::copy(row.data_, row.data_ + row.size_, buffer.slots);
+    row.buffer_ = std::shared_ptr<Buffer>(panel, &buffer);
+    row.data_ = buffer.slots;
+  }
 }
 
 void TimeSeries::Detach() {

@@ -20,6 +20,12 @@
 // window. The mutable accessors (non-const operator[], AddInPlace) first
 // give the series a private buffer unless it already holds the only
 // reference.
+//
+// A buffer is a run of slots plus its tip; who owns the slots is hidden
+// behind the buffer's reference count. A standalone series owns its own
+// storage. Pack moves many series into one panel: one fixed-capacity row
+// per series, all under a single reference count, so copying or releasing
+// all of them touches one counter.
 
 #ifndef F2DB_TS_TIME_SERIES_H_
 #define F2DB_TS_TIME_SERIES_H_
@@ -98,6 +104,24 @@ class TimeSeries {
   /// room to grow. Amortized O(1).
   void Append(double value);
 
+  /// Appends in place when this window ends at the buffer's tip and the
+  /// buffer has a free slot; returns false and changes nothing otherwise.
+  bool TryAppend(double value);
+  /// TryAppend of all `values` at once: in place when every one fits.
+  bool TryAppend(std::span<const double> values);
+
+  /// TryAppend(values[i]) on rows[i] for i = 0, 1, ... until a row cannot
+  /// append in place; returns how many rows appended. Fetches the rows'
+  /// next slots ahead of the writes, so appending one column to many rows
+  /// does not wait out one cache miss per row.
+  static std::size_t TryAppendEach(std::span<TimeSeries> rows,
+                                   std::span<const double> values);
+
+  /// Moves the windows of `rows` into one new panel with `capacity` slots
+  /// per row (at least every row's length). Each row keeps its values and
+  /// start time and may append in place until its row is full.
+  static void Pack(std::span<TimeSeries* const> rows, std::size_t capacity);
+
   /// Drops the oldest `count` observations (clamped to size()) and moves
   /// start_time forward accordingly — the retention primitive: the series
   /// keeps its identity and time axis but forgets its oldest history.
@@ -136,15 +160,17 @@ class TimeSeries {
   std::string ToString() const;
 
  private:
-  /// Fixed-length storage shared by every copy of a series. `slots` never
-  /// changes length after construction; `tip` is the number of leading
-  /// slots some copy has claimed.
+  /// Fixed-capacity storage shared by every copy of a series: `capacity`
+  /// slots at `slots`, of which the first `tip` some copy has claimed. The
+  /// owner of the slots (a standalone vector or a panel) holds the Buffer;
+  /// series reference it through an aliasing pointer to the owner.
   struct Buffer {
-    Buffer(std::vector<double> values, std::size_t claimed)
-        : slots(std::move(values)), tip(claimed) {}
-    std::vector<double> slots;
-    std::atomic<std::size_t> tip;
+    double* slots = nullptr;
+    std::size_t capacity = 0;
+    std::atomic<std::size_t> tip{0};
   };
+  struct Owned;  ///< one standalone series' storage
+  struct Panel;  ///< many series' rows in one allocation
 
   /// Moves the window into a fresh, private buffer of `capacity` slots.
   void Reallocate(std::size_t capacity);

@@ -340,15 +340,58 @@ TEST(Graph, AdvanceTimeAppendsEverywhere) {
   TimeSeriesGraph graph = testing::MakeFigure2Cube(24);
   const std::size_t before = graph.series_length();
   std::vector<double> values(graph.num_base_nodes(), 2.0);
-  ASSERT_TRUE(graph.AdvanceTime(values).ok());
+  std::vector<double> column;
+  ASSERT_TRUE(graph.AdvanceTime(values, &column).ok());
   EXPECT_EQ(graph.series_length(), before + 1);
   const TimeSeries& top = graph.series(graph.top_node());
   EXPECT_NEAR(top[top.size() - 1], 2.0 * graph.num_base_nodes(), 1e-9);
+  // The column holds exactly the value appended to every row.
+  ASSERT_EQ(column.size(), graph.num_nodes());
+  for (NodeId node = 0; node < graph.num_nodes(); ++node) {
+    const TimeSeries& series = graph.series(node);
+    EXPECT_EQ(column[node], series[series.size() - 1]) << "node " << node;
+  }
 }
 
 TEST(Graph, AdvanceTimeValidatesInput) {
   TimeSeriesGraph graph = testing::MakeFigure2Cube(24);
-  EXPECT_FALSE(graph.AdvanceTime({1.0}).ok());
+  std::vector<double> column;
+  EXPECT_FALSE(graph.AdvanceTime({1.0}, &column).ok());
+}
+
+TEST(Graph, AdvanceTimeRegrowsThePanelWhenARowCannotAppend) {
+  // Two copies of one packed graph share its panel. The first copy to
+  // advance claims every row's tip (and, the panel being full, regrows);
+  // the second cannot append in place either and must regrow its own
+  // panel. Neither copy, nor the untouched original, sees the other's
+  // values.
+  const TimeSeriesGraph original = testing::MakeFigure2Cube(24);
+  TimeSeriesGraph a = original;
+  TimeSeriesGraph b = original;
+  std::vector<double> column;
+  for (int period = 0; period < 20; ++period) {
+    ASSERT_TRUE(
+        a.AdvanceTime(std::vector<double>(a.num_base_nodes(), 1.0), &column)
+            .ok());
+    ASSERT_TRUE(
+        b.AdvanceTime(std::vector<double>(b.num_base_nodes(), 2.0), &column)
+            .ok());
+  }
+  const std::size_t n = original.series_length();
+  for (NodeId node = 0; node < original.num_nodes(); ++node) {
+    ASSERT_EQ(original.series(node).size(), n);
+    ASSERT_EQ(a.series(node).size(), n + 20);
+    ASSERT_EQ(b.series(node).size(), n + 20);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(a.series(node)[i], original.series(node)[i]);
+      ASSERT_EQ(b.series(node)[i], original.series(node)[i]);
+    }
+    const double leaves = a.series(node)[n];  // base nodes under `node`
+    for (std::size_t i = n; i < n + 20; ++i) {
+      ASSERT_EQ(a.series(node)[i], leaves);
+      ASSERT_EQ(b.series(node)[i], 2.0 * leaves);
+    }
+  }
 }
 
 TEST(Graph, NodeNameIsHumanReadable) {

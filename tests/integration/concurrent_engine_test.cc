@@ -44,8 +44,9 @@ std::vector<double> SnapshotForecast(const EngineSnapshot& snap, NodeId node,
                                      std::size_t horizon) {
   std::vector<double> combined(horizon, 0.0);
   for (NodeId source : snap.schemes[node]) {
-    const auto live = snap.FindModel(source);
-    const std::vector<double> forecast = live->model->Forecast(horizon);
+    const ModelView live = snap.models.Find(source);
+    const std::vector<double> forecast =
+        live.model->Forecast(live.state, horizon);
     for (std::size_t h = 0; h < horizon; ++h) combined[h] += forecast[h];
   }
   const double weight = snap.Weight(snap.schemes[node], node);
@@ -56,8 +57,8 @@ std::vector<double> SnapshotForecast(const EngineSnapshot& snap, NodeId node,
 /// True when every scheme source of `node` carries a currently valid model.
 bool AllSourcesValid(const EngineSnapshot& snap, NodeId node) {
   for (NodeId source : snap.schemes[node]) {
-    const auto live = snap.FindModel(source);
-    if (live == nullptr || live->invalid) return false;
+    const ModelView live = snap.models.Find(source);
+    if (!live || live.record->invalid) return false;
   }
   return true;
 }
@@ -246,10 +247,12 @@ TEST_F(ConcurrentEngineTest, IntervalQueriesRaceWithParallelMaintenance) {
 
 
 TEST_F(ConcurrentEngineTest, PinnedSnapshotsStayBitIdenticalThroughAdvanceAndRetention) {
-  // Successive snapshots share their series buffers: each advance appends
-  // in place past the pinned snapshots' lengths, and retention moves the
-  // successor's windows forward. Neither may change what a pinned snapshot
-  // shows: its series and its forecasts stay bit-identical.
+  // Successive snapshots share their series panel and model parameters:
+  // each advance appends in place past the pinned snapshots' lengths (and
+  // regrows the panel when a row fills), steps a copy of the flat model
+  // states, retention moves the successor's windows forward, and lazy
+  // refits install fresh parameters. None of it may change what a pinned
+  // snapshot shows: its series and its forecasts stay bit-identical.
   char tmpl[] = "/tmp/f2db_pinned_XXXXXX";
   ASSERT_NE(::mkdtemp(tmpl), nullptr);
   EngineOptions options;
@@ -257,6 +260,7 @@ TEST_F(ConcurrentEngineTest, PinnedSnapshotsStayBitIdenticalThroughAdvanceAndRet
   options.retention_window = 16;
   options.maintenance_threads = 2;
   options.disk_probe_interval_seconds = 0.0;
+  options.reestimate_after_updates = 4;  // refits install while pinned
   auto opened = F2dbEngine::Open(testing::MakeFigure2Cube(60, 0.05), options);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   std::unique_ptr<F2dbEngine> engine = std::move(opened).value();
@@ -363,6 +367,40 @@ TEST_F(ConcurrentEngineTest, PinnedSnapshotsStayBitIdenticalThroughAdvanceAndRet
       ASSERT_EQ(series.AtTime(t), value_at(static_cast<int>(t - 60), i));
     }
   }
+
+  // A refit that starts on a pinned pre-advance snapshot carries that
+  // snapshot's generation stamp; after the advance it must be discarded,
+  // while the same refit on the current snapshot is installed — and the
+  // pinned snapshots still show what they showed.
+  const auto advance = [&](int period) {
+    const std::int64_t t =
+        engine->snapshot()->graph->series(bases[0]).end_time();
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+      ASSERT_TRUE(engine->InsertFact(bases[i], t, value_at(period, i)).ok());
+    }
+  };
+  for (int period = kPeriods; period < kPeriods + 4; ++period) {
+    advance(period);  // four updates without queries invalidate every model
+  }
+  const NodeId top = engine->graph().top_node();
+  const SnapshotPtr stale = engine->snapshot();
+  advance(kPeriods + 4);
+  const SnapshotPtr current = engine->snapshot();
+  ASSERT_NE(current, stale);
+  const NodeId source = current->schemes[top].front();
+  ASSERT_TRUE(current->models.Find(source).record->invalid);
+  const std::size_t reestimates = engine->stats().reestimates;
+  const View stale_view = capture(stale);  // refits on the pinned snapshot
+  EXPECT_GT(engine->stats().reestimates, reestimates);  // the fits ran...
+  EXPECT_EQ(engine->snapshot(), current);  // ...and none was installed
+  EXPECT_TRUE(unchanged(stale_view));
+  ASSERT_TRUE(engine->ForecastNode(top, kHorizon).ok());
+  const SnapshotPtr refitted = engine->snapshot();
+  EXPECT_GT(refitted->version, current->version);
+  EXPECT_FALSE(refitted->models.Find(source).record->invalid);
+  EXPECT_TRUE(current->models.Find(source).record->invalid);
+  EXPECT_TRUE(unchanged(stale_view));
+  EXPECT_TRUE(unchanged(first));
   engine.reset();
   testing::RemoveDirectoryTree(tmpl);
 }

@@ -254,10 +254,10 @@ TEST_F(FaultInjectionTest, RepeatedRefitFailuresQuarantineTheNode) {
 
   // The published entry carries the quarantine flag.
   bool saw_quarantined = false;
-  for (const auto& [node, live] : engine->snapshot()->models) {
-    if (live->quarantined) {
+  for (const ModelView live : engine->snapshot()->models) {
+    if (live.record->quarantined) {
       saw_quarantined = true;
-      EXPECT_GE(live->refit_failures, 2u);
+      EXPECT_GE(live.record->refit_failures, 2u);
     }
   }
   EXPECT_TRUE(saw_quarantined);
@@ -278,9 +278,9 @@ TEST_F(FaultInjectionTest, QuarantineLiftsOnNextDataAdvance) {
   // the next query must recover to a freshly re-estimated primary model.
   failpoint::DisableAll();
   Advance(*engine, 1);
-  for (const auto& [node, live] : engine->snapshot()->models) {
-    EXPECT_FALSE(live->quarantined);
-    EXPECT_EQ(live->refit_failures, 0u);
+  for (const ModelView live : engine->snapshot()->models) {
+    EXPECT_FALSE(live.record->quarantined);
+    EXPECT_EQ(live.record->refit_failures, 0u);
   }
   const std::size_t reestimates_before = engine->stats().reestimates;
   auto result = engine->ExecuteSql(

@@ -276,8 +276,8 @@ TEST_F(RecoveryTest, QuarantineSurvivesReopen) {
   auto engine = Open(options);
   EXPECT_GE(engine->stats().quarantines, 1u);
   bool saw_quarantined = false;
-  for (const auto& [node, live] : engine->snapshot()->models) {
-    if (live->quarantined) saw_quarantined = true;
+  for (const ModelView live : engine->snapshot()->models) {
+    if (live.record->quarantined) saw_quarantined = true;
   }
   EXPECT_TRUE(saw_quarantined);
 }

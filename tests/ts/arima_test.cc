@@ -202,6 +202,40 @@ TEST(Arima, SaveRestoreRoundTrip) {
   EXPECT_NEAR(model.Forecast(1)[0], restored.Forecast(1)[0], 1e-9);
 }
 
+TEST(Arima, StateStaysBoundedAndMatchesARestoredModel) {
+  // A seasonal AR part makes the z tail longer than the innovation tail,
+  // so the two tails must each be read from their own end.
+  ArimaOrder order;
+  order.p = 1;
+  order.d = 1;
+  order.q = 1;
+  order.sp = 1;
+  order.season = 4;
+  ArimaModel model(order);
+  const TimeSeries series = SimulateAr1(0.5, 120, 41);
+  ASSERT_TRUE(model.Fit(series).ok());
+  const std::size_t state_size = model.state_size();
+
+  ArimaModel restored(ArimaOrder{});
+  ASSERT_TRUE(restored.RestoreState(model.SaveState()).ok());
+  ASSERT_EQ(restored.state_size(), state_size);
+
+  Rng rng(43);
+  for (int step = 0; step < 1000; ++step) {
+    const double y = 50.0 + 5.0 * rng.NextGaussian();
+    model.Update(y);
+    restored.Update(y);
+    ASSERT_EQ(model.state_size(), state_size) << "step " << step;
+    ASSERT_EQ(restored.state_size(), state_size) << "step " << step;
+    if (step % 50 == 0 || step == 999) {
+      const auto f1 = model.Forecast(8);
+      const auto f2 = restored.Forecast(8);
+      ASSERT_EQ(f1, f2) << "step " << step;
+      ASSERT_EQ(model.SaveState(), restored.SaveState()) << "step " << step;
+    }
+  }
+}
+
 TEST(Arima, RestoreRejectsCorruptState) {
   ArimaModel model(ArimaOrder{});
   EXPECT_FALSE(model.RestoreState({}).ok());

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <tuple>
 
@@ -148,6 +149,59 @@ TEST_P(ModelContract, FitForecastSerializeCloneUpdate) {
   // Updates keep forecasts finite.
   for (int i = 0; i < 5; ++i) model.Update(series[i % series.size()]);
   for (double v : model.Forecast(4)) EXPECT_TRUE(std::isfinite(v));
+}
+
+// The parameter/state split: stepping a state kept outside the model must
+// be exactly the model's own Update, so the engine's flat per-snapshot
+// states, Clone()+Update and serialization all agree bit for bit.
+TEST_P(ModelContract, ExternalStateMatchesCloneAndUpdate) {
+  const auto [type, kind] = GetParam();
+  ModelSpec spec;
+  spec.type = type;
+  spec.period = 12;
+  if (type == ModelType::kArima) spec.arima = ArimaOrder{1, 0, 1, 0, 0, 0, 1};
+  ModelFactory factory(spec);
+  const TimeSeries series = MakeSeries(kind);
+  auto fitted = factory.CreateAndFit(series);
+  if (!fitted.ok()) return;  // clean rejection, covered above
+  const ForecastModel& model = *fitted.value();
+
+  const std::size_t state_size = model.state_size();
+  ASSERT_GT(state_size, 0u);
+  std::vector<double> state(state_size);
+  model.CopyState(state);
+  std::unique_ptr<ForecastModel> clone = model.Clone();
+  Rng rng(7);
+  for (int step = 0; step < 200; ++step) {
+    const double y =
+        series[static_cast<std::size_t>(step) % series.size()] *
+        (1.0 + rng.Gaussian(0.0, 0.05));
+    model.StepState(state, y);
+    clone->Update(y);
+    ASSERT_EQ(model.state_size(), state_size);
+    ASSERT_EQ(clone->state_size(), state_size);
+    const std::vector<double> external = model.Forecast(state, 5);
+    const std::vector<double> own = clone->Forecast(5);
+    ASSERT_EQ(external.size(), own.size());
+    for (std::size_t h = 0; h < own.size(); ++h) {
+      // Bit for bit, NaN included.
+      ASSERT_EQ(std::memcmp(&external[h], &own[h], sizeof(double)), 0)
+          << "step " << step << " h=" << h;
+    }
+    const std::vector<double> external_var = model.ForecastVariance(state, 5);
+    const std::vector<double> own_var = clone->ForecastVariance(5);
+    ASSERT_EQ(external_var.size(), own_var.size());
+    for (std::size_t h = 0; h < own_var.size(); ++h) {
+      ASSERT_EQ(std::memcmp(&external_var[h], &own_var[h], sizeof(double)),
+                0)
+          << "step " << step << " h=" << h;
+    }
+    ASSERT_EQ(ModelFactory::SerializeModel(model, state),
+              ModelFactory::SerializeModel(*clone))
+        << "step " << step;
+  }
+  // The model's own state never moved.
+  ASSERT_EQ(model.state_size(), state_size);
 }
 
 INSTANTIATE_TEST_SUITE_P(
