@@ -215,30 +215,18 @@ void ModelConfigurationAdvisor::SelectCandidates(
   // Negative candidates: all model nodes (their indicator is zero), ranked
   // so that the node whose removal hurts the global indicator least comes
   // first. Removing r replaces, at every entry r owns, the minimum by the
-  // second-best local value — tracked exactly in one linear pass over all
-  // local indicators (min / second-min per node with distinct owners).
+  // second-smallest local value, both kept by the global indicator (which
+  // holds exactly the locals of the model nodes).
   const std::vector<NodeId> model_nodes = config.model_nodes();
   if (model_nodes.size() >= 2) {
-    constexpr NodeId kNoOwner = std::numeric_limits<NodeId>::max();
     const std::size_t num_nodes = graph_->num_nodes();
-    std::vector<double> min1(num_nodes, kUncoveredIndicator);
-    std::vector<double> min2(num_nodes, kUncoveredIndicator);
-    std::vector<NodeId> owner(num_nodes, kNoOwner);
-    for (NodeId m : model_nodes) {
-      for (const auto& [target, value] : LocalOf(m).entries) {
-        if (value < min1[target]) {
-          min2[target] = min1[target];
-          min1[target] = value;
-          owner[target] = m;
-        } else if (value < min2[target] && owner[target] != m) {
-          min2[target] = value;
-        }
-      }
-    }
     // Removal penalty of r: sum over owned entries of (second - first).
     std::vector<double> penalty(num_nodes, 0.0);
-    for (std::size_t t = 0; t < num_nodes; ++t) {
-      if (owner[t] != kNoOwner) penalty[owner[t]] += min2[t] - min1[t];
+    for (NodeId t = 0; t < num_nodes; ++t) {
+      const NodeId owner = global_.owner(t);
+      if (owner != GlobalIndicator::kNoOwner) {
+        penalty[owner] += global_.second(t) - global_.value(t);
+      }
     }
     std::vector<std::pair<double, NodeId>> removal_scores;
     removal_scores.reserve(model_nodes.size());

@@ -13,6 +13,7 @@
 #ifndef F2DB_CORE_INDICATORS_H_
 #define F2DB_CORE_INDICATORS_H_
 
+#include <limits>
 #include <vector>
 
 #include "core/evaluator.h"
@@ -64,6 +65,8 @@ class IndicatorComputer {
   /// nothing when `local->entries` already has capacity for the result
   /// (min(size, num_nodes - 1) + 1 entries) and `scratch` was built for the
   /// graph, so concurrent callers can fill buffers their caller allocated.
+  /// Computes the targets two at a time, one per SIMD lane, each lane
+  /// bit-identical to Indicate.
   void ComputeLocalInto(NodeId source, std::size_t size,
                         TimeSeriesGraph::NearestScratch& scratch,
                         LocalIndicator* local) const;
@@ -74,12 +77,24 @@ class IndicatorComputer {
 };
 
 /// Element-wise minimum over local indicators; one entry per graph node.
+/// Next to each minimum it keeps the second-smallest merged value and the
+/// source whose local holds the minimum, so the cost of removing a model
+/// (its owned entries fall to their second-smallest value) is one pass
+/// over the nodes instead of a rescan of every merged local. The
+/// (minimum, second minimum) pair does not depend on merge order; the
+/// owner does only where the two are equal.
 class GlobalIndicator {
  public:
-  explicit GlobalIndicator(std::size_t num_nodes)
-      : values_(num_nodes, kUncoveredIndicator) {}
+  /// Owner of an entry no merged local improves on the uncovered default.
+  static constexpr NodeId kNoOwner = std::numeric_limits<NodeId>::max();
 
-  /// Merges one local indicator (element-wise min).
+  explicit GlobalIndicator(std::size_t num_nodes)
+      : values_(num_nodes, kUncoveredIndicator),
+        second_(num_nodes, kUncoveredIndicator),
+        owner_(num_nodes, kNoOwner) {}
+
+  /// Merges one local indicator (element-wise min). Each source may be
+  /// merged at most once between Rebuilds.
   void Merge(const LocalIndicator& local);
 
   /// Resets to "uncovered" and merges all given locals.
@@ -89,12 +104,20 @@ class GlobalIndicator {
   const std::vector<double>& values() const { return values_; }
   std::size_t size() const { return values_.size(); }
 
+  /// Second-smallest value merged at `node` (kUncoveredIndicator when at
+  /// most one merged local covers it with a smaller value).
+  double second(NodeId node) const { return second_[node]; }
+  /// Source of the first merged local holding value(node), or kNoOwner.
+  NodeId owner(NodeId node) const { return owner_[node]; }
+
   /// Mean / standard deviation over all entries (Eq. 5's E(I), sigma(I)).
   double Mean() const;
   double StdDev() const;
 
  private:
   std::vector<double> values_;
+  std::vector<double> second_;
+  std::vector<NodeId> owner_;
 };
 
 }  // namespace f2db

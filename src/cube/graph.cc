@@ -317,11 +317,19 @@ const std::vector<NodeId>& TimeSeriesGraph::NearestNodesInto(
         }
       }
     }
-    std::sort(scratch.next.begin(), scratch.next.end());
-    for (NodeId id : scratch.next) {
-      if (out.size() >= k) break;
-      out.push_back(id);
+    // Only the smallest ids of a level that does not fit entirely are
+    // kept, so only those are ordered; the search ends with that level.
+    const std::size_t room = k - out.size();
+    if (scratch.next.size() > room) {
+      std::partial_sort(scratch.next.begin(),
+                        scratch.next.begin() + static_cast<std::ptrdiff_t>(room),
+                        scratch.next.end());
+      out.insert(out.end(), scratch.next.begin(),
+                 scratch.next.begin() + static_cast<std::ptrdiff_t>(room));
+      break;
     }
+    std::sort(scratch.next.begin(), scratch.next.end());
+    out.insert(out.end(), scratch.next.begin(), scratch.next.end());
     std::swap(scratch.frontier, scratch.next);
   }
   return out;

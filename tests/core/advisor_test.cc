@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/datasets.h"
 #include "testing/test_cubes.h"
 
 namespace f2db {
@@ -263,6 +264,40 @@ TEST(Advisor, PinnedDecisionsOnFigure2Cube) {
     EXPECT_EQ(result.value().iterations, pin.iterations);
     EXPECT_EQ(result.value().models_created, pin.models_created);
     EXPECT_EQ(result.value().configuration.model_nodes(), pin.model_nodes);
+  }
+}
+
+// Pins one reproducible run on GenX-1000 (1,034 nodes), where a local
+// indicator covers 64 of them: the nearest-node search stops inside a BFS
+// level, and the removal ranking runs over hundreds of models and decides
+// one accepted deletion. Neither happens on the 21-node Figure 2 cube.
+TEST(Advisor, PinnedDecisionsOnGenX) {
+  auto generated = MakeGenX(1000, 4, 48);
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  const TimeSeriesGraph& graph = generated.value().graph;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE(::testing::Message() << "threads " << threads);
+    AdvisorOptions options;
+    options.seed = 7;
+    options.num_threads = threads;
+    options.models_per_iteration = 8;
+    options.indicator_size = 64;
+    options.count_models_as_cost = true;
+    options.stop.max_iterations = 150;
+    ModelConfigurationAdvisor advisor(graph, HwFactory(12), options);
+    auto result = advisor.Run();
+    ASSERT_TRUE(result.ok());
+    const AdvisorResult& r = result.value();
+    EXPECT_EQ(r.indicator_size_used, 64u);
+    EXPECT_EQ(r.iterations, 110u);
+    EXPECT_EQ(r.models_created, 780u);
+    EXPECT_EQ(r.models_deleted, 1u);
+    const std::vector<NodeId> model_nodes = r.configuration.model_nodes();
+    EXPECT_EQ(model_nodes.size(), 638u);
+    std::uint64_t node_sum = 0;
+    for (NodeId node : model_nodes) node_sum += node;
+    EXPECT_EQ(node_sum, 323809u);
+    EXPECT_EQ(r.final_error, 0.033258207496554233);
   }
 }
 

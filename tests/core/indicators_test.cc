@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "common/rng.h"
 #include "testing/test_cubes.h"
 
 namespace f2db {
@@ -115,6 +116,82 @@ TEST(GlobalIndicator, MeanAndStdDev) {
   EXPECT_DOUBLE_EQ(global.StdDev(), 0.5);
 }
 
+// Random Merge/Rebuild sequences over locals with tied values and
+// uncovered entries: after every step the kept (minimum, second minimum)
+// equals a brute force over the locals merged so far, and the owner is the
+// local holding the minimum wherever that is unique.
+TEST(GlobalIndicator, SecondMinimumMatchesBruteForce) {
+  constexpr std::size_t kNodes = 24;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    // One local per source; values come from a few levels so ties are
+    // common, and about a third of the targets stay uncovered.
+    std::vector<LocalIndicator> locals(kNodes);
+    for (NodeId source = 0; source < kNodes; ++source) {
+      locals[source].source = source;
+      locals[source].entries.emplace_back(source, 0.0);
+      for (NodeId target = 0; target < kNodes; ++target) {
+        if (target == source || rng.UniformInt(0, 2) == 0) continue;
+        locals[source].entries.emplace_back(
+            target, 0.25 * static_cast<double>(rng.UniformInt(0, 8)));
+      }
+      std::sort(locals[source].entries.begin(), locals[source].entries.end());
+    }
+
+    GlobalIndicator global(kNodes);
+    std::vector<const LocalIndicator*> merged;
+    for (int step = 0; step < 40; ++step) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
+      if (rng.UniformInt(0, 7) == 0) {
+        // Rebuild from a random subset of the merged locals.
+        std::vector<const LocalIndicator*> kept;
+        for (const LocalIndicator* local : merged) {
+          if (rng.UniformInt(0, 1) == 0) kept.push_back(local);
+        }
+        merged = kept;
+        global.Rebuild(merged);
+      } else {
+        const LocalIndicator* next =
+            &locals[static_cast<std::size_t>(rng.UniformInt(0, kNodes - 1))];
+        if (std::find(merged.begin(), merged.end(), next) != merged.end()) {
+          continue;  // a source is merged at most once
+        }
+        merged.push_back(next);
+        global.Merge(*next);
+      }
+      for (NodeId t = 0; t < kNodes; ++t) {
+        // The multiset starts with two uncovered defaults.
+        std::vector<double> values{kUncoveredIndicator, kUncoveredIndicator};
+        for (const LocalIndicator* local : merged) {
+          for (const auto& [target, value] : local->entries) {
+            if (target == t) values.push_back(value);
+          }
+        }
+        std::sort(values.begin(), values.end());
+        EXPECT_EQ(global.value(t), values[0]) << "target " << t;
+        EXPECT_EQ(global.second(t), values[1]) << "target " << t;
+        // The sources holding the minimum (exactly one where it is below
+        // the second minimum); the owner is one of them.
+        std::vector<NodeId> holders;
+        for (const LocalIndicator* local : merged) {
+          for (const auto& [target, value] : local->entries) {
+            if (target == t && value == values[0]) {
+              holders.push_back(local->source);
+            }
+          }
+        }
+        if (values[0] == kUncoveredIndicator) {
+          EXPECT_EQ(global.owner(t), GlobalIndicator::kNoOwner);
+        } else {
+          EXPECT_NE(std::find(holders.begin(), holders.end(), global.owner(t)),
+                    holders.end())
+              << "target " << t;
+        }
+      }
+    }
+  }
+}
+
 TEST(Indicators, UncoveredDominatesAnyComputedValue) {
   // historical <= 1 and similarity term <= similarity_weight, so any
   // computed indicator stays below the uncovered default.
@@ -151,6 +228,47 @@ TEST(Indicators, FusedKernelMatchesComponentsBitForBit) {
                                std::min(1.0, evaluator.WeightInstability(s, t));
           EXPECT_EQ(computer.Indicate(s, t), expected)
               << "source " << s << " target " << t;
+        }
+      }
+    }
+  }
+}
+
+// ComputeLocalInto computes its targets two at a time, one per SIMD lane;
+// every entry must equal the scalar Indicate bit for bit. The cubes hit the
+// kernel's edge cases (zero SMAPE denominators, skipped weight steps, fewer
+// than two weights, sign changes), the local sizes give odd and even
+// target counts, and cube lengths 1, 2 and 3 give training lengths 0, 1
+// and 2.
+TEST(Indicators, PairedKernelMatchesScalarBitForBit) {
+  const IndicatorOptions weightings[] = {
+      {}, {0.0, 1.0}, {1.0, 0.0}, {0.7, 0.3}};
+  for (const std::size_t length :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{60}}) {
+    for (const TimeSeriesGraph& graph :
+         {testing::MakeZeroStepCube(length), testing::MakeFigure2Cube(length),
+          testing::MakeRegionCube(length, 2.0)}) {
+      ConfigurationEvaluator evaluator(graph, 0.8);
+      const std::size_t n = graph.num_nodes();
+      TimeSeriesGraph::NearestScratch scratch(n);
+      LocalIndicator local;
+      for (const IndicatorOptions& options : weightings) {
+        IndicatorComputer computer(evaluator, options);
+        for (NodeId s = 0; s < n; ++s) {
+          for (const std::size_t size :
+               {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+                std::size_t{5}, std::size_t{12}, std::size_t{13}, n - 2,
+                n - 1}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "nodes " << n << " length " << length
+                         << " source " << s << " size " << size);
+            computer.ComputeLocalInto(s, size, scratch, &local);
+            ASSERT_EQ(local.entries.size(), std::min(size, n - 1) + 1);
+            for (const auto& [target, value] : local.entries) {
+              EXPECT_EQ(value, computer.Indicate(s, target))
+                  << "target " << target;
+            }
+          }
         }
       }
     }

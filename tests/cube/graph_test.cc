@@ -6,6 +6,7 @@
 #include <limits>
 #include <set>
 
+#include "data/datasets.h"
 #include "testing/test_cubes.h"
 
 namespace f2db {
@@ -284,29 +285,42 @@ TimeSeriesGraph MakeThreeDimensionalGraph() {
   return std::move(TimeSeriesGraph::Create(std::move(schema))).value();
 }
 
+// Compares NearestNodes and NearestNodesInto with ReferenceNearest for
+// every source of `graph` at each `k`.
+void ExpectNearestMatchesReference(const TimeSeriesGraph& graph,
+                                   const std::vector<std::size_t>& ks) {
+  const std::size_t n = graph.num_nodes();
+  // One scratch across every search, as a worker thread reuses it.
+  TimeSeriesGraph::NearestScratch scratch(n);
+  for (NodeId node = 0; node < n; ++node) {
+    for (std::size_t k : ks) {
+      std::vector<std::size_t> levels;
+      const std::vector<NodeId> expected =
+          ReferenceNearest(graph, node, k, &levels);
+      EXPECT_EQ(graph.NearestNodes(node, k), expected)
+          << "node " << node << " k " << k;
+      EXPECT_EQ(graph.NearestNodesInto(node, k, scratch), expected)
+          << "node " << node << " k " << k;
+      // The BFS level of a node is its graph distance.
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(graph.Distance(node, expected[i]), levels[i]);
+      }
+    }
+  }
+}
+
 TEST(Graph, NearestNodesMatchesReferenceBfs) {
   for (const TimeSeriesGraph& graph :
        {testing::MakeFigure2Cube(), MakeThreeDimensionalGraph()}) {
     const std::size_t n = graph.num_nodes();
-    // One scratch across every search, as a worker thread reuses it.
-    TimeSeriesGraph::NearestScratch scratch(n);
-    for (NodeId node = 0; node < n; ++node) {
-      for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                            std::size_t{5}, std::size_t{13}, n - 1, n + 7}) {
-        std::vector<std::size_t> levels;
-        const std::vector<NodeId> expected =
-            ReferenceNearest(graph, node, k, &levels);
-        EXPECT_EQ(graph.NearestNodes(node, k), expected)
-            << "node " << node << " k " << k;
-        EXPECT_EQ(graph.NearestNodesInto(node, k, scratch), expected)
-            << "node " << node << " k " << k;
-        // The BFS level of a node is its graph distance.
-        for (std::size_t i = 0; i < expected.size(); ++i) {
-          EXPECT_EQ(graph.Distance(node, expected[i]), levels[i]);
-        }
-      }
-    }
+    ExpectNearestMatchesReference(graph, {0, 1, 2, 5, 13, n - 1, n + 7});
   }
+  // The advisor's shape: GenX-1000 (1,034 nodes, fan-out 32). From a base
+  // node, k = 16 and k = 1024 both end inside a BFS level that holds more
+  // nodes than still fit, so only part of that level is kept.
+  auto genx = MakeGenX(1000, 4, 8);
+  ASSERT_TRUE(genx.ok()) << genx.status().ToString();
+  ExpectNearestMatchesReference(genx.value().graph, {16, 1024});
 }
 
 TEST(Graph, NearestScratchSurvivesStampWraparound) {
