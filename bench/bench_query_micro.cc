@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <string>
 
 #include "baselines/advisor_builder.h"
 #include "bench/bench_util.h"
@@ -47,15 +48,18 @@ void BM_ParseForecastQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseForecastQuery);
 
+/// Resolves a base (level-0) member: the arg is its index among the
+/// cube's 1,000 level-0 members, swept over the first, middle and last.
 void BM_ResolveNode(benchmark::State& state) {
   F2dbEngine& engine = SharedEngine();
-  const std::vector<DimensionFilter> filters{{"level1", "L1_3"}};
+  const std::vector<DimensionFilter> filters{
+      {"level0", "L0_" + std::to_string(state.range(0))}};
   for (auto _ : state) {
     auto node = engine.ResolveNode(filters);
     benchmark::DoNotOptimize(node);
   }
 }
-BENCHMARK(BM_ResolveNode);
+BENCHMARK(BM_ResolveNode)->Arg(0)->Arg(500)->Arg(999);
 
 void BM_ForecastQuery(benchmark::State& state) {
   F2dbEngine& engine = SharedEngine();

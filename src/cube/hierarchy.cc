@@ -1,6 +1,8 @@
 #include "cube/hierarchy.h"
 
+#include <algorithm>
 #include <cassert>
+#include <numeric>
 
 namespace f2db {
 namespace {
@@ -16,7 +18,31 @@ Status Hierarchy::AddLevel(std::string level_name,
   if (value_names.empty()) {
     return Status::InvalidArgument("level needs at least one value");
   }
+  for (const Level& existing : levels_) {
+    if (existing.name == level_name) {
+      return Status::InvalidArgument("hierarchy '" + name_ +
+                                     "' already has a level '" + level_name +
+                                     "'");
+    }
+  }
   Level level;
+  level.by_name.resize(value_names.size());
+  std::iota(level.by_name.begin(), level.by_name.end(), ValueIndex{0});
+  std::sort(level.by_name.begin(), level.by_name.end(),
+            [&value_names](ValueIndex a, ValueIndex b) {
+              return value_names[a] < value_names[b];
+            });
+  // Sorted, so a duplicate member name sits next to its twin.
+  const auto twin = std::adjacent_find(
+      level.by_name.begin(), level.by_name.end(),
+      [&value_names](ValueIndex a, ValueIndex b) {
+        return value_names[a] == value_names[b];
+      });
+  if (twin != level.by_name.end()) {
+    return Status::InvalidArgument("hierarchy '" + name_ + "': level '" +
+                                   level_name + "' has duplicate value '" +
+                                   value_names[*twin] + "'");
+  }
   level.name = std::move(level_name);
   level.parents.assign(value_names.size(), 0);
   level.value_names = std::move(value_names);
@@ -134,9 +160,14 @@ Result<ValueIndex> Hierarchy::FindValue(LevelIndex level,
     if (value_name == kAllValueName) return ValueIndex{0};
     return Status::NotFound("ALL level has only '*'");
   }
-  const auto& names = levels_[level].value_names;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == value_name) return static_cast<ValueIndex>(i);
+  const Level& named = levels_[level];
+  const auto it = std::lower_bound(
+      named.by_name.begin(), named.by_name.end(), value_name,
+      [&named](ValueIndex v, std::string_view name) {
+        return named.value_names[v] < name;
+      });
+  if (it != named.by_name.end() && named.value_names[*it] == value_name) {
+    return *it;
   }
   return Status::NotFound("no value '" + std::string(value_name) +
                           "' at level '" + levels_[level].name + "'");

@@ -35,7 +35,9 @@ class Hierarchy {
   explicit Hierarchy(std::string name) : name_(std::move(name)) {}
 
   /// Appends the next-coarser level with its member value names.
-  /// The first call defines level 0 (the base granularity).
+  /// The first call defines level 0 (the base granularity). Member names
+  /// must be unique within the level and the level name unique within the
+  /// hierarchy (kInvalidArgument otherwise): lookups are by name.
   Status AddLevel(std::string level_name, std::vector<std::string> value_names);
 
   /// Declares that `child_value` of `level` rolls up into `parent_value`
@@ -81,18 +83,24 @@ class Hierarchy {
   /// carry the level.
   std::optional<LevelIndex> TryFindLevel(std::string_view level_name) const;
 
-  /// Looks up a value by name within a level.
+  /// Looks up a value by name within a level: a binary search of the
+  /// level's name-sorted member index, O(log n) in the member count.
   Result<ValueIndex> FindValue(LevelIndex level,
                                std::string_view value_name) const;
 
   /// Builds a flat hierarchy with a single level (no intermediate
-  /// aggregation below ALL); finalized and ready to use.
+  /// aggregation below ALL); finalized and ready to use. `values` must be
+  /// non-empty and unique, as AddLevel requires.
   static Hierarchy Flat(std::string name, std::vector<std::string> values);
 
  private:
   struct Level {
     std::string name;
     std::vector<std::string> value_names;
+    /// Value indices sorted by name (built by AddLevel): FindValue's
+    /// search index. Indices rather than views into value_names, so a
+    /// copied or moved hierarchy keeps a valid index.
+    std::vector<ValueIndex> by_name;
     /// parents[v] = parent value index at the next level; filled by
     /// SetParent, defaulted to 0 for the topmost level at Finalize.
     std::vector<ValueIndex> parents;

@@ -25,20 +25,6 @@ std::string RenderDouble(double value) {
   return buffer;
 }
 
-Result<double> ParseDoubleToken(std::istringstream& in, const char* what) {
-  std::string token;
-  if (!(in >> token)) {
-    return Status::InvalidArgument(std::string("checkpoint: missing ") + what);
-  }
-  char* end = nullptr;
-  const double value = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') {
-    return Status::InvalidArgument(std::string("checkpoint: bad ") + what +
-                                   ": " + token);
-  }
-  return value;
-}
-
 }  // namespace
 
 std::string CheckpointPath(const std::string& dir) {

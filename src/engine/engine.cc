@@ -66,16 +66,18 @@ Result<DegradedForecast> ForecastFromModel(const ForecastModel& model,
   return out;
 }
 
-/// Resolves WHERE filters against a graph's schema (structure only; the
-/// schema is identical across snapshots of one engine).
-Result<NodeId> ResolveNodeIn(const TimeSeriesGraph& graph,
-                             const std::vector<DimensionFilter>& filters) {
+}  // namespace
+
+Result<NodeId> ResolveFilters(const TimeSeriesGraph& graph,
+                              const std::vector<DimensionFilter>& filters) {
   const CubeSchema& schema = graph.schema();
   // Reused across calls: bound-filter EXECUTEs resolve per request, and
   // the hot path must not pay a coords allocation each time.
   thread_local NodeAddress address;
+  thread_local std::vector<bool> constrained;
   address.coords.clear();
   address.coords.resize(schema.num_dimensions());
+  constrained.assign(schema.num_dimensions(), false);
   for (std::size_t d = 0; d < schema.num_dimensions(); ++d) {
     address.coords[d] = {
         static_cast<LevelIndex>(schema.hierarchy(d).num_levels()), 0};  // ALL
@@ -83,14 +85,18 @@ Result<NodeId> ResolveNodeIn(const TimeSeriesGraph& graph,
   for (const DimensionFilter& filter : filters) {
     F2DB_ASSIGN_OR_RETURN(auto hit, schema.FindLevelAnywhere(filter.level));
     const auto [dim, level] = hit;
+    if (constrained[dim]) {
+      return Status::InvalidArgument(
+          "more than one WHERE predicate on dimension '" +
+          schema.hierarchy(dim).name() + "'");
+    }
+    constrained[dim] = true;
     F2DB_ASSIGN_OR_RETURN(ValueIndex value,
                           schema.hierarchy(dim).FindValue(level, filter.value));
     address.coords[dim] = {level, value};
   }
   return graph.NodeFor(address);
 }
-
-}  // namespace
 
 Result<PlanPtr> EngineInterface::ParsePlan(const std::string& sql) const {
   auto plan = std::make_shared<CachedPlan>();
@@ -476,7 +482,7 @@ Status F2dbEngine::ExecuteInto(const ForecastQuery& query,
   F2DB_RETURN_IF_ERROR(CheckQueryDeadline(query));
   const SnapshotPtr snap = LoadSnapshot();
   F2DB_ASSIGN_OR_RETURN(NodeId node,
-                        ResolveNodeIn(*snap->graph, query.filters));
+                        ResolveFilters(*snap->graph, query.filters));
   out->node = node;
   snap->graph->NodeNameInto(node, &out->node_name);
   return ForecastIntoResult(snap, node, query, out);
@@ -502,7 +508,7 @@ Result<PlanPtr> F2dbEngine::ParsePlan(const std::string& sql) const {
       const SnapshotPtr snap = LoadSnapshot();
       F2DB_ASSIGN_OR_RETURN(
           plan->resolved_node,
-          ResolveNodeIn(*snap->graph, plan->tmpl.statement.forecast.filters));
+          ResolveFilters(*snap->graph, plan->tmpl.statement.forecast.filters));
       plan->node_name = snap->graph->NodeName(plan->resolved_node);
     }
   }
@@ -522,7 +528,7 @@ Status F2dbEngine::ExecutePlanInto(const CachedPlan& plan,
     out->node = node;
     out->node_name.assign(plan.node_name);  // reuses the buffer's capacity
   } else {
-    F2DB_ASSIGN_OR_RETURN(node, ResolveNodeIn(*snap->graph, query.filters));
+    F2DB_ASSIGN_OR_RETURN(node, ResolveFilters(*snap->graph, query.filters));
     out->node = node;
     snap->graph->NodeNameInto(node, &out->node_name);
   }
@@ -638,7 +644,8 @@ Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
 
 Result<ExplainResult> F2dbEngine::Explain(const ForecastQuery& query) const {
   const SnapshotPtr snap = LoadSnapshot();
-  F2DB_ASSIGN_OR_RETURN(NodeId node, ResolveNodeIn(*snap->graph, query.filters));
+  F2DB_ASSIGN_OR_RETURN(NodeId node,
+                        ResolveFilters(*snap->graph, query.filters));
   ExplainResult out;
   out.node = node;
   out.node_name = snap->graph->NodeName(node);
@@ -730,7 +737,7 @@ Result<std::string> F2dbEngine::ExecuteStatementText(const std::string& sql) {
 Result<NodeId> F2dbEngine::ResolveNode(
     const std::vector<DimensionFilter>& filters) const {
   const SnapshotPtr snap = LoadSnapshot();
-  return ResolveNodeIn(*snap->graph, filters);
+  return ResolveFilters(*snap->graph, filters);
 }
 
 Result<std::vector<double>> F2dbEngine::ForecastNode(NodeId node,

@@ -369,6 +369,15 @@ struct ExplainResult {
   std::size_t horizon = 0;
 };
 
+/// Resolves WHERE filters against `graph`'s schema: each filter names a
+/// level of some dimension and a member of that level, and dimensions
+/// without a filter default to ALL. A second filter on an already
+/// constrained dimension is kInvalidArgument naming the dimension. The one
+/// resolver of F2dbEngine and of ShardedEngine (over its global graph);
+/// once warmed on the calling thread, a successful call does not allocate.
+Result<NodeId> ResolveFilters(const TimeSeriesGraph& graph,
+                              const std::vector<DimensionFilter>& filters);
+
 /// The surface the serving layer programs against: what a forecast engine
 /// must offer regardless of whether it is one F2dbEngine or a sharded
 /// facade over many (engine/sharded_engine.h). Kept deliberately narrow —

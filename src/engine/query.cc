@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <sstream>
+#include <string_view>
 
 #include "common/string_util.h"
 
@@ -23,18 +24,24 @@ Status StatementTooLarge(std::size_t size) {
 
 enum class TokenKind { kIdent, kString, kNumber, kSymbol, kEnd };
 
+/// One lexeme. `text` views the statement text being parsed, so tokens
+/// live no longer than that text: the parser copies into the AST only what
+/// the AST keeps.
 struct Token {
   TokenKind kind = TokenKind::kEnd;
-  std::string text;
+  std::string_view text;
 };
 
 /// Splits the query text into tokens; quoted strings keep their content.
 class Lexer {
  public:
-  explicit Lexer(const std::string& input) : input_(input) {}
+  explicit Lexer(std::string_view input) : input_(input) {}
 
   Result<std::vector<Token>> Tokenize() {
     std::vector<Token> out;
+    // A typical statement has a token per four bytes or fewer; one
+    // allocation up front instead of a doubling series.
+    out.reserve(input_.size() / 4 + 8);
     std::size_t pos = 0;
     while (pos < input_.size()) {
       const char c = input_[pos];
@@ -43,34 +50,30 @@ class Lexer {
         continue;
       }
       if (c == '\'') {
-        std::string value;
-        ++pos;
-        while (pos < input_.size() && input_[pos] != '\'') {
-          value.push_back(input_[pos++]);
-        }
-        if (pos >= input_.size()) {
+        const std::size_t close = input_.find('\'', pos + 1);
+        if (close == std::string_view::npos) {
           return Status::InvalidArgument("unterminated string literal");
         }
-        ++pos;  // closing quote
-        out.push_back({TokenKind::kString, std::move(value)});
+        out.push_back(
+            {TokenKind::kString, input_.substr(pos + 1, close - pos - 1)});
+        pos = close + 1;
         continue;
       }
+      const std::size_t start = pos;
       if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        std::string ident;
         while (pos < input_.size() &&
                (std::isalnum(static_cast<unsigned char>(input_[pos])) ||
                 input_[pos] == '_')) {
-          ident.push_back(input_[pos++]);
+          ++pos;
         }
-        out.push_back({TokenKind::kIdent, std::move(ident)});
+        out.push_back({TokenKind::kIdent, input_.substr(start, pos - start)});
         continue;
       }
       if (std::isdigit(static_cast<unsigned char>(c))) {
-        std::string number;
         while (pos < input_.size() &&
                (std::isdigit(static_cast<unsigned char>(input_[pos])) ||
                 input_[pos] == '.')) {
-          number.push_back(input_[pos++]);
+          ++pos;
         }
         // Exponent suffix ([eE][+-]?digits). Consumed only when a digit
         // confirmably follows, so "1e" stays an error and "SELECT 1 e"
@@ -84,19 +87,19 @@ class Lexer {
           }
           if (lookahead < input_.size() &&
               std::isdigit(static_cast<unsigned char>(input_[lookahead]))) {
-            while (pos < lookahead) number.push_back(input_[pos++]);
+            pos = lookahead;
             while (pos < input_.size() &&
                    std::isdigit(static_cast<unsigned char>(input_[pos]))) {
-              number.push_back(input_[pos++]);
+              ++pos;
             }
           }
         }
-        out.push_back({TokenKind::kNumber, std::move(number)});
+        out.push_back({TokenKind::kNumber, input_.substr(start, pos - start)});
         continue;
       }
       if (c == '(' || c == ')' || c == '=' || c == '+' || c == ',' ||
           c == '*' || c == ';' || c == '-' || c == '?') {
-        out.push_back({TokenKind::kSymbol, std::string(1, c)});
+        out.push_back({TokenKind::kSymbol, input_.substr(pos, 1)});
         ++pos;
         continue;
       }
@@ -112,17 +115,17 @@ class Lexer {
           std::string(1, "0123456789abcdef"[byte >> 4]) +
           std::string(1, "0123456789abcdef"[byte & 0xf]) + " in query");
     }
-    out.push_back({TokenKind::kEnd, ""});
+    out.push_back({TokenKind::kEnd, {}});
     return out;
   }
 
  private:
-  const std::string& input_;
+  std::string_view input_;
 };
 
 /// "3", "1 day", "12 hours" -> the leading integer. Shared between the AS
 /// OF literal and EXECUTE bind arguments so both enforce the same caps.
-Result<std::size_t> ParseHorizonText(const std::string& text) {
+Result<std::size_t> ParseHorizonText(std::string_view text) {
   std::size_t digits = 0;
   while (digits < text.size() &&
          std::isdigit(static_cast<unsigned char>(text[digits]))) {
@@ -175,13 +178,12 @@ class Parser {
     InsertStatement insert;
     F2DB_RETURN_IF_ERROR(ExpectKeyword("INSERT"));
     F2DB_RETURN_IF_ERROR(ExpectKeyword("INTO"));
-    F2DB_ASSIGN_OR_RETURN(std::string table, ExpectIdent());
-    (void)table;
+    F2DB_RETURN_IF_ERROR(ExpectIdent().status());  // the table name
     F2DB_RETURN_IF_ERROR(ExpectKeyword("VALUES"));
     F2DB_RETURN_IF_ERROR(ExpectSymbol("("));
     // Quoted dimension values, then the time index, then the measure.
     while (Peek().kind == TokenKind::kString) {
-      insert.base_values.push_back(Peek().text);
+      insert.base_values.emplace_back(Peek().text);
       Advance();
       F2DB_RETURN_IF_ERROR(ExpectSymbol(","));
     }
@@ -195,7 +197,7 @@ class Parser {
     F2DB_ASSIGN_OR_RETURN(std::string value_text, ExpectNumber());
     F2DB_ASSIGN_OR_RETURN(insert.value, ParseDouble(value_text));
     F2DB_RETURN_IF_ERROR(ExpectSymbol(")"));
-    if (Peek().kind == TokenKind::kSymbol && Peek().text == ";") Advance();
+    if (PeekSymbol(";")) Advance();
     if (Peek().kind != TokenKind::kEnd) {
       return Status::InvalidArgument("unexpected trailing tokens after INSERT");
     }
@@ -219,8 +221,8 @@ class Parser {
     }
 
     F2DB_RETURN_IF_ERROR(ExpectKeyword("FROM"));
-    F2DB_ASSIGN_OR_RETURN(std::string table, ExpectIdent());
-    (void)table;  // single fact table; name is informational
+    // Single fact table; its name is informational.
+    F2DB_RETURN_IF_ERROR(ExpectIdent().status());
 
     if (PeekKeyword("WHERE")) {
       Advance();
@@ -259,7 +261,8 @@ class Parser {
       slots_.push_back({BindSlot::Kind::kHorizon, 0});
       query.horizon = 1;  // placeholder until EXECUTE binds the real value
     } else {
-      F2DB_ASSIGN_OR_RETURN(std::string horizon_text, ExpectString());
+      F2DB_ASSIGN_OR_RETURN(const std::string_view horizon_text,
+                            ExpectString());
       F2DB_ASSIGN_OR_RETURN(query.horizon, ParseHorizonText(horizon_text));
     }
 
@@ -277,7 +280,7 @@ class Parser {
       }
     }
 
-    if (Peek().kind == TokenKind::kSymbol && Peek().text == ";") Advance();
+    if (PeekSymbol(";")) Advance();
     if (Peek().kind != TokenKind::kEnd) {
       return Status::InvalidArgument("unexpected trailing tokens after AS OF");
     }
@@ -297,56 +300,52 @@ class Parser {
     return Peek().kind == TokenKind::kSymbol && Peek().text == symbol;
   }
 
+  /// "expected <what>, got '<current token>'".
+  Status Unexpected(std::string_view what) const {
+    std::string message = "expected ";
+    message.append(what).append(", got '").append(Peek().text) += '\'';
+    return Status::InvalidArgument(std::move(message));
+  }
+
   Status ExpectKeyword(std::string_view keyword) {
     if (!PeekKeyword(keyword)) {
-      return Status::InvalidArgument("expected '" + std::string(keyword) +
-                                     "', got '" + Peek().text + "'");
+      return Unexpected("'" + std::string(keyword) + "'");
     }
     Advance();
     return Status::OK();
   }
 
   Status ExpectSymbol(std::string_view symbol) {
-    if (Peek().kind != TokenKind::kSymbol || Peek().text != symbol) {
-      return Status::InvalidArgument("expected '" + std::string(symbol) +
-                                     "', got '" + Peek().text + "'");
-    }
+    if (!PeekSymbol(symbol)) return Unexpected("'" + std::string(symbol) + "'");
     Advance();
     return Status::OK();
   }
 
-  Result<std::string> ExpectIdent() {
-    if (Peek().kind != TokenKind::kIdent) {
-      return Status::InvalidArgument("expected identifier, got '" +
-                                     Peek().text + "'");
-    }
-    std::string out = Peek().text;
+  /// The returned view lives as long as the statement text.
+  Result<std::string_view> ExpectIdent() {
+    if (Peek().kind != TokenKind::kIdent) return Unexpected("identifier");
+    const std::string_view out = Peek().text;
     Advance();
     return out;
   }
 
-  Result<std::string> ExpectString() {
-    if (Peek().kind != TokenKind::kString) {
-      return Status::InvalidArgument("expected quoted literal, got '" +
-                                     Peek().text + "'");
-    }
-    std::string out = Peek().text;
+  /// The returned view lives as long as the statement text.
+  Result<std::string_view> ExpectString() {
+    if (Peek().kind != TokenKind::kString) return Unexpected("quoted literal");
+    const std::string_view out = Peek().text;
     Advance();
     return out;
   }
 
   Result<std::string> ExpectNumber() {
     // Accepts an optional leading minus for measure values.
-    std::string sign;
-    if (Peek().kind == TokenKind::kSymbol && Peek().text == "-") {
-      sign = "-";
+    std::string out;
+    if (PeekSymbol("-")) {
+      out = "-";
       Advance();
     }
-    if (Peek().kind != TokenKind::kNumber) {
-      return Status::InvalidArgument("expected number, got '" + Peek().text +
-                                     "'");
-    }
-    std::string out = sign + Peek().text;
+    if (Peek().kind != TokenKind::kNumber) return Unexpected("number");
+    out += Peek().text;
     Advance();
     return out;
   }
@@ -508,15 +507,16 @@ std::string NormalizeStatementText(const std::string& sql) {
       continue;
     }
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      std::string word;
+      const std::size_t start = pos;
       while (pos < sql.size() &&
              (std::isalnum(static_cast<unsigned char>(sql[pos])) ||
               sql[pos] == '_')) {
-        word.push_back(sql[pos++]);
+        ++pos;
       }
+      std::string_view word = std::string_view(sql).substr(start, pos - start);
       for (std::string_view keyword : kKeywords) {
         if (EqualsIgnoreCase(word, keyword)) {
-          word.assign(keyword);
+          word = keyword;
           break;
         }
       }

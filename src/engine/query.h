@@ -13,8 +13,9 @@
 //   AS OF now() + '3'
 //
 // WHERE predicates name a hierarchy LEVEL (city, region, product, ...) and
-// a member value; dimensions without a predicate default to ALL (full
-// aggregation). The AS OF literal is the forecast horizon in periods.
+// a member value, at most one predicate per dimension; dimensions without a
+// predicate default to ALL (full aggregation). The AS OF literal is the
+// forecast horizon in periods.
 
 #ifndef F2DB_ENGINE_QUERY_H_
 #define F2DB_ENGINE_QUERY_H_

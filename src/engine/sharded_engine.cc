@@ -400,25 +400,6 @@ Status ShardedEngine::LoadConfiguration(const ModelConfiguration& config,
   return Status::OK();
 }
 
-Result<NodeId> ShardedEngine::ResolveGlobal(
-    const std::vector<DimensionFilter>& filters) const {
-  const CubeSchema& schema = global_graph_->schema();
-  NodeAddress address;
-  address.coords.resize(schema.num_dimensions());
-  for (std::size_t d = 0; d < schema.num_dimensions(); ++d) {
-    address.coords[d] = {
-        static_cast<LevelIndex>(schema.hierarchy(d).num_levels()), 0};  // ALL
-  }
-  for (const DimensionFilter& filter : filters) {
-    F2DB_ASSIGN_OR_RETURN(auto hit, schema.FindLevelAnywhere(filter.level));
-    const auto [dim, level] = hit;
-    F2DB_ASSIGN_OR_RETURN(ValueIndex value,
-                          schema.hierarchy(dim).FindValue(level, filter.value));
-    address.coords[dim] = {level, value};
-  }
-  return global_graph_->NodeFor(address);
-}
-
 const std::vector<std::size_t>& ShardedEngine::PartitionsOfCoord(
     LevelIndex level, ValueIndex value) const {
   const std::size_t levels =
@@ -427,7 +408,8 @@ const std::vector<std::size_t>& ShardedEngine::PartitionsOfCoord(
 }
 
 Result<QueryResult> ShardedEngine::Execute(const ForecastQuery& query) const {
-  F2DB_ASSIGN_OR_RETURN(const NodeId global_node, ResolveGlobal(query.filters));
+  F2DB_ASSIGN_OR_RETURN(const NodeId global_node,
+                        ResolveFilters(*global_graph_, query.filters));
   const auto [level, value] = global_graph_->AddressOf(global_node).coords[0];
   const std::vector<std::size_t>& parts = PartitionsOfCoord(level, value);
 
@@ -512,7 +494,8 @@ Result<QueryResult> ShardedEngine::Execute(const ForecastQuery& query) const {
 }
 
 Result<ExplainResult> ShardedEngine::Explain(const ForecastQuery& query) const {
-  F2DB_ASSIGN_OR_RETURN(const NodeId global_node, ResolveGlobal(query.filters));
+  F2DB_ASSIGN_OR_RETURN(const NodeId global_node,
+                        ResolveFilters(*global_graph_, query.filters));
   const auto [level, value] = global_graph_->AddressOf(global_node).coords[0];
   const std::vector<std::size_t>& parts = PartitionsOfCoord(level, value);
 

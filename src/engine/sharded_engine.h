@@ -144,11 +144,6 @@ class ShardedEngine : public EngineInterface {
   ShardedEngine(ShardedEngineOptions options,
                 std::shared_ptr<const TimeSeriesGraph> global_graph);
 
-  /// Resolves WHERE filters against the GLOBAL schema (unfiltered
-  /// dimensions default to ALL), mirroring F2dbEngine::ResolveNode.
-  Result<NodeId> ResolveGlobal(
-      const std::vector<DimensionFilter>& filters) const;
-
   /// The partitions whose base cells a dimension-0 coordinate rolls up.
   const std::vector<std::size_t>& PartitionsOfCoord(LevelIndex level,
                                                     ValueIndex value) const;

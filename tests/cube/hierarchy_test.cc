@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "cube/cube_schema.h"
+#include "cube/graph.h"
+#include "data/datasets.h"
+
 namespace f2db {
 namespace {
 
@@ -56,6 +64,72 @@ TEST(Hierarchy, FindLevelAndValue) {
   EXPECT_EQ(h.FindValue(2, "*").value(), 0u);
   EXPECT_FALSE(h.FindValue(0, "C9").ok());
   EXPECT_FALSE(h.FindValue(2, "C9").ok());
+}
+
+// Checks that every member of every level of `h` resolves to its own index.
+void ExpectEveryMemberFound(const Hierarchy& h) {
+  for (LevelIndex level = 0; level <= h.num_levels(); ++level) {
+    for (ValueIndex v = 0; v < h.num_values(level); ++v) {
+      const auto found = h.FindValue(level, h.value_name(level, v));
+      ASSERT_TRUE(found.ok()) << found.status().message();
+      ASSERT_EQ(found.value(), v) << h.value_name(level, v);
+    }
+  }
+}
+
+TEST(Hierarchy, FindValueMatchesEveryMember) {
+  // GenX-5000: level 0 holds L0_0..L0_4999, whose name order ("L0_10" <
+  // "L0_2") differs from their index order.
+  auto genx = MakeGenX(5000, 4, 24);
+  ASSERT_TRUE(genx.ok()) << genx.status().message();
+  const TimeSeriesGraph& graph = genx.value().graph;
+  const Hierarchy& h = graph.schema().hierarchy(0);
+  ASSERT_EQ(h.num_values(0), 5000u);
+  ExpectEveryMemberFound(h);
+
+  // Misses keep the NotFound status and its message.
+  for (const std::string miss : {"L0_5000", "", "l0_1", "L0_"}) {
+    const auto found = h.FindValue(0, miss);
+    ASSERT_FALSE(found.ok()) << miss;
+    EXPECT_EQ(found.status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(found.status().message(),
+              "no value '" + miss + "' at level 'level0'");
+  }
+  const auto all_miss = h.FindValue(static_cast<LevelIndex>(h.num_levels()),
+                                    "L0_1");
+  EXPECT_EQ(all_miss.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(all_miss.status().message(), "ALL level has only '*'");
+
+  // The member index survives copies and moves of the schema and graph.
+  CubeSchema schema_copy = graph.schema();
+  ExpectEveryMemberFound(schema_copy.hierarchy(0));
+  const CubeSchema schema_moved = std::move(schema_copy);
+  ExpectEveryMemberFound(schema_moved.hierarchy(0));
+  TimeSeriesGraph graph_copy = graph;
+  ExpectEveryMemberFound(graph_copy.schema().hierarchy(0));
+  const TimeSeriesGraph graph_moved = std::move(graph_copy);
+  ExpectEveryMemberFound(graph_moved.schema().hierarchy(0));
+}
+
+TEST(Hierarchy, RejectsDuplicateMemberName) {
+  Hierarchy h("location");
+  const Status status = h.AddLevel("city", {"C2", "C1", "C3", "C1"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("duplicate value 'C1'"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(h.num_levels(), 0u);
+}
+
+TEST(Hierarchy, RejectsDuplicateLevelName) {
+  Hierarchy h("location");
+  ASSERT_TRUE(h.AddLevel("city", {"C1", "C2"}).ok());
+  const Status status = h.AddLevel("city", {"R1"});
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("level 'city'"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(h.num_levels(), 1u);
+  // The same member name on different levels stays legal.
+  EXPECT_TRUE(h.AddLevel("region", {"C1"}).ok());
 }
 
 TEST(Hierarchy, FlatFactory) {

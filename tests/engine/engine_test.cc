@@ -342,6 +342,35 @@ TEST(Engine, LoadConfigurationRejectsEmptyConfig) {
   EXPECT_FALSE(engine.LoadConfiguration(config, evaluator).ok());
 }
 
+// A second predicate on an already constrained dimension is an error, not
+// a silent overwrite of the first (city and region both belong to the
+// 'location' dimension of the Figure 2 cube).
+TEST(Engine, RejectsTwoPredicatesOnOneDimension) {
+  F2dbEngine engine(testing::MakeFigure2Cube(48));
+  for (const std::vector<DimensionFilter>& filters :
+       {std::vector<DimensionFilter>{{"city", "C1"}, {"region", "R2"}},
+        std::vector<DimensionFilter>{{"region", "R2"}, {"city", "C1"}},
+        std::vector<DimensionFilter>{{"city", "C1"}, {"city", "C1"}}}) {
+    const auto node = engine.ResolveNode(filters);
+    ASSERT_FALSE(node.ok());
+    EXPECT_EQ(node.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(node.status().message(),
+              "more than one WHERE predicate on dimension 'location'");
+  }
+  const auto sql = engine.ExecuteSql(
+      "SELECT time, SUM(sales) FROM facts WHERE city = 'C1' AND "
+      "product = 'P2' AND region = 'R2' GROUP BY time AS OF now() + '1'");
+  ASSERT_FALSE(sql.ok());
+  EXPECT_EQ(sql.status().code(), StatusCode::kInvalidArgument);
+  // One predicate per dimension still resolves.
+  const auto node = engine.ResolveNode({{"product", "P2"}, {"region", "R2"}});
+  ASSERT_TRUE(node.ok()) << node.status().message();
+  EXPECT_EQ(engine.graph().NodeName(node.value()),
+            engine.graph().NodeName(
+                engine.ResolveNode({{"region", "R2"}, {"product", "P2"}})
+                    .value()));
+}
+
 TEST(Engine, BottomUpConfigurationServesAggregateQueries) {
   const TimeSeriesGraph graph = testing::MakeRegionCube(48, 0.2);
   ConfigurationEvaluator evaluator(graph, 0.8);

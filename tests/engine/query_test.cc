@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace f2db {
 namespace {
 
@@ -101,6 +104,66 @@ TEST(QueryParser, RejectsMalformedPredicate) {
   EXPECT_FALSE(ParseForecastQuery(
                    "SELECT time, x FROM f WHERE a = b AS OF now() + '1'")
                    .ok());
+}
+
+// Tokens view the statement text; the parsed query must own its strings.
+TEST(QueryParser, ResultOutlivesStatementText) {
+  Result<Statement> parsed = Status::Internal("not parsed");
+  {
+    std::string sql =
+        "SELECT time, SUM(visitors_measure) FROM facts WHERE "
+        "state_level_name = 'a member name longer than the SSO buffer' "
+        "AND purpose = 'P1' GROUP BY time AS OF now() + '3'";
+    parsed = ParseStatement(sql);
+    sql.assign(sql.size(), '#');  // scribble over the text before it dies
+  }
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const ForecastQuery& q = parsed.value().forecast;
+  EXPECT_EQ(q.measure, "visitors_measure");
+  ASSERT_EQ(q.filters.size(), 2u);
+  EXPECT_EQ(q.filters[0],
+            (DimensionFilter{"state_level_name",
+                             "a member name longer than the SSO buffer"}));
+  EXPECT_EQ(q.filters[1], (DimensionFilter{"purpose", "P1"}));
+  EXPECT_EQ(q.horizon, 3u);
+
+  Result<Statement> insert = Status::Internal("not parsed");
+  {
+    std::string sql =
+        "INSERT INTO facts VALUES ('a base member longer than SSO', 'P2', "
+        "7, -1.5)";
+    insert = ParseStatement(sql);
+    sql.assign(sql.size(), '#');
+  }
+  ASSERT_TRUE(insert.ok()) << insert.status().ToString();
+  EXPECT_EQ(insert.value().insert.base_values,
+            (std::vector<std::string>{"a base member longer than SSO", "P2"}));
+  EXPECT_EQ(insert.value().insert.time, 7);
+  EXPECT_EQ(insert.value().insert.value, -1.5);
+}
+
+// Error messages quote the offending token verbatim.
+TEST(QueryParser, ErrorsQuoteTheOffendingToken) {
+  const auto message = [](const std::string& sql) {
+    const auto parsed = ParseStatement(sql);
+    EXPECT_FALSE(parsed.ok()) << sql;
+    return parsed.ok() ? std::string() : parsed.status().message();
+  };
+  EXPECT_EQ(message("SELECT time, x FORM facts AS OF now() + '1'"),
+            "expected 'FROM', got 'FORM'");
+  EXPECT_EQ(message("SELECT time, x FROM facts WHERE city = C1 AS OF "
+                    "now() + '1'"),
+            "expected quoted literal, got 'C1'");
+  EXPECT_EQ(message("SELECT time, 'x' FROM facts AS OF now() + '1'"),
+            "expected identifier, got 'x'");
+  EXPECT_EQ(message("SELECT time, x FROM facts AS OF now() - '1'"),
+            "expected '+', got '-'");
+  EXPECT_EQ(message("SELECT time, x FROM facts AS OF now() + '1"),
+            "unterminated string literal");
+  EXPECT_EQ(message("SELECT time, x FROM facts AS OF"),
+            "expected 'now', got ''");
+  EXPECT_EQ(message("INSERT INTO facts VALUES ('C1', x, 1)"),
+            "expected number, got 'x'");
 }
 
 TEST(QueryToString, RoundTripsThroughParser) {

@@ -22,6 +22,8 @@ namespace {
 
 /// The four Figure 2 cities (dimension 0, level 0) — the partitioning key.
 const std::vector<std::string> kCities = {"C1", "C2", "C3", "C4"};
+/// The two Figure 2 products (dimension 1, level 0).
+const std::vector<std::string> kProducts = {"P1", "P2"};
 
 ShardedEngineOptions MakeOptions(std::size_t num_shards) {
   ShardedEngineOptions options;
@@ -61,7 +63,7 @@ ForecastQuery CityQuery(const std::string& city, std::size_t horizon) {
 /// Inserts one full round (every base cell) at the cube frontier.
 void InsertRound(ShardedEngine& sharded, std::int64_t time, double value) {
   for (const std::string& city : kCities) {
-    for (const std::string& product : {"P1", "P2"}) {
+    for (const std::string& product : kProducts) {
       const Status status =
           sharded.InsertFact({city, product}, time, value);
       ASSERT_TRUE(status.ok()) << city << "/" << product << ": "
@@ -89,6 +91,21 @@ TEST(ShardedEngineTest, PartitionOfIsDeterministicAndBounded) {
     }
   }
   EXPECT_TRUE(separated);
+}
+
+TEST(ShardedEngineTest, RejectsTwoPredicatesOnOneDimension) {
+  auto sharded = OpenFigure2(2);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ForecastQuery query = CityQuery("C1", 2);
+  query.filters.push_back({"region", "R2"});
+  const auto result = sharded.value()->Execute(query);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message(),
+            "more than one WHERE predicate on dimension 'location'");
+  const auto explained = sharded.value()->Explain(query);
+  ASSERT_FALSE(explained.ok());
+  EXPECT_EQ(explained.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedEngineTest, OpenPartitionsEveryBaseCellExactlyOnce) {
@@ -223,7 +240,7 @@ TEST(ShardedEngineTest, InsertRoutesToOwningShardAndRoundsAdvanceAll) {
 
   // Completing the round advances every shard exactly once.
   for (const std::string& city : kCities) {
-    for (const std::string& product : {"P1", "P2"}) {
+    for (const std::string& product : kProducts) {
       if (city == "C1" && product == "P1") continue;  // already inserted
       ASSERT_TRUE(engine.InsertFact({city, product}, frontier, 5.0).ok());
     }
@@ -268,7 +285,7 @@ TEST(ShardedEngineTest, MisalignedShardFrontiersFailCrossShardQueries) {
   const std::size_t c1_partition = ShardedEngine::PartitionOf("C1", m);
   for (const std::string& city : kCities) {
     if (ShardedEngine::PartitionOf(city, m) != c1_partition) continue;
-    for (const std::string& product : {"P1", "P2"}) {
+    for (const std::string& product : kProducts) {
       ASSERT_TRUE(engine.InsertFact({city, product}, 48, 5.0).ok());
     }
   }

@@ -87,7 +87,9 @@ class FaultInjectionTest : public ::testing::Test {
       for (std::size_t i = 0; i < bases.size(); ++i) {
         const Status status =
             engine.InsertFact(bases[i], t, 10.0 + static_cast<double>(i));
-        if (expect_ok) ASSERT_TRUE(status.ok()) << status.message();
+        if (expect_ok) {
+          ASSERT_TRUE(status.ok()) << status.message();
+        }
       }
     }
   }

@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "baselines/advisor_builder.h"
+#include "baselines/top_down.h"
+#include "data/datasets.h"
 #include "engine/engine.h"
 #include "server/server.h"
 #include "server/wire.h"
@@ -174,6 +176,63 @@ TEST(PreparedAllocationTest, RebindingDifferentValuesStaysAllocationFree) {
   g_armed.store(false, std::memory_order_relaxed);
   EXPECT_TRUE(all_ok);
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u);
+}
+
+// A bound base-member filter resolves through the level's sorted member
+// index: binding the last of GenX-1000's 1,000 level-0 members must stay
+// allocation-free once warmed.
+TEST(PreparedAllocationTest, BindingALateBaseMemberStaysAllocationFree) {
+  auto genx = MakeGenX(1000, 4, 48);
+  ASSERT_TRUE(genx.ok()) << genx.status().message();
+  ConfigurationEvaluator evaluator(genx.value().graph, 0.8);
+  ModelFactory factory(ModelSpec::TripleExponentialSmoothing(12));
+  TopDownBuilder builder;
+  auto outcome = builder.Build(evaluator, factory);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+  F2dbEngine engine(genx.value().graph);
+  ASSERT_TRUE(
+      engine.LoadConfiguration(outcome.value().configuration, evaluator).ok());
+
+  auto plan_or = engine.ParsePlan(
+      "SELECT time, sales FROM facts WHERE level0 = ? AS OF now() + ?");
+  ASSERT_TRUE(plan_or.ok()) << plan_or.status().message();
+  const PlanPtr plan = plan_or.value();
+  const std::vector<std::string> bodies = {
+      EncodeExecuteBody(1, {"L0_999", "3"}),
+      EncodeExecuteBody(1, {"L0_500", "3"}),
+  };
+
+  ExecuteBody body_scratch;
+  Statement stmt_scratch;
+  QueryResult result_scratch;
+  std::string frame_scratch;
+  bool all_ok = true;
+  const auto run_once = [&](const std::string& body) {
+    all_ok = all_ok && ParseExecuteBodyInto(body, &body_scratch).ok() &&
+             BindStatementInto(plan->tmpl, body_scratch.binds, &stmt_scratch)
+                 .ok() &&
+             engine.ExecutePlanInto(*plan, stmt_scratch.forecast,
+                                    &result_scratch)
+                 .ok();
+    frame_scratch.clear();
+    AppendForecastResponseFrame(FrameType::kExecute, result_scratch,
+                                &frame_scratch);
+  };
+  for (const auto& body : bodies) run_once(body);
+  ASSERT_TRUE(all_ok);
+  ASSERT_EQ(result_scratch.degradation, DegradationLevel::kNone)
+      << result_scratch.degradation_reason;
+  ASSERT_EQ(result_scratch.rows.size(), 3u);
+
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_armed.store(true, std::memory_order_relaxed);
+  run_once(bodies[0]);
+  g_armed.store(false, std::memory_order_relaxed);
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), 0u);
+  EXPECT_EQ(engine.graph().NodeName(result_scratch.node),
+            engine.graph().NodeName(
+                engine.ResolveNode({{"level0", "L0_999"}}).value()));
 }
 
 }  // namespace
