@@ -36,7 +36,16 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
 
 void ThreadPool::ParallelFor(std::size_t n,
                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
+  ParallelFor(n, fn, nullptr);
+}
+
+void ThreadPool::ParallelFor(std::size_t n,
+                             const std::function<void(std::size_t)>& fn,
+                             const std::function<void()>& prologue) {
+  if (n == 0) {
+    if (prologue) prologue();
+    return;
+  }
   // One loop shared by the caller and the helpers. A helper that starts
   // after every index is claimed touches only this block (it owns a
   // reference), never `fn`, which lives only until the caller returns.
@@ -44,6 +53,7 @@ void ThreadPool::ParallelFor(std::size_t n,
     const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t n = 0;
     std::size_t grain = 1;  ///< indices per claim
+    std::atomic<bool> ready{false};  ///< the prologue has run
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{0};
     std::mutex mutex;
@@ -53,10 +63,12 @@ void ThreadPool::ParallelFor(std::size_t n,
   auto loop = std::make_shared<Loop>();
   loop->fn = &fn;
   loop->n = n;
+  loop->ready.store(!prologue, std::memory_order_relaxed);
   // About eight claims per participant: cheap iterations do not contend on
   // the counter, expensive ones still balance.
   loop->grain = std::max<std::size_t>(1, n / (8 * (helpers + 1)));
   const auto drain = [](Loop& l) {
+    while (!l.ready.load(std::memory_order_acquire)) std::this_thread::yield();
     for (std::size_t begin; (begin = l.next.fetch_add(l.grain)) < l.n;) {
       const std::size_t end = std::min(l.n, begin + l.grain);
       for (std::size_t i = begin; i < end; ++i) {
@@ -74,6 +86,16 @@ void ThreadPool::ParallelFor(std::size_t n,
   };
   for (std::size_t h = 0; h < helpers; ++h) {
     Submit([loop, drain] { drain(*loop); });
+  }
+  if (prologue) {
+    try {
+      prologue();
+    } catch (...) {
+      loop->next.store(n);  // the helpers find nothing left to claim
+      loop->ready.store(true, std::memory_order_release);
+      throw;
+    }
+    loop->ready.store(true, std::memory_order_release);
   }
   // The caller claims indices too, so a ParallelFor issued from inside a
   // pool task finishes even when every worker is busy.

@@ -41,6 +41,14 @@ class ThreadPool {
   /// thrown by `fn(i)` is swallowed and ends only index i.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
 
+  /// ParallelFor that wakes the helpers before the caller runs `prologue`,
+  /// and runs fn(i) only after it: a helper waking while the prologue runs
+  /// waits for it, spinning, instead of starting late. For a loop whose
+  /// set-up is about as long as waking a sleeping thread. If the prologue
+  /// throws, the exception propagates and fn is never called.
+  void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
+                   const std::function<void()>& prologue);
+
   /// Number of worker threads.
   std::size_t size() const { return threads_.size(); }
 

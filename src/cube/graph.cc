@@ -3,9 +3,59 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <utility>
 
 namespace f2db {
+
+TimeSeriesGraph::TimeSeriesGraph(const TimeSeriesGraph& other)
+    : structure_(other.structure_),
+      panel_(other.panel_),
+      column_(other.column_),
+      aggregates_built_(other.aggregates_built_),
+      packed_(other.packed_) {
+  if (other.series_ == nullptr) return;
+  series_ = std::allocator<TimeSeries>().allocate(num_nodes());
+  TimeSeries::Panel::CopyRows(other.rows(), series_);
+}
+
+TimeSeriesGraph& TimeSeriesGraph::operator=(const TimeSeriesGraph& other) {
+  if (this != &other) *this = TimeSeriesGraph(other);
+  return *this;
+}
+
+TimeSeriesGraph::TimeSeriesGraph(TimeSeriesGraph&& other) noexcept
+    : structure_(std::move(other.structure_)),
+      panel_(std::move(other.panel_)),
+      series_(std::exchange(other.series_, nullptr)),
+      column_(other.column_),
+      aggregates_built_(other.aggregates_built_),
+      packed_(other.packed_) {}
+
+TimeSeriesGraph& TimeSeriesGraph::operator=(TimeSeriesGraph&& other) noexcept {
+  if (this != &other) {
+    FreeRows();
+    structure_ = std::move(other.structure_);
+    panel_ = std::move(other.panel_);
+    series_ = std::exchange(other.series_, nullptr);
+    column_ = other.column_;
+    aggregates_built_ = other.aggregates_built_;
+    packed_ = other.packed_;
+  }
+  return *this;
+}
+
+TimeSeriesGraph::~TimeSeriesGraph() { FreeRows(); }
+
+void TimeSeriesGraph::FreeRows() {
+  if (series_ == nullptr) return;
+  // Borrowed rows hold nothing: a packed graph's rows, some perhaps never
+  // written, need no destructor.
+  if (!packed_) std::destroy_n(series_, num_nodes());
+  std::allocator<TimeSeries>().deallocate(series_, num_nodes());
+  series_ = nullptr;
+}
 
 Result<TimeSeriesGraph> TimeSeriesGraph::Create(CubeSchema schema) {
   TimeSeriesGraph graph;
@@ -35,7 +85,8 @@ Result<TimeSeriesGraph> TimeSeriesGraph::Create(CubeSchema schema) {
     total *= slots;
   }
   st->num_nodes = total;
-  graph.series_.resize(total);
+  graph.series_ = std::allocator<TimeSeries>().allocate(total);
+  std::uninitialized_default_construct_n(graph.series_, total);
 
   // Base nodes in node-id order (deterministic) and the top node.
   for (NodeId node = 0; node < total; ++node) {
@@ -357,66 +408,99 @@ Status TimeSeriesGraph::BuildAggregates() {
           "base series are not aligned; node " + NodeName(node));
     }
   }
-  std::vector<TimeSeries*> rows;
-  rows.reserve(st.aggregation_order.size());
-  for (NodeId node : st.aggregation_order) {
-    series_[node] = TimeSeries(std::vector<double>{}, t0);
-    rows.push_back(&series_[node]);
+  // Rows that still borrow the panel take references of their own, so the
+  // graph can let the panel go.
+  if (panel_) {
+    for (TimeSeries& row : rows()) row = TimeSeries(row);
+    panel_ = {};
   }
-  TimeSeries::Pack(rows, n);
-  std::vector<double> sum(n);
   for (std::size_t k = 0; k < st.aggregation_order.size(); ++k) {
-    std::fill(sum.begin(), sum.end(), 0.0);
+    std::vector<double> sum(n, 0.0);
     for (std::size_t e = st.summand_offsets[k]; e < st.summand_offsets[k + 1];
          ++e) {
       const TimeSeries& child_series = series_[st.summands[e]];
       assert(child_series.size() == n);
       for (std::size_t i = 0; i < n; ++i) sum[i] += child_series[i];
     }
-    const bool filled = rows[k]->TryAppend(sum);
-    assert(filled);
-    (void)filled;
+    series_[st.aggregation_order[k]] = TimeSeries(std::move(sum), t0);
   }
   aggregates_built_ = true;
   packed_ = false;
   return Status::OK();
 }
 
-Status TimeSeriesGraph::AdvanceTime(const std::vector<double>& base_values,
-                                    std::vector<double>* column) {
-  const Structure& st = *structure_;
-  if (base_values.size() != st.base_nodes.size()) {
+Status TimeSeriesGraph::CheckAdvance(
+    const std::vector<double>& base_values) const {
+  if (base_values.size() != structure_->base_nodes.size()) {
     return Status::InvalidArgument(
         "AdvanceTime: need exactly one value per base node");
   }
   if (!aggregates_built_) {
     return Status::FailedPrecondition("AdvanceTime: call BuildAggregates first");
   }
-  AggregateInto(base_values, *column);
-  if (!packed_) Regrow();
-  const std::span<TimeSeries> rows(series_);
-  const std::span<const double> values(*column);
-  // A row that cannot append (full, or its tip claimed by a discarded
-  // successor) regrows the panel; it and every later row then append in
-  // place.
-  std::size_t done = TimeSeries::TryAppendEach(rows, values);
-  while (done < rows.size()) {
-    Regrow();
-    done += TimeSeries::TryAppendEach(rows.subspan(done), values.subspan(done));
-  }
   return Status::OK();
 }
 
-void TimeSeriesGraph::Regrow() {
-  std::vector<TimeSeries*> rows;
-  rows.reserve(series_.size());
-  std::size_t longest = 0;
-  for (TimeSeries& series : series_) {
-    rows.push_back(&series);
-    longest = std::max(longest, series.size());
+Status TimeSeriesGraph::AdvanceTime(const std::vector<double>& base_values,
+                                    std::vector<double>* column) {
+  F2DB_RETURN_IF_ERROR(CheckAdvance(base_values));
+  AggregateInto(base_values, *column);
+  if (!ClaimNextColumn()) Repack();
+  TimeSeries::Panel::AppendColumn(rows(), *column);
+  return Status::OK();
+}
+
+Result<TimeSeriesGraph> TimeSeriesGraph::BeginSuccessor(
+    const std::vector<double>& base_values, std::vector<double>* column) const {
+  F2DB_RETURN_IF_ERROR(CheckAdvance(base_values));
+  AggregateInto(base_values, *column);
+  if (packed_ && panel_.ClaimColumn(column_)) {
+    // Rows stay unconstructed until WriteSuccessorRows builds them.
+    TimeSeriesGraph next;
+    next.structure_ = structure_;
+    next.panel_ = panel_;
+    next.series_ = std::allocator<TimeSeries>().allocate(num_nodes());
+    next.column_ = column_ + 1;
+    next.aggregates_built_ = true;
+    next.packed_ = true;
+    return next;
   }
-  TimeSeries::Pack(rows, std::max<std::size_t>(2 * longest, 8));
+  TimeSeriesGraph next = *this;
+  next.Repack();
+  return next;
+}
+
+void TimeSeriesGraph::WriteSuccessorRows(TimeSeriesGraph& next,
+                                         std::span<const double> column,
+                                         std::size_t begin,
+                                         std::size_t end) const {
+  const std::span<const double> values = column.subspan(begin, end - begin);
+  if (next.panel_ == panel_) {
+    // The successor claimed this graph's column: its rows are built here.
+    TimeSeries::Panel::AdvanceRows(rows().subspan(begin, end - begin),
+                                   next.series_ + begin, values);
+  } else {
+    TimeSeries::Panel::AppendColumn(next.rows().subspan(begin, end - begin),
+                                    values);
+  }
+}
+
+bool TimeSeriesGraph::ClaimNextColumn() {
+  if (!packed_ || !panel_.ClaimColumn(column_)) return false;
+  ++column_;
+  return true;
+}
+
+void TimeSeriesGraph::Repack() {
+  // The rows are aligned: one length for all.
+  const std::size_t length = series_length();
+  panel_ =
+      TimeSeries::Panel::Pack(rows(), std::max<std::size_t>(2 * length, 8));
+  column_ = length;
   packed_ = true;
+  const bool claimed = ClaimNextColumn();
+  assert(claimed);
+  (void)claimed;
 }
 
 Status TimeSeriesGraph::DropHistoryBefore(std::int64_t t) {
@@ -424,7 +508,7 @@ Status TimeSeriesGraph::DropHistoryBefore(std::int64_t t) {
     return Status::FailedPrecondition(
         "DropHistoryBefore: call BuildAggregates first");
   }
-  for (TimeSeries& series : series_) {
+  for (TimeSeries& series : rows()) {
     if (series.start_time() >= t) continue;
     series.DropFront(static_cast<std::size_t>(t - series.start_time()));
   }

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,11 +44,19 @@ struct NodeAddress {
 /// lists) lives in one immutable block that every copy shares. A copy
 /// copies only the per-node series handles, each O(1) (see TimeSeries), so
 /// copying a graph costs O(nodes) whatever the history length. From the
-/// first AdvanceTime on, every node's series is a row of one panel (see
-/// TimeSeries::Pack), so those handles all share the panel's single
-/// reference count.
+/// first time advance on, every node's series is a borrowed row of one
+/// panel (see TimeSeries::Panel) and the graph holds the panel's one
+/// reference: copying or destroying the graph touches that one counter,
+/// and the row handles are plain data. A series copied out of series()
+/// takes its own reference and may outlive the graph.
 class TimeSeriesGraph {
  public:
+  TimeSeriesGraph(const TimeSeriesGraph& other);
+  TimeSeriesGraph& operator=(const TimeSeriesGraph& other);
+  TimeSeriesGraph(TimeSeriesGraph&& other) noexcept;
+  TimeSeriesGraph& operator=(TimeSeriesGraph&& other) noexcept;
+  ~TimeSeriesGraph();
+
   /// Builds the (empty-data) graph for a schema. Fails when the node count
   /// would overflow NodeId.
   static Result<TimeSeriesGraph> Create(CubeSchema schema);
@@ -133,9 +142,9 @@ class TimeSeriesGraph {
   /// start time and length.
   Status SetBaseSeries(NodeId node, TimeSeries series);
 
-  /// Computes every aggregated series bottom-up, straight into one panel
-  /// without spare slots; the base series keep their own storage. Requires
-  /// all base series to be set and aligned.
+  /// Computes every aggregated series bottom-up, each into storage of its
+  /// own; the base series keep theirs. Requires all base series to be set
+  /// and aligned.
   Status BuildAggregates();
 
   /// Series of a node (base or aggregated). Aggregates are valid only
@@ -146,15 +155,32 @@ class TimeSeriesGraph {
   /// and incrementally updates every aggregate — the engine's batched
   /// time-advance (Section V, Maintenance Processor). Fills *column with
   /// the new value of every node (the AggregateBaseScalars sums, in
-  /// BuildAggregates' child order) and appends column[node] to each row.
-  /// The first advance packs every series into one panel; later, when a
-  /// row cannot append in place (its panel row is full, or a discarded
-  /// successor claimed the tip), the whole panel is regrown. Either way
-  /// the new panel has room for twice the longest window. O(nodes)
-  /// amortized and allocation-free once *column has its size, except when
-  /// the panel regrows.
+  /// BuildAggregates' child order) and appends column[node] to each row,
+  /// in the panel column the graph claims. The first advance packs every
+  /// series into one panel; later, when the claim fails (the panel is
+  /// full, or a discarded successor claimed the column), the rows are
+  /// packed into a fresh panel. Either way the new panel has room for
+  /// twice the longest window. O(nodes) amortized and allocation-free once
+  /// *column has its size, except when the panel regrows.
   Status AdvanceTime(const std::vector<double>& base_values,
                      std::vector<double>* column);
+
+  /// AdvanceTime into a new graph, for a caller that writes the rows on
+  /// threads of its own: the successor shares this graph's structure and
+  /// panel, *column is filled and the successor's column claimed (or its
+  /// rows packed into a fresh panel) as AdvanceTime does, but its rows are
+  /// complete only once WriteSuccessorRows has covered [0, num_nodes()).
+  /// This graph is left as it was.
+  Result<TimeSeriesGraph> BeginSuccessor(const std::vector<double>& base_values,
+                                         std::vector<double>* column) const;
+
+  /// Writes rows [begin, end) of `next`, a successor from BeginSuccessor on
+  /// this graph with its *column: each row advances this graph's row by
+  /// column[node]. Disjoint ranges may be written concurrently; this graph
+  /// must live until every row is written.
+  void WriteSuccessorRows(TimeSeriesGraph& next,
+                          std::span<const double> column, std::size_t begin,
+                          std::size_t end) const;
 
   /// Length of the (aligned) series; 0 before data is loaded.
   std::size_t series_length() const;
@@ -210,14 +236,37 @@ class TimeSeriesGraph {
   void AggregateInto(const std::vector<double>& base_scalars,
                      std::vector<double>& out) const;
 
+  /// AdvanceTime's checks on its arguments and the graph.
+  Status CheckAdvance(const std::vector<double>& base_values) const;
+
+  /// Claims the panel column after the rows for this graph's next
+  /// advance; false when the graph is not packed or the claim fails.
+  bool ClaimNextColumn();
+
   /// Packs every series into a fresh panel with room for twice the longest
-  /// window.
-  void Regrow();
+  /// window and claims its next column.
+  void Repack();
+
+  /// The row handles as a span.
+  std::span<TimeSeries> rows() { return {series_, num_nodes()}; }
+  std::span<const TimeSeries> rows() const { return {series_, num_nodes()}; }
+
+  /// Ends the rows' lifetimes and frees their storage.
+  void FreeRows();
 
   std::shared_ptr<const Structure> structure_;
-  std::vector<TimeSeries> series_;
+  /// The panel every borrowed row lies in; empty when no row borrows.
+  TimeSeries::Panel panel_;
+  /// num_nodes() row handles in storage of the graph's own. Borrowed rows
+  /// hold nothing, so the rows of a packed graph are freed without running
+  /// a destructor, and a successor's rows are constructed by whichever
+  /// thread writes them (WriteSuccessorRows), not zeroed first.
+  TimeSeries* series_ = nullptr;
+  /// The panel column the rows end at; meaningful while packed_.
+  std::size_t column_ = 0;
   bool aggregates_built_ = false;
-  /// True when every series is a row of one panel.
+  /// True when every series is a borrowed row of panel_ (or, in a
+  /// successor, will be once written).
   bool packed_ = false;
 };
 

@@ -115,8 +115,9 @@ Status EngineInterface::ExecutePlanInto(const CachedPlan& plan,
 F2dbEngine::F2dbEngine(TimeSeriesGraph graph, EngineOptions options)
     : options_(options), plan_cache_(options.plan_cache_capacity) {
   auto owned = std::make_shared<TimeSeriesGraph>(std::move(graph));
+  base_slot_.assign(owned->num_nodes(), kNoBaseSlot);
   for (std::size_t i = 0; i < owned->base_nodes().size(); ++i) {
-    base_slot_[owned->base_nodes()[i]] = i;
+    base_slot_[owned->base_nodes()[i]] = static_cast<std::uint32_t>(i);
   }
   auto initial = std::make_shared<EngineSnapshot>();
   initial->schemes =
@@ -1115,8 +1116,8 @@ Status F2dbEngine::InsertFactImpl(NodeId base_node, std::int64_t time,
   StopWatch watch;
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const SnapshotPtr cur = LoadSnapshot();
-  const auto slot = base_slot_.find(base_node);
-  if (slot == base_slot_.end()) {
+  const std::uint32_t slot = BaseSlotOf(base_node);
+  if (slot == kNoBaseSlot) {
     return Status::InvalidArgument("not a base node: " +
                                    std::to_string(base_node));
   }
@@ -1129,7 +1130,7 @@ Status F2dbEngine::InsertFactImpl(NodeId base_node, std::int64_t time,
   }
   const auto existing = pending_.find(time);
   if (existing != pending_.end() &&
-      existing->second[slot->second].has_value()) {
+      existing->second.present[slot]) {
     return Status::AlreadyExists("duplicate insert for node " +
                                  cur->graph->NodeName(base_node) +
                                  " at time " + std::to_string(time));
@@ -1142,9 +1143,9 @@ Status F2dbEngine::InsertFactImpl(NodeId base_node, std::int64_t time,
     F2DB_RETURN_IF_ERROR(
         WalAppendLocked(WalRecord::Insert(base_node, time, value)));
   }
-  auto& batch = pending_[time];
-  if (batch.empty()) batch.resize(cur->graph->num_base_nodes());
-  batch[slot->second] = value;
+  PendingPeriod& period =
+      PendingPeriodLocked(time, cur->graph->num_base_nodes());
+  period.Set(slot, value);
   stats_.inserts.Add();
   const Status advanced = AdvanceWhileCompleteLocked();
   stats_.maintenance_seconds.Add(watch.ElapsedSeconds());
@@ -1154,75 +1155,108 @@ Status F2dbEngine::InsertFactImpl(NodeId base_node, std::int64_t time,
 std::size_t F2dbEngine::pending_inserts() const {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   std::size_t count = 0;
-  for (const auto& [time, batch] : pending_) {
-    for (const auto& v : batch) {
-      if (v.has_value()) ++count;
-    }
-  }
+  for (const auto& [time, period] : pending_) count += period.filled;
   return count;
+}
+
+F2dbEngine::PendingPeriod& F2dbEngine::PendingPeriodLocked(
+    std::int64_t time, std::size_t slots) {
+  const auto found = pending_.find(time);
+  if (found != pending_.end()) return found->second;
+  if (spare_period_.empty()) {
+    PendingPeriod& period = pending_[time];
+    period.values.resize(slots);
+    period.present.resize(slots);
+    return period;
+  }
+  spare_period_.key() = time;
+  PendingPeriod& period = spare_period_.mapped();
+  period.values.resize(slots);
+  period.present.assign(slots, false);
+  period.filled = 0;
+  return pending_.insert(std::move(spare_period_)).position->second;
 }
 
 Status F2dbEngine::AdvanceWhileCompleteLocked() {
   const SnapshotPtr cur = LoadSnapshot();
   std::shared_ptr<EngineSnapshot> next;     // successor under construction
-  std::shared_ptr<TimeSeriesGraph> graph;   // writable copy of the data
+  std::shared_ptr<TimeSeriesGraph> graph;   // its series, once advanced
   std::size_t advances = 0;
 
   for (;;) {
-    const TimeSeriesGraph& view = graph ? *graph : *cur->graph;
+    const TimeSeriesGraph& prev = graph ? *graph : *cur->graph;
     const std::int64_t frontier =
-        view.series(view.base_nodes()[0]).end_time();
+        prev.series(prev.base_nodes()[0]).end_time();
     const auto it = pending_.find(frontier);
-    if (it == pending_.end()) break;
-    const auto& batch = it->second;
-    const bool complete =
-        std::all_of(batch.begin(), batch.end(),
-                    [](const std::optional<double>& v) { return v.has_value(); });
-    if (!complete) break;
+    if (it == pending_.end() || !it->second.complete()) break;
+    spare_period_ = pending_.extract(it);
+    const std::vector<double>& base_values = spare_period_.mapped().values;
+    if (!next) next = cur->CopyForWrite();
 
-    if (!next) {
-      // First complete batch: start the copy-on-write successor. Copying
-      // the graph copies row handles under the panel's one reference count
-      // (see snapshot.h); the model tables are shared until StepAll below.
-      next = cur->CopyForWrite();
-      graph = std::make_shared<TimeSeriesGraph>(*cur->graph);
-    }
-
-    // Advance the whole graph by one period (batched inserts, Section V).
-    advance_values_.resize(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      advance_values_[i] = *batch[i];
-    }
-    pending_.erase(it);
-    F2DB_RETURN_IF_ERROR(
-        graph->AdvanceTime(advance_values_, &advance_column_));
-    ++advances;
-
-    // Incremental maintenance from the period's column: history sums and
-    // model states. The model steps are independent per model and fan out
-    // across the pool.
+    // Advance the whole graph by one period (batched inserts, Section V)
+    // and maintain incrementally from the period's column: history sums,
+    // the successor's rows and the model states. The successor's graph
+    // shares the panel and claims its next column (see snapshot.h); the
+    // model tables are shared until BeginStep. The rows and the models are
+    // independent, so writing the rows and stepping the models share one
+    // fan-out across the pool, whose helpers wake while the serial set-up
+    // runs.
+    std::shared_ptr<TimeSeriesGraph> advanced;
+    ModelTable::Stepper stepper;
+    Status begun;
     const std::vector<double>& column = advance_column_;
-    std::vector<double>& sums = next->history_sums.Mutable();
-    for (std::size_t node = 0; node < sums.size(); ++node) {
-      sums[node] += column[node];
+    const auto begin = [&] {
+      Result<TimeSeriesGraph> successor =
+          prev.BeginSuccessor(base_values, &advance_column_);
+      begun = successor.status();
+      if (!begun.ok()) return;
+      advanced =
+          std::make_shared<TimeSeriesGraph>(std::move(successor).value());
+      next->history_sums.Update([&column](std::size_t node, double sum) {
+        return sum + column[node];
+      });
+      stepper = next->models.BeginStep();
+    };
+    const auto step = [this, &column](const ForecastModel& model, NodeId node,
+                                      std::span<double> state,
+                                      ModelRecord& record) {
+      model.StepState(state, column[node]);
+      ++record.updates_since_estimate;
+      if (options_.reestimate_after_updates > 0 &&
+          record.updates_since_estimate >= options_.reestimate_after_updates) {
+        record.invalid = true;  // re-estimated lazily on next reference
+      }
+      // Quarantine ends on data advance: the next query referencing an
+      // invalid model retries the fit against the new history.
+      record.refit_failures = 0;
+      record.quarantined = false;
+      record.last_refit_attempt_seconds = 0.0;
+    };
+    // Rows are written kRowsPerTask at a time: enough to hide the call and
+    // keep the writes' fetches ahead, few enough to balance the pool.
+    constexpr std::size_t kRowsPerTask = 32;
+    const std::size_t nodes = prev.num_nodes();
+    const std::size_t row_tasks = (nodes + kRowsPerTask - 1) / kRowsPerTask;
+    const std::size_t tasks = row_tasks + next->models.size();
+    const auto task = [&](std::size_t i) {
+      if (!begun.ok()) return;
+      if (i < row_tasks) {
+        const std::size_t first = i * kRowsPerTask;
+        prev.WriteSuccessorRows(*advanced, column, first,
+                                std::min(nodes, first + kRowsPerTask));
+      } else {
+        stepper(i - row_tasks, step);
+      }
+    };
+    if (ThreadPool* pool = MaintenancePool()) {
+      pool->ParallelFor(tasks, task, begin);
+    } else {
+      begin();
+      for (std::size_t i = 0; i < tasks; ++i) task(i);
     }
-    next->models.StepAll(
-        MaintenancePool(),
-        [&](const ForecastModel& model, NodeId node, std::span<double> state,
-            ModelRecord& record) {
-          model.StepState(state, column[node]);
-          ++record.updates_since_estimate;
-          if (options_.reestimate_after_updates > 0 &&
-              record.updates_since_estimate >=
-                  options_.reestimate_after_updates) {
-            record.invalid = true;  // re-estimated lazily on next reference
-          }
-          // Quarantine ends on data advance: the next query referencing an
-          // invalid model retries the fit against the new history.
-          record.refit_failures = 0;
-          record.quarantined = false;
-          record.last_refit_attempt_seconds = 0.0;
-        });
+    F2DB_RETURN_IF_ERROR(begun);
+    graph = std::move(advanced);  // an earlier successor is no longer read
+    ++advances;
   }
 
   if (advances == 0) return Status::OK();
@@ -1280,13 +1314,13 @@ Status F2dbEngine::ApplyCheckpointState(CheckpointState&& state,
   if (manifest != nullptr && !manifest->offsets.empty()) {
     std::vector<double> base_offsets(graph->num_base_nodes(), 0.0);
     for (const auto& [node, offset] : manifest->offsets) {
-      const auto slot = base_slot_.find(node);
-      if (slot == base_slot_.end()) {
+      const std::uint32_t slot = BaseSlotOf(node);
+      if (slot == kNoBaseSlot) {
         return Status::Internal(
             "manifest offset references non-base node " +
             std::to_string(node));
       }
-      base_offsets[slot->second] = offset;
+      base_offsets[slot] = offset;
     }
     F2DB_ASSIGN_OR_RETURN(std::vector<double> node_offsets,
                           graph->AggregateBaseScalars(base_offsets));
@@ -1325,12 +1359,11 @@ Status F2dbEngine::ApplyCheckpointState(CheckpointState&& state,
 
   pending_.clear();
   for (const auto& [time, slot, value] : state.pending) {
-    auto& batch = pending_[time];
-    if (batch.empty()) batch.resize(graph->num_base_nodes());
-    if (slot >= batch.size()) {
+    PendingPeriod& period = PendingPeriodLocked(time, graph->num_base_nodes());
+    if (slot >= period.values.size()) {
       return Status::Internal("checkpoint pending slot out of range");
     }
-    batch[slot] = value;
+    period.Set(slot, value);
   }
 
   // Restore the maintenance counters so post-recovery stats continue the
@@ -1438,10 +1471,10 @@ CheckpointState F2dbEngine::BuildCheckpointStateLocked(
     model.payload = ModelFactory::SerializeModel(*live.model, live.state);
     state.models.push_back(std::move(model));
   }
-  for (const auto& [time, batch] : pending_) {
-    for (std::size_t slot = 0; slot < batch.size(); ++slot) {
-      if (batch[slot].has_value()) {
-        state.pending.emplace_back(time, slot, *batch[slot]);
+  for (const auto& [time, period] : pending_) {
+    for (std::size_t slot = 0; slot < period.values.size(); ++slot) {
+      if (period.present[slot]) {
+        state.pending.emplace_back(time, slot, period.values[slot]);
       }
     }
   }
@@ -1584,12 +1617,12 @@ Status F2dbEngine::ApplySegmentState(const storage::ManifestData& manifest,
   // aggregation structure (Sum() alone misses what retention deleted).
   std::vector<double> base_offsets(graph->num_base_nodes(), 0.0);
   for (const auto& [node, offset] : manifest.offsets) {
-    const auto slot = base_slot_.find(node);
-    if (slot == base_slot_.end()) {
+    const std::uint32_t slot = BaseSlotOf(node);
+    if (slot == kNoBaseSlot) {
       return Status::Internal("manifest offset references non-base node " +
                               std::to_string(node));
     }
-    base_offsets[slot->second] = offset;
+    base_offsets[slot] = offset;
   }
   F2DB_ASSIGN_OR_RETURN(std::vector<double> node_offsets,
                         graph->AggregateBaseScalars(base_offsets));
@@ -1687,11 +1720,11 @@ Status F2dbEngine::CompactNow() {
       }
       std::uint64_t pending_count = 0;
       const std::vector<NodeId>& base_nodes = snap->graph->base_nodes();
-      for (const auto& [time, batch] : pending_) {
-        for (std::size_t slot = 0; slot < batch.size(); ++slot) {
-          if (batch[slot].has_value()) {
-            F2DB_RETURN_IF_ERROR(WalAppendLocked(
-                WalRecord::Insert(base_nodes[slot], time, *batch[slot])));
+      for (const auto& [time, period] : pending_) {
+        for (std::size_t slot = 0; slot < period.values.size(); ++slot) {
+          if (period.present[slot]) {
+            F2DB_RETURN_IF_ERROR(WalAppendLocked(WalRecord::Insert(
+                base_nodes[slot], time, period.values[slot])));
             ++pending_count;
           }
         }

@@ -38,10 +38,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/concurrent.h"
@@ -731,6 +729,35 @@ class F2dbEngine : public EngineInterface {
   /// publishes one successor snapshot. Caller holds writer_mutex_.
   Status AdvanceWhileCompleteLocked();
 
+  /// One period's buffered inserts, by base slot. Once complete, `values`
+  /// is the period's base column as it is.
+  struct PendingPeriod {
+    std::vector<double> values;  ///< meaningful where present
+    std::vector<bool> present;
+    std::size_t filled = 0;  ///< number of present slots
+
+    bool complete() const { return filled == values.size(); }
+    void Set(std::size_t slot, double value) {
+      if (!present[slot]) {
+        present[slot] = true;
+        ++filled;
+      }
+      values[slot] = value;
+    }
+  };
+  using PendingMap = std::map<std::int64_t, PendingPeriod>;
+
+  /// The pending period at `time`, created with `slots` empty values
+  /// (reusing the spare map node when there is one) if absent. Caller holds
+  /// writer_mutex_.
+  PendingPeriod& PendingPeriodLocked(std::int64_t time, std::size_t slots);
+
+  /// The index of `node` in base_nodes(), or kNoBaseSlot.
+  std::uint32_t BaseSlotOf(NodeId node) const {
+    return node < base_slot_.size() ? base_slot_[node] : kNoBaseSlot;
+  }
+  static constexpr std::uint32_t kNoBaseSlot = 0xffffffffu;
+
   // ------------------------------------------------- durability internals
 
   /// Shared core of InsertFact and WAL replay: full validation, then a WAL
@@ -839,11 +866,15 @@ class F2dbEngine : public EngineInterface {
   // ---- maintenance-only state below (guarded by writer_mutex_) ----
 
   /// Insert buffer: time -> per-base-slot pending values.
-  std::map<std::int64_t, std::vector<std::optional<double>>> pending_;
-  std::unordered_map<NodeId, std::size_t> base_slot_;
-  /// Reused by every time advance: one period's base values, and the
-  /// per-node column AdvanceTime computes from them.
-  std::vector<double> advance_values_;
+  PendingMap pending_;
+  /// The map node of the last period that advanced, kept for the next one,
+  /// so that buffering an insert allocates nothing once warm.
+  PendingMap::node_type spare_period_;
+  /// Node -> index in base_nodes(), kNoBaseSlot for aggregates; fixed at
+  /// construction.
+  std::vector<std::uint32_t> base_slot_;
+  /// Reused by every time advance: the per-node column BeginSuccessor
+  /// computes from the period's base values.
   std::vector<double> advance_column_;
 
   /// The WAL of the current epoch; nullptr for an in-memory engine.

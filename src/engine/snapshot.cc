@@ -112,6 +112,18 @@ void ModelTable::Install(NodeId node,
   records_.Mutable()[live.slot] = record;
 }
 
+ModelTable::Stepper ModelTable::BeginStep() {
+  Stepper stepper;
+  if (empty()) return stepper;
+  stepper.layout_ = layout_.get();
+  stepper.params_ = params_.data();
+  stepper.states_ = states_.Mutable().data();
+  stepper.records_ = records_.Mutable().data();
+  stepper.generation_ = generation_;
+  stepper.count_ = size();
+  return stepper;
+}
+
 ModelRecord& ModelTable::MutableRecord(std::size_t slot) {
   ModelRecord& record = records_.Mutable()[slot];
   record.generation = generation_;

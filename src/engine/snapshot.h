@@ -15,17 +15,22 @@
 // costs two flat copies and one pass over a dense column, not
 // O(nodes x history) and not one object per model:
 //   - The graph structure is one immutable block every graph copy shares,
-//     and once the graph has advanced every series is a row of one panel
-//     (see TimeSeries::Pack): copying the graph copies the row handles
-//     under the panel's one reference count.
+//     and once the graph has advanced every series is a borrowed row of
+//     one panel (see TimeSeries::Panel): the graph holds the panel's one
+//     reference, so building the successor's graph or releasing the old
+//     one touches one counter, not one per row.
 //   - `schemes` and `history_sums` are SharedTables: a successor shares
-//     them until it writes them.
+//     them until it writes them; the history sums are rebuilt as old sum
+//     plus column in one pass.
 //   - `models` splits each model into parameters, state and record. The
 //     parameters are shared const ForecastModel objects, replaced only by
 //     a load, a refit or recovery. The states of all models live in one
 //     flat array, and the records (the bookkeeping below) in one plain
 //     array. An advance copies those two arrays and steps every state in
 //     place; it allocates nothing per model and copies no pointers.
+//   - Writing the successor's rows and stepping its models are both
+//     independent per row and per model, so one ParallelFor runs them
+//     together on the maintenance pool.
 //
 // Every model record carries a generation stamp: the version of the
 // snapshot that last wrote the model's state or record. A re-estimation
@@ -33,15 +38,19 @@
 // is still current, so a refit that raced an advance (which restamps every
 // model) is discarded.
 //
-// The shared-buffer invariant that makes this safe: a single writer (the
-// engine's writer mutex) builds a successor; a series append in the
-// successor claims the row's next slot with an atomic compare-and-swap,
-// so two copies never write the same slot, and a graph whose row loses the
-// claim (or is full) regrows its whole panel instead; and a reader never
-// reads past its own window's length, so slots appended after its snapshot
-// was taken are invisible to it even though they live in the same panel.
-// Publication through the atomic shared_ptr orders the writer's appends
-// before any reader of the successor.
+// The shared-panel invariant that makes this safe: a single writer (the
+// engine's writer mutex) builds a successor; the successor claims the
+// panel's next column with one compare-and-swap before it writes that
+// column of every row, so two graphs never write the same slot, and a
+// successor whose claim fails (the panel is full, or a discarded successor
+// claimed the column) packs its rows into a fresh panel instead; and a
+// reader never reads past its own window's length, so slots appended after
+// its snapshot was taken are invisible to it even though they live in the
+// same panel. A reader that copies a series out of a snapshot takes its
+// own reference to the panel, so the copy outlives the snapshot.
+// Publication through the atomic shared_ptr orders the writer's appends,
+// including those the pool's threads made, before any reader of the
+// successor.
 
 #ifndef F2DB_ENGINE_SNAPSHOT_H_
 #define F2DB_ENGINE_SNAPSHOT_H_
@@ -53,7 +62,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "cube/graph.h"
 #include "ts/model.h"
 
@@ -116,6 +124,25 @@ class SharedTable {
     return *rows_;
   }
 
+  /// Sets every row i to fn(i, row i) in one pass: in place when this table
+  /// holds the only reference, else into fresh rows, without copying the
+  /// old ones first. Called only as Mutable() is.
+  template <typename Fn>
+  void Update(Fn fn) {
+    if (rows_.use_count() == 1) {
+      for (std::size_t i = 0; i < rows_->size(); ++i) {
+        (*rows_)[i] = fn(i, (*rows_)[i]);
+      }
+      return;
+    }
+    auto fresh = std::make_shared<std::vector<Row>>();
+    fresh->reserve(rows_->size());
+    for (std::size_t i = 0; i < rows_->size(); ++i) {
+      fresh->push_back(fn(i, (*rows_)[i]));
+    }
+    rows_ = std::move(fresh);
+  }
+
  private:
   std::shared_ptr<std::vector<Row>> rows_;
 };
@@ -135,6 +162,15 @@ struct ModelView {
 /// The published models: parameters, flat states and records, indexed by a
 /// dense model slot (slots are in node order).
 class ModelTable {
+ private:
+  /// Which nodes carry models and where their states live; replaced only
+  /// by Assign, shared by every successor otherwise.
+  struct Layout {
+    std::vector<NodeId> nodes;          ///< slot -> node
+    std::vector<std::uint32_t> slots;   ///< node -> slot or kNoSlot
+    std::vector<std::size_t> offsets;   ///< slot -> first state value
+  };
+
  public:
   /// One model placed by Assign.
   struct Entry {
@@ -197,51 +233,51 @@ class ModelTable {
   /// The record of `slot` for writing, stamped.
   ModelRecord& MutableRecord(std::size_t slot);
 
-  /// The time-advance step: copies the states and records once (unless
-  /// this table already owns them), stamps every record, then calls
-  /// step(model, node, state, record) for every model with its parameters,
-  /// node and writable state and record — over `pool` when there is one
-  /// (models are independent), else in order.
-  template <typename Step>
-  void StepAll(ThreadPool* pool, Step&& step) {
-    if (empty()) return;
-    double* states = states_.Mutable().data();
-    ModelRecord* records = records_.Mutable().data();
-    const Layout& layout = *layout_;
-    const std::shared_ptr<const ForecastModel>* params = params_.data();
-    const std::uint64_t generation = generation_;
-    const std::size_t count = size();
-    const auto step_slot = [&](std::size_t slot) {
+  /// Writable models for one time advance, from BeginStep; valid until the
+  /// table changes.
+  class Stepper {
+   public:
+    /// Number of models.
+    std::size_t size() const { return count_; }
+
+    /// Stamps the record of `slot` and calls step(model, node, state,
+    /// record) with the model's parameters, node and writable state and
+    /// record. Models are independent: different slots may be stepped on
+    /// different threads.
+    template <typename Step>
+    void operator()(std::size_t slot, Step&& step) const {
       // The parameter objects are scattered over the heap: fetch the ones
       // a few slots ahead while this one steps.
-      if (slot + 8 < count) {
+      if (slot + 8 < count_) {
         const auto* ahead =
-            reinterpret_cast<const char*>(params[slot + 8].get());
+            reinterpret_cast<const char*>(params_[slot + 8].get());
         __builtin_prefetch(ahead);
         __builtin_prefetch(ahead + 64);
       }
-      const std::size_t offset = layout.offsets[slot];
-      records[slot].generation = generation;
-      step(*params[slot], layout.nodes[slot],
-           std::span<double>(states + offset,
-                             layout.offsets[slot + 1] - offset),
-           records[slot]);
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(count, step_slot);
-    } else {
-      for (std::size_t slot = 0; slot < count; ++slot) step_slot(slot);
+      const std::size_t offset = layout_->offsets[slot];
+      records_[slot].generation = generation_;
+      step(*params_[slot], layout_->nodes[slot],
+           std::span<double>(states_ + offset,
+                             layout_->offsets[slot + 1] - offset),
+           records_[slot]);
     }
-  }
+
+   private:
+    friend class ModelTable;
+    const Layout* layout_ = nullptr;
+    const std::shared_ptr<const ForecastModel>* params_ = nullptr;
+    double* states_ = nullptr;
+    ModelRecord* records_ = nullptr;
+    std::uint64_t generation_ = 0;
+    std::size_t count_ = 0;
+  };
+
+  /// The time-advance step: copies the states and records once (unless
+  /// this table already owns them) and returns the stepper that writes
+  /// them; the stepper stamps every record it steps.
+  Stepper BeginStep();
 
  private:
-  /// Which nodes carry models and where their states live; replaced only
-  /// by Assign, shared by every successor otherwise.
-  struct Layout {
-    std::vector<NodeId> nodes;          ///< slot -> node
-    std::vector<std::uint32_t> slots;   ///< node -> slot or kNoSlot
-    std::vector<std::size_t> offsets;   ///< slot -> first state value
-  };
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
   std::shared_ptr<const Layout> layout_;

@@ -82,30 +82,28 @@ std::string EncodeWalHeader(std::uint64_t epoch) {
   return out;
 }
 
-/// The type byte + payload that the record CRC covers.
-std::string EncodeWalBody(const WalRecord& record) {
-  std::string body;
-  body.push_back(static_cast<char>(record.kind));
+/// Appends the type byte + payload that the record CRC covers.
+void AppendWalBody(const WalRecord& record, std::string* out) {
+  out->push_back(static_cast<char>(record.kind));
   switch (record.kind) {
     case WalRecord::Kind::kInsert:
-      PutU32(&body, record.node);
-      PutU64(&body, static_cast<std::uint64_t>(record.time));
-      PutF64(&body, record.value);
+      PutU32(out, record.node);
+      PutU64(out, static_cast<std::uint64_t>(record.time));
+      PutF64(out, record.value);
       break;
     case WalRecord::Kind::kCatalog:
-      body.append(record.payload);
+      out->append(record.payload);
       break;
     case WalRecord::Kind::kModelInstall:
-      PutU32(&body, record.node);
-      PutF64(&body, record.value);
-      body.append(record.payload);
+      PutU32(out, record.node);
+      PutF64(out, record.value);
+      out->append(record.payload);
       break;
     case WalRecord::Kind::kQuarantine:
-      PutU32(&body, record.node);
-      PutU64(&body, record.count);
+      PutU32(out, record.node);
+      PutU64(out, record.count);
       break;
   }
-  return body;
 }
 
 }  // namespace
@@ -166,13 +164,23 @@ WalRecord WalRecord::Quarantine(std::uint32_t node, std::uint64_t failures) {
 }
 
 std::string EncodeWalRecord(const WalRecord& record) {
-  const std::string body = EncodeWalBody(record);
   std::string out;
-  out.reserve(kFramePrefixBytes + body.size());
-  PutU32(&out, static_cast<std::uint32_t>(body.size()));
-  PutU32(&out, Crc32c(body));
-  out.append(body);
+  EncodeWalRecordInto(record, &out);
   return out;
+}
+
+void EncodeWalRecordInto(const WalRecord& record, std::string* out) {
+  // The prefix is written once the body, which it describes, is in place.
+  out->assign(kFramePrefixBytes, '\0');
+  AppendWalBody(record, out);
+  const std::string_view body =
+      std::string_view(*out).substr(kFramePrefixBytes);
+  const std::uint32_t length = static_cast<std::uint32_t>(body.size());
+  const std::uint32_t crc = Crc32c(body);
+  for (int i = 0; i < 4; ++i) {
+    (*out)[i] = static_cast<char>(length >> (8 * i));
+    (*out)[4 + i] = static_cast<char>(crc >> (8 * i));
+  }
 }
 
 Result<WalRecord> DecodeWalRecordBody(std::string_view body) {
@@ -324,7 +332,8 @@ WalWriter::WalWriter(WalWriter&& other) noexcept
       batch_records_(other.batch_records_),
       unsynced_records_(other.unsynced_records_),
       records_appended_(other.records_appended_),
-      bytes_appended_(other.bytes_appended_) {
+      bytes_appended_(other.bytes_appended_),
+      frame_(std::move(other.frame_)) {
   other.fd_ = -1;
 }
 
@@ -339,6 +348,7 @@ WalWriter& WalWriter::operator=(WalWriter&& other) noexcept {
     unsynced_records_ = other.unsynced_records_;
     records_appended_ = other.records_appended_;
     bytes_appended_ = other.bytes_appended_;
+    frame_ = std::move(other.frame_);
     other.fd_ = -1;
   }
   return *this;
@@ -392,7 +402,8 @@ Result<WalWriter> WalWriter::Reopen(const std::string& dir,
 
 Status WalWriter::Append(const WalRecord& record) {
   if (fd_ < 0) return Status::FailedPrecondition("WAL writer is closed");
-  const std::string frame = EncodeWalRecord(record);
+  EncodeWalRecordInto(record, &frame_);
+  const std::string& frame = frame_;
   const Status written = WriteAllFd(fd_, frame.data(), frame.size());
   if (!written.ok()) {
     // A failed write(2) may still have landed a prefix of the frame (short

@@ -81,6 +81,10 @@ struct WalRecord {
 /// payload) — exposed for the format tests.
 std::string EncodeWalRecord(const WalRecord& record);
 
+/// EncodeWalRecord into `*out`, replacing its contents; allocates nothing
+/// once *out has the capacity of the frame.
+void EncodeWalRecordInto(const WalRecord& record, std::string* out);
+
 /// Decodes the body of a framed record (type byte + payload, CRC already
 /// verified by the reader).
 Result<WalRecord> DecodeWalRecordBody(std::string_view body);
@@ -169,6 +173,8 @@ class WalWriter {
   std::size_t unsynced_records_ = 0;
   std::uint64_t records_appended_ = 0;
   std::uint64_t bytes_appended_ = 0;
+  /// The frame being appended, kept so that its capacity is reused.
+  std::string frame_;
 };
 
 /// fsyncs the directory itself so a rename/create inside it is durable.

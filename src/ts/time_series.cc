@@ -1,8 +1,11 @@
 #include "ts/time_series.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
+#include <memory>
+#include <new>
 #include <sstream>
 #include <utility>
 
@@ -20,58 +23,97 @@ constexpr std::size_t kPanelBlockBytes = 64 * 1024;
 
 }  // namespace
 
-struct TimeSeries::Owned {
-  Owned(std::vector<double> values, std::size_t claimed)
-      : storage(std::move(values)) {
-    buffer.slots = storage.data();
-    buffer.capacity = storage.size();
-    buffer.tip.store(claimed, std::memory_order_relaxed);
-  }
-  Buffer buffer;
-  std::vector<double> storage;
-};
-
-struct TimeSeries::Panel {
-  /// `rows` rows of `capacity` slots, `rows_per_block` rows per block.
-  Panel(std::size_t rows, std::size_t capacity, std::size_t rows_per_block)
-      : buffers(new Buffer[rows]) {
-    for (std::size_t first = 0; first < rows; first += rows_per_block) {
-      const std::size_t count = std::min(rows_per_block, rows - first);
-      blocks.emplace_back(new double[count * capacity]);
-      for (std::size_t i = 0; i < count; ++i) {
-        buffers[first + i].slots = blocks.back().get() + i * capacity;
-        buffers[first + i].capacity = capacity;
-      }
-    }
-  }
-  std::unique_ptr<Buffer[]> buffers;
+struct TimeSeries::Storage {
+  std::atomic<std::size_t> refs{1};
+  /// Standalone: the slots some copy has claimed. Panel: the columns some
+  /// holder has claimed.
+  std::atomic<std::size_t> tip{0};
+  /// Slots of the buffer, or per row of the panel.
+  std::size_t capacity = 0;
+  /// The standalone buffer; empty for a panel.
+  std::vector<double> slots;
+  /// The panel's rows, `rows_per_block` consecutive rows per block.
   std::vector<std::unique_ptr<double[]>> blocks;
 };
+
+void TimeSeries::Release(Storage* storage) {
+  if (storage != nullptr &&
+      storage->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    delete storage;
+  }
+}
 
 TimeSeries::TimeSeries(std::vector<double> values, std::int64_t start_time)
     : size_(values.size()), start_time_(start_time) {
   if (values.empty()) return;
   // The vector's spare capacity becomes unclaimed slots past the tip.
   values.resize(values.capacity());
-  auto owned = std::make_shared<Owned>(std::move(values), size_);
-  buffer_ = std::shared_ptr<Buffer>(owned, &owned->buffer);
-  data_ = buffer_->slots;
+  storage_ = new Storage;
+  storage_->tip.store(size_, std::memory_order_relaxed);
+  storage_->capacity = values.size();
+  storage_->slots = std::move(values);
+  data_ = storage_->slots.data();
+}
+
+TimeSeries::TimeSeries(const TimeSeries& other) noexcept { TakeCopy(other); }
+
+TimeSeries& TimeSeries::operator=(const TimeSeries& other) noexcept {
+  if (this != &other) {
+    Storage* old = borrowed_ ? nullptr : storage_;
+    TakeCopy(other);
+    Release(old);
+  }
+  return *this;
 }
 
 TimeSeries::TimeSeries(TimeSeries&& other) noexcept
-    : buffer_(std::move(other.buffer_)),
+    : storage_(std::exchange(other.storage_, nullptr)),
       data_(std::exchange(other.data_, nullptr)),
       size_(std::exchange(other.size_, 0)),
-      start_time_(other.start_time_) {}
+      start_time_(other.start_time_) {
+  if (std::exchange(other.borrowed_, false) && storage_ != nullptr) {
+    storage_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+}
 
 TimeSeries& TimeSeries::operator=(TimeSeries&& other) noexcept {
   if (this != &other) {
-    buffer_ = std::move(other.buffer_);
+    if (!borrowed_) Release(storage_);
+    storage_ = std::exchange(other.storage_, nullptr);
     data_ = std::exchange(other.data_, nullptr);
     size_ = std::exchange(other.size_, 0);
     start_time_ = other.start_time_;
+    borrowed_ = false;
+    if (std::exchange(other.borrowed_, false) && storage_ != nullptr) {
+      storage_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
   }
   return *this;
+}
+
+TimeSeries::~TimeSeries() {
+  if (!borrowed_) Release(storage_);
+}
+
+void TimeSeries::TakeCopy(const TimeSeries& other) {
+  storage_ = other.storage_;
+  data_ = other.data_;
+  size_ = other.size_;
+  start_time_ = other.start_time_;
+  borrowed_ = false;
+  if (storage_ != nullptr) {
+    storage_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void TimeSeries::TakeBorrowed(const TimeSeries& row) {
+  assert(row.borrowed_);
+  if (!borrowed_) Release(storage_);
+  storage_ = row.storage_;
+  data_ = row.data_;
+  size_ = row.size_;
+  start_time_ = row.start_time_;
+  borrowed_ = true;
 }
 
 Result<TimeSeries> TimeSeries::Create(std::vector<double> values,
@@ -93,45 +135,21 @@ Status TimeSeries::ValidateFinite() const {
   return Status::OK();
 }
 
-bool TimeSeries::TryAppend(double value) {
-  return TryAppend(std::span<const double>(&value, 1));
-}
-
-bool TimeSeries::TryAppend(std::span<const double> values) {
-  if (values.empty()) return true;
-  if (!buffer_) return false;
-  std::size_t end = static_cast<std::size_t>(data_ - buffer_->slots) + size_;
-  // Claim the slots from `end` on: succeeds only for the one copy whose
-  // window ends at the tip, so no two copies ever write the same slot.
-  if (end + values.size() <= buffer_->capacity &&
-      buffer_->tip.compare_exchange_strong(end, end + values.size())) {
-    std::copy(values.begin(), values.end(), data_ + size_);
-    size_ += values.size();
-    return true;
-  }
-  return false;
-}
-
-std::size_t TimeSeries::TryAppendEach(std::span<TimeSeries> rows,
-                                      std::span<const double> values) {
-  constexpr std::size_t kAhead = 16;  // rows between a fetch and its write
-  const auto fetch = [](const TimeSeries& row) {
-    if (row.data_ != nullptr) __builtin_prefetch(row.data_ + row.size_, 1);
-  };
-  for (std::size_t i = 0; i < std::min(kAhead, rows.size()); ++i) {
-    fetch(rows[i]);
-  }
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (i + kAhead < rows.size()) fetch(rows[i + kAhead]);
-    if (!rows[i].TryAppend(values[i])) return i;
-  }
-  return rows.size();
+bool TimeSeries::TryClaimNext() {
+  if (storage_ == nullptr || storage_->slots.empty()) return false;
+  std::size_t end =
+      static_cast<std::size_t>(data_ - storage_->slots.data()) + size_;
+  // Succeeds only for the one copy whose window ends at the tip, so no two
+  // copies ever write the same slot.
+  return end < storage_->capacity &&
+         storage_->tip.compare_exchange_strong(end, end + 1);
 }
 
 void TimeSeries::Append(double value) {
-  if (TryAppend(value)) return;
-  Reallocate(std::max(2 * size_, kMinCapacity));
-  buffer_->tip.store(size_ + 1);
+  if (!TryClaimNext()) {
+    Reallocate(std::max(2 * size_, kMinCapacity));
+    storage_->tip.store(size_ + 1, std::memory_order_relaxed);
+  }
   data_[size_++] = value;
 }
 
@@ -139,31 +157,141 @@ void TimeSeries::Reallocate(std::size_t capacity) {
   assert(capacity >= size_);
   std::vector<double> slots(capacity);
   std::copy(data_, data_ + size_, slots.begin());
-  auto owned = std::make_shared<Owned>(std::move(slots), size_);
-  buffer_ = std::shared_ptr<Buffer>(owned, &owned->buffer);
-  data_ = buffer_->slots;
+  Storage* old = borrowed_ ? nullptr : storage_;
+  storage_ = new Storage;
+  storage_->tip.store(size_, std::memory_order_relaxed);
+  storage_->capacity = capacity;
+  storage_->slots = std::move(slots);
+  data_ = storage_->slots.data();
+  borrowed_ = false;
+  Release(old);
 }
 
-void TimeSeries::Pack(std::span<TimeSeries* const> rows,
-                      std::size_t capacity) {
-  const std::size_t row_bytes =
-      std::max<std::size_t>(capacity, 1) * sizeof(double);
-  auto panel = std::make_shared<Panel>(
-      rows.size(), capacity,
-      std::max<std::size_t>(kPanelBlockBytes / row_bytes, 1));
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    TimeSeries& row = *rows[i];
-    assert(row.size_ <= capacity);
-    Buffer& buffer = panel->buffers[i];
-    buffer.tip.store(row.size_, std::memory_order_relaxed);
-    std::copy(row.data_, row.data_ + row.size_, buffer.slots);
-    row.buffer_ = std::shared_ptr<Buffer>(panel, &buffer);
-    row.data_ = buffer.slots;
+TimeSeries::Panel::Panel(const Panel& other) noexcept
+    : storage_(other.storage_) {
+  if (storage_ != nullptr) {
+    storage_->refs.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
+TimeSeries::Panel& TimeSeries::Panel::operator=(const Panel& other) noexcept {
+  if (this != &other) {
+    if (other.storage_ != nullptr) {
+      other.storage_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+    Release(storage_);
+    storage_ = other.storage_;
+  }
+  return *this;
+}
+
+TimeSeries::Panel::Panel(Panel&& other) noexcept
+    : storage_(std::exchange(other.storage_, nullptr)) {}
+
+TimeSeries::Panel& TimeSeries::Panel::operator=(Panel&& other) noexcept {
+  if (this != &other) {
+    Release(storage_);
+    storage_ = std::exchange(other.storage_, nullptr);
+  }
+  return *this;
+}
+
+TimeSeries::Panel::~Panel() { Release(storage_); }
+
+TimeSeries::Panel TimeSeries::Panel::Pack(std::span<TimeSeries> rows,
+                                          std::size_t capacity) {
+  const std::size_t length = rows.empty() ? 0 : rows[0].size_;
+  assert(capacity >= length);
+  const std::size_t rows_per_block = std::max<std::size_t>(
+      kPanelBlockBytes / (std::max<std::size_t>(capacity, 1) * sizeof(double)),
+      1);
+  Panel panel(new Storage);
+  Storage& storage = *panel.storage_;
+  storage.tip.store(length, std::memory_order_relaxed);
+  storage.capacity = capacity;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i % rows_per_block == 0) {
+      storage.blocks.emplace_back(
+          new double[std::min(rows_per_block, rows.size() - i) * capacity]);
+    }
+    TimeSeries& row = rows[i];
+    assert(row.size_ == length);
+    double* slots =
+        storage.blocks.back().get() + (i % rows_per_block) * capacity;
+    std::copy(row.data_, row.data_ + row.size_, slots);
+    if (!row.borrowed_) Release(row.storage_);
+    row.storage_ = &storage;
+    row.data_ = slots;
+    row.borrowed_ = true;
+  }
+  return panel;
+}
+
+bool TimeSeries::Panel::ClaimColumn(std::size_t column) const {
+  std::size_t expected = column;
+  return column < storage_->capacity &&
+         storage_->tip.compare_exchange_strong(expected, column + 1);
+}
+
+void TimeSeries::Panel::CopyRows(std::span<const TimeSeries> from,
+                                 TimeSeries* to) {
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    if (from[i].borrowed_) {
+      (::new (static_cast<void*>(to + i)) TimeSeries)->TakeBorrowed(from[i]);
+    } else {
+      ::new (static_cast<void*>(to + i)) TimeSeries(from[i]);
+    }
+  }
+}
+
+namespace {
+
+/// Calls write(i) for every row, fetching the slot after rows[i]'s window
+/// kAhead rows before the write.
+template <typename Next, typename Write>
+void ForEachRowFetchingAhead(std::size_t count, Next next_slot, Write write) {
+  constexpr std::size_t kAhead = 16;  // rows between a fetch and its write
+  for (std::size_t i = 0; i < std::min(kAhead, count); ++i) {
+    __builtin_prefetch(next_slot(i), 1);
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i + kAhead < count) __builtin_prefetch(next_slot(i + kAhead), 1);
+    write(i);
+  }
+}
+
+}  // namespace
+
+void TimeSeries::Panel::AppendColumn(std::span<TimeSeries> rows,
+                                     std::span<const double> values) {
+  ForEachRowFetchingAhead(
+      rows.size(),
+      [rows](std::size_t i) { return rows[i].data_ + rows[i].size_; },
+      [rows, values](std::size_t i) {
+        TimeSeries& row = rows[i];
+        assert(row.borrowed_);
+        row.data_[row.size_++] = values[i];
+      });
+}
+
+void TimeSeries::Panel::AdvanceRows(std::span<const TimeSeries> from,
+                                    TimeSeries* to,
+                                    std::span<const double> values) {
+  ForEachRowFetchingAhead(
+      from.size(),
+      [from](std::size_t i) { return from[i].data_ + from[i].size_; },
+      [from, to, values](std::size_t i) {
+        TimeSeries& row = *::new (static_cast<void*>(to + i)) TimeSeries;
+        row.TakeBorrowed(from[i]);
+        row.data_[row.size_++] = values[i];
+      });
+}
+
 void TimeSeries::Detach() {
-  if (size_ > 0 && buffer_.use_count() > 1) Reallocate(size_);
+  if (size_ > 0 &&
+      (borrowed_ || storage_->refs.load(std::memory_order_acquire) > 1)) {
+    Reallocate(size_);
+  }
 }
 
 void TimeSeries::DropFront(std::size_t count) {

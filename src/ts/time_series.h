@@ -8,33 +8,39 @@
 // caller's concern.
 //
 // Storage is shared and append-only. A TimeSeries is a window (first
-// element, length, start time) over a reference-counted buffer, so copying
-// one costs O(1). Append writes in place when the window ends at the
-// buffer's tip, the first slot no copy has claimed yet; the slot is claimed
-// with an atomic compare-and-swap, so of several copies ending at the tip
-// exactly one extends the buffer and the others copy their window into a
-// fresh buffer of twice its length. A reader never looks past its own
-// window, so an append through one copy is invisible to every other copy,
-// and copies in different threads need no lock as long as each copy
-// object is written by one thread at a time. DropFront only moves the
-// window. The mutable accessors (non-const operator[], AddInPlace) first
-// give the series a private buffer unless it already holds the only
-// reference.
+// element, length, start time) over reference-counted storage, so copying
+// one costs O(1). A standalone series' storage is one buffer with a tip,
+// the first slot no copy has claimed yet: Append writes in place when the
+// window ends at the tip, claimed with an atomic compare-and-swap, so of
+// several copies ending there exactly one extends the buffer and the
+// others copy their window into a fresh buffer of twice its length. A
+// reader never looks past its own window, so an append through one copy is
+// invisible to every other copy, and copies in different threads need no
+// lock as long as each copy object is written by one thread at a time.
+// DropFront only moves the window. The mutable accessors (non-const
+// operator[], AddInPlace) first give the series a private buffer unless it
+// already holds the only reference.
 //
-// A buffer is a run of slots plus its tip; who owns the slots is hidden
-// behind the buffer's reference count. A standalone series owns its own
-// storage. Pack moves many series into one panel: one fixed-capacity row
-// per series, all under a single reference count, so copying or releasing
-// all of them touches one counter.
+// A Panel holds the rows of many series (a graph's) in one allocation.
+// Panel::Pack makes those series borrowed rows: windows that hold no
+// reference of their own, valid while the Panel that packed them (or a copy
+// of it) lives, so copying or destroying all of them touches no counter. A
+// series copied or moved out of a borrowed row takes its own reference
+// through the panel and lives on its own. Rows all end at one column, and a
+// panel has one claim for its next column instead of a tip per row: the
+// holder that claims it (Panel::ClaimColumn, one compare-and-swap) writes
+// that column of every row with plain stores (Panel::AppendColumn, or
+// Panel::AdvanceRows into copies of the rows). A panel row never appends on
+// its own: Append on any series over a panel copies its window out first.
 
 #ifndef F2DB_TS_TIME_SERIES_H_
 #define F2DB_TS_TIME_SERIES_H_
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -44,17 +50,22 @@ namespace f2db {
 /// An equidistant univariate time series with a dense integer time axis.
 class TimeSeries {
  public:
+  class Panel;
+
   /// Empty series starting at time 0.
   TimeSeries() = default;
 
   /// Series over `values` with the first observation at `start_time`.
   explicit TimeSeries(std::vector<double> values, std::int64_t start_time = 0);
 
-  TimeSeries(const TimeSeries&) = default;
-  TimeSeries& operator=(const TimeSeries&) = default;
-  /// A moved-from series is empty, like a moved-from vector.
+  /// A copy holds its own reference, also when `other` is a borrowed row.
+  TimeSeries(const TimeSeries& other) noexcept;
+  TimeSeries& operator=(const TimeSeries& other) noexcept;
+  /// A moved-from series is empty, like a moved-from vector. Moving a
+  /// borrowed row takes a reference, as copying one does.
   TimeSeries(TimeSeries&& other) noexcept;
   TimeSeries& operator=(TimeSeries&& other) noexcept;
+  ~TimeSeries();
 
   /// Validated construction: rejects NaN/Inf observations with a clear
   /// InvalidArgument naming the offending index. Ingestion boundaries
@@ -100,27 +111,9 @@ class TimeSeries {
   std::vector<double> ToVector() const { return {data_, data_ + size_}; }
 
   /// Appends one observation at the next time index: in place when this
-  /// window ends at the buffer's tip, otherwise into a private copy with
-  /// room to grow. Amortized O(1).
+  /// window ends at its standalone buffer's tip, otherwise into a private
+  /// copy with room to grow. Amortized O(1).
   void Append(double value);
-
-  /// Appends in place when this window ends at the buffer's tip and the
-  /// buffer has a free slot; returns false and changes nothing otherwise.
-  bool TryAppend(double value);
-  /// TryAppend of all `values` at once: in place when every one fits.
-  bool TryAppend(std::span<const double> values);
-
-  /// TryAppend(values[i]) on rows[i] for i = 0, 1, ... until a row cannot
-  /// append in place; returns how many rows appended. Fetches the rows'
-  /// next slots ahead of the writes, so appending one column to many rows
-  /// does not wait out one cache miss per row.
-  static std::size_t TryAppendEach(std::span<TimeSeries> rows,
-                                   std::span<const double> values);
-
-  /// Moves the windows of `rows` into one new panel with `capacity` slots
-  /// per row (at least every row's length). Each row keeps its values and
-  /// start time and may append in place until its row is full.
-  static void Pack(std::span<TimeSeries* const> rows, std::size_t capacity);
 
   /// Drops the oldest `count` observations (clamped to size()) and moves
   /// start_time forward accordingly — the retention primitive: the series
@@ -160,27 +153,84 @@ class TimeSeries {
   std::string ToString() const;
 
  private:
-  /// Fixed-capacity storage shared by every copy of a series: `capacity`
-  /// slots at `slots`, of which the first `tip` some copy has claimed. The
-  /// owner of the slots (a standalone vector or a panel) holds the Buffer;
-  /// series reference it through an aliasing pointer to the owner.
-  struct Buffer {
-    double* slots = nullptr;
-    std::size_t capacity = 0;
-    std::atomic<std::size_t> tip{0};
-  };
-  struct Owned;  ///< one standalone series' storage
-  struct Panel;  ///< many series' rows in one allocation
+  /// Reference-counted storage: one standalone buffer or one panel.
+  struct Storage;
 
+  /// Drops one reference; the last one frees the storage.
+  static void Release(Storage* storage);
+  /// Becomes a copy of `other` that holds a reference of its own.
+  void TakeCopy(const TimeSeries& other);
+  /// Becomes a borrowed copy of the borrowed row `row`.
+  void TakeBorrowed(const TimeSeries& row);
+  /// Claims the slot after the window in a standalone buffer; false when
+  /// the window does not end at the tip, the buffer is full, or the
+  /// storage is a panel.
+  bool TryClaimNext();
   /// Moves the window into a fresh, private buffer of `capacity` slots.
   void Reallocate(std::size_t capacity);
-  /// Reallocates unless this series holds the only buffer reference.
+  /// Reallocates unless this series holds the only storage reference.
   void Detach();
 
-  std::shared_ptr<Buffer> buffer_;
-  double* data_ = nullptr;  ///< first observation of the window
+  Storage* storage_ = nullptr;  ///< null for a series that never had data
+  double* data_ = nullptr;      ///< first observation of the window
   std::size_t size_ = 0;
   std::int64_t start_time_ = 0;
+  /// A panel row that holds no reference (see Panel::Pack).
+  bool borrowed_ = false;
+};
+
+/// One reference to a panel: fixed-capacity rows of many series in one
+/// allocation, all ending at one column, with one claim for the next
+/// column (see the file comment). Copying a Panel is one increment.
+class TimeSeries::Panel {
+ public:
+  /// No panel.
+  Panel() = default;
+  Panel(const Panel& other) noexcept;
+  Panel& operator=(const Panel& other) noexcept;
+  Panel(Panel&& other) noexcept;
+  Panel& operator=(Panel&& other) noexcept;
+  ~Panel();
+
+  /// Moves the windows of `rows`, all of one length, into a fresh panel of
+  /// `capacity` slots per row (at least that length) and makes them
+  /// borrowed rows of it, valid while the returned panel or a copy of it
+  /// lives; a reference a row held is released. Columns up to the rows'
+  /// length count as claimed.
+  static Panel Pack(std::span<TimeSeries> rows, std::size_t capacity);
+
+  explicit operator bool() const { return storage_ != nullptr; }
+  bool operator==(const Panel& other) const {
+    return storage_ == other.storage_;
+  }
+
+  /// Claims `column`, the column the holder's rows end at, for appending:
+  /// true for exactly one caller per column, and only while the panel has
+  /// room; false when another holder claimed it first or the panel is full.
+  bool ClaimColumn(std::size_t column) const;
+
+  /// Constructs to[i], uninitialized storage, as a copy of from[i] that
+  /// borrows when from[i] is a borrowed row (valid while the caller holds
+  /// its panel) and holds a reference otherwise.
+  static void CopyRows(std::span<const TimeSeries> from, TimeSeries* to);
+
+  /// Stores values[i] after the window of rows[i], borrowed rows ending at
+  /// a column the caller claimed, with plain stores. Fetches the rows' next
+  /// slots ahead of the writes, so the column does not wait out one cache
+  /// miss per row.
+  static void AppendColumn(std::span<TimeSeries> rows,
+                           std::span<const double> values);
+
+  /// AppendColumn into copies: constructs to[i], uninitialized storage, as
+  /// a borrowed copy of from[i] with values[i] appended; from[i] is left as
+  /// it was.
+  static void AdvanceRows(std::span<const TimeSeries> from, TimeSeries* to,
+                          std::span<const double> values);
+
+ private:
+  explicit Panel(Storage* storage) : storage_(storage) {}
+
+  Storage* storage_ = nullptr;
 };
 
 }  // namespace f2db

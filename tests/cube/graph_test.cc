@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <set>
 
 #include "data/datasets.h"
@@ -375,10 +376,9 @@ TEST(Graph, AdvanceTimeValidatesInput) {
 
 TEST(Graph, AdvanceTimeRegrowsThePanelWhenARowCannotAppend) {
   // Two copies of one packed graph share its panel. The first copy to
-  // advance claims every row's tip (and, the panel being full, regrows);
-  // the second cannot append in place either and must regrow its own
-  // panel. Neither copy, nor the untouched original, sees the other's
-  // values.
+  // advance claims the panel's next column (and, the panel being full,
+  // regrows); the second cannot claim it and must regrow its own panel.
+  // Neither copy, nor the untouched original, sees the other's values.
   const TimeSeriesGraph original = testing::MakeFigure2Cube(24);
   TimeSeriesGraph a = original;
   TimeSeriesGraph b = original;
@@ -406,6 +406,77 @@ TEST(Graph, AdvanceTimeRegrowsThePanelWhenARowCannotAppend) {
       ASSERT_EQ(b.series(node)[i], 2.0 * leaves);
     }
   }
+}
+
+TEST(Graph, ADiscardedSuccessorsClaimMakesTheNextOneRegrowBitIdentically) {
+  // A successor that claimed the column and was dropped unwritten leaves
+  // the column taken: the next successor packs its rows into a fresh panel
+  // and must still equal, bit for bit, the graph advanced in place.
+  TimeSeriesGraph graph = testing::MakeFigure2Cube(24);
+  std::vector<double> column;
+  ASSERT_TRUE(graph
+                  .AdvanceTime(std::vector<double>(graph.num_base_nodes(), 1.5),
+                               &column)
+                  .ok());  // packed, with spare columns
+  std::vector<double> base_values(graph.num_base_nodes());
+  for (std::size_t i = 0; i < base_values.size(); ++i) {
+    base_values[i] = 0.1 * static_cast<double>(i) + 1.0 / 3.0;
+  }
+  {
+    auto discarded = graph.BeginSuccessor(base_values, &column);
+    ASSERT_TRUE(discarded.ok());
+  }
+  std::vector<double> successor_column;
+  auto successor = graph.BeginSuccessor(base_values, &successor_column);
+  ASSERT_TRUE(successor.ok());
+  TimeSeriesGraph& next = successor.value();
+  graph.WriteSuccessorRows(next, successor_column, 0, graph.num_nodes());
+
+  TimeSeriesGraph reference = graph;
+  std::vector<double> reference_column;
+  ASSERT_TRUE(reference.AdvanceTime(base_values, &reference_column).ok());
+  ASSERT_EQ(successor_column, reference_column);
+  const std::size_t n = graph.series_length();
+  for (NodeId node = 0; node < graph.num_nodes(); ++node) {
+    const TimeSeries& row = next.series(node);
+    // Regrown: the row lives in another panel than the graph's.
+    ASSERT_NE(row.values().data(), graph.series(node).values().data());
+    ASSERT_EQ(row.size(), n + 1);
+    ASSERT_EQ(graph.series(node).size(), n);
+    ASSERT_EQ(row.ToVector(), reference.series(node).ToVector()) << node;
+  }
+}
+
+TEST(Graph, SeriesCopiedOutOfAGraphOutliveItAndItsSuccessors) {
+  // A graph's rows borrow its panel; a series copied out of one takes a
+  // reference of its own. Under AddressSanitizer a copy that did not would
+  // read freed panel blocks here, once every graph holding the panel (the
+  // original, a copy and a successor) is gone.
+  auto graph = std::make_unique<TimeSeriesGraph>(testing::MakeFigure2Cube(24));
+  std::vector<double> column;
+  const std::vector<double> ones(graph->num_base_nodes(), 1.0);
+  ASSERT_TRUE(graph->AdvanceTime(ones, &column).ok());  // packed
+  const NodeId top = graph->top_node();
+  const NodeId base = graph->base_nodes()[0];
+  TimeSeries from_graph = graph->series(top);
+  const std::vector<double> top_values = from_graph.ToVector();
+
+  auto copy = std::make_unique<TimeSeriesGraph>(*graph);
+  auto successor = graph->BeginSuccessor(ones, &column);
+  ASSERT_TRUE(successor.ok());
+  auto next = std::make_unique<TimeSeriesGraph>(std::move(successor).value());
+  graph->WriteSuccessorRows(*next, column, 0, graph->num_nodes());
+  const TimeSeries from_successor = next->series(base);
+  const std::vector<double> base_values = from_successor.ToVector();
+  ASSERT_EQ(base_values.size(), graph->series_length() + 1);
+
+  graph.reset();
+  copy.reset();
+  next.reset();
+  EXPECT_EQ(from_graph.ToVector(), top_values);
+  EXPECT_EQ(from_successor.ToVector(), base_values);
+  from_graph.Append(7.0);  // copies out of the dead panel's block
+  EXPECT_EQ(from_graph[from_graph.size() - 1], 7.0);
 }
 
 TEST(Graph, NodeNameIsHumanReadable) {

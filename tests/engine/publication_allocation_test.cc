@@ -3,14 +3,17 @@
 // the model parameters and the untouched tables with its predecessor, and
 // copies the flat model states and records once. Its heap allocations must
 // therefore be a constant, independent of both the number of graph nodes
-// and the number of models. Global operator new/new[] overrides count
-// every allocation while armed, around the closing insert of each period
-// only.
+// and the number of models. An insert that does not close its period
+// allocates nothing at all once warm. Global operator new/new[] overrides
+// count every allocation while armed, around the inserts under test only.
+
+#include <stdlib.h>
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
 #include <vector>
 
@@ -54,9 +57,9 @@ namespace f2db {
 namespace {
 
 /// Heap allocations one closing insert may make, averaged over a run: the
-/// successor snapshot, its graph copy, the copied sums, states and records
-/// and the maintenance fan-out, plus the amortized panel regrowths. It does
-/// not depend on node or model count.
+/// successor snapshot, its graph and row handles, the new sums, states and
+/// records and the maintenance fan-out, plus the amortized panel regrowths.
+/// It does not depend on node or model count.
 constexpr double kMaxAllocationsPerAdvance = 32.0;
 
 /// Runs `advances` periods through an engine configured by the advisor
@@ -153,6 +156,49 @@ TEST(PublicationAllocationTest, FullAdvisorConfigurationMeetsTheSameBound) {
   RecordProperty("mean_allocations_per_advance", std::to_string(mean));
   EXPECT_EQ(num_models, 167u);
   EXPECT_LT(mean, kMaxAllocationsPerAdvance) << num_models << " models";
+}
+
+TEST(PublicationAllocationTest, WarmDurableNonClosingInsertAllocatesNothing) {
+  // A durable engine logs every insert before buffering it. The WAL frame
+  // is encoded into the writer's own buffer and an advanced period's
+  // buffer is reused by the next period, so once both are warm an insert
+  // that does not close its period allocates nothing, not even the first
+  // insert of a period.
+  char tmpl[] = "/tmp/f2db_alloc_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  EngineOptions options;
+  options.data_dir = tmpl;
+  options.fsync_policy = FsyncPolicy::kBatch;
+  options.checkpoint_interval_seconds = 0.0;
+  options.compaction_interval_seconds = 0.0;
+  options.scrub_interval_seconds = 0.0;
+  options.disk_probe_interval_seconds = 0.0;
+  auto generated = MakeGenX(100, 4, 24);
+  ASSERT_TRUE(generated.ok()) << generated.status().message();
+  const TimeSeriesGraph& graph = generated.value().graph;
+  auto opened = F2dbEngine::Open(graph, options);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  F2dbEngine& engine = *opened.value();
+  const std::vector<NodeId>& bases = graph.base_nodes();
+
+  for (std::int64_t period = 0; period < 4; ++period) {
+    const std::int64_t t = 24 + period;
+    const bool warm = period >= 2;
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+      const bool closing = i + 1 == bases.size();
+      g_allocations.store(0, std::memory_order_relaxed);
+      g_armed.store(warm && !closing, std::memory_order_relaxed);
+      const Status inserted =
+          engine.InsertFact(bases[i], t, 1.0 + static_cast<double>(i));
+      g_armed.store(false, std::memory_order_relaxed);
+      ASSERT_TRUE(inserted.ok()) << inserted.message();
+      ASSERT_EQ(g_allocations.load(std::memory_order_relaxed), 0u)
+          << "period " << period << ", insert " << i;
+    }
+  }
+  EXPECT_EQ(engine.graph().series_length(), 28u);
+  opened.value().reset();
+  std::filesystem::remove_all(tmpl);
 }
 
 }  // namespace

@@ -21,10 +21,13 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "baselines/advisor_builder.h"
+#include "data/datasets.h"
 #include "engine/engine.h"
 #include "testing/crash.h"
 #include "testing/test_cubes.h"
@@ -245,6 +248,103 @@ TEST_F(ConcurrentEngineTest, IntervalQueriesRaceWithParallelMaintenance) {
   EXPECT_EQ(engine->stats().inserts, bases.size() * kWriterPeriods);
 }
 
+
+/// True when `a` and `b` hold the same doubles, bit for bit.
+bool SameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(ConcurrentEngineAdvanceTest, BitIdenticalOnOneOrManyMaintenanceThreads) {
+  // An advance writes the successor's rows and steps its models in one
+  // fan-out over the maintenance pool. However the pool splits that work,
+  // the rows (checked against the graph advanced in place), the history
+  // sums (old sum plus the period's column) and every model state and
+  // record must equal the inline advance's, bit for bit. GenX-1000 gives
+  // the fan-out dozens of row ranges; 70 periods on a 60-period history
+  // pack the panel on the first advance and regrow it once.
+  constexpr std::size_t kHistory = 60;
+  constexpr int kPeriods = 70;
+  auto generated = MakeGenX(1000, 4, kHistory + kPeriods);
+  ASSERT_TRUE(generated.ok()) << generated.status().message();
+  const TimeSeriesGraph& full = generated.value().graph;
+  TimeSeriesGraph reference = full;
+  for (NodeId node : reference.base_nodes()) {
+    ASSERT_TRUE(
+        reference.SetBaseSeries(node, full.series(node).Head(kHistory)).ok());
+  }
+  ASSERT_TRUE(reference.BuildAggregates().ok());
+  ConfigurationEvaluator evaluator(reference, 0.8);
+  ModelFactory factory(ModelSpec::TripleExponentialSmoothing(12));
+  AdvisorOptions advisor_options;
+  advisor_options.seed = 2013;
+  advisor_options.models_per_iteration = 8;
+  advisor_options.stop.max_iterations = 8;
+  advisor_options.count_models_as_cost = true;
+  AdvisorBuilder builder(advisor_options);
+  auto outcome = builder.Build(evaluator, factory);
+  ASSERT_TRUE(outcome.ok()) << outcome.status().message();
+
+  EngineOptions inline_options;
+  inline_options.maintenance_threads = 1;
+  inline_options.reestimate_after_updates = 5;
+  EngineOptions pool_options = inline_options;
+  pool_options.maintenance_threads = 4;
+  F2dbEngine inline_engine(reference, inline_options);
+  F2dbEngine pool_engine(reference, pool_options);
+  for (F2dbEngine* engine : {&inline_engine, &pool_engine}) {
+    ASSERT_TRUE(
+        engine->LoadConfiguration(outcome.value().configuration, evaluator)
+            .ok());
+  }
+  ASSERT_GT(inline_engine.num_models(), 0u);
+  const std::vector<NodeId>& bases = reference.base_nodes();
+  const std::size_t num_nodes = reference.num_nodes();
+  const SnapshotPtr initial = inline_engine.snapshot();
+  std::vector<double> sums(initial->history_sums.begin(),
+                           initial->history_sums.end());
+  std::vector<double> values(bases.size());
+  std::vector<double> column;
+  for (int period = 0; period < kPeriods; ++period) {
+    const auto t = static_cast<std::int64_t>(kHistory) + period;
+    for (std::size_t i = 0; i < bases.size(); ++i) {
+      values[i] = full.series(bases[i])[kHistory + period];
+      ASSERT_TRUE(inline_engine.InsertFact(bases[i], t, values[i]).ok());
+      ASSERT_TRUE(pool_engine.InsertFact(bases[i], t, values[i]).ok());
+    }
+    ASSERT_TRUE(reference.AdvanceTime(values, &column).ok());
+    const SnapshotPtr one = inline_engine.snapshot();
+    const SnapshotPtr many = pool_engine.snapshot();
+    for (NodeId node = 0; node < num_nodes; ++node) {
+      ASSERT_TRUE(SameBits(one->graph->series(node).values(),
+                           reference.series(node).values()))
+          << "period " << period << " node " << node;
+      ASSERT_TRUE(SameBits(many->graph->series(node).values(),
+                           reference.series(node).values()))
+          << "period " << period << " node " << node;
+    }
+    for (NodeId node = 0; node < num_nodes; ++node) {
+      sums[node] += column[node];
+    }
+    ASSERT_TRUE(SameBits(sums, {one->history_sums.data(), num_nodes}))
+        << "period " << period;
+    ASSERT_TRUE(SameBits(sums, {many->history_sums.data(), num_nodes}))
+        << "period " << period;
+    ASSERT_EQ(one->models.size(), many->models.size());
+    for (std::size_t slot = 0; slot < one->models.size(); ++slot) {
+      const ModelView a = one->models.At(slot);
+      const ModelView b = many->models.At(slot);
+      ASSERT_EQ(a.node, b.node);
+      ASSERT_TRUE(SameBits(a.state, b.state))
+          << "period " << period << " slot " << slot;
+      ASSERT_EQ(a.record->updates_since_estimate,
+                b.record->updates_since_estimate);
+      ASSERT_EQ(a.record->invalid, b.record->invalid);
+      ASSERT_EQ(a.record->generation, b.record->generation);
+    }
+  }
+}
 
 TEST_F(ConcurrentEngineTest, PinnedSnapshotsStayBitIdenticalThroughAdvanceAndRetention) {
   // Successive snapshots share their series panel and model parameters:

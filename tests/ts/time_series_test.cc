@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -263,6 +265,92 @@ TEST(TimeSeries, ConcurrentCopiesAppendWithoutSharingASlot) {
       ASSERT_EQ(results[t][3 + i], t * 1000.0 + i) << "thread " << t;
     }
   }
+}
+
+// ---- panels: rows that borrow one reference and share one column claim ----
+
+/// Three rows of four observations each, the k-th row counting from 10*k.
+std::vector<TimeSeries> ThreeRows() {
+  std::vector<TimeSeries> rows;
+  for (int k = 0; k < 3; ++k) {
+    rows.emplace_back(std::vector<double>{10.0 * k, 10.0 * k + 1,
+                                          10.0 * k + 2, 10.0 * k + 3},
+                      5);
+  }
+  return rows;
+}
+
+TEST(TimeSeries, RowsCopiedOutOfAPanelOutliveIt) {
+  // Packed rows hold no reference: the panel holds the only one. A copy of
+  // a row takes a reference of its own, so it stays readable (under
+  // AddressSanitizer: stays allocated) after the panel is gone.
+  std::vector<TimeSeries> rows = ThreeRows();
+  TimeSeries copied;
+  {
+    const TimeSeries::Panel panel = TimeSeries::Panel::Pack(rows, 8);
+    copied = rows[0];
+  }
+  rows.clear();  // the rows dangle now; only their destructors may run
+  EXPECT_EQ(Values(copied), (std::vector<double>{0, 1, 2, 3}));
+  EXPECT_EQ(copied.start_time(), 5);
+  copied.Append(4);
+  EXPECT_EQ(Values(copied), (std::vector<double>{0, 1, 2, 3, 4}));
+}
+
+TEST(TimeSeries, RowsMovedOutOfAPanelOutliveIt) {
+  // Moving a borrowed row, by construction or by assignment, takes a
+  // reference too, as copying one does. Each row gets a panel of its own,
+  // so neither move keeps the other's panel alive.
+  std::vector<TimeSeries> rows = ThreeRows();
+  std::optional<TimeSeries> constructed;
+  TimeSeries assigned;
+  {
+    const std::span<TimeSeries> all(rows);
+    const TimeSeries::Panel first = TimeSeries::Panel::Pack(all.first(1), 8);
+    const TimeSeries::Panel second =
+        TimeSeries::Panel::Pack(all.subspan(1, 1), 8);
+    constructed.emplace(std::move(rows[0]));
+    assigned = std::move(rows[1]);
+    EXPECT_TRUE(rows[0].empty());
+    EXPECT_TRUE(rows[1].empty());
+  }
+  rows.clear();
+  EXPECT_EQ(Values(*constructed), (std::vector<double>{0, 1, 2, 3}));
+  EXPECT_EQ(Values(assigned), (std::vector<double>{10, 11, 12, 13}));
+  EXPECT_EQ(assigned.start_time(), 5);
+}
+
+TEST(TimeSeries, AppendingToACopyOfAPanelRowNeverWritesIntoThePanel) {
+  // Only the holder that claims a panel column writes it. A copy of a row
+  // that appends copies its window out instead, leaving the column free.
+  std::vector<TimeSeries> rows = ThreeRows();
+  const TimeSeries::Panel panel = TimeSeries::Panel::Pack(rows, 8);
+  const double* const row_data = rows[0].values().data();
+  TimeSeries copy = rows[0];
+  copy.Append(99);
+  EXPECT_NE(copy.values().data(), row_data);
+  EXPECT_EQ(Values(copy), (std::vector<double>{0, 1, 2, 3, 99}));
+  // The column after the rows is still unclaimed, and the rows' own
+  // column lands in the panel in place.
+  ASSERT_TRUE(panel.ClaimColumn(4));
+  EXPECT_FALSE(panel.ClaimColumn(4));
+  const std::vector<double> column{7, 17, 27};
+  TimeSeries::Panel::AppendColumn(rows, column);
+  EXPECT_EQ(rows[0].values().data(), row_data);
+  EXPECT_EQ(Values(rows[0]), (std::vector<double>{0, 1, 2, 3, 7}));
+  EXPECT_EQ(Values(rows[2]), (std::vector<double>{20, 21, 22, 23, 27}));
+  EXPECT_EQ(Values(copy), (std::vector<double>{0, 1, 2, 3, 99}));
+}
+
+TEST(TimeSeries, PanelColumnsAreClaimedOnceInOrderUntilFull) {
+  std::vector<TimeSeries> rows = ThreeRows();
+  const TimeSeries::Panel panel = TimeSeries::Panel::Pack(rows, 5);
+  EXPECT_FALSE(panel.ClaimColumn(3));  // packed columns count as claimed
+  EXPECT_FALSE(panel.ClaimColumn(5));  // not the next column
+  const TimeSeries::Panel other = panel;  // a second holder, one claim
+  EXPECT_TRUE(other.ClaimColumn(4));
+  EXPECT_FALSE(panel.ClaimColumn(4));
+  EXPECT_FALSE(panel.ClaimColumn(5));  // the panel is full
 }
 
 }  // namespace
