@@ -16,7 +16,7 @@
 //
 // Part 4 — integrity scrub cost (--scrub). A clean ScrubOnce() pass is
 // the steady-state tax of the background scrubber: CRC re-verification of
-// every sealed segment plus the manifest and checkpoint. The heal pass
+// every sealed segment plus the manifest. The heal pass
 // times detection + quarantine + reseal-from-memory after a byte flip.
 //
 // Results are summarized in BENCH_storage.json at the repo root.
@@ -112,7 +112,7 @@ FootprintRow BenchFootprint(std::size_t rounds) {
 
   FootprintRow row;
   // The WAL cost of this history: bytes appended for the insert records
-  // (the whole log is inserts at this point — no catalog, no checkpoint).
+  // (the whole log is inserts at this point — no catalog).
   row.wal_bytes = engine.value()->stats().wal_bytes;
   Check(engine.value()->CompactNow(), "compact");
   const EngineStats stats = engine.value()->stats();
@@ -150,7 +150,7 @@ RecoveryRow BenchRecovery(std::size_t rounds, bool compact) {
     RunInserts(*engine.value(), rounds);
     records = engine.value()->stats().inserts;
     if (compact) Check(engine.value()->CompactNow(), "compact");
-    // Destruct without a checkpoint.
+    // Destruct without a final compaction.
   }
   RecoveryRow row;
   row.records = records;

@@ -4,7 +4,6 @@
 // statement dialect over TCP until SIGTERM/SIGINT (graceful drain):
 //
 //   build/examples/f2db_serve [port] [--data-dir DIR] [--fsync POLICY]
-//                             [--checkpoint-interval SECONDS]
 //                             [--compaction-interval SECONDS]
 //                             [--retention-window PERIODS]
 //                             [--scrub-interval SECONDS]
@@ -12,17 +11,15 @@
 //                             [--reactors N] [--shards M]
 //
 //   port                  listen port; default 2113, 0 = ephemeral
-//   --data-dir DIR        run durably: WAL + checkpoints in DIR. On boot an
-//                         existing DIR is recovered (checkpoint + WAL tail)
-//                         and the advised configuration is NOT re-applied;
-//                         an empty DIR starts fresh. SIGTERM writes a final
-//                         checkpoint after the drain. With --shards M > 1
-//                         each shard keeps its own WAL/checkpoint chain in
+//   --data-dir DIR        run durably: WAL + sealed segments in DIR. On
+//                         boot an existing DIR is recovered (segments + WAL
+//                         tail) and the advised configuration is NOT
+//                         re-applied; an empty DIR starts fresh. SIGTERM
+//                         compacts after the drain. With --shards M > 1
+//                         each shard keeps its own WAL and segment chain in
 //                         DIR/shard-<k> and recovery runs per shard in
 //                         parallel.
 //   --fsync POLICY        none | batch | always (default batch)
-//   --checkpoint-interval background checkpoint cadence in seconds
-//                         (default 60; 0 = shutdown checkpoint only)
 //   --compaction-interval background compaction cadence in seconds: closed
 //                         WAL history is sealed into compressed segments
 //                         under DIR/segments (per shard with --shards) and
@@ -31,7 +28,7 @@
 //                         --data-dir.
 //   --scrub-interval      background integrity-scrub cadence in seconds:
 //                         every pass re-reads and CRC-verifies the sealed
-//                         segments, manifest, and checkpoint, quarantines
+//                         segments and the manifest, quarantines
 //                         corrupt files as *.corrupt, and reseals the
 //                         chain from memory (DESIGN.md §15). 0 (default)
 //                         disables the scrubber. Requires --data-dir.
@@ -83,7 +80,6 @@ int main(int argc, char** argv) {
   std::size_t reactors = 1;
   std::size_t shards = 1;
   EngineOptions engine_options;
-  engine_options.checkpoint_interval_seconds = 60.0;
   engine_options.compaction_interval_seconds = 300.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -103,8 +99,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       engine_options.fsync_policy = policy.value();
-    } else if (arg == "--checkpoint-interval") {
-      engine_options.checkpoint_interval_seconds = std::atof(value());
     } else if (arg == "--compaction-interval") {
       engine_options.compaction_interval_seconds = std::atof(value());
     } else if (arg == "--retention-window") {
@@ -234,7 +228,7 @@ int main(int argc, char** argv) {
     }
 
     // A recovered engine already carries its configuration (replayed from
-    // the checkpoint/WAL); only a fresh engine needs the advisor's.
+    // the WAL); only a fresh engine needs the advisor's.
     if (engine->num_models() == 0) {
       AdvisorOptions advisor_options;
       advisor_options.models_per_iteration = 8;

@@ -1,8 +1,9 @@
 // CRC32C (Castagnoli): the checksum framing the durability files.
 //
-// Every write-ahead-log record and the checkpoint trailer carry a CRC32C
-// over their payload so recovery can tell a torn or corrupted write from a
-// valid record (see DESIGN.md §10, "Durability and recovery"). The
+// Every write-ahead-log record, sealed segment block and the manifest
+// trailer carry a CRC32C over their payload so recovery can tell a torn or
+// corrupted write from a valid record (see DESIGN.md §10, "Durability and
+// recovery"). The
 // Castagnoli polynomial (0x1EDC6F41, reflected 0x82F63B78) is the storage
 // and networking standard (iSCSI, ext4, LevelDB/RocksDB logs); this is the
 // portable table-driven software implementation — no SSE4.2 dependency.

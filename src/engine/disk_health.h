@@ -7,7 +7,7 @@
 // the configured threshold transitions the engine to READ-ONLY: queries
 // keep serving from COW snapshots (annotated through the degradation
 // ladder), INSERTs are rejected with kUnavailable and a retry-after-ms
-// hint, and the checkpoint/compaction loops park. A background probe
+// hint, and the compaction and scrub loops park. A background probe
 // (engine-owned) re-tests the device and calls ExitReadOnly when a durable
 // write succeeds again, so the engine heals without a restart.
 //

@@ -134,14 +134,13 @@ F2dbEngine::F2dbEngine(TimeSeriesGraph graph, EngineOptions options)
 }
 
 F2dbEngine::~F2dbEngine() {
-  if (checkpoint_thread_.joinable() || compaction_thread_.joinable() ||
-      probe_thread_.joinable() || scrub_thread_.joinable()) {
+  if (compaction_thread_.joinable() || probe_thread_.joinable() ||
+      scrub_thread_.joinable()) {
     {
-      std::lock_guard<std::mutex> lock(checkpoint_mutex_);
+      std::lock_guard<std::mutex> lock(background_mutex_);
       stopping_ = true;
     }
-    checkpoint_cv_.notify_all();
-    if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
+    background_cv_.notify_all();
     if (compaction_thread_.joinable()) compaction_thread_.join();
     if (probe_thread_.joinable()) probe_thread_.join();
     if (scrub_thread_.joinable()) scrub_thread_.join();
@@ -161,11 +160,6 @@ Result<std::unique_ptr<F2dbEngine>> F2dbEngine::Open(TimeSeriesGraph graph,
   // can reach it yet, so the replay callbacks use the regular maintenance
   // paths (with logging suppressed — replayed records are already logged).
   RecoveryCallbacks callbacks;
-  callbacks.apply_checkpoint = [&engine](
-                                   CheckpointState&& state,
-                                   const storage::ManifestData* manifest) {
-    return engine->ApplyCheckpointState(std::move(state), manifest);
-  };
   callbacks.apply_segments = [&engine](
                                  const storage::ManifestData& manifest,
                                  std::vector<storage::SegmentData>&& chain) {
@@ -199,10 +193,6 @@ Result<std::unique_ptr<F2dbEngine>> F2dbEngine::Open(TimeSeriesGraph graph,
   F2DB_ASSIGN_OR_RETURN(engine->store_,
                         storage::SegmentStore::Open(options.data_dir));
 
-  if (options.checkpoint_interval_seconds > 0.0) {
-    engine->checkpoint_thread_ =
-        std::thread([raw = engine.get()] { raw->CheckpointLoop(); });
-  }
   if (options.compaction_interval_seconds > 0.0) {
     engine->compaction_thread_ =
         std::thread([raw = engine.get()] { raw->CompactionLoop(); });
@@ -247,8 +237,6 @@ EngineStats F2dbEngine::stats() const {
   out.wal_bytes = stats_.wal_bytes.Load();
   out.wal_records_replayed = recovery_records_replayed_;
   out.torn_tail_detected = recovery_torn_tail_ ? 1 : 0;
-  out.checkpoints_completed = stats_.checkpoints_completed.Load();
-  out.checkpoint_failures = stats_.checkpoint_failures.Load();
   out.segments_sealed = stats_.segments_sealed.Load();
   out.segment_records_sealed = stats_.segment_records_sealed.Load();
   out.segments_live =
@@ -274,8 +262,8 @@ EngineStats F2dbEngine::stats() const {
   out.scrub_bytes = stats_.scrub_bytes.Load();
   out.scrub_corruptions = stats_.scrub_corruptions.Load();
   out.scrub_reseals = stats_.scrub_reseals.Load();
-  const double last = last_checkpoint_seconds_.load(std::memory_order_relaxed);
-  out.last_checkpoint_age_seconds =
+  const double last = last_compaction_seconds_.load(std::memory_order_relaxed);
+  out.last_compaction_age_seconds =
       last < 0.0 ? -1.0 : uptime_.ElapsedSeconds() - last;
   return out;
 }
@@ -999,10 +987,11 @@ void F2dbEngine::OfferRefitFailure(NodeId node,
       threshold > 0 && failures >= threshold && !expected.quarantined;
   if (quarantine) {
     // The quarantine TRANSITION is durable (plain failure-count bumps are
-    // not: they reset to the last logged transition on recovery, which
-    // only makes post-crash refits retry sooner). An append failure skips
-    // the whole publication; the state stays unchanged and a later
-    // attempt retries the transition.
+    // logged only by the next compaction's tail: recovery resets them to
+    // that cut or the last logged transition, which only makes post-crash
+    // refits retry sooner). An append failure skips the whole
+    // publication; the state stays unchanged and a later attempt retries
+    // the transition.
     if (!WalAppendLocked(WalRecord::Quarantine(node, failures)).ok()) {
       return;
     }
@@ -1269,6 +1258,10 @@ Status F2dbEngine::AdvanceWhileCompleteLocked() {
 // --------------------------------------------------- durability internals
 
 Status F2dbEngine::WalAppendLocked(const WalRecord& record) const {
+  return WalAppendLocked(std::span<const WalRecord>(&record, 1));
+}
+
+Status F2dbEngine::WalAppendLocked(std::span<const WalRecord> records) const {
   if (!wal_) return Status::OK();  // in-memory engine: nothing to log
   if (!wal_->open()) {
     return Status::Unavailable(
@@ -1276,105 +1269,9 @@ Status F2dbEngine::WalAppendLocked(const WalRecord& record) const {
         "mutations are refused until the engine is reopened");
   }
   const std::uint64_t before = wal_->bytes_appended();
-  F2DB_RETURN_IF_ERROR(wal_->Append(record));
-  stats_.wal_records.Add();
+  F2DB_RETURN_IF_ERROR(wal_->AppendAll(records));
+  stats_.wal_records.Add(records.size());
   stats_.wal_bytes.Add(static_cast<std::size_t>(wal_->bytes_appended() - before));
-  return Status::OK();
-}
-
-Status F2dbEngine::ApplyCheckpointState(CheckpointState&& state,
-                                        const storage::ManifestData* manifest) {
-  std::lock_guard<std::mutex> lock(writer_mutex_);
-  const SnapshotPtr cur = LoadSnapshot();
-
-  // Replace the base fact data wholesale and rebuild the aggregates
-  // bottom-up — BuildAggregates and AdvanceTime share the same child
-  // summation order, so the rebuilt aggregates are bit-identical to what
-  // the pre-crash process computed incrementally.
-  auto graph = std::make_shared<TimeSeriesGraph>(*cur->graph);
-  for (auto& [node, values] : state.base_series) {
-    if (node >= graph->num_nodes()) {
-      return Status::Internal("checkpoint references unknown base node " +
-                              std::to_string(node));
-    }
-    F2DB_RETURN_IF_ERROR(graph->SetBaseSeries(
-        node, TimeSeries(std::move(values), state.base_start_time)));
-  }
-  F2DB_RETURN_IF_ERROR(graph->BuildAggregates());
-
-  auto next = cur->CopyForWrite();
-  next->graph = graph;
-  std::vector<double>& sums = next->history_sums.Mutable();
-  for (NodeId node = 0; node < graph->num_nodes(); ++node) {
-    sums[node] = graph->series(node).Sum();
-  }
-  // The checkpointed series start where retention left them: the sums of
-  // the forgotten prefix live in the manifest's offsets and must be folded
-  // back in so derivation weights stay exact.
-  if (manifest != nullptr && !manifest->offsets.empty()) {
-    std::vector<double> base_offsets(graph->num_base_nodes(), 0.0);
-    for (const auto& [node, offset] : manifest->offsets) {
-      const std::uint32_t slot = BaseSlotOf(node);
-      if (slot == kNoBaseSlot) {
-        return Status::Internal(
-            "manifest offset references non-base node " +
-            std::to_string(node));
-      }
-      base_offsets[slot] = offset;
-    }
-    F2DB_ASSIGN_OR_RETURN(std::vector<double> node_offsets,
-                          graph->AggregateBaseScalars(base_offsets));
-    for (NodeId node = 0; node < graph->num_nodes(); ++node) {
-      sums[node] += node_offsets[node];
-    }
-  }
-  std::vector<std::vector<NodeId>>& schemes = next->schemes.Mutable();
-  for (auto& scheme : schemes) scheme.clear();
-  for (auto& [target, sources] : state.schemes) {
-    if (target >= graph->num_nodes()) {
-      return Status::Internal("checkpoint scheme references unknown node " +
-                              std::to_string(target));
-    }
-    schemes[target] = std::move(sources);
-  }
-  std::vector<ModelTable::Entry> models;
-  models.reserve(state.models.size());
-  for (CheckpointModel& model : state.models) {
-    if (model.node >= graph->num_nodes()) {
-      return Status::Internal("checkpoint model references unknown node " +
-                              std::to_string(model.node));
-    }
-    F2DB_ASSIGN_OR_RETURN(std::unique_ptr<ForecastModel> restored,
-                          ModelFactory::DeserializeModel(model.payload));
-    ModelTable::Entry& entry = models.emplace_back();
-    entry.node = model.node;
-    entry.model = std::move(restored);
-    entry.record.creation_seconds = model.creation_seconds;
-    entry.record.invalid = model.invalid;
-    entry.record.updates_since_estimate = model.updates_since_estimate;
-    entry.record.refit_failures = model.refit_failures;
-    entry.record.quarantined = model.quarantined;
-  }
-  next->models.Assign(std::move(models));
-
-  pending_.clear();
-  for (const auto& [time, slot, value] : state.pending) {
-    PendingPeriod& period = PendingPeriodLocked(time, graph->num_base_nodes());
-    if (slot >= period.values.size()) {
-      return Status::Internal("checkpoint pending slot out of range");
-    }
-    period.Set(slot, value);
-  }
-
-  // Restore the maintenance counters so post-recovery stats continue the
-  // pre-crash process's sequence (WAL replay then stacks on top).
-  stats_.inserts.Add(state.inserts);
-  stats_.time_advances.Add(state.time_advances);
-  stats_.reestimates.Add(state.reestimates);
-  stats_.quarantines.Add(state.quarantines);
-  stats_.refit_failures.Add(state.refit_failures);
-
-  Publish(std::move(next));
   return Status::OK();
 }
 
@@ -1431,142 +1328,31 @@ Status F2dbEngine::ApplyWalRecord(const WalRecord& record) {
       stats_.quarantines.Add();
       return Status::OK();
     }
+    case WalRecord::Kind::kBookkeeping: {
+      // A compaction's tail restores the record as it stood at the cut —
+      // state, not a transition, so no counter moves (the manifest already
+      // carries them).
+      std::lock_guard<std::mutex> lock(writer_mutex_);
+      const SnapshotPtr cur = LoadSnapshot();
+      const ModelView live = cur->models.Find(record.node);
+      if (!live) {
+        return Status::Internal("bookkeeping references node " +
+                                std::to_string(record.node) +
+                                " without a model");
+      }
+      auto next = cur->CopyForWrite();
+      ModelRecord& updated = next->models.MutableRecord(live.slot);
+      updated.invalid = record.invalid;
+      updated.updates_since_estimate =
+          static_cast<std::size_t>(record.updates);
+      updated.refit_failures = static_cast<std::size_t>(record.count);
+      updated.quarantined = record.quarantined;
+      Publish(std::move(next));
+      return Status::OK();
+    }
   }
   return Status::Internal("unknown WAL record kind " +
                           std::to_string(static_cast<int>(record.kind)));
-}
-
-CheckpointState F2dbEngine::BuildCheckpointStateLocked(
-    const SnapshotPtr& snap, std::uint64_t wal_epoch) const {
-  CheckpointState state;
-  state.wal_epoch = wal_epoch;
-  state.inserts = stats_.inserts.Load();
-  state.time_advances = stats_.time_advances.Load();
-  state.reestimates = stats_.reestimates.Load();
-  state.quarantines = stats_.quarantines.Load();
-  state.refit_failures = stats_.refit_failures.Load();
-
-  const TimeSeriesGraph& graph = *snap->graph;
-  if (graph.num_base_nodes() > 0) {
-    state.base_start_time = graph.series(graph.base_nodes()[0]).start_time();
-  }
-  state.base_series.reserve(graph.num_base_nodes());
-  for (NodeId node : graph.base_nodes()) {
-    state.base_series.emplace_back(node, graph.series(node).ToVector());
-  }
-  for (NodeId node = 0; node < graph.num_nodes(); ++node) {
-    if (!snap->schemes[node].empty()) {
-      state.schemes.emplace_back(node, snap->schemes[node]);
-    }
-  }
-  state.models.reserve(snap->models.size());
-  for (const ModelView live : snap->models) {  // slots are in node order
-    CheckpointModel model;
-    model.node = live.node;
-    model.invalid = live.record->invalid;
-    model.updates_since_estimate = live.record->updates_since_estimate;
-    model.refit_failures = live.record->refit_failures;
-    model.quarantined = live.record->quarantined;
-    model.creation_seconds = live.record->creation_seconds;
-    model.payload = ModelFactory::SerializeModel(*live.model, live.state);
-    state.models.push_back(std::move(model));
-  }
-  for (const auto& [time, period] : pending_) {
-    for (std::size_t slot = 0; slot < period.values.size(); ++slot) {
-      if (period.present[slot]) {
-        state.pending.emplace_back(time, slot, period.values[slot]);
-      }
-    }
-  }
-  return state;
-}
-
-Status F2dbEngine::CheckpointNow() {
-  if (!durable()) {
-    return Status::FailedPrecondition(
-        "checkpoint requires a durable engine (open with a data_dir)");
-  }
-  // Exclude whole compactions (ordered before writer_mutex_): without
-  // this, a checkpoint could snapshot the still-undropped series between
-  // a retention manifest commit and the in-memory drop — recovery would
-  // then add the pruned offsets to the full series sum, double-counting
-  // the retained prefix in every derivation weight.
-  std::lock_guard<std::mutex> serial(compaction_serial_mutex_);
-  CheckpointState state;
-  {
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    if (!wal_->open()) {
-      stats_.checkpoint_failures.Add();
-      return Status::Unavailable("WAL writer is broken; cannot rotate");
-    }
-    // Rotate first: everything logged so far lands in segments the
-    // checkpoint will cover, everything after this point lands in the new
-    // epoch the checkpoint tells recovery to replay. Rotation failure
-    // aborts the checkpoint with the old writer still active.
-    F2DB_RETURN_IF_ERROR(wal_->Sync());
-    auto rotated =
-        WalWriter::Create(options_.data_dir, wal_->epoch() + 1,
-                          options_.fsync_policy, options_.wal_batch_records);
-    if (!rotated.ok()) {
-      stats_.checkpoint_failures.Add();
-      RecordDiskOutcome(rotated.status());
-      return rotated.status();
-    }
-    wal_->Close();
-    *wal_ = std::move(rotated.value());
-    state = BuildCheckpointStateLocked(LoadSnapshot(), wal_->epoch());
-  }
-  // Serialization and IO run OFF the writer lock: the state references
-  // only copies and the immutable pinned snapshot, so maintenance and
-  // queries proceed while the checkpoint hits disk.
-  const Status written = WriteCheckpoint(options_.data_dir, state);
-  if (!written.ok()) {
-    // Both the old checkpoint and every WAL segment survive; recovery
-    // replays across the epoch boundary as if no checkpoint was attempted.
-    stats_.checkpoint_failures.Add();
-    RecordDiskOutcome(written);
-    return written;
-  }
-  // The checkpoint is durable — segments below its epoch are redundant.
-  // A failed unlink merely leaves a stale segment for the next recovery
-  // (or checkpoint) to clean up.
-  auto epochs = ListWalEpochs(options_.data_dir);
-  if (epochs.ok()) {
-    for (const std::uint64_t epoch : epochs.value()) {
-      if (epoch < state.wal_epoch) {
-        ::unlink(WalPath(options_.data_dir, epoch).c_str());
-      }
-    }
-  }
-  stats_.checkpoints_completed.Add();
-  last_checkpoint_seconds_.store(uptime_.ElapsedSeconds(),
-                                 std::memory_order_relaxed);
-  return Status::OK();
-}
-
-void F2dbEngine::CheckpointLoop() {
-  const auto interval =
-      std::chrono::duration<double>(options_.checkpoint_interval_seconds);
-  std::unique_lock<std::mutex> lock(checkpoint_mutex_);
-  while (!stopping_) {
-    if (checkpoint_cv_.wait_for(lock, interval,
-                                [this] { return stopping_; })) {
-      break;
-    }
-    lock.unlock();
-    // Park while read-only: rotations and checkpoint writes would only
-    // churn the failing device; the probe owns recovery.
-    if (disk_health_.read_only()) {
-      lock.lock();
-      continue;
-    }
-    const Status status = CheckpointNow();
-    if (!status.ok()) {
-      F2DB_LOG(kWarning) << "background checkpoint failed: "
-                         << status.message();
-    }
-    lock.lock();
-  }
 }
 
 // ------------------------------------------------------ storage lifecycle
@@ -1631,7 +1417,7 @@ Status F2dbEngine::ApplySegmentState(const storage::ManifestData& manifest,
     sums[node] = graph->series(node).Sum() + node_offsets[node];
   }
 
-  // Configuration, quarantine flags, and the pending buffer arrive via
+  // Configuration, model bookkeeping, and the pending buffer arrive via
   // the rewritten records at the head of the manifest's WAL epoch.
   next->schemes = SharedTable<std::vector<NodeId>>(
       std::vector<std::vector<NodeId>>(graph->num_nodes()));
@@ -1677,8 +1463,8 @@ Status F2dbEngine::CompactNow() {
     // ---- Phase A, under the writer lock: rotate the WAL and rewrite the
     // live tail into the fresh epoch. After the manifest commits, replay
     // starts HERE — these records carry everything the sealed history
-    // does not: the configuration, every quarantine transition, and the
-    // pending insert buffer.
+    // does not: the configuration, each model's refit bookkeeping (lazy
+    // re-estimation and quarantine state), and the pending insert buffer.
     SnapshotPtr snap;
     std::uint64_t new_epoch = 0;
     std::int64_t sealed_from = 0;
@@ -1706,29 +1492,35 @@ Status F2dbEngine::CompactNow() {
           break;
         }
       }
+      // The tail goes out in one append: one write(2), one sync.
+      std::vector<WalRecord> tail;
       if (!snap->models.empty() || any_scheme) {
-        F2DB_RETURN_IF_ERROR(WalAppendLocked(WalRecord::Catalog(
-            CatalogFromSnapshot(*snap).SerializeToString())));
+        tail.push_back(WalRecord::Catalog(
+            CatalogFromSnapshot(*snap).SerializeToString()));
       }
-      std::uint64_t quarantined = 0;
+      // The catalog reinstalls every record at its defaults; restore the
+      // ones that moved since.
       for (const ModelView live : snap->models) {  // in node order
-        if (live.record->quarantined) {
-          F2DB_RETURN_IF_ERROR(WalAppendLocked(
-              WalRecord::Quarantine(live.node, live.record->refit_failures)));
-          ++quarantined;
+        const ModelRecord& record = *live.record;
+        if (record.invalid || record.updates_since_estimate != 0 ||
+            record.refit_failures != 0 || record.quarantined) {
+          tail.push_back(WalRecord::Bookkeeping(
+              live.node, record.invalid, record.updates_since_estimate,
+              record.refit_failures, record.quarantined));
         }
       }
-      std::uint64_t pending_count = 0;
+      const std::size_t state_records = tail.size();
       const std::vector<NodeId>& base_nodes = snap->graph->base_nodes();
       for (const auto& [time, period] : pending_) {
         for (std::size_t slot = 0; slot < period.values.size(); ++slot) {
           if (period.present[slot]) {
-            F2DB_RETURN_IF_ERROR(WalAppendLocked(WalRecord::Insert(
-                base_nodes[slot], time, period.values[slot])));
-            ++pending_count;
+            tail.push_back(WalRecord::Insert(base_nodes[slot], time,
+                                             period.values[slot]));
           }
         }
       }
+      const std::uint64_t pending_count = tail.size() - state_records;
+      F2DB_RETURN_IF_ERROR(WalAppendLocked(tail));
       F2DB_RETURN_IF_ERROR(wal_->Sync());
       F2DB_RETURN_IF_ERROR(SyncDirectory(options_.data_dir));
 
@@ -1743,11 +1535,11 @@ Status F2dbEngine::CompactNow() {
       next.sealed_from = has_base ? base.sealed_from : sealed_from;
       next.sealed_to = sealed_to;
       // Counters at the cut: replay of the rewritten tail re-adds the
-      // pending inserts and quarantine transitions, so subtract them.
+      // pending inserts, so subtract them.
       next.inserts = stats_.inserts.Load() - pending_count;
       next.time_advances = stats_.time_advances.Load();
       next.reestimates = stats_.reestimates.Load();
-      next.quarantines = stats_.quarantines.Load() - quarantined;
+      next.quarantines = stats_.quarantines.Load();
       next.refit_failures = stats_.refit_failures.Load();
       next.records_dropped = base.records_dropped;
       next.offsets = base.offsets;
@@ -1819,6 +1611,8 @@ Status F2dbEngine::CompactNow() {
       }
     }
     stats_.compactions_completed.Add();
+    last_compaction_seconds_.store(uptime_.ElapsedSeconds(),
+                                   std::memory_order_relaxed);
 
     // ---- Phase C: retention. Whole segments entirely older than the
     // window are dropped — their per-series sums fold into the manifest
@@ -1875,10 +1669,10 @@ Status F2dbEngine::CompactNow() {
 
     // In-memory half: forget the same prefix from every series, base and
     // aggregate alike. History sums stay untouched — the offsets now
-    // carry the forgotten mass. No checkpoint can land between the pruned
-    // manifest commit above and this drop: CheckpointNow serializes on
-    // compaction_serial_mutex_, so it never snapshots undropped series
-    // alongside the pruned offsets (which would double-count on recovery).
+    // carry the forgotten mass. No other compaction can cut between the
+    // pruned manifest commit above and this drop: compactions serialize on
+    // compaction_serial_mutex_, so none rewrites a tail over undropped
+    // series alongside the pruned offsets.
     const std::int64_t new_start = kept.front().start_time;
     {
       std::lock_guard<std::mutex> lock(writer_mutex_);
@@ -1906,9 +1700,9 @@ Status F2dbEngine::CompactNow() {
 void F2dbEngine::CompactionLoop() {
   const auto interval =
       std::chrono::duration<double>(options_.compaction_interval_seconds);
-  std::unique_lock<std::mutex> lock(checkpoint_mutex_);
+  std::unique_lock<std::mutex> lock(background_mutex_);
   while (!stopping_) {
-    if (checkpoint_cv_.wait_for(lock, interval,
+    if (background_cv_.wait_for(lock, interval,
                                 [this] { return stopping_; })) {
       break;
     }
@@ -1943,9 +1737,9 @@ void F2dbEngine::ProbeLoop() {
   const auto interval =
       std::chrono::duration<double>(options_.disk_probe_interval_seconds);
   const std::string sentinel = options_.data_dir + "/.f2db-health-probe";
-  std::unique_lock<std::mutex> lock(checkpoint_mutex_);
+  std::unique_lock<std::mutex> lock(background_mutex_);
   while (!stopping_) {
-    if (checkpoint_cv_.wait_for(lock, interval,
+    if (background_cv_.wait_for(lock, interval,
                                 [this] { return stopping_; })) {
       break;
     }
@@ -1953,7 +1747,7 @@ void F2dbEngine::ProbeLoop() {
     lock.unlock();
     // One durable sentinel write proves the device accepts writes again;
     // it exercises the same open/write/fsync/rename path the WAL and
-    // checkpoints depend on.
+    // the manifest depend on.
     const Status probed = storage::WriteFileDurably(
         sentinel, "ok\n", /*hook_before_rename=*/nullptr,
         /*hook_after_rename=*/nullptr, storage::kIoSiteProbeWrite);
@@ -1972,17 +1766,17 @@ bool F2dbEngine::ScrubPace(std::uint64_t bytes_read) {
   if (rate == 0 || bytes_read == 0) return true;
   const double seconds =
       static_cast<double>(bytes_read) / static_cast<double>(rate);
-  std::unique_lock<std::mutex> lock(checkpoint_mutex_);
-  return !checkpoint_cv_.wait_for(lock, std::chrono::duration<double>(seconds),
+  std::unique_lock<std::mutex> lock(background_mutex_);
+  return !background_cv_.wait_for(lock, std::chrono::duration<double>(seconds),
                                   [this] { return stopping_; });
 }
 
 void F2dbEngine::ScrubLoop() {
   const auto interval =
       std::chrono::duration<double>(options_.scrub_interval_seconds);
-  std::unique_lock<std::mutex> lock(checkpoint_mutex_);
+  std::unique_lock<std::mutex> lock(background_mutex_);
   while (!stopping_) {
-    if (checkpoint_cv_.wait_for(lock, interval,
+    if (background_cv_.wait_for(lock, interval,
                                 [this] { return stopping_; })) {
       break;
     }
@@ -2113,25 +1907,6 @@ Status F2dbEngine::ScrubOnce(ScrubReport* report) {
       }
       if (!ScrubPace(text.value().size())) return Status::OK();
     }
-  }
-
-  // Checkpoint: re-verify the CRC trailer; a corrupt checkpoint is
-  // rewritten in place from live state (it is a redundant artifact — the
-  // WAL and segment chain still recover without it).
-  const auto checkpoint_text =
-      storage::ReadFileToString(CheckpointPath(options_.data_dir));
-  if (checkpoint_text.ok()) {
-    out->bytes_verified += checkpoint_text.value().size();
-    stats_.scrub_bytes.Add(checkpoint_text.value().size());
-    if (!ParseCheckpoint(checkpoint_text.value()).ok()) {
-      ++out->corruptions;
-      stats_.scrub_corruptions.Add();
-      F2DB_LOG(kError) << "scrub: corrupt checkpoint; rewriting from live "
-                          "state";
-      const Status rewritten = CheckpointNow();
-      if (!rewritten.ok()) return rewritten;
-    }
-    if (!ScrubPace(checkpoint_text.value().size())) return Status::OK();
   }
 
   stats_.scrub_cycles.Add();

@@ -38,6 +38,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,7 +52,6 @@
 #include "core/evaluator.h"
 #include "cube/graph.h"
 #include "engine/catalog.h"
-#include "engine/checkpoint.h"
 #include "engine/disk_health.h"
 #include "engine/plan_cache.h"
 #include "engine/query.h"
@@ -103,7 +103,7 @@ struct EngineOptions {
 
   // ---- durability (DESIGN.md §10) ----
 
-  /// Data directory for the WAL and checkpoints. Empty = in-memory engine
+  /// Data directory for the WAL and sealed segments. Empty = in-memory engine
   /// with no durability (the default; matches the plain constructor).
   /// Non-empty directories require construction through F2dbEngine::Open,
   /// which recovers existing state before serving.
@@ -113,8 +113,9 @@ struct EngineOptions {
   /// Group-commit size under FsyncPolicy::kBatch: fsync once per this many
   /// appended records.
   std::size_t wal_batch_records = 64;
-  /// Background checkpoint cadence in seconds; 0 disables the background
-  /// thread (checkpoints then happen only via CheckpointNow / shutdown).
+  /// Ignored. The compaction is the engine's only durable cut (its cadence
+  /// is compaction_interval_seconds); this field remains only so that
+  /// existing callers that assign it keep compiling.
   double checkpoint_interval_seconds = 0.0;
 
   // ---- storage engine (DESIGN.md §13) ----
@@ -157,9 +158,9 @@ struct EngineOptions {
   // ---- integrity scrubber (DESIGN.md §15) ----
 
   /// Background scrub cadence in seconds: one full pass over the sealed
-  /// segment chain, manifest, and latest checkpoint per interval. 0
-  /// disables the background thread (scrubs then happen only via
-  /// ScrubOnce). Ignored in-memory.
+  /// segment chain and the manifest per interval. 0 disables the
+  /// background thread (scrubs then happen only via ScrubOnce). Ignored
+  /// in-memory.
   double scrub_interval_seconds = 0.0;
   /// Scrub read budget in bytes/second: the scrubber sleeps between files
   /// to stay under it, so a large chain cannot starve the live query
@@ -234,13 +235,11 @@ struct EngineStats {
   std::size_t wal_records_replayed = 0;
   /// 1 when recovery found (and truncated) a torn final WAL record.
   std::size_t torn_tail_detected = 0;
-  std::size_t checkpoints_completed = 0;
-  std::size_t checkpoint_failures = 0;
   /// Wall-clock milliseconds recovery took at open (0 for in-memory).
   double recovery_duration_ms = 0.0;
-  /// Seconds since the last completed checkpoint; -1 when none completed
-  /// in this process's lifetime.
-  double last_checkpoint_age_seconds = -1.0;
+  /// Seconds since the last completed compaction (the durable cut); -1
+  /// when none completed in this process's lifetime.
+  double last_compaction_age_seconds = -1.0;
 
   // ---- storage-engine counters (DESIGN.md §13; zero when no segments) ----
 
@@ -282,7 +281,7 @@ struct EngineStats {
 
   // ---- integrity-scrubber counters (DESIGN.md §15) ----
 
-  /// Completed scrub cycles (chain + manifest + checkpoint).
+  /// Completed scrub cycles (chain + manifest).
   std::size_t scrub_cycles = 0;
   /// Bytes re-read and CRC-verified by the scrubber.
   std::size_t scrub_bytes = 0;
@@ -300,7 +299,7 @@ struct EngineStats {
 struct ScrubReport {
   /// Sealed segments whose CRCs were re-verified this pass.
   std::size_t segments_verified = 0;
-  /// Bytes read and verified (segments + manifest + checkpoint).
+  /// Bytes read and verified (segments + manifest).
   std::uint64_t bytes_verified = 0;
   /// Corrupt artifacts detected this pass.
   std::size_t corruptions = 0;
@@ -426,11 +425,8 @@ class EngineInterface {
   virtual std::string StatsPrometheusText() const = 0;
 
   /// Whether mutations are WAL-logged (drives the server's shutdown
-  /// checkpoint).
+  /// compaction).
   virtual bool durable() const = 0;
-
-  /// Takes a checkpoint now (every shard, for a sharded engine).
-  virtual Status CheckpointNow() = 0;
 
   /// Seals closed WAL history into compressed segments now (every shard,
   /// for a sharded engine) and applies retention. kFailedPrecondition for
@@ -447,16 +443,15 @@ class F2dbEngine : public EngineInterface {
   /// engines are built through Open().
   explicit F2dbEngine(TimeSeriesGraph graph, EngineOptions options = {});
 
-  /// Stops the background checkpoint thread and closes the WAL (final
-  /// fsync unless the policy is kNone). No shutdown checkpoint is taken
-  /// here — callers that want one (the server's drain path) call
-  /// CheckpointNow() first.
+  /// Stops the background threads and closes the WAL (final fsync unless
+  /// the policy is kNone). No shutdown compaction is run here — callers
+  /// that want one (the server's drain path) call CompactNow() first.
   ~F2dbEngine();
 
-  /// Opens an engine over options.data_dir: loads the latest valid
-  /// checkpoint, replays the WAL tail (tolerating a torn final record),
-  /// and resumes logging. `graph` supplies the cube structure and the
-  /// initial fact data; a checkpoint's stored base series replace the
+  /// Opens an engine over options.data_dir: bulk-loads the sealed segment
+  /// chain the manifest names, replays the WAL tail (tolerating a torn
+  /// final record), and resumes logging. `graph` supplies the cube
+  /// structure and the initial fact data; sealed base series replace the
   /// fact values wholesale. With an empty data_dir this is equivalent to
   /// the constructor.
   static Result<std::unique_ptr<F2dbEngine>> Open(TimeSeriesGraph graph,
@@ -466,45 +461,32 @@ class F2dbEngine : public EngineInterface {
   /// data_dir; the plain constructor never is).
   bool durable() const override { return wal_ != nullptr; }
 
-  /// Takes a checkpoint right now: rotates the WAL to a fresh epoch,
-  /// writes the pinned snapshot atomically, and deletes the WAL segments
-  /// the checkpoint made redundant. Serialized with all maintenance AND
-  /// with whole compactions — a checkpoint that landed between a
-  /// retention manifest commit and the matching in-memory drop would
-  /// snapshot the undropped series at a higher epoch and double-count the
-  /// retained prefix on recovery. The expensive serialization runs off
-  /// the writer lock. On failure the previous checkpoint and every WAL
-  /// segment survive, so recovery is unaffected. kFailedPrecondition for
-  /// an in-memory engine.
-  Status CheckpointNow() override;
-
-  /// Runs one compaction right now: rotates the WAL to a fresh epoch,
-  /// rewrites the live tail (configuration, quarantine transitions,
-  /// pending inserts) into it, seals the closed history slice into a
-  /// compressed segment, commits the manifest by atomic rename, and only
-  /// then deletes the covered WAL epochs. When a retention window is
-  /// configured, segments entirely older than the window are then dropped
-  /// (on disk and in memory) with history sums preserved via manifest
-  /// offsets. Serialized against itself and against whole checkpoints
-  /// (both take compaction_serial_mutex_). kFailedPrecondition for an
-  /// in-memory engine.
+  /// Runs one compaction — the engine's durable cut — right now: rotates
+  /// the WAL to a fresh epoch, rewrites the live tail (configuration, each
+  /// model's refit bookkeeping, pending inserts) into it, seals the closed
+  /// history slice into a compressed segment, commits the manifest by
+  /// atomic rename, and only then deletes the covered WAL epochs. When a
+  /// retention window is configured, segments entirely older than the
+  /// window are then dropped (on disk and in memory) with history sums
+  /// preserved via manifest offsets. Serialized against itself
+  /// (compaction_serial_mutex_). kFailedPrecondition for an in-memory
+  /// engine.
   Status CompactNow() override;
 
   /// Current disk-health state (always kOk for an in-memory engine). While
   /// kReadOnly, queries serve annotated from COW snapshots, InsertFact
   /// rejects with kUnavailable + a retry-after-ms hint, and the background
-  /// checkpoint/compaction loops park (DESIGN.md §15).
+  /// compaction and scrub loops park (DESIGN.md §15).
   DiskHealthState disk_health() const { return disk_health_.state(); }
 
   /// One full integrity-scrub pass right now: re-reads and CRC-verifies
-  /// every sealed segment, the manifest, and the latest checkpoint,
-  /// throttled to options().scrub_rate_bytes_per_second. A corrupt segment
-  /// is quarantined as *.corrupt and resealed from in-memory history via
+  /// every sealed segment and the manifest, throttled to
+  /// options().scrub_rate_bytes_per_second. A corrupt segment is
+  /// quarantined as *.corrupt and resealed from in-memory history via
   /// CompactNow — or, when retention already dropped that history, the
   /// engine enters read-only instead (serving memory is still exact; only
-  /// the on-disk past is gone). A corrupt manifest forces read-only; a
-  /// corrupt checkpoint is rewritten in place via CheckpointNow.
-  /// kFailedPrecondition for an in-memory engine.
+  /// the on-disk past is gone). A corrupt manifest is quarantined and
+  /// rewritten by a reseal. kFailedPrecondition for an in-memory engine.
   Status ScrubOnce(ScrubReport* report = nullptr);
 
   /// The graph of the CURRENT snapshot. The reference stays valid until the
@@ -639,8 +621,6 @@ class F2dbEngine : public EngineInterface {
     RelaxedAccumulator maintenance_seconds;
     RelaxedCounter wal_records;
     RelaxedCounter wal_bytes;
-    RelaxedCounter checkpoints_completed;
-    RelaxedCounter checkpoint_failures;
     RelaxedCounter segments_sealed;
     RelaxedCounter segment_records_sealed;
     RelaxedCounter compactions_completed;
@@ -773,37 +753,23 @@ class F2dbEngine : public EngineInterface {
   /// accounts the WAL counters. Caller holds writer_mutex_. Const because
   /// query-side re-estimation publications log too.
   Status WalAppendLocked(const WalRecord& record) const;
+  /// Same for several records, appended all or none (WalWriter::AppendAll).
+  Status WalAppendLocked(std::span<const WalRecord> records) const;
 
   /// Renders the given snapshot's configuration as catalog tables (the
   /// payload of a WAL kCatalog record; also backs ExportCatalog).
   static ConfigurationCatalog CatalogFromSnapshot(const EngineSnapshot& snap);
 
-  /// Recovery: installs a checkpoint's state wholesale (graph data,
-  /// schemes, models, pending buffer, maintenance counters). Runs
-  /// single-threaded inside Open(), before the engine is visible. When a
-  /// manifest survives, its retention offsets are folded into the history
-  /// sums (the checkpointed series start where retention left them).
-  Status ApplyCheckpointState(CheckpointState&& state,
-                              const storage::ManifestData* manifest);
-
   /// Recovery: restores series history by decoding the sealed segment
   /// chain directly — base series are bulk-loaded and aggregates/history
   /// sums rebuilt once, instead of re-running maintenance per record.
-  /// Configuration, quarantine flags, and the pending buffer arrive via
+  /// Configuration, model bookkeeping, and the pending buffer arrive via
   /// the rewritten records at the head of the manifest's WAL epoch.
   Status ApplySegmentState(const storage::ManifestData& manifest,
                            std::vector<storage::SegmentData>&& chain);
 
   /// Recovery: re-applies one replayed WAL record.
   Status ApplyWalRecord(const WalRecord& record);
-
-  /// Builds the checkpoint cut. Caller holds writer_mutex_; the returned
-  /// state references only copies, so serialization may run off the lock.
-  CheckpointState BuildCheckpointStateLocked(const SnapshotPtr& snap,
-                                             std::uint64_t wal_epoch) const;
-
-  /// Body of the background checkpoint thread.
-  void CheckpointLoop();
 
   /// Body of the background compaction thread.
   void CompactionLoop();
@@ -878,7 +844,7 @@ class F2dbEngine : public EngineInterface {
   std::vector<double> advance_column_;
 
   /// The WAL of the current epoch; nullptr for an in-memory engine.
-  /// Rotated by CheckpointNow. Guarded by writer_mutex_ (mutable for the
+  /// Rotated by CompactNow. Guarded by writer_mutex_ (mutable for the
   /// same reason WalAppendLocked is const).
   mutable std::unique_ptr<WalWriter> wal_;
 
@@ -888,14 +854,13 @@ class F2dbEngine : public EngineInterface {
   std::unique_ptr<storage::SegmentStore> store_;
 
   /// Serializes whole compactions against each other (the background
-  /// thread vs. an explicit CompactNow vs. the shutdown path) and whole
-  /// checkpoints against compactions: CheckpointNow takes it too, so a
-  /// checkpoint can never observe the state between a retention manifest
-  /// commit and the matching in-memory DropHistoryBefore. Always
-  /// acquired BEFORE writer_mutex_.
+  /// thread vs. an explicit CompactNow vs. the shutdown path vs. a scrub
+  /// reseal), so no compaction observes the state between another's
+  /// retention manifest commit and the matching in-memory
+  /// DropHistoryBefore. Always acquired BEFORE writer_mutex_.
   std::mutex compaction_serial_mutex_;
 
-  /// Recovery fell back to checkpoint + WAL replay because the on-disk
+  /// Recovery fell back to a full WAL replay because the on-disk
   /// sealed chain failed validation. The next compaction must reseal the
   /// chain from the in-memory history instead of extending the invalid
   /// one — extending would commit a higher-epoch manifest and truncate
@@ -910,15 +875,14 @@ class F2dbEngine : public EngineInterface {
   double recovery_seconds_ = 0.0;
   std::size_t recovery_segment_records_ = 0;
 
-  /// uptime_-relative stamp of the last completed checkpoint; negative
+  /// uptime_-relative stamp of the last completed compaction; negative
   /// when none completed yet.
-  std::atomic<double> last_checkpoint_seconds_{-1.0};
+  std::atomic<double> last_compaction_seconds_{-1.0};
 
-  // ---- background checkpoint/compaction/probe/scrub threads ----
-  std::mutex checkpoint_mutex_;
-  std::condition_variable checkpoint_cv_;
-  bool stopping_ = false;  ///< guarded by checkpoint_mutex_
-  std::thread checkpoint_thread_;
+  // ---- background compaction/probe/scrub threads ----
+  std::mutex background_mutex_;
+  std::condition_variable background_cv_;
+  bool stopping_ = false;  ///< guarded by background_mutex_
   std::thread compaction_thread_;
   std::thread probe_thread_;
   std::thread scrub_thread_;

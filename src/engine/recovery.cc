@@ -15,6 +15,28 @@
 namespace f2db {
 namespace {
 
+/// The durable cut older versions wrote besides the manifest; never read,
+/// only named when history is missing.
+constexpr const char* kLegacyCheckpointFile = "checkpoint.f2db";
+
+bool HasLegacyCheckpoint(const std::string& data_dir) {
+  return ::access((data_dir + "/" + kLegacyCheckpointFile).c_str(), F_OK) ==
+         0;
+}
+
+/// The lost-history error. A directory whose newest durable cut is a
+/// legacy checkpoint lands here (its WAL starts past the epoch replay
+/// needs), so the message names the file when it is present.
+Status MissingHistory(const std::string& data_dir, std::string message) {
+  if (HasLegacyCheckpoint(data_dir)) {
+    message += std::string("; ") + kLegacyCheckpointFile +
+               " is present: it was written by an older version, which this "
+               "version no longer reads — open the directory with that "
+               "version and compact it first";
+  }
+  return Status::Internal(message);
+}
+
 /// Creates `dir` when missing. Parent directories must already exist — a
 /// data directory is configured explicitly, not discovered.
 Status EnsureDirectory(const std::string& dir) {
@@ -35,19 +57,10 @@ Result<RecoveryInfo> RunRecovery(const std::string& data_dir,
   Status status = EnsureDirectory(data_dir);
   if (!status.ok()) return status;
 
-  // Phase 1: the durable artifacts. kNotFound means a fresh directory; a
-  // checkpoint that fails its CRC/version check aborts recovery, while an
-  // unreadable manifest only disables the segment fast path (WAL epochs
-  // are deleted strictly after a manifest commit, so the checkpoint + WAL
-  // still cover everything the manifest would have).
-  std::optional<CheckpointState> checkpoint;
-  auto checkpoint_result = LoadCheckpoint(data_dir);
-  if (checkpoint_result.ok()) {
-    checkpoint = std::move(checkpoint_result.value());
-  } else if (checkpoint_result.status().code() != StatusCode::kNotFound) {
-    return checkpoint_result.status();
-  }
-
+  // Phase 1: the durable cut. kNotFound means no compaction has committed
+  // yet; an unreadable manifest only disables the segment fast path (WAL
+  // epochs are deleted strictly after a manifest commit, so a full replay
+  // still covers everything the manifest would have).
   const std::string segments_dir = storage::SegmentsDirFor(data_dir);
   std::optional<storage::ManifestData> manifest;
   auto manifest_result = storage::ReadManifestFile(segments_dir);
@@ -57,60 +70,45 @@ Result<RecoveryInfo> RunRecovery(const std::string& data_dir,
     info.segment_fallback = true;
     F2DB_LOG(kWarning) << "recovery: segment manifest unreadable ("
                        << manifest_result.status().ToString()
-                       << "); falling back to checkpoint + WAL replay";
+                       << "); falling back to a full WAL replay";
   }
 
-  // Phase 2: pick the base artifact — the one whose state extends to the
-  // strictly higher WAL epoch. A winning manifest bulk-loads history from
-  // the sealed segment chain; when the chain fails validation (the
-  // half-written-segment crash case) fall back to the checkpoint, whose
-  // WAL epochs still exist as long as no later artifact truncated them.
-  // segment_fallback tells the engine so its next compaction RESEALS the
-  // chain from memory instead of extending the invalid one — extending
-  // would truncate exactly the epochs this fallback depends on.
+  // Phase 2: the manifest bulk-loads history from the sealed segment
+  // chain. When the chain fails validation (the half-written-segment
+  // crash case) fall back to replaying the WAL from epoch 1, which still
+  // exists as long as no later compaction truncated it. segment_fallback
+  // tells the engine so its next compaction RESEALS the chain from memory
+  // instead of extending the invalid one — extending would truncate
+  // exactly the epochs this fallback depends on.
   std::uint64_t replay_from_epoch = 1;
   bool segment_base = false;
-  std::vector<storage::SegmentData> chain;
-  if (manifest.has_value() &&
-      (!checkpoint.has_value() ||
-       manifest->wal_epoch > checkpoint->wal_epoch)) {
+  if (manifest.has_value()) {
     auto chain_result = storage::ReadSegmentChain(segments_dir, *manifest);
     if (chain_result.ok()) {
       segment_base = true;
-      chain = std::move(chain_result.value());
+      replay_from_epoch = manifest->wal_epoch;
+      std::vector<storage::SegmentData> chain =
+          std::move(chain_result.value());
+      info.segments_loaded = chain.size();
+      for (const storage::SegmentData& segment : chain) {
+        info.segment_records_loaded +=
+            segment.count * static_cast<std::uint64_t>(segment.series.size());
+      }
+      if (callbacks.apply_segments) {
+        status = callbacks.apply_segments(*manifest, std::move(chain));
+        if (!status.ok()) return status;
+      }
     } else {
       info.segment_fallback = true;
       F2DB_LOG(kWarning) << "recovery: sealed segment chain invalid ("
                          << chain_result.status().ToString()
-                         << "); falling back to checkpoint + WAL replay";
+                         << "); falling back to a full WAL replay";
     }
   }
 
-  if (segment_base) {
-    replay_from_epoch = manifest->wal_epoch;
-    info.segments_loaded = chain.size();
-    for (const storage::SegmentData& segment : chain) {
-      info.segment_records_loaded +=
-          segment.count * static_cast<std::uint64_t>(segment.series.size());
-    }
-    if (callbacks.apply_segments) {
-      status = callbacks.apply_segments(*manifest, std::move(chain));
-      if (!status.ok()) return status;
-    }
-  } else if (checkpoint.has_value()) {
-    info.checkpoint_loaded = true;
-    replay_from_epoch = checkpoint->wal_epoch;
-    if (callbacks.apply_checkpoint) {
-      status = callbacks.apply_checkpoint(
-          std::move(*checkpoint),
-          manifest.has_value() ? &manifest.value() : nullptr);
-      if (!status.ok()) return status;
-    }
-  }
-
-  // Phase 3: the WAL segments. Epochs older than the base artifact's are
-  // fully covered by it — a previous crash interrupted their deletion, so
-  // finish the job here.
+  // Phase 3: the WAL segments. Epochs older than the manifest's are fully
+  // covered by it — a previous crash interrupted their deletion, so finish
+  // the job here.
   auto epochs_result = ListWalEpochs(data_dir);
   if (!epochs_result.ok()) return epochs_result.status();
   std::vector<std::uint64_t> epochs;
@@ -128,18 +126,23 @@ Result<RecoveryInfo> RunRecovery(const std::string& data_dir,
 
   if (epochs.empty()) {
     if (segment_base) {
-      // Compaction rewrites the live tail (catalog, quarantine flags,
+      // Compaction rewrites the live tail (catalog, model bookkeeping,
       // pending inserts) into the manifest's epoch BEFORE committing the
       // manifest, and the manifest commit happens before any deletion —
       // so this epoch must exist. Losing it means losing acknowledged
       // state: fail loudly instead of starting silently wrong.
-      return Status::Internal(
-          "segment manifest references WAL epoch " +
-          std::to_string(replay_from_epoch) +
-          " but no WAL segment file exists — log history is damaged");
+      return MissingHistory(
+          data_dir, "segment manifest references WAL epoch " +
+                        std::to_string(replay_from_epoch) +
+                        " but no WAL segment file exists — log history is "
+                        "damaged");
     }
-    // Fresh directory, or a checkpoint whose successor segment was never
-    // created before the crash: start a new segment at the replay epoch.
+    // A legacy cut with no WAL left is history this version cannot read.
+    if (HasLegacyCheckpoint(data_dir)) {
+      return MissingHistory(data_dir,
+                            "WAL history is missing: no WAL segment exists");
+    }
+    // Fresh directory: start a new segment at the replay epoch.
     info.append_epoch = replay_from_epoch;
     info.append_valid_bytes = 0;
     info.create_segment = true;
@@ -148,14 +151,15 @@ Result<RecoveryInfo> RunRecovery(const std::string& data_dir,
   }
 
   // Phase 4: replay, oldest epoch first. Rotation bumps epochs one at a
-  // time and deletion only runs after a durable checkpoint or manifest,
-  // so a missing leading epoch or a gap in the sequence means a segment
-  // (= history) went missing.
+  // time and deletion only runs after a durable manifest, so a missing
+  // leading epoch or a gap in the sequence means a segment (= history)
+  // went missing.
   if (epochs.front() != replay_from_epoch) {
-    return Status::Internal(
-        "WAL history is missing: replay must start at epoch " +
-        std::to_string(replay_from_epoch) + " but the oldest segment is " +
-        std::to_string(epochs.front()));
+    return MissingHistory(
+        data_dir, "WAL history is missing: replay must start at epoch " +
+                      std::to_string(replay_from_epoch) +
+                      " but the oldest segment is " +
+                      std::to_string(epochs.front()));
   }
   for (std::size_t i = 0; i + 1 < epochs.size(); ++i) {
     if (epochs[i + 1] != epochs[i] + 1) {

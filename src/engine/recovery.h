@@ -1,21 +1,18 @@
-// Crash recovery: durable-artifact load + WAL tail replay (DESIGN.md §10,
+// Crash recovery: durable-cut load + WAL tail replay (DESIGN.md §10,
 // §13).
 //
 // RunRecovery() owns the file-level recovery protocol so the engine only
 // has to say how state is applied:
 //   1. create the data directory on first use;
-//   2. load the checkpoint and the segment manifest if they exist (a
-//      checkpoint that exists but fails its CRC/version check aborts
-//      recovery — the engine must never start from silently wrong state;
-//      an unreadable manifest falls back to the checkpoint, because WAL
-//      epochs are only deleted after a manifest commit);
-//   3. pick the base artifact: whichever of checkpoint / manifest carries
-//      the strictly higher WAL epoch wins. A winning manifest restores
-//      history by decoding the sealed segment chain (bulk load, no
-//      per-record replay); when the chain fails validation, recovery
-//      falls back to the checkpoint + full WAL replay;
-//   4. delete WAL segments older than the base artifact's epoch
-//      (redundant segments whose deletion a previous crash interrupted);
+//   2. load the segment manifest — the one durable cut, written by
+//      compaction — if it exists (an unreadable manifest falls back to a
+//      full WAL replay, because WAL epochs are only deleted after a
+//      manifest commit);
+//   3. restore history by decoding the sealed segment chain the manifest
+//      names (bulk load, no per-record replay); when the chain fails
+//      validation, fall back to a full WAL replay from epoch 1;
+//   4. delete WAL segments older than the manifest's epoch (redundant
+//      segments whose deletion a previous crash interrupted);
 //   5. replay every remaining WAL segment in epoch order, tolerating
 //      exactly one torn record at the tail of the NEWEST segment (the
 //      write a crash interrupted); a tear anywhere else — or a missing
@@ -36,7 +33,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "engine/checkpoint.h"
 #include "engine/wal.h"
 #include "storage/manifest.h"
 #include "storage/segment.h"
@@ -44,15 +40,9 @@
 namespace f2db {
 
 /// How the recovered state is applied (all optional; an unset callback
-/// skips that phase, which the dry-run inspection tools use). At most one
-/// of apply_checkpoint / apply_segments is called, before any WAL record.
+/// skips that phase, which the dry-run inspection tools use).
+/// apply_segments is called at most once, before any WAL record.
 struct RecoveryCallbacks {
-  /// Installs the checkpointed snapshot. `manifest` is the surviving
-  /// segment manifest (nullptr when none): its retention offsets must be
-  /// folded into the recomputed history sums, because retention may have
-  /// trimmed the in-memory series before the checkpoint was taken.
-  std::function<Status(CheckpointState&&, const storage::ManifestData*)>
-      apply_checkpoint;
   /// Installs history decoded from the sealed segment chain. The chain is
   /// already CRC-verified and validated against the manifest (contiguous,
   /// ascending, consistent node sets).
@@ -65,7 +55,6 @@ struct RecoveryCallbacks {
 
 /// What recovery found — the source of the engine's recovery counters.
 struct RecoveryInfo {
-  bool checkpoint_loaded = false;
   std::uint64_t records_replayed = 0;
   /// A torn final record was detected (and truncated away on reopen).
   bool torn_tail_detected = false;
@@ -73,13 +62,13 @@ struct RecoveryInfo {
   /// f2db_recovery_duration_ms).
   double recovery_seconds = 0.0;
 
-  /// Sealed segments decoded into state (0 when the checkpoint won or no
-  /// manifest survived), and the observations they restored (summed over
+  /// Sealed segments decoded into state (0 when no valid manifest and
+  /// chain survived), and the observations they restored (summed over
   /// base series).
   std::uint64_t segments_loaded = 0;
   std::uint64_t segment_records_loaded = 0;
   /// A manifest existed but was unreadable or its chain failed
-  /// validation, so recovery fell back to checkpoint + WAL replay (the
+  /// validation, so recovery fell back to a full WAL replay (the
   /// half-written-segment crash tolerance).
   bool segment_fallback = false;
 

@@ -223,7 +223,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
   }
 
   // Build every non-empty partition's graph, then open all shards in
-  // parallel — per-shard recovery (checkpoint load + WAL replay) is the
+  // parallel — per-shard recovery (segment load + WAL replay) is the
   // expensive part and the shards are fully independent.
   struct PendingShard {
     std::size_t partition;
@@ -550,8 +550,8 @@ std::size_t ShardedEngine::pending_inserts() const {
 EngineStats ShardedEngine::stats() const {
   EngineStats total;
   total.recovery_duration_ms = 0.0;
-  total.last_checkpoint_age_seconds = -1.0;
-  bool checkpoint_everywhere = !shards_.empty();
+  total.last_compaction_age_seconds = -1.0;
+  bool compacted_everywhere = !shards_.empty();
   for (const Shard& shard : shards_) {
     const EngineStats s = shard.engine->stats();
     total.queries += s.queries;
@@ -571,8 +571,6 @@ EngineStats ShardedEngine::stats() const {
     total.wal_bytes += s.wal_bytes;
     total.wal_records_replayed += s.wal_records_replayed;
     total.torn_tail_detected += s.torn_tail_detected;
-    total.checkpoints_completed += s.checkpoints_completed;
-    total.checkpoint_failures += s.checkpoint_failures;
     total.segments_sealed += s.segments_sealed;
     total.segment_records_sealed += s.segment_records_sealed;
     total.segments_live += s.segments_live;
@@ -599,14 +597,14 @@ EngineStats ShardedEngine::stats() const {
     // Recovery ran in parallel, so the slowest shard is the wall clock.
     total.recovery_duration_ms =
         std::max(total.recovery_duration_ms, s.recovery_duration_ms);
-    if (s.last_checkpoint_age_seconds < 0) {
-      checkpoint_everywhere = false;
+    if (s.last_compaction_age_seconds < 0) {
+      compacted_everywhere = false;
     } else {
-      total.last_checkpoint_age_seconds = std::max(
-          total.last_checkpoint_age_seconds, s.last_checkpoint_age_seconds);
+      total.last_compaction_age_seconds = std::max(
+          total.last_compaction_age_seconds, s.last_compaction_age_seconds);
     }
   }
-  if (!checkpoint_everywhere) total.last_checkpoint_age_seconds = -1.0;
+  if (!compacted_everywhere) total.last_compaction_age_seconds = -1.0;
   // Facade-level rejections (expired before fan-out) belong to the
   // aggregate: no shard ever saw those queries.
   total.deadline_expired_queries += fanout_deadline_expired_.Load();
@@ -640,19 +638,6 @@ DiskHealthState ShardedEngine::disk_health() const {
     worst = std::max(worst, shard.engine->disk_health());
   }
   return worst;
-}
-
-Status ShardedEngine::CheckpointNow() {
-  Status first_error = Status::OK();
-  for (Shard& shard : shards_) {
-    const Status status = shard.engine->CheckpointNow();
-    if (!status.ok() && first_error.ok()) {
-      first_error = Status(status.code(), "shard " +
-                                              std::to_string(shard.partition) +
-                                              ": " + status.message());
-    }
-  }
-  return first_error;
 }
 
 Status ShardedEngine::CompactNow() {

@@ -23,10 +23,10 @@
 //     must agree — misaligned shard frontiers fail the query with
 //     kFailedPrecondition instead of silently summing different periods.
 //
-// Durability: each shard logs and checkpoints under
-// `<data_dir>/shard-<partition>`, with its own WAL epoch chain and
-// checkpoint cadence. Open() recovers all shards in parallel;
-// CheckpointNow() checkpoints every shard (the server's drain path).
+// Durability: each shard logs and compacts under
+// `<data_dir>/shard-<partition>`, with its own WAL epoch chain, segment
+// chain and compaction cadence. Open() recovers all shards in parallel;
+// CompactNow() compacts every shard (the server's drain path).
 //
 // Configuration: shards are independent, so a model must not be placed at
 // a node whose dimension-0 coordinate spans partitions —
@@ -61,7 +61,7 @@ struct ShardedEngineOptions {
   /// value run no engine; num_shards may exceed the value count.
   std::size_t num_shards = 1;
   /// Per-shard engine options. A non-empty data_dir is the ROOT: shard k
-  /// logs and checkpoints under `<data_dir>/shard-<k>`.
+  /// logs and compacts under `<data_dir>/shard-<k>`.
   EngineOptions engine;
 };
 
@@ -103,16 +103,14 @@ class ShardedEngine : public EngineInterface {
                     std::int64_t time, double value) override;
   std::size_t pending_inserts() const override;
   /// Aggregated across shards: counters sum; recovery_duration_ms and
-  /// last_checkpoint_age_seconds report the slowest/stalest shard (-1
-  /// when any shard has not checkpointed).
+  /// last_compaction_age_seconds report the slowest/stalest shard (-1
+  /// when any shard has not compacted).
   EngineStats stats() const override;
   std::string StatsPrometheusText() const override;
   bool durable() const override;
   /// Worst disk health across shards: one read-only shard already rejects
   /// a slice of the keyspace, so the facade reports it.
   DiskHealthState disk_health() const;
-  /// Checkpoints every shard; attempts all and returns the first error.
-  Status CheckpointNow() override;
   /// Compacts every shard (seal + manifest commit + WAL truncation +
   /// retention); attempts all and returns the first error.
   Status CompactNow() override;

@@ -122,24 +122,14 @@ constexpr EngineFamily kTailFamilies[] = {
      [](const EngineStats& s) {
        return static_cast<double>(s.torn_tail_detected);
      }},
-    {"f2db_checkpoints_completed_total", "Checkpoints written successfully.",
-     "counter",
-     [](const EngineStats& s) {
-       return static_cast<double>(s.checkpoints_completed);
-     }},
-    {"f2db_checkpoint_failures_total", "Checkpoint attempts that failed.",
-     "counter",
-     [](const EngineStats& s) {
-       return static_cast<double>(s.checkpoint_failures);
-     }},
     {"f2db_recovery_duration_ms",
      "Milliseconds recovery took when the engine opened.", "gauge",
      [](const EngineStats& s) { return s.recovery_duration_ms; }},
-    {"f2db_last_checkpoint_age_seconds",
-     "Seconds since the last completed checkpoint; -1 when none completed "
-     "yet.",
+    {"f2db_last_compaction_age_seconds",
+     "Seconds since the last completed compaction (the durable cut); -1 "
+     "when none completed yet.",
      "gauge",
-     [](const EngineStats& s) { return s.last_checkpoint_age_seconds; }},
+     [](const EngineStats& s) { return s.last_compaction_age_seconds; }},
     {"f2db_segments_sealed_total",
      "Sealed segments written by this process.", "counter",
      [](const EngineStats& s) {

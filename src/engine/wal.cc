@@ -24,6 +24,9 @@ constexpr char kWalMagic[7] = {'F', '2', 'D', 'B', 'W', 'A', 'L'};
 constexpr std::size_t kWalHeaderBytes = sizeof(kWalMagic) + 1 + 8;
 /// u32 length + u32 crc.
 constexpr std::size_t kFramePrefixBytes = 8;
+/// kBookkeeping flag bits.
+constexpr std::uint8_t kBookkeepingInvalid = 1;
+constexpr std::uint8_t kBookkeepingQuarantined = 2;
 
 void PutU32(std::string* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
@@ -103,6 +106,30 @@ void AppendWalBody(const WalRecord& record, std::string* out) {
       PutU32(out, record.node);
       PutU64(out, record.count);
       break;
+    case WalRecord::Kind::kBookkeeping:
+      PutU32(out, record.node);
+      out->push_back(static_cast<char>(
+          (record.invalid ? kBookkeepingInvalid : 0) |
+          (record.quarantined ? kBookkeepingQuarantined : 0)));
+      PutU64(out, record.updates);
+      PutU64(out, record.count);
+      break;
+  }
+}
+
+/// Appends one framed record (length, CRC, type, payload) to `*out`.
+void AppendWalFrame(const WalRecord& record, std::string* out) {
+  // The prefix is written once the body, which it describes, is in place.
+  const std::size_t start = out->size();
+  out->append(kFramePrefixBytes, '\0');
+  AppendWalBody(record, out);
+  const std::string_view body =
+      std::string_view(*out).substr(start + kFramePrefixBytes);
+  const std::uint32_t length = static_cast<std::uint32_t>(body.size());
+  const std::uint32_t crc = Crc32c(body);
+  for (int i = 0; i < 4; ++i) {
+    (*out)[start + i] = static_cast<char>(length >> (8 * i));
+    (*out)[start + 4 + i] = static_cast<char>(crc >> (8 * i));
   }
 }
 
@@ -163,6 +190,20 @@ WalRecord WalRecord::Quarantine(std::uint32_t node, std::uint64_t failures) {
   return r;
 }
 
+WalRecord WalRecord::Bookkeeping(std::uint32_t node, bool invalid,
+                                 std::uint64_t updates_since_estimate,
+                                 std::uint64_t refit_failures,
+                                 bool quarantined) {
+  WalRecord r;
+  r.kind = Kind::kBookkeeping;
+  r.node = node;
+  r.invalid = invalid;
+  r.updates = updates_since_estimate;
+  r.count = refit_failures;
+  r.quarantined = quarantined;
+  return r;
+}
+
 std::string EncodeWalRecord(const WalRecord& record) {
   std::string out;
   EncodeWalRecordInto(record, &out);
@@ -170,17 +211,8 @@ std::string EncodeWalRecord(const WalRecord& record) {
 }
 
 void EncodeWalRecordInto(const WalRecord& record, std::string* out) {
-  // The prefix is written once the body, which it describes, is in place.
-  out->assign(kFramePrefixBytes, '\0');
-  AppendWalBody(record, out);
-  const std::string_view body =
-      std::string_view(*out).substr(kFramePrefixBytes);
-  const std::uint32_t length = static_cast<std::uint32_t>(body.size());
-  const std::uint32_t crc = Crc32c(body);
-  for (int i = 0; i < 4; ++i) {
-    (*out)[i] = static_cast<char>(length >> (8 * i));
-    (*out)[4 + i] = static_cast<char>(crc >> (8 * i));
-  }
+  out->clear();
+  AppendWalFrame(record, out);
 }
 
 Result<WalRecord> DecodeWalRecordBody(std::string_view body) {
@@ -217,6 +249,21 @@ Result<WalRecord> DecodeWalRecordBody(std::string_view body) {
       record.node = GetU32(rest, 0);
       record.count = GetU64(rest, 4);
       return record;
+    case WalRecord::Kind::kBookkeeping: {
+      if (rest.size() != 4 + 1 + 8 + 8) {
+        return Status::InvalidArgument("bad bookkeeping record size");
+      }
+      const auto flags = static_cast<std::uint8_t>(rest[4]);
+      if ((flags & ~(kBookkeepingInvalid | kBookkeepingQuarantined)) != 0) {
+        return Status::InvalidArgument("bad bookkeeping record flags");
+      }
+      record.node = GetU32(rest, 0);
+      record.invalid = (flags & kBookkeepingInvalid) != 0;
+      record.quarantined = (flags & kBookkeepingQuarantined) != 0;
+      record.updates = GetU64(rest, 5);
+      record.count = GetU64(rest, 13);
+      return record;
+    }
   }
   return Status::InvalidArgument("unknown WAL record kind " +
                                  std::to_string(static_cast<int>(kind)));
@@ -401,8 +448,14 @@ Result<WalWriter> WalWriter::Reopen(const std::string& dir,
 }
 
 Status WalWriter::Append(const WalRecord& record) {
+  return AppendAll(std::span<const WalRecord>(&record, 1));
+}
+
+Status WalWriter::AppendAll(std::span<const WalRecord> records) {
   if (fd_ < 0) return Status::FailedPrecondition("WAL writer is closed");
-  EncodeWalRecordInto(record, &frame_);
+  if (records.empty()) return Status::OK();
+  frame_.clear();
+  for (const WalRecord& record : records) AppendWalFrame(record, &frame_);
   const std::string& frame = frame_;
   const Status written = WriteAllFd(fd_, frame.data(), frame.size());
   if (!written.ok()) {
@@ -421,7 +474,8 @@ Status WalWriter::Append(const WalRecord& record) {
   }
   bool want_sync = policy_ == FsyncPolicy::kAlways;
   if (policy_ == FsyncPolicy::kBatch) {
-    want_sync = ++unsynced_records_ >= std::max<std::size_t>(1, batch_records_);
+    unsynced_records_ += records.size();
+    want_sync = unsynced_records_ >= std::max<std::size_t>(1, batch_records_);
   }
   if (want_sync) {
     const Status synced = FsyncFd(fd_, "wal");
@@ -439,7 +493,7 @@ Status WalWriter::Append(const WalRecord& record) {
     unsynced_records_ = 0;
   }
   offset_ += frame.size();
-  ++records_appended_;
+  records_appended_ += records.size();
   bytes_appended_ += frame.size();
   return Status::OK();
 }

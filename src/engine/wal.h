@@ -3,26 +3,28 @@
 // Every state-changing maintenance operation — fact inserts, configuration
 // (catalog DDL) installs, lazy-refit model publications, and quarantine
 // transitions — is appended to the WAL *before* the in-memory snapshot is
-// published, so a crash can always be replayed from the last checkpoint
-// plus the WAL tail. Records are length-prefixed and CRC32C-framed:
+// published, so a crash can always be replayed from the last compaction
+// (sealed segments + manifest) plus the WAL tail. Records are
+// length-prefixed and CRC32C-framed:
 //
 //   file header:  "F2DBWAL" | version byte (kWalFormatVersion) |
 //                 u64 epoch (little-endian)
 //   record:       u32 length | u32 crc32c(type+payload) | u8 type | payload
 //
-// The log is segmented by EPOCH: a checkpoint rotates appends into
-// wal-<epoch+1>.log, writes the snapshot, and deletes the older segments
-// only after the checkpoint file is durable — so at every instant the data
-// directory holds a consistent (checkpoint, WAL-suffix) pair. Recovery
-// replays every segment with epoch >= the checkpoint's epoch in order and
-// tolerates exactly one torn record at the tail of the LAST segment (the
-// in-flight write the crash interrupted); a torn record anywhere else means
-// lost history and fails recovery loudly instead of misparsing.
+// The log is segmented by EPOCH: a compaction rotates appends into
+// wal-<epoch+1>.log, rewrites the live tail (catalog, per-model refit
+// bookkeeping, pending inserts) there, seals the closed history, and
+// deletes the older segments only after the manifest naming the new epoch
+// is durable — so at every instant the data directory holds a consistent
+// (manifest, WAL-suffix) pair. Recovery replays every segment with
+// epoch >= the manifest's epoch in order and tolerates exactly one torn
+// record at the tail of the LAST segment (the in-flight write the crash
+// interrupted); a torn record anywhere else means lost history and fails
+// recovery loudly instead of misparsing.
 //
 // Fsync policy (group commit): kNone never syncs (the OS flushes),
 // kAlways syncs after every append (an acked insert is durable), kBatch
-// syncs once per `batch_records` appends — the group-commit compromise
-// measured by bench/bench_wal_throughput.cc. A failed fsync UNDOES the
+// syncs once per `batch_records` appends. A failed fsync UNDOES the
 // append (ftruncate back to the pre-append offset) so the caller's error
 // and the on-disk state agree: a rejected operation is never replayed.
 
@@ -30,6 +32,7 @@
 #define F2DB_ENGINE_WAL_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -61,20 +64,33 @@ struct WalRecord {
     kCatalog = 2,       ///< Full configuration install (serialized catalog).
     kModelInstall = 3,  ///< Lazy-refit publication: node + serialized model.
     kQuarantine = 4,    ///< Node crossed the quarantine threshold.
+    /// Compaction tail: one model's refit bookkeeping at the cut.
+    kBookkeeping = 5,
   };
 
   Kind kind = Kind::kInsert;
-  std::uint32_t node = 0;      ///< kInsert / kModelInstall / kQuarantine.
+  /// kInsert / kModelInstall / kQuarantine / kBookkeeping.
+  std::uint32_t node = 0;
   std::int64_t time = 0;       ///< kInsert.
   double value = 0.0;          ///< kInsert; kModelInstall: creation_seconds.
-  std::uint64_t count = 0;     ///< kQuarantine: refit failures at transition.
+  /// kQuarantine: refit failures at transition; kBookkeeping: consecutive
+  /// refit failures.
+  std::uint64_t count = 0;
   std::string payload;         ///< kCatalog / kModelInstall: serialized text.
+  /// kBookkeeping: incremental updates since the last estimate.
+  std::uint64_t updates = 0;
+  bool invalid = false;        ///< kBookkeeping.
+  bool quarantined = false;    ///< kBookkeeping.
 
   static WalRecord Insert(std::uint32_t node, std::int64_t time, double value);
   static WalRecord Catalog(std::string serialized);
   static WalRecord ModelInstall(std::uint32_t node, double creation_seconds,
                                 std::string serialized_model);
   static WalRecord Quarantine(std::uint32_t node, std::uint64_t failures);
+  static WalRecord Bookkeeping(std::uint32_t node, bool invalid,
+                               std::uint64_t updates_since_estimate,
+                               std::uint64_t refit_failures,
+                               bool quarantined);
 };
 
 /// Encodes one record into its framed wire form (length, CRC, type,
@@ -143,7 +159,12 @@ class WalWriter {
   /// agree the record does not exist.
   Status Append(const WalRecord& record);
 
-  /// Forces an fsync of everything appended so far (checkpoint rotation
+  /// Append for several records at once: one write(2) and at most one
+  /// policy sync (kBatch counts every record toward its group). All or
+  /// none of them exist when it returns.
+  Status AppendAll(std::span<const WalRecord> records);
+
+  /// Forces an fsync of everything appended so far (compaction rotation
   /// and clean shutdown call this regardless of policy).
   Status Sync();
 
@@ -173,7 +194,7 @@ class WalWriter {
   std::size_t unsynced_records_ = 0;
   std::uint64_t records_appended_ = 0;
   std::uint64_t bytes_appended_ = 0;
-  /// The frame being appended, kept so that its capacity is reused.
+  /// The frames being appended, kept so that their capacity is reused.
   std::string frame_;
 };
 

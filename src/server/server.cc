@@ -338,22 +338,15 @@ void F2dbServer::Shutdown() {
   // The pool destructor drains queued tasks; connection objects must stay
   // alive until then (stragglers append to outboxes).
   pool_.reset();
-  // All requests have drained: take a shutdown checkpoint — every shard
-  // of a sharded engine — so the next open recovers from snapshots
-  // instead of replaying whole WAL tails. Failure is non-fatal: the WAL
-  // alone still recovers everything.
+  // All requests have drained: compact — every shard of a sharded engine
+  // — so the next open bulk-loads the sealed history and replays only the
+  // rewritten tail. Failure is non-fatal: the WAL alone still recovers
+  // everything.
   if (started_ && engine_.durable()) {
-    // Seal the closed history first: the follow-up checkpoint then covers
-    // only the live tail, and the next open bulk-loads from segments.
     const Status compacted = engine_.CompactNow();
     if (!compacted.ok()) {
       F2DB_LOG(kWarning) << "shutdown compaction failed: "
                          << compacted.message();
-    }
-    const Status checkpointed = engine_.CheckpointNow();
-    if (!checkpointed.ok()) {
-      F2DB_LOG(kWarning) << "shutdown checkpoint failed: "
-                         << checkpointed.message();
     }
   }
   started_ = false;  // a repeated Shutdown (destructor) is a no-op

@@ -28,7 +28,7 @@
 // reactor stops accepting, answers late requests with kUnavailable, waits
 // for in-flight work to finish and its own responses to flush (bounded by
 // drain_timeout_seconds), then closes its connections and exits. After
-// the drain the server checkpoints the engine — every shard of a sharded
+// the drain the server compacts the engine — every shard of a sharded
 // engine.
 
 #ifndef F2DB_SERVER_SERVER_H_
@@ -193,7 +193,7 @@ class F2dbServer {
 
   /// RequestShutdown() plus join: blocks until in-flight requests drained
   /// (bounded by drain_timeout_seconds), all sockets are closed, and the
-  /// worker pool has stopped. Then checkpoints a durable engine (every
+  /// worker pool has stopped. Then compacts a durable engine (every
   /// shard). Idempotent.
   void Shutdown();
 

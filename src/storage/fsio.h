@@ -3,14 +3,14 @@
 // points (DESIGN.md §13).
 //
 // Everything the storage layer persists — sealed segments and the
-// manifest — commits through the same tmp + fsync + rename + dir-fsync
-// sequence the checkpoint writer uses, so a crash at any instant leaves
-// either the old file or the new file, never a torn one.
+// manifest — commits through one tmp + fsync + rename + dir-fsync
+// sequence, so a crash at any instant leaves either the old file or the
+// new file, never a torn one.
 //
 // This header is also the durability-I/O choke point (DESIGN.md §15):
 // WriteAllFd / FsyncFd / WriteFileDurably carry an optional failpoint site
-// name so every device-facing write — WAL append and fsync, checkpoint
-// write, segment seal, manifest commit, the disk-health probe — can be
+// name so every device-facing write — WAL append and fsync, segment seal,
+// manifest commit, the disk-health probe — can be
 // stormed with errno-level faults (EIO, ENOSPC, short writes) from a
 // seeded F2DB_FAILPOINTS spec. Failures (real or injected) surface as
 // kUnavailable with a machine-parseable " [errno:<n>]" marker so the
@@ -34,7 +34,6 @@ namespace f2db::storage {
 F2DB_DEFINE_FAILPOINT(kIoSiteWalAppend, "io.wal_append")
 F2DB_DEFINE_FAILPOINT(kIoSiteWalFsync, "io.wal_fsync")
 F2DB_DEFINE_FAILPOINT(kIoSiteWalCreate, "io.wal_create")
-F2DB_DEFINE_FAILPOINT(kIoSiteCheckpointWrite, "io.checkpoint_write")
 F2DB_DEFINE_FAILPOINT(kIoSiteSegmentWrite, "io.segment_write")
 F2DB_DEFINE_FAILPOINT(kIoSiteManifestCommit, "io.manifest_commit")
 F2DB_DEFINE_FAILPOINT(kIoSiteProbeWrite, "io.probe_write")

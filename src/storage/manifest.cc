@@ -9,7 +9,7 @@
 namespace f2db::storage {
 namespace {
 
-/// %.17g round-trips every double exactly (the checkpoint convention).
+/// %.17g round-trips every double exactly.
 std::string RenderDouble(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);

@@ -5,8 +5,7 @@
 // per-base-series sums retention has dropped (so history sums — and with
 // them derivation weights — stay exact after old raw history is deleted).
 //
-// Format v1 is line-oriented text with a CRC32C trailer, mirroring
-// checkpoint v1:
+// Format v1 is line-oriented text with a CRC32C trailer:
 //
 //   f2db-manifest v1
 //   epoch <wal epoch>
@@ -19,9 +18,9 @@
 //   <seq> <start> <count> <num_series> <bytes>    x m
 //   crc <crc32c of everything above, %08x>
 //
-// The manifest is published by atomic rename; recovery treats whichever
-// of (checkpoint, manifest) carries the strictly higher WAL epoch as the
-// base artifact.
+// The manifest is published by atomic rename and is the engine's one
+// durable cut: recovery bulk-loads the chain it names and replays the WAL
+// from its epoch.
 
 #ifndef F2DB_STORAGE_MANIFEST_H_
 #define F2DB_STORAGE_MANIFEST_H_

@@ -83,7 +83,7 @@ Result<std::unique_ptr<SegmentStore>> SegmentStore::Open(
     store->has_manifest_ = true;
   } else if (manifest.status().code() != StatusCode::kNotFound) {
     // An unparsable manifest is treated as absent for serving — recovery
-    // has already fallen back to the checkpoint path, and the next
+    // has already fallen back to a full WAL replay, and the next
     // compaction reseals from scratch — but its bytes and the segments it
     // referenced are evidence, not garbage: a single flipped bit in the
     // manifest must not turn every sealed segment into a deletable

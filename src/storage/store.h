@@ -28,7 +28,7 @@ std::string SegmentsDirFor(const std::string& data_dir);
 /// chain order: per-file CRCs, manifest agreement (seq, range, series
 /// count, byte size), contiguity of consecutive ranges, and an identical
 /// node set in every segment. Any failure rejects the whole chain —
-/// recovery then falls back to the checkpoint + WAL path.
+/// recovery then falls back to a full WAL replay.
 Result<std::vector<SegmentData>> ReadSegmentChain(
     const std::string& segments_dir, const ManifestData& manifest);
 
@@ -38,7 +38,7 @@ class SegmentStore {
   /// Creates/opens "<data_dir>/segments", loads the manifest when present,
   /// and removes stale "*.tmp" files and segment files the manifest does
   /// not reference. An unparsable manifest is treated as absent for
-  /// serving (recovery has already fallen back to the checkpoint path),
+  /// serving (recovery has already fallen back to a full WAL replay),
   /// but it and the now-unreferenced segments are quarantined as
   /// "*.corrupt" — never deleted — with a loud error log, so the data a
   /// flipped manifest bit orphaned stays available for offline repair.

@@ -172,16 +172,15 @@ void ArmDirtyDisk(std::uint64_t seed) {
 }
 
 /// The crashing process: open durable, load config, run the attempt
-/// prefix (checkpointing mid-way when planned), then die without warning.
+/// prefix (compacting mid-way when planned), then die without warning.
 [[noreturn]] void RunChild(const WorkloadSpec& spec,
                            const std::vector<InsertAttempt>& attempts,
-                           std::size_t kill_after, bool do_checkpoint,
-                           std::size_t checkpoint_after, bool do_compact,
+                           std::size_t kill_after, bool do_second_compact,
+                           std::size_t second_compact_after, bool do_compact,
                            std::size_t compact_after,
                            const char* compact_crash_point,
                            const std::string& data_dir, bool dirty_disk,
                            std::uint64_t seed) {
-  g_storage_kill_point = compact_crash_point;
   storage::SetStorageCrashHook(&StorageKillHook);
   EngineOptions engine_options;
   engine_options.maintenance_threads = 1;
@@ -240,18 +239,22 @@ void ArmDirtyDisk(std::uint64_t seed) {
                                ": verdict mismatch, engine=" +
                                inserted.ToString());
     }
-    if (do_checkpoint && i == checkpoint_after) {
-      const Status checkpointed = engine.value()->CheckpointNow();
-      if (!checkpointed.ok() && !dirty_disk) {
-        ChildAbort(data_dir, "child checkpoint: " + checkpointed.ToString());
-      }
-    }
     if (do_compact && i == compact_after) {
       // With a kill point armed the process dies INSIDE this call; without
       // one the compaction must complete cleanly.
+      g_storage_kill_point = compact_crash_point;
       const Status compacted = engine.value()->CompactNow();
       if (!compacted.ok()) {
         ChildAbort(data_dir, "child compaction: " + compacted.ToString());
+      }
+    }
+    if (do_second_compact && i == second_compact_after) {
+      // No kill point is armed for this one; on a dirty disk it may fail
+      // (a rotation or tail append hits a fault) and that is tolerated.
+      const Status compacted = engine.value()->CompactNow();
+      if (!compacted.ok() && !dirty_disk) {
+        ChildAbort(data_dir,
+                   "child second compaction: " + compacted.ToString());
       }
     }
   }
@@ -268,14 +271,14 @@ void ArmDirtyDisk(std::uint64_t seed) {
 /// exactly reproducible from the accepted prefix.
 [[noreturn]] void RunShardedChild(const WorkloadSpec& spec,
                                   const std::vector<InsertAttempt>& attempts,
-                                  std::size_t kill_after, bool do_checkpoint,
-                                  std::size_t checkpoint_after,
+                                  std::size_t kill_after,
+                                  bool do_second_compact,
+                                  std::size_t second_compact_after,
                                   bool do_compact, std::size_t compact_after,
                                   const char* compact_crash_point,
                                   std::size_t num_shards,
                                   const std::string& data_dir,
                                   bool dirty_disk, std::uint64_t seed) {
-  g_storage_kill_point = compact_crash_point;
   storage::SetStorageCrashHook(&StorageKillHook);
   ShardedEngineOptions sharded_options;
   sharded_options.num_shards = num_shards;
@@ -324,20 +327,24 @@ void ArmDirtyDisk(std::uint64_t seed) {
                                ": verdict mismatch, engine=" +
                                inserted.ToString());
     }
-    if (do_checkpoint && i == checkpoint_after) {
-      const Status checkpointed = engine.value()->CheckpointNow();
-      if (!checkpointed.ok() && !dirty_disk) {
-        ChildAbort(data_dir, "child checkpoint: " + checkpointed.ToString());
-      }
-    }
     if (do_compact && i == compact_after) {
       // The fan-out compacts shard by shard; an armed kill point fires in
       // whichever shard reaches that protocol stage first, leaving the
       // siblings at arbitrary earlier stages — recovery must reconcile a
       // mixed fleet.
+      g_storage_kill_point = compact_crash_point;
       const Status compacted = engine.value()->CompactNow();
       if (!compacted.ok()) {
         ChildAbort(data_dir, "child compaction: " + compacted.ToString());
+      }
+    }
+    if (do_second_compact && i == second_compact_after) {
+      // No kill point is armed for this one; on a dirty disk it may fail
+      // (a rotation or tail append hits a fault) and that is tolerated.
+      const Status compacted = engine.value()->CompactNow();
+      if (!compacted.ok() && !dirty_disk) {
+        ChildAbort(data_dir,
+                   "child second compaction: " + compacted.ToString());
       }
     }
   }
@@ -430,11 +437,6 @@ CrashFuzzReport RunCrashFuzz(const CrashFuzzOptions& options) {
       attempts.empty() ? 0
                        : static_cast<std::size_t>(rng.UniformInt(
                              1, static_cast<std::int64_t>(attempts.size())));
-  const bool do_checkpoint = kill_after > 0 && rng.NextBernoulli(0.5);
-  const std::size_t checkpoint_after =
-      do_checkpoint ? static_cast<std::size_t>(rng.UniformInt(
-                          0, static_cast<std::int64_t>(kill_after) - 1))
-                    : 0;
   // The compaction leg: maybe call CompactNow mid-workload, and maybe die
   // INSIDE it at a seed-chosen protocol stage ("" lets it complete). Every
   // workload carries base history (>= 24 observations per series), so the
@@ -453,18 +455,32 @@ CrashFuzzReport RunCrashFuzz(const CrashFuzzOptions& options) {
       do_compact ? static_cast<std::size_t>(rng.UniformInt(
                        0, static_cast<std::int64_t>(kill_after) - 1))
                  : 0;
+  // The second compaction leg: maybe call CompactNow mid-workload with no
+  // kill point armed, so the SIGKILL lands after a completed cut (dirty
+  // disk included: a faulted compaction must still leave a recoverable
+  // directory). It never runs before the first leg, whose kill point must
+  // still find closed history to seal ("segment_written" fires only then);
+  // at the same attempt the first leg runs first.
+  const bool do_second_compact = kill_after > 0 && rng.NextBernoulli(0.5);
+  const std::size_t second_compact_after =
+      do_second_compact
+          ? static_cast<std::size_t>(rng.UniformInt(
+                do_compact ? static_cast<std::int64_t>(compact_after) : 0,
+                static_cast<std::int64_t>(kill_after) - 1))
+          : 0;
   // A compaction rewrites the WAL tail, so "truncate the last record" no
   // longer maps cleanly onto "drop the last accepted insert" — skip the
   // torn-tail leg on compacting iterations.
   const bool want_torn_tail = rng.NextBernoulli(0.4) && !do_compact;
   // With a kill point armed the child dies inside CompactNow, i.e. right
   // after executing attempt `compact_after` — the surviving prefix is
-  // shorter than the planned one.
+  // shorter than the planned one, and the second leg never runs.
+  const bool killed_in_compaction =
+      do_compact && compact_crash_point[0] != '\0';
   const std::size_t effective_kill =
-      (do_compact && compact_crash_point[0] != '\0') ? compact_after + 1
-                                                     : kill_after;
+      killed_in_compaction ? compact_after + 1 : kill_after;
   report.attempts_executed = effective_kill;
-  report.checkpoint_taken = do_checkpoint && checkpoint_after < effective_kill;
+  report.second_compaction_taken = do_second_compact && !killed_in_compaction;
   report.compaction_attempted = do_compact && compact_after < effective_kill;
   report.compaction_crash_point = compact_crash_point;
 
@@ -475,14 +491,15 @@ CrashFuzzReport RunCrashFuzz(const CrashFuzzOptions& options) {
   if (pid < 0) return fail(std::string("fork(): ") + ::strerror(errno));
   if (pid == 0) {
     if (sharded) {
-      RunShardedChild(spec, attempts, kill_after, do_checkpoint,
-                      checkpoint_after, do_compact, compact_after,
+      RunShardedChild(spec, attempts, kill_after, do_second_compact,
+                      second_compact_after, do_compact, compact_after,
                       compact_crash_point, num_shards, options.data_dir,
                       options.dirty_disk, options.seed);
     }
-    RunChild(spec, attempts, kill_after, do_checkpoint, checkpoint_after,
-             do_compact, compact_after, compact_crash_point, options.data_dir,
-             options.dirty_disk, options.seed);
+    RunChild(spec, attempts, kill_after, do_second_compact,
+             second_compact_after, do_compact, compact_after,
+             compact_crash_point, options.data_dir, options.dirty_disk,
+             options.seed);
   }
   int wait_status = 0;
   if (::waitpid(pid, &wait_status, 0) != pid) {
@@ -509,11 +526,19 @@ CrashFuzzReport RunCrashFuzz(const CrashFuzzOptions& options) {
   // ---- phase 3: optional torn tail --------------------------------------
   // Truncate mid-record only when the final record is an insert, so the
   // expected state is simply the accepted prefix minus its last element.
+  // After the second compaction that holds only when an insert was
+  // accepted after it: otherwise the newest epoch ends in the rewritten
+  // tail, whose last insert is the highest pending (time, slot), not
+  // necessarily the last accepted one.
   // Sharded: tear the WAL of the shard OWNING the last accepted insert —
   // that insert is the last record of that shard's WAL, so popping it from
   // the accepted prefix stays exact while sibling shards replay intact.
   bool torn_injected = false;
-  if (want_torn_tail && !accepted.empty()) {
+  const bool accepted_after_second_compact =
+      !report.second_compaction_taken ||
+      AcceptedPrefix(spec, attempts, second_compact_after + 1).size() <
+          accepted.size();
+  if (want_torn_tail && !accepted.empty() && accepted_after_second_compact) {
     std::string wal_dir = options.data_dir;
     if (sharded) {
       const std::size_t torn_partition = ShardedEngine::PartitionOf(

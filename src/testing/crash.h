@@ -7,21 +7,25 @@
 //   2. fork() a child that opens a durable engine (fsync=always) over a
 //      fresh data directory, loads the configuration (logged as a WAL
 //      kCatalog record), executes a seed-chosen prefix of the attempts —
-//      optionally taking a mid-workload checkpoint — and then SIGKILLs
-//      itself: no destructors, no flushes, exactly what a power cut leaves;
+//      optionally compacting mid-workload, once to completion and once
+//      with a SIGKILL inside a seed-chosen protocol stage — and then
+//      SIGKILLs itself: no destructors, no flushes, exactly what a power
+//      cut leaves;
 //   3. optionally tear the WAL tail: truncate a seed-chosen number of
 //      bytes off the final record (only when that record is an insert, so
 //      the expected surviving prefix stays well-defined);
-//   4. reopen the engine in the parent — checkpoint load + WAL replay —
+//   4. reopen the engine in the parent — segment load + WAL replay —
 //      and compare against a ReferenceOracle replaying the accepted-insert
 //      prefix (minus the torn record): forecasts at every address within
 //      the differential tolerances, plus exact agreement on the time
 //      frontier, advance count, pending-insert count, and insert counter.
 //
 // The child disables re-estimation so the WAL holds only kCatalog +
-// kInsert records and replay is exactly reproducible by the oracle; the
-// model-install and quarantine record kinds are covered by the recovery
-// integration tests, where their effect is directly assertable.
+// kInsert records (plus the bookkeeping a compaction's tail rewrites) and
+// replay is exactly reproducible by the oracle; the model-install and
+// quarantine record kinds and the effect of bookkeeping on lazy
+// re-estimation are covered by the recovery integration tests, where
+// their effect is directly assertable.
 //
 // With num_shards > 1 the iteration crashes a ShardedEngine instead: a
 // scatter-gather workload (complete insert rounds only, so shard and
@@ -45,10 +49,10 @@
 namespace f2db::testing {
 
 struct CrashFuzzOptions {
-  /// Drives everything: workload, kill point, checkpoint point, torn-tail
+  /// Drives everything: workload, kill point, compaction points, torn-tail
   /// choice and length.
   std::uint64_t seed = 0;
-  /// Scratch directory for this iteration's WAL + checkpoint; removed and
+  /// Scratch directory for this iteration's WAL + segments; removed and
   /// recreated at the start, removed again on success.
   std::string data_dir;
   /// Keep the data directory on failure (replay/debugging).
@@ -62,10 +66,10 @@ struct CrashFuzzOptions {
   /// faults (short WAL writes, fsync EIO) over the whole insert window and
   /// absorbs them with a deep in-line retry budget, so the accepted-insert
   /// accounting stays exact while every fault exercises the append
-  /// rollback path — and the SIGKILL lands amid that churn. Checkpoint
-  /// failures are tolerated (rotation may hit a fault); the compaction leg
-  /// is skipped because its kill-point accounting assumes compactions
-  /// reach their hooks.
+  /// rollback path — and the SIGKILL lands amid that churn. Failures of
+  /// the second (kill-point-free) compaction are tolerated (its rotation
+  /// or tail rewrite may hit a fault); the kill-point compaction leg is
+  /// skipped because its accounting assumes compactions reach their hooks.
   bool dirty_disk = false;
 };
 
@@ -79,7 +83,8 @@ struct CrashFuzzReport {
   std::size_t attempts_executed = 0;  ///< attempts before the kill
   std::size_t inserts_accepted = 0;   ///< accepted pre-crash (incl. torn)
   bool killed_by_sigkill = false;
-  bool checkpoint_taken = false;
+  /// The second, kill-point-free compaction ran before the kill.
+  bool second_compaction_taken = false;
   bool torn_tail_injected = false;
   /// A mid-workload compaction was attempted; `compaction_crash_point` is
   /// the storage hook the SIGKILL landed on ("" when the compaction was

@@ -594,7 +594,7 @@ DiskFaultDifferentialReport RunDiskFaultDifferential(
     before.push_back(
         SnapshotAnswer(*embedded, BuildQuerySql(spec, address, 3)));
   }
-  embedded.reset();  // clean close: final checkpoint + WAL seal
+  embedded.reset();  // clean close: final WAL sync
 
   auto reopened_graph = BuildWorkloadGraph(spec);
   if (!reopened_graph.ok()) {

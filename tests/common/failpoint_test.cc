@@ -163,10 +163,10 @@ TEST_F(FailpointTest, EveryDocumentedSpecParsesToItsPolicy) {
         {"engine.insert", Mode::kEveryNth, FaultKind::kError, EIO, 3},
         {"ts.arima_fit", Mode::kProbability, FaultKind::kError, EIO, 0, 0.1,
          7}}},
-      {"io.wal_append=eio:nth:3;io.checkpoint_write=enospc;"
+      {"io.wal_append=eio:nth:3;io.wal_create=enospc;"
        "io.wal_fsync=short:prob:0.1:7",
        {{"io.wal_append", Mode::kEveryNth, FaultKind::kError, EIO, 3},
-        {"io.checkpoint_write", Mode::kAlways, FaultKind::kError, ENOSPC},
+        {"io.wal_create", Mode::kAlways, FaultKind::kError, ENOSPC},
         {"io.wal_fsync", Mode::kProbability, FaultKind::kShortWrite, EIO, 0,
          0.1, 7}}},
       {"io.wal_append=eio; io.segment_write=short:prob:0.01:7",

@@ -169,7 +169,6 @@ TEST(PublicationAllocationTest, WarmDurableNonClosingInsertAllocatesNothing) {
   EngineOptions options;
   options.data_dir = tmpl;
   options.fsync_policy = FsyncPolicy::kBatch;
-  options.checkpoint_interval_seconds = 0.0;
   options.compaction_interval_seconds = 0.0;
   options.scrub_interval_seconds = 0.0;
   options.disk_probe_interval_seconds = 0.0;

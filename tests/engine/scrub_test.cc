@@ -1,5 +1,5 @@
 // The background integrity scrubber (DESIGN.md §15): re-verifying sealed
-// segment / manifest / checkpoint CRCs, quarantining corrupt artifacts as
+// segment / manifest CRCs, quarantining corrupt artifacts as
 // *.corrupt, resealing the chain from in-memory history, and falling back
 // to read-only when the reseal cannot land.
 
@@ -18,7 +18,6 @@
 #include "baselines/advisor_builder.h"
 #include "common/failpoint.h"
 #include "core/evaluator.h"
-#include "engine/checkpoint.h"
 #include "engine/engine.h"
 #include "storage/fsio.h"
 #include "storage/manifest.h"
@@ -139,7 +138,6 @@ TEST_F(ScrubTest, CleanChainVerifies) {
   LoadConfig(*engine);
   Advance(*engine, 4);
   ASSERT_TRUE(engine->CompactNow().ok());
-  ASSERT_TRUE(engine->CheckpointNow().ok());
 
   ScrubReport report;
   const Status status = engine->ScrubOnce(&report);
@@ -227,28 +225,51 @@ TEST_F(ScrubTest, CorruptManifestIsQuarantinedAndResealed) {
 }
 
 TEST_F(ScrubTest, CorruptCheckpointIsRewrittenInPlace) {
+  // The scrub targets are exactly the durable cut: the sealed chain and
+  // the manifest. A corrupt checkpoint file an older version left behind
+  // is neither verified nor rewritten — nothing reads it — while a flip in
+  // the live manifest is quarantined and the manifest rewritten in place.
   auto engine = Open(DurableOptions());
   LoadConfig(*engine);
   Advance(*engine, 4);
-  ASSERT_TRUE(engine->CheckpointNow().ok());
+  ASSERT_TRUE(engine->CompactNow().ok());
   const std::vector<double> before = TopForecast(*engine);
 
-  const std::string checkpoint_path = CheckpointPath(dir_);
-  FlipByte(checkpoint_path);
-  ASSERT_FALSE(
-      ParseCheckpoint(storage::ReadFileToString(checkpoint_path).value())
-          .ok())
-      << "precondition: the flip must break the checkpoint CRC";
+  const std::string legacy_path = dir_ + "/checkpoint.f2db";
+  const std::string legacy_text = "f2db-checkpoint v1\ncrc deadbeef\n";
+  {
+    std::ofstream out(legacy_path, std::ios::trunc);
+    out << legacy_text;
+  }
+  const std::string manifest_path =
+      storage::SegmentsDirFor(dir_) + "/" + storage::kManifestFileName;
+  const auto manifest_text = storage::ReadFileToString(manifest_path);
+  ASSERT_TRUE(manifest_text.ok());
 
+  ScrubReport clean;
+  ASSERT_TRUE(engine->ScrubOnce(&clean).ok());
+  EXPECT_EQ(clean.corruptions, 0u) << "the legacy file is not a target";
+  const auto manifest =
+      storage::ReadManifestFile(storage::SegmentsDirFor(dir_));
+  ASSERT_TRUE(manifest.ok());
+  std::uint64_t chain_bytes = 0;
+  for (const storage::ManifestSegment& seg : manifest.value().segments) {
+    chain_bytes += seg.bytes;
+  }
+  EXPECT_EQ(clean.bytes_verified,
+            chain_bytes + manifest_text.value().size());
+  EXPECT_EQ(storage::ReadFileToString(legacy_path).value(), legacy_text);
+
+  FlipByte(manifest_path);
   ScrubReport report;
   const Status status = engine->ScrubOnce(&report);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(report.corruptions, 1u);
-  EXPECT_FALSE(report.resealed) << "a checkpoint rewrite is not a reseal";
-
-  const auto healed = storage::ReadFileToString(checkpoint_path);
-  ASSERT_TRUE(healed.ok());
-  EXPECT_TRUE(ParseCheckpoint(healed.value()).ok());
+  EXPECT_TRUE(report.resealed);
+  const auto healed =
+      storage::ReadManifestFile(storage::SegmentsDirFor(dir_));
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_EQ(storage::ReadFileToString(legacy_path).value(), legacy_text);
 
   engine.reset();
   auto reopened = Open(DurableOptions());

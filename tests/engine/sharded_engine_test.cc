@@ -346,8 +346,8 @@ TEST(ShardedEngineTest, DurableShardsCheckpointAndRecoverIndependently) {
     ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
     EXPECT_TRUE(sharded.value()->durable());
     InsertRound(*sharded.value(), 48, 7.0);
-    ASSERT_TRUE(sharded.value()->CheckpointNow().ok());
-    InsertRound(*sharded.value(), 49, 8.0);  // WAL tail past the checkpoint
+    ASSERT_TRUE(sharded.value()->CompactNow().ok());
+    InsertRound(*sharded.value(), 49, 8.0);  // WAL tail past the cut
   }
   {
     auto sharded = ShardedEngine::Open(graph, options);
@@ -355,8 +355,13 @@ TEST(ShardedEngineTest, DurableShardsCheckpointAndRecoverIndependently) {
     const EngineStats stats = sharded.value()->stats();
     EXPECT_EQ(stats.inserts, 16u);
     EXPECT_EQ(sharded.value()->pending_inserts(), 0u);
+    // Every shard restored its own sealed history from its own cut.
+    EXPECT_GT(stats.segment_records_recovered, 0u);
     for (const std::size_t p : sharded.value()->active_partitions()) {
       EXPECT_EQ(sharded.value()->shard(p)->stats().time_advances, 2u)
+          << "shard " << p;
+      EXPECT_GT(sharded.value()->shard(p)->stats().segment_records_recovered,
+                0u)
           << "shard " << p;
       // Shard data lives under its own subdirectory.
       EXPECT_EQ(::access((dir + "/shard-" + std::to_string(p)).c_str(), F_OK),

@@ -64,7 +64,9 @@ TEST_F(WalTest, RoundTripsEveryRecordKind) {
   ASSERT_TRUE(
       writer.value().Append(WalRecord::ModelInstall(3, 2.5, "ses|a=0.2")).ok());
   ASSERT_TRUE(writer.value().Append(WalRecord::Quarantine(9, 4)).ok());
-  EXPECT_EQ(writer.value().records_appended(), 4u);
+  ASSERT_TRUE(
+      writer.value().Append(WalRecord::Bookkeeping(5, true, 6, 2, true)).ok());
+  EXPECT_EQ(writer.value().records_appended(), 5u);
   EXPECT_GT(writer.value().bytes_appended(), 0u);
   writer.value().Close();
 
@@ -72,7 +74,7 @@ TEST_F(WalTest, RoundTripsEveryRecordKind) {
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_FALSE(read.value().torn_tail);
   EXPECT_EQ(read.value().epoch, 1u);
-  ASSERT_EQ(read.value().records.size(), 4u);
+  ASSERT_EQ(read.value().records.size(), 5u);
 
   const WalRecord& insert = read.value().records[0];
   EXPECT_EQ(insert.kind, WalRecord::Kind::kInsert);
@@ -93,6 +95,14 @@ TEST_F(WalTest, RoundTripsEveryRecordKind) {
   EXPECT_EQ(quarantine.kind, WalRecord::Kind::kQuarantine);
   EXPECT_EQ(quarantine.node, 9u);
   EXPECT_EQ(quarantine.count, 4u);
+
+  const WalRecord& bookkeeping = read.value().records[4];
+  EXPECT_EQ(bookkeeping.kind, WalRecord::Kind::kBookkeeping);
+  EXPECT_EQ(bookkeeping.node, 5u);
+  EXPECT_TRUE(bookkeeping.invalid);
+  EXPECT_EQ(bookkeeping.updates, 6u);
+  EXPECT_EQ(bookkeeping.count, 2u);
+  EXPECT_TRUE(bookkeeping.quarantined);
 }
 
 TEST_F(WalTest, GoldenBytesPinTheV1Layout) {

@@ -70,7 +70,7 @@ TEST_F(CrashFuzzTest, SeededKillPointsRecoverWithDifferentialAgreement) {
   const std::size_t iterations = PropertyIterations(200);
 
   std::size_t torn = 0;
-  std::size_t checkpoints = 0;
+  std::size_t second_compactions = 0;
   std::size_t replayed = 0;
   CompactionCoverage compactions;
   for (std::size_t i = 0; i < iterations; ++i) {
@@ -82,7 +82,7 @@ TEST_F(CrashFuzzTest, SeededKillPointsRecoverWithDifferentialAgreement) {
                            << ReplayHint(base) << " (iteration " << i << ")";
     EXPECT_TRUE(report.killed_by_sigkill);
     torn += report.torn_tail_injected ? 1 : 0;
-    checkpoints += report.checkpoint_taken ? 1 : 0;
+    second_compactions += report.second_compaction_taken ? 1 : 0;
     replayed += report.records_replayed;
     compactions.Record(report);
   }
@@ -91,7 +91,7 @@ TEST_F(CrashFuzzTest, SeededKillPointsRecoverWithDifferentialAgreement) {
   // recovery mode, not just the easy clean-tail path — including a SIGKILL
   // inside every stage of the compaction protocol.
   EXPECT_GE(torn, iterations / 20);
-  EXPECT_GE(checkpoints, iterations / 20);
+  EXPECT_GE(second_compactions, iterations / 20);
   EXPECT_GE(compactions.attempted, iterations / 4);
   compactions.ExpectFullCoverage();
   EXPECT_GT(replayed, 0u);
@@ -106,7 +106,7 @@ TEST_F(CrashFuzzTest, MultiShardKillPointsRecoverEveryShard) {
   const std::size_t shard_counts[] = {2, 3, 5};
 
   std::size_t torn = 0;
-  std::size_t checkpoints = 0;
+  std::size_t second_compactions = 0;
   CompactionCoverage compactions;
   for (std::size_t i = 0; i < iterations; ++i) {
     CrashFuzzOptions options;
@@ -119,11 +119,11 @@ TEST_F(CrashFuzzTest, MultiShardKillPointsRecoverEveryShard) {
                            << ", shards " << options.num_shards << ")";
     EXPECT_TRUE(report.killed_by_sigkill);
     torn += report.torn_tail_injected ? 1 : 0;
-    checkpoints += report.checkpoint_taken ? 1 : 0;
+    second_compactions += report.second_compaction_taken ? 1 : 0;
     compactions.Record(report);
   }
   EXPECT_GE(torn, iterations / 20);
-  EXPECT_GE(checkpoints, iterations / 20);
+  EXPECT_GE(second_compactions, iterations / 20);
   // The sharded fan-out compacts shard by shard, so an armed kill point
   // leaves sibling shards at earlier protocol stages; require the plan to
   // have exercised compaction here too (60 iterations: every kill point
@@ -145,7 +145,7 @@ TEST_F(CrashFuzzTest, IterationsAreDeterministic) {
   EXPECT_EQ(first.attempts_total, second.attempts_total);
   EXPECT_EQ(first.attempts_executed, second.attempts_executed);
   EXPECT_EQ(first.inserts_accepted, second.inserts_accepted);
-  EXPECT_EQ(first.checkpoint_taken, second.checkpoint_taken);
+  EXPECT_EQ(first.second_compaction_taken, second.second_compaction_taken);
   EXPECT_EQ(first.torn_tail_injected, second.torn_tail_injected);
   EXPECT_EQ(first.compaction_attempted, second.compaction_attempted);
   EXPECT_EQ(first.compaction_crash_point, second.compaction_crash_point);

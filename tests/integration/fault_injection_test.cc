@@ -118,7 +118,7 @@ class FaultInjectionTest : public ::testing::Test {
 
 TEST_F(FaultInjectionTest, EveryRegisteredFailpointIndividually) {
   const std::vector<std::string> sites = failpoint::RegisteredSites();
-  ASSERT_GE(sites.size(), 13u);  // 6 logical sites + 7 io.* sites
+  ASSERT_GE(sites.size(), 12u);  // 6 logical sites + 6 io.* sites
   for (const std::string& site : sites) {
     SCOPED_TRACE(site);
     auto engine = MakeEngine();

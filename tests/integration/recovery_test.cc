@@ -6,13 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "baselines/advisor_builder.h"
 #include "common/failpoint.h"
-#include "engine/checkpoint.h"
 #include "engine/engine.h"
 #include "engine/wal.h"
 #include "server/server.h"
@@ -91,6 +91,12 @@ class RecoveryTest : public ::testing::Test {
     return forecast.ok() ? forecast.value() : std::vector<double>{};
   }
 
+  /// Models whose record a compaction tail rewrites (all of them once
+  /// any period advanced: each counts its updates since the estimate).
+  static std::size_t ModelsOf(const F2dbEngine& engine) {
+    return engine.snapshot()->models.size();
+  }
+
   TimeSeriesGraph evaluator_graph_;
   ConfigurationEvaluator evaluator_;
   ModelFactory factory_;
@@ -113,7 +119,7 @@ TEST_F(RecoveryTest, FreshDirectoryOpensEmptyAndDurable) {
 TEST_F(RecoveryTest, PlainEngineIsNotDurable) {
   F2dbEngine engine(testing::MakeRegionCube(48, 0.0));
   EXPECT_FALSE(engine.durable());
-  EXPECT_EQ(engine.CheckpointNow().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.CompactNow().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(RecoveryTest, ConfigurationAndInsertsSurviveReopen) {
@@ -153,30 +159,37 @@ TEST_F(RecoveryTest, ConfigurationAndInsertsSurviveReopen) {
 }
 
 TEST_F(RecoveryTest, CheckpointTruncatesWalAndRecovers) {
+  // The compaction is the one durable cut: it truncates the WAL and the
+  // reopen starts from it.
   std::vector<double> before;
+  std::size_t models = 0;
   {
     auto engine = Open(DurableOptions());
     LoadConfig(*engine);
     Advance(*engine, 1);
-    const Status checkpointed = engine->CheckpointNow();
-    ASSERT_TRUE(checkpointed.ok()) << checkpointed.ToString();
-    EXPECT_EQ(engine->stats().checkpoints_completed, 1u);
-    EXPECT_GE(engine->stats().last_checkpoint_age_seconds, 0.0);
+    EXPECT_LT(engine->stats().last_compaction_age_seconds, 0.0);
+    const Status compacted = engine->CompactNow();
+    ASSERT_TRUE(compacted.ok()) << compacted.ToString();
+    EXPECT_EQ(engine->stats().compactions_completed, 1u);
+    EXPECT_GE(engine->stats().last_compaction_age_seconds, 0.0);
 
-    // The pre-checkpoint segment is gone; appends go to epoch 2.
+    // The pre-compaction segment is gone; appends go to epoch 2.
     auto epochs = ListWalEpochs(dir_);
     ASSERT_TRUE(epochs.ok());
     EXPECT_EQ(epochs.value(), (std::vector<std::uint64_t>{2}));
 
     Advance(*engine, 1);
     before = TopForecast(*engine);
+    models = ModelsOf(*engine);
   }
 
   auto engine = Open(DurableOptions());
   const EngineStats stats = engine->stats();
-  // Only the post-checkpoint period replays: 3 inserts.
-  EXPECT_EQ(stats.wal_records_replayed, 3u);
-  EXPECT_EQ(stats.inserts, 6u);        // checkpoint counters + replay
+  // Only the rewritten tail (catalog + one bookkeeping record per model)
+  // and the post-compaction period replay.
+  EXPECT_EQ(stats.wal_records_replayed, 1u + models + 3u);
+  EXPECT_GT(stats.segment_records_recovered, 0u);
+  EXPECT_EQ(stats.inserts, 6u);        // manifest counters + replay
   EXPECT_EQ(stats.time_advances, 2u);
   const std::vector<double> after = TopForecast(*engine);
   ASSERT_EQ(after.size(), before.size());
@@ -186,19 +199,24 @@ TEST_F(RecoveryTest, CheckpointTruncatesWalAndRecovers) {
 }
 
 TEST_F(RecoveryTest, FailedCheckpointLeavesARecoverableDirectory) {
+  // A compaction that fails after rotating the WAL (here: the segment
+  // write) leaves the old epoch and the previous cut in place.
   std::vector<double> before;
+  std::size_t models = 0;
   {
     auto engine = Open(DurableOptions());
     LoadConfig(*engine);
     Advance(*engine, 1);
-    failpoint::Enable(storage::kIoSiteCheckpointWrite,
+    models = ModelsOf(*engine);
+    failpoint::Enable(storage::kIoSiteSegmentWrite,
                       failpoint::Policy::Always());
-    EXPECT_FALSE(engine->CheckpointNow().ok());
-    failpoint::Disable(storage::kIoSiteCheckpointWrite);
-    EXPECT_EQ(engine->stats().checkpoint_failures, 1u);
-    EXPECT_EQ(engine->stats().checkpoints_completed, 0u);
+    EXPECT_FALSE(engine->CompactNow().ok());
+    failpoint::Disable(storage::kIoSiteSegmentWrite);
+    EXPECT_EQ(engine->stats().compaction_failures, 1u);
+    EXPECT_EQ(engine->stats().compactions_completed, 0u);
+    EXPECT_LT(engine->stats().last_compaction_age_seconds, 0.0);
 
-    // The rotation happened but the checkpoint did not: both segments
+    // The rotation happened but no manifest committed: both segments
     // survive and replay must span the epoch boundary.
     auto epochs = ListWalEpochs(dir_);
     ASSERT_TRUE(epochs.ok());
@@ -210,14 +228,52 @@ TEST_F(RecoveryTest, FailedCheckpointLeavesARecoverableDirectory) {
 
   auto engine = Open(DurableOptions());
   const EngineStats stats = engine->stats();
-  // Everything replays: catalog + two full periods.
-  EXPECT_EQ(stats.wal_records_replayed, 7u);
+  // Everything replays: catalog + one period, the rewritten tail, and the
+  // second period.
+  EXPECT_EQ(stats.wal_records_replayed, 1u + 3u + (1u + models) + 3u);
+  EXPECT_EQ(stats.segment_records_recovered, 0u);
+  EXPECT_EQ(stats.inserts, 6u);
   EXPECT_EQ(stats.time_advances, 2u);
   const std::vector<double> after = TopForecast(*engine);
   ASSERT_EQ(after.size(), before.size());
   for (std::size_t h = 0; h < after.size(); ++h) {
     EXPECT_DOUBLE_EQ(after[h], before[h]) << "h=" << h;
   }
+}
+
+TEST_F(RecoveryTest, LegacyCheckpointDirectoryFailsLoudly) {
+  // Older versions cut with a checkpoint file and truncated the WAL below
+  // it. Such a directory lacks the history this version replays, so the
+  // open must fail — and say which file it no longer reads.
+  {
+    auto engine = Open(DurableOptions());
+    LoadConfig(*engine);
+    Advance(*engine, 1);
+  }
+  ASSERT_EQ(std::rename(WalPath(dir_, 1).c_str(), WalPath(dir_, 3).c_str()),
+            0);
+  {
+    std::FILE* legacy = std::fopen((dir_ + "/checkpoint.f2db").c_str(), "w");
+    ASSERT_NE(legacy, nullptr);
+    std::fputs("f2db-checkpoint v1\n", legacy);
+    std::fclose(legacy);
+  }
+  auto engine =
+      F2dbEngine::Open(testing::MakeRegionCube(48, 0.0), DurableOptions());
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kInternal);
+  const std::string message = engine.status().message();
+  EXPECT_NE(message.find("WAL history is missing"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("checkpoint.f2db"), std::string::npos) << message;
+
+  // Without the legacy file the same damage is reported without the hint.
+  ASSERT_EQ(::unlink((dir_ + "/checkpoint.f2db").c_str()), 0);
+  auto bare =
+      F2dbEngine::Open(testing::MakeRegionCube(48, 0.0), DurableOptions());
+  ASSERT_FALSE(bare.ok());
+  EXPECT_EQ(bare.status().message().find("checkpoint.f2db"),
+            std::string::npos);
 }
 
 TEST_F(RecoveryTest, TornTailIsDetectedAndDropsOnlyTheLastRecord) {
@@ -283,29 +339,82 @@ TEST_F(RecoveryTest, QuarantineSurvivesReopen) {
 }
 
 TEST_F(RecoveryTest, ModelReestimateSurvivesReopen) {
-  std::vector<double> before;
-  {
+  // Once with a plain close, once with a compaction (the durable cut)
+  // between the refit and the close.
+  for (const bool compact : {false, true}) {
+    SCOPED_TRACE(compact ? "compacted before close" : "plain close");
+    f2db::testing::RemoveDirectoryTree(dir_);
+    std::vector<double> before;
     EngineOptions options = DurableOptions();
     options.reestimate_after_updates = 2;
-    auto engine = Open(options);
-    LoadConfig(*engine);
-    Advance(*engine, 3);  // invalidates every model
-    // The query triggers a lazy refit whose publication is WAL-logged.
-    before = TopForecast(*engine);
-    ASSERT_GE(engine->stats().reestimates, 1u);
-  }
+    {
+      auto engine = Open(options);
+      LoadConfig(*engine);
+      Advance(*engine, 3);  // invalidates every model
+      // The query triggers a lazy refit whose publication is WAL-logged.
+      before = TopForecast(*engine);
+      ASSERT_GE(engine->stats().reestimates, 1u);
+      if (compact) {
+        ASSERT_TRUE(engine->CompactNow().ok());
+      }
+    }
 
+    auto engine = Open(options);
+    EXPECT_EQ(engine->stats().segment_records_recovered > 0, compact);
+    // The re-estimated model replays from its kModelInstall record (or
+    // the compaction's catalog): the same query answers identically
+    // without refitting again.
+    const std::size_t reestimates_before = engine->stats().reestimates;
+    const std::vector<double> after = TopForecast(*engine);
+    EXPECT_EQ(engine->stats().reestimates, reestimates_before);
+    ASSERT_EQ(after.size(), before.size());
+    for (std::size_t h = 0; h < after.size(); ++h) {
+      EXPECT_DOUBLE_EQ(after[h], before[h]) << "h=" << h;
+    }
+  }
+}
+
+TEST_F(RecoveryTest, PendingReestimateSurvivesCompaction) {
+  // Models invalidated by advances no query has touched yet must stay
+  // invalid through a compaction and a reopen: the compaction's tail
+  // carries every model's refit bookkeeping. A control engine that never
+  // closed refits at the same points, so every node's forecast and the
+  // re-estimation count must agree through the following advances.
   EngineOptions options = DurableOptions();
   options.reestimate_after_updates = 2;
+  EngineOptions control_options;
+  control_options.maintenance_threads = 1;
+  control_options.reestimate_after_updates = 2;
+  F2dbEngine control(testing::MakeRegionCube(48, 0.0), control_options);
+  LoadConfig(control);
+  Advance(control, 3);
+  {
+    auto engine = Open(options);
+    LoadConfig(*engine);
+    Advance(*engine, 3);  // no query: every model invalid, none refit
+    ASSERT_EQ(engine->stats().reestimates, 0u);
+    ASSERT_TRUE(engine->CompactNow().ok());
+  }
+
   auto engine = Open(options);
-  // The re-estimated model replays from its kModelInstall record: the same
-  // query answers identically without refitting again.
-  const std::size_t reestimates_before = engine->stats().reestimates;
-  const std::vector<double> after = TopForecast(*engine);
-  EXPECT_EQ(engine->stats().reestimates, reestimates_before);
-  ASSERT_EQ(after.size(), before.size());
-  for (std::size_t h = 0; h < after.size(); ++h) {
-    EXPECT_DOUBLE_EQ(after[h], before[h]) << "h=" << h;
+  EXPECT_GT(engine->stats().segment_records_recovered, 0u);
+  const std::size_t nodes = engine->graph().num_nodes();
+  for (int round = 0; round <= 3; ++round) {
+    SCOPED_TRACE("advances after reopen: " + std::to_string(round));
+    std::size_t differing = 0;
+    for (NodeId node = 0; node < nodes; ++node) {
+      auto got = engine->ForecastNode(node, 3);
+      auto want = control.ForecastNode(node, 3);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      if (got.value() != want.value()) ++differing;
+    }
+    EXPECT_EQ(differing, 0u) << "of " << nodes << " nodes";
+    EXPECT_EQ(engine->stats().reestimates, control.stats().reestimates);
+    if (round < 3) {
+      Advance(*engine, 1);
+      Advance(control, 1);
+    }
   }
 }
 
@@ -316,31 +425,54 @@ TEST_F(RecoveryTest, RecoveryCountersAppearInPrometheusText) {
     Advance(*engine, 1);
   }
   auto engine = Open(DurableOptions());
-  const std::string text = engine->stats().ToPrometheusText();
+  std::string text = engine->stats().ToPrometheusText();
   for (const char* metric :
        {"f2db_wal_records_appended_total", "f2db_wal_bytes_total",
         "f2db_wal_records_replayed_total", "f2db_torn_tail_detected",
-        "f2db_checkpoints_completed_total", "f2db_checkpoint_failures_total",
-        "f2db_recovery_duration_ms", "f2db_last_checkpoint_age_seconds"}) {
+        "f2db_recovery_duration_ms", "f2db_last_compaction_age_seconds"}) {
     EXPECT_NE(text.find(metric), std::string::npos) << metric;
   }
+  // The checkpoint families are gone; the age of the durable cut is the
+  // compaction's, -1 until one completes.
+  for (const char* metric :
+       {"f2db_checkpoints_completed_total", "f2db_checkpoint_failures_total",
+        "f2db_last_checkpoint_age_seconds"}) {
+    EXPECT_EQ(text.find(metric), std::string::npos) << metric;
+  }
+  EXPECT_NE(text.find("# HELP f2db_last_compaction_age_seconds Seconds since "
+                      "the last completed compaction (the durable cut); -1 "
+                      "when none completed yet.\n"
+                      "# TYPE f2db_last_compaction_age_seconds gauge\n"
+                      "f2db_last_compaction_age_seconds -1\n"),
+            std::string::npos)
+      << text;
+  ASSERT_TRUE(engine->CompactNow().ok());
+  text = engine->stats().ToPrometheusText();
+  EXPECT_EQ(text.find("f2db_last_compaction_age_seconds -1\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST_F(RecoveryTest, ServerShutdownWritesACheckpoint) {
+  std::size_t models = 0;
   {
     auto engine = Open(DurableOptions());
     LoadConfig(*engine);
     Advance(*engine, 1);
+    models = ModelsOf(*engine);
 
     F2dbServer server(*engine, ServerOptions{});
     ASSERT_TRUE(server.Start().ok());
     server.Shutdown();
-    EXPECT_EQ(engine->stats().checkpoints_completed, 1u);
+    // The drain's durable cut is a compaction.
+    EXPECT_EQ(engine->stats().compactions_completed, 1u);
   }
 
-  // The shutdown checkpoint makes the next open replay-free.
+  // The next open bulk-loads the sealed history and replays only the
+  // rewritten tail: the catalog and one bookkeeping record per model.
   auto engine = Open(DurableOptions());
-  EXPECT_EQ(engine->stats().wal_records_replayed, 0u);
+  EXPECT_GT(engine->stats().segment_records_recovered, 0u);
+  EXPECT_EQ(engine->stats().wal_records_replayed, 1u + models);
   EXPECT_EQ(engine->stats().time_advances, 1u);
   EXPECT_FALSE(TopForecast(*engine).empty());
 }

@@ -51,20 +51,22 @@ bool ValuesClose(double a, double b) {
 
 // Hook state for CheckpointCannotInterleaveWithRetentionDrop: on the
 // retention (second) manifest rename of the armed compaction, request a
-// concurrent checkpoint and give it ample time to land. With correct
-// serialization the checkpoint cannot complete until the compaction —
+// concurrent second compaction and give it ample time to land. With
+// correct serialization it cannot complete until the first compaction —
 // including the in-memory history drop — has finished.
 std::atomic<int> g_manifest_renames{0};
-std::atomic<bool> g_checkpoint_requested{false};
-std::atomic<bool> g_checkpoint_done{false};
+std::atomic<bool> g_racer_requested{false};
+std::atomic<bool> g_racer_done{false};
+std::atomic<bool> g_racer_done_inside_window{false};
 
 void RetentionRaceHook(const char* point) {
   if (std::string_view(point) != "after_manifest_rename") return;
   if (g_manifest_renames.fetch_add(1) + 1 != 2) return;
-  g_checkpoint_requested.store(true);
-  for (int i = 0; i < 100 && !g_checkpoint_done.load(); ++i) {
+  g_racer_requested.store(true);
+  for (int i = 0; i < 100 && !g_racer_done.load(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+  g_racer_done_inside_window.store(g_racer_done.load());
 }
 
 NodeAddress ToNodeAddress(const testing::OracleAddress& address) {
@@ -184,10 +186,12 @@ TEST_F(CompactionTest, CompactNowSealsHistoryAndTruncatesWal) {
 TEST_F(CompactionTest, ReopenAfterCompactionIsBitIdentical) {
   std::vector<double> before;
   std::size_t pending = 0;
+  std::size_t models = 0;
   {
     auto engine = Open(DurableOptions());
     LoadConfig(*engine);
     Advance(*engine, 3);
+    models = engine->snapshot()->models.size();
     ASSERT_TRUE(engine->CompactNow().ok());
     Advance(*engine, 2);
     // One buffered fact so the unsealed tail carries pending state too.
@@ -203,9 +207,10 @@ TEST_F(CompactionTest, ReopenAfterCompactionIsBitIdentical) {
   auto engine = Open(DurableOptions());
   const EngineStats stats = engine->stats();
   // History came from the sealed segment, not WAL replay: the tail holds
-  // the rewritten catalog plus only the post-compaction records.
+  // the rewritten catalog, one bookkeeping record per model (each counts
+  // its updates since the estimate) plus only the post-compaction records.
   EXPECT_EQ(stats.segment_records_recovered, 3u * 51u);
-  EXPECT_EQ(stats.wal_records_replayed, 1u + 2u * 3u + 1u);
+  EXPECT_EQ(stats.wal_records_replayed, 1u + models + 2u * 3u + 1u);
   EXPECT_EQ(stats.inserts, 3u * 5u + 1u);
   EXPECT_EQ(stats.time_advances, 5u);
   EXPECT_EQ(engine->pending_inserts(), pending);
@@ -246,20 +251,26 @@ TEST_F(CompactionTest, SecondCompactionExtendsTheChain) {
 }
 
 TEST_F(CompactionTest, CompactionAfterCheckpointPrefersNewerArtifact) {
+  // A checkpoint file an older version left behind is never read: the
+  // manifest is the one durable cut, so recovery restores from segments
+  // even though the stale file does not even parse.
   std::vector<double> before;
   {
     auto engine = Open(DurableOptions());
     LoadConfig(*engine);
     Advance(*engine, 2);
-    ASSERT_TRUE(engine->CheckpointNow().ok());
+    ASSERT_TRUE(engine->CompactNow().ok());
+    {
+      std::ofstream legacy(dir_ + "/checkpoint.f2db", std::ios::trunc);
+      legacy << "f2db-checkpoint v1\nepoch 9\ncrc 00000000\n";
+    }
     Advance(*engine, 2);
     ASSERT_TRUE(engine->CompactNow().ok());
     before = TopForecast(*engine);
   }
-  // The manifest's WAL epoch (3) is strictly newer than the checkpoint's
-  // (2), so recovery restores from segments.
   auto engine = Open(DurableOptions());
-  EXPECT_GT(engine->stats().segment_records_recovered, 0u);
+  EXPECT_EQ(engine->stats().segment_records_recovered, 3u * 52u);
+  EXPECT_EQ(engine->stats().time_advances, 4u);
   const std::vector<double> after = TopForecast(*engine);
   ASSERT_EQ(after.size(), before.size());
   for (std::size_t h = 0; h < after.size(); ++h) {
@@ -391,19 +402,17 @@ TEST_F(SegmentRecoveryTest, CompactionAfterFallbackResealsTheChain) {
   {
     auto engine = Open(DurableOptions());
     LoadConfig(*engine);
-    Advance(*engine, 2);
-    ASSERT_TRUE(engine->CheckpointNow().ok());  // checkpoint at epoch 2
-    Advance(*engine, 2);
-    // Preserve the checkpoint's WAL epoch across the compaction: this is
-    // the crash-before-wal-delete window the fallback path covers — the
+    Advance(*engine, 4);
+    // Preserve WAL epoch 1 across the compaction: this is the
+    // crash-before-wal-delete window the fallback path covers — the
     // manifest committed but the sealed epochs were never unlinked.
-    auto epoch2 = storage::ReadFileToString(WalPath(dir_, 2));
-    ASSERT_TRUE(epoch2.ok()) << epoch2.status().ToString();
-    ASSERT_TRUE(engine->CompactNow().ok());  // manifest at epoch 3
+    auto epoch1 = storage::ReadFileToString(WalPath(dir_, 1));
+    ASSERT_TRUE(epoch1.ok()) << epoch1.status().ToString();
+    ASSERT_TRUE(engine->CompactNow().ok());  // manifest at epoch 2
     {
-      std::ofstream out(WalPath(dir_, 2),
+      std::ofstream out(WalPath(dir_, 1),
                         std::ios::binary | std::ios::trunc);
-      out << epoch2.value();
+      out << epoch1.value();
     }
     before = TopForecast(*engine);
   }
@@ -424,9 +433,11 @@ TEST_F(SegmentRecoveryTest, CompactionAfterFallbackResealsTheChain) {
   }
 
   {
-    // Recovery falls back to checkpoint + WAL replay...
+    // Recovery falls back to a full WAL replay from epoch 1 (the
+    // compaction's rewritten tail in epoch 2 replays on top of it)...
     auto engine = Open(DurableOptions());
     EXPECT_EQ(engine->stats().segment_records_recovered, 0u);
+    EXPECT_EQ(engine->stats().time_advances, 4u);
     const std::vector<double> fallback = TopForecast(*engine);
     ASSERT_EQ(fallback.size(), before.size());
     for (std::size_t h = 0; h < fallback.size(); ++h) {
@@ -537,13 +548,13 @@ TEST_F(RetentionTest, RetentionDropsOldSegmentsAndPreservesForecasts) {
 }
 
 TEST_F(RetentionTest, CheckpointCannotInterleaveWithRetentionDrop) {
-  // A checkpoint that lands between the pruned-manifest commit and the
-  // in-memory DropHistoryBefore would snapshot the still-undropped
-  // series at a strictly higher WAL epoch; recovery would then compute
-  // history sums as full-series sum PLUS the pruned offsets, silently
-  // double-counting the retained prefix in every derivation weight. The
-  // storage hook below invites exactly that interleaving; CheckpointNow's
-  // compaction serialization must refuse it.
+  // A second compaction that cut between the pruned-manifest commit and
+  // the in-memory DropHistoryBefore would rewrite a tail over the
+  // still-undropped series next to the pruned offsets; the storage hook
+  // below invites exactly that interleaving by racing a second CompactNow
+  // into the window. compaction_serial_mutex_ must refuse it: the racer
+  // completes only after the first compaction's drop, and recovery's
+  // history sums match the full-history control.
   EngineOptions options = DurableOptions();
   options.retention_window = 8;
 
@@ -562,32 +573,38 @@ TEST_F(RetentionTest, CheckpointCannotInterleaveWithRetentionDrop) {
     Advance(control, 12);
 
     g_manifest_renames.store(0);
-    g_checkpoint_requested.store(false);
-    g_checkpoint_done.store(false);
+    g_racer_requested.store(false);
+    g_racer_done.store(false);
+    g_racer_done_inside_window.store(false);
     storage::SetStorageCrashHook(&RetentionRaceHook);
-    Status checkpoint_status;
-    std::thread checkpointer([&engine, &checkpoint_status] {
-      while (!g_checkpoint_requested.load()) {
+    Status racer_status;
+    std::thread racer([&engine, &racer_status] {
+      while (!g_racer_requested.load()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-      checkpoint_status = engine->CheckpointNow();
-      g_checkpoint_done.store(true);
+      racer_status = engine->CompactNow();
+      g_racer_done.store(true);
     });
     // This compaction prunes the first segment (entirely older than
     // frontier - window); its second manifest rename fires the hook.
     ASSERT_TRUE(engine->CompactNow().ok());
-    g_checkpoint_requested.store(true);  // in case the hook never fired
-    checkpointer.join();
+    g_racer_requested.store(true);  // in case the hook never fired
+    racer.join();
     storage::SetStorageCrashHook(nullptr);
-    ASSERT_TRUE(checkpoint_status.ok()) << checkpoint_status.ToString();
-    EXPECT_EQ(g_manifest_renames.load(), 2);
+    ASSERT_TRUE(racer_status.ok()) << racer_status.ToString();
+    EXPECT_FALSE(g_racer_done_inside_window.load())
+        << "the racing compaction cut inside the retention window";
+    // The first compaction's two renames, then at least the racer's
+    // manifest commit.
+    EXPECT_GE(g_manifest_renames.load(), 3);
+    EXPECT_EQ(engine->stats().compactions_completed, 3u);
     EXPECT_GT(engine->stats().retention_segments_deleted, 0u);
     before = TopForecast(*engine);
   }
 
-  // Whichever artifact wins recovery, history sums must match the
-  // full-history control exactly (up to float regrouping) — a
-  // double-counted prefix would be off by the entire dropped range.
+  // History sums must match the full-history control exactly (up to
+  // float regrouping) — a double-counted prefix would be off by the
+  // entire dropped range.
   auto engine = Open(options);
   const SnapshotPtr snap = engine->snapshot();
   const SnapshotPtr want = control.snapshot();

@@ -91,12 +91,12 @@ TEST_F(IoFaultTest, ProbabilityModeIsSeedDeterministic) {
 
 TEST_F(IoFaultTest, SpecGrammarArmsSites) {
   ASSERT_TRUE(failpoint::EnableFromSpec(
-                  "io.wal_append=eio; io.checkpoint_write=enospc:nth:2;"
+                  "io.wal_append=eio; io.wal_create=enospc:nth:2;"
                   "io.manifest_commit=short:prob:1.0:9")
                   .ok());
   EXPECT_EQ(failpoint::Evaluate(kIoSiteWalAppend).err, EIO);
-  EXPECT_FALSE(failpoint::Evaluate(kIoSiteCheckpointWrite).injected());
-  EXPECT_EQ(failpoint::Evaluate(kIoSiteCheckpointWrite).err, ENOSPC);
+  EXPECT_FALSE(failpoint::Evaluate(kIoSiteWalCreate).injected());
+  EXPECT_EQ(failpoint::Evaluate(kIoSiteWalCreate).err, ENOSPC);
   EXPECT_EQ(failpoint::Evaluate(kIoSiteManifestCommit).kind,
             FaultKind::kShortWrite);
 
@@ -179,10 +179,10 @@ TEST_F(IoFaultFsioTest, ShortWriteLandsARealPrefix) {
 
 TEST_F(IoFaultFsioTest, WriteFileDurablyCleansUpOnInjectedFault) {
   const std::string path = dir_ + "/file";
-  failpoint::Enable(kIoSiteCheckpointWrite,
+  failpoint::Enable(kIoSiteManifestCommit,
                     failpoint::Policy::Always().WithErrno(ENOSPC));
   const Status status = WriteFileDurably(path, "bytes", nullptr, nullptr,
-                                         kIoSiteCheckpointWrite);
+                                         kIoSiteManifestCommit);
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
   EXPECT_EQ(ErrnoFromStatus(status), ENOSPC);
   EXPECT_EQ(ReadFileToString(path).status().code(), StatusCode::kNotFound);
