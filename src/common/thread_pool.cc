@@ -24,14 +24,18 @@ ThreadPool::~ThreadPool() {
 }
 
 std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  std::future<void> future = packaged.get_future();
+  auto packaged = std::make_shared<std::packaged_task<void()>>(std::move(task));
+  std::future<void> future = packaged->get_future();
+  Post([packaged] { (*packaged)(); });
+  return future;
+}
+
+void ThreadPool::Post(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    queue_.push_back(std::move(packaged));
+    queue_.push_back(std::move(task));
   }
   cv_.notify_one();
-  return future;
 }
 
 void ThreadPool::ParallelFor(std::size_t n,
@@ -84,8 +88,18 @@ void ThreadPool::ParallelFor(std::size_t n,
       }
     }
   };
-  for (std::size_t h = 0; h < helpers; ++h) {
-    Submit([loop, drain] { drain(*loop); });
+  if (helpers > 0) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      for (std::size_t h = 0; h < helpers; ++h) {
+        queue_.emplace_back([loop, drain] { drain(*loop); });
+      }
+    }
+    if (helpers == 1) {
+      cv_.notify_one();
+    } else {
+      cv_.notify_all();
+    }
   }
   if (prologue) {
     try {
@@ -111,7 +125,7 @@ std::size_t ThreadPool::DefaultConcurrency() {
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
@@ -122,7 +136,10 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();
+    try {
+      task();
+    } catch (...) {
+    }
   }
 }
 

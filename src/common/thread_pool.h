@@ -3,7 +3,8 @@
 // The paper (Section IV-B1) creates models for the top-n ranked candidates
 // in parallel, where n equals the number of available processors; this pool
 // provides that parallelism. Tasks are arbitrary std::function<void()>;
-// completion is observed through the returned std::future.
+// Submit returns a std::future for callers that wait on one task, Post
+// hands a task off with no future at all.
 
 #ifndef F2DB_COMMON_THREAD_POOL_H_
 #define F2DB_COMMON_THREAD_POOL_H_
@@ -34,9 +35,13 @@ class ThreadPool {
   /// Enqueues `task`; the future resolves when the task has run.
   std::future<void> Submit(std::function<void()> task);
 
+  /// Enqueues `task` with no future: one queue push and one wake. An
+  /// exception thrown by `task` is swallowed; the worker goes on.
+  void Post(std::function<void()> task);
+
   /// Runs `fn(i)` for i in [0, n) and blocks until done. The caller and at
   /// most size() helper tasks claim runs of consecutive indices from one
-  /// shared counter, so a call costs O(size()) queue operations, not O(n),
+  /// shared counter; the helpers are posted under one lock with one wake,
   /// and a call from inside a pool task cannot deadlock. An exception
   /// thrown by `fn(i)` is swallowed and ends only index i.
   void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn);
@@ -60,7 +65,7 @@ class ThreadPool {
 
   std::mutex mutex_;
   std::condition_variable cv_;
-  std::deque<std::packaged_task<void()>> queue_;
+  std::deque<std::function<void()>> queue_;
   std::vector<std::thread> threads_;
   bool shutdown_ = false;
 };

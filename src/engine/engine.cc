@@ -43,6 +43,13 @@ namespace {
 /// the ladder skips to the naive rung instead of walking the graph.
 constexpr std::size_t kMaxDerivationDepth = 4;
 
+/// The answer to a query that declined a re-estimation: no rows, nothing
+/// counted (ForecastQuery::decline_refit).
+Status Declined(QueryResult* out) {
+  out->refit_declined = true;
+  return Status::OK();
+}
+
 /// Evaluates `model` from `state` into a DegradedForecast tagged with
 /// `level`/`reason`. Fails with kUnimplemented when variances are requested
 /// but unsupported.
@@ -170,6 +177,7 @@ Result<std::unique_ptr<F2dbEngine>> F2dbEngine::Open(TimeSeriesGraph graph,
   };
   F2DB_ASSIGN_OR_RETURN(RecoveryInfo info,
                         RunRecovery(options.data_dir, callbacks));
+  engine->PublishBookkeepingRun();
   engine->recovery_records_replayed_ = info.records_replayed;
   engine->recovery_torn_tail_ = info.torn_tail_detected;
   engine->recovery_seconds_ = info.recovery_seconds;
@@ -531,6 +539,7 @@ Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
   out->rows.clear();
   out->degradation = DegradationLevel::kNone;
   out->degradation_reason.clear();
+  out->refit_declined = false;
   if (node >= snap->graph->num_nodes()) {
     return Status::OutOfRange("node id out of range");
   }
@@ -538,8 +547,10 @@ Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
   const std::size_t horizon = query.horizon;
   // A read-only engine serves queries like a brownout: refits are skipped
   // (they could not be WAL-logged anyway) and rows carry the annotation.
-  const bool brownout =
-      query.brownout || (wal_ != nullptr && disk_health_.read_only());
+  const RefitMode mode =
+      query.brownout || (wal_ != nullptr && disk_health_.read_only())
+          ? RefitMode::kSkip
+          : (query.decline_refit ? RefitMode::kDecline : RefitMode::kRefit);
 
   // Hot path (EXECUTE / repeat QUERY shapes): a point query whose scheme
   // sources all carry valid models evaluates batched — each model walks
@@ -590,8 +601,8 @@ Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
   if (query.with_intervals) {
     F2DB_ASSIGN_OR_RETURN(
         DegradedForecast forecast,
-        ForecastInternal(snap, node, horizon, /*want_variance=*/true,
-                         brownout));
+        ForecastInternal(snap, node, horizon, /*want_variance=*/true, mode));
+    if (forecast.refit_declined) return Declined(out);
     F2DB_ASSIGN_OR_RETURN(
         std::vector<ForecastInterval> intervals,
         IntervalsFromMoments(forecast.values, forecast.variances,
@@ -612,8 +623,8 @@ Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
   } else {
     F2DB_ASSIGN_OR_RETURN(
         DegradedForecast forecast,
-        ForecastInternal(snap, node, horizon, /*want_variance=*/false,
-                         brownout));
+        ForecastInternal(snap, node, horizon, /*want_variance=*/false, mode));
+    if (forecast.refit_declined) return Declined(out);
     out->degradation = forecast.level;
     out->degradation_reason = std::move(forecast.reason);
     out->rows.reserve(forecast.values.size());
@@ -764,11 +775,11 @@ Result<std::vector<ForecastInterval>> F2dbEngine::ForecastNodeWithIntervals(
 
 Result<DegradedForecast> F2dbEngine::ForecastInternal(
     const SnapshotPtr& snapshot, NodeId node, std::size_t horizon,
-    bool want_variance, bool brownout) const {
+    bool want_variance, RefitMode mode) const {
   if (node >= snapshot->graph->num_nodes()) {
     return Status::OutOfRange("node id out of range");
   }
-  return CombineScheme(snapshot, node, horizon, want_variance, brownout,
+  return CombineScheme(snapshot, node, horizon, want_variance, mode,
                        /*depth=*/0);
 }
 
@@ -776,7 +787,7 @@ Result<DegradedForecast> F2dbEngine::CombineScheme(const SnapshotPtr& snapshot,
                                                    NodeId node,
                                                    std::size_t horizon,
                                                    bool want_variance,
-                                                   bool brownout,
+                                                   RefitMode mode,
                                                    std::size_t depth) const {
   const std::vector<NodeId>& sources = snapshot->schemes[node];
   if (sources.empty()) {
@@ -789,8 +800,9 @@ Result<DegradedForecast> F2dbEngine::CombineScheme(const SnapshotPtr& snapshot,
   for (NodeId source : sources) {
     F2DB_ASSIGN_OR_RETURN(
         DegradedForecast from_source,
-        ForecastSource(snapshot, source, horizon, want_variance, brownout,
+        ForecastSource(snapshot, source, horizon, want_variance, mode,
                        depth));
+    if (from_source.refit_declined) return from_source;
     for (std::size_t h = 0; h < horizon; ++h) {
       out.values[h] += from_source.values[h];
       if (want_variance) out.variances[h] += from_source.variances[h];
@@ -813,7 +825,7 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
                                                     NodeId source,
                                                     std::size_t horizon,
                                                     bool want_variance,
-                                                    bool brownout,
+                                                    RefitMode mode,
                                                     std::size_t depth) const {
   const ModelView live = snapshot->models.Find(source);
 
@@ -833,12 +845,18 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
     // entry is never mutated, so concurrent readers of `snapshot` are
     // unaffected. Quarantined or backing-off nodes skip the attempt, and
     // so do brownout queries: re-estimation is the expensive step the
-    // serving layer sheds first under overload.
-    if (brownout) {
+    // serving layer sheds first under overload. A declining query stops
+    // here, before the fit and its failpoint, counters and offers.
+    if (mode == RefitMode::kSkip) {
       stats_.brownout_refits_skipped.Add();
       reason = "node " + std::to_string(source) +
                " re-estimation skipped under brownout";
     } else if (RefitAllowed(*live.record)) {
+      if (mode == RefitMode::kDecline) {
+        DegradedForecast declined;
+        declined.refit_declined = true;
+        return declined;
+      }
       StopWatch watch;
       std::unique_ptr<ForecastModel> refit = live.model->Clone();
       const Status fitted =
@@ -886,9 +904,10 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
         std::find(scheme.begin(), scheme.end(), source) != scheme.end();
     if (!scheme.empty() && !refers_self) {
       Result<DegradedForecast> derived =
-          CombineScheme(snapshot, source, horizon, want_variance, brownout,
+          CombineScheme(snapshot, source, horizon, want_variance, mode,
                         depth + 1);
       if (derived.ok()) {
+        if (derived.value().refit_declined) return derived;
         DegradedForecast out = std::move(derived).value();
         out.level = std::max(out.level, DegradationLevel::kDerivedFallback);
         out.reason = reason + "; served via the node's derivation scheme";
@@ -1275,7 +1294,14 @@ Status F2dbEngine::WalAppendLocked(std::span<const WalRecord> records) const {
   return Status::OK();
 }
 
+void F2dbEngine::PublishBookkeepingRun() {
+  std::lock_guard<std::mutex> lock(writer_mutex_);
+  // Moving out leaves bookkeeping_run_ empty: the run ends here.
+  if (bookkeeping_run_) Publish(std::move(bookkeeping_run_));
+}
+
 Status F2dbEngine::ApplyWalRecord(const WalRecord& record) {
+  if (record.kind != WalRecord::Kind::kBookkeeping) PublishBookkeepingRun();
   switch (record.kind) {
     case WalRecord::Kind::kInsert: {
       const Status applied = InsertFactImpl(record.node, record.time,
@@ -1331,23 +1357,24 @@ Status F2dbEngine::ApplyWalRecord(const WalRecord& record) {
     case WalRecord::Kind::kBookkeeping: {
       // A compaction's tail restores the record as it stood at the cut —
       // state, not a transition, so no counter moves (the manifest already
-      // carries them).
+      // carries them). The tail's records are consecutive: the whole run
+      // writes one private successor, copying the record table once, and
+      // the next record of another kind (or the end of recovery)
+      // publishes it.
       std::lock_guard<std::mutex> lock(writer_mutex_);
-      const SnapshotPtr cur = LoadSnapshot();
-      const ModelView live = cur->models.Find(record.node);
+      if (!bookkeeping_run_) bookkeeping_run_ = LoadSnapshot()->CopyForWrite();
+      const ModelView live = bookkeeping_run_->models.Find(record.node);
       if (!live) {
         return Status::Internal("bookkeeping references node " +
                                 std::to_string(record.node) +
                                 " without a model");
       }
-      auto next = cur->CopyForWrite();
-      ModelRecord& updated = next->models.MutableRecord(live.slot);
+      ModelRecord& updated = bookkeeping_run_->models.MutableRecord(live.slot);
       updated.invalid = record.invalid;
       updated.updates_since_estimate =
           static_cast<std::size_t>(record.updates);
       updated.refit_failures = static_cast<std::size_t>(record.count);
       updated.quarantined = record.quarantined;
-      Publish(std::move(next));
       return Status::OK();
     }
   }

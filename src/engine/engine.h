@@ -340,6 +340,10 @@ struct QueryResult {
   /// Human-readable cause when degradation != kNone (e.g. which node's
   /// re-estimation failed and which rung served the answer).
   std::string degradation_reason;
+  /// The query set ForecastQuery::decline_refit and answering it needs a
+  /// lazy re-estimation: nothing was computed or counted (rows are empty),
+  /// and the caller must run the query again with refits allowed.
+  bool refit_declined = false;
 };
 
 /// A scheme-derived forecast annotated with the degradation outcome — the
@@ -351,6 +355,9 @@ struct DegradedForecast {
   DegradationLevel level = DegradationLevel::kNone;
   /// Cause of the degradation; empty when level == kNone.
   std::string reason;
+  /// A source needed a re-estimation the query declined
+  /// (ForecastQuery::decline_refit); values are incomplete, never served.
+  bool refit_declined = false;
 };
 
 /// Plan description produced by EXPLAIN (Section V: a forecast query is
@@ -653,23 +660,28 @@ class F2dbEngine : public EngineInterface {
   /// kDeadlineExceeded when the budget is already spent.
   Status CheckQueryDeadline(const ForecastQuery& query) const;
 
+  /// What a source whose model is invalid does about its lazy
+  /// re-estimation: fit it, skip it and serve the stale rung (brownout or
+  /// a read-only engine), or decline the whole query before the fit
+  /// (ForecastQuery::decline_refit).
+  enum class RefitMode { kRefit, kSkip, kDecline };
+
   /// Scheme-based forecast against one snapshot (shared by Execute and
   /// ForecastNode; no stats accounting). Bounds-checks `node`, then
   /// combines the node's stored scheme via CombineScheme. `want_variance`
   /// additionally fills DegradedForecast::variances (interval path).
-  /// `brownout` rides along to ForecastSource: refits are skipped and the
-  /// stale rung serves annotated answers.
-  Result<DegradedForecast> ForecastInternal(const SnapshotPtr& snapshot,
-                                            NodeId node, std::size_t horizon,
-                                            bool want_variance,
-                                            bool brownout = false) const;
+  /// `mode` rides along to ForecastSource.
+  Result<DegradedForecast> ForecastInternal(
+      const SnapshotPtr& snapshot, NodeId node, std::size_t horizon,
+      bool want_variance, RefitMode mode = RefitMode::kRefit) const;
 
   /// Sums the source forecasts of `node`'s stored scheme and applies the
   /// derivation weight. The reported level/reason is the worst rung any
-  /// source had to fall to. `depth` limits derived-fallback recursion.
+  /// source had to fall to; a declined source ends the sum at once.
+  /// `depth` limits derived-fallback recursion.
   Result<DegradedForecast> CombineScheme(const SnapshotPtr& snapshot,
                                          NodeId node, std::size_t horizon,
-                                         bool want_variance, bool brownout,
+                                         bool want_variance, RefitMode mode,
                                          std::size_t depth) const;
 
   /// Produces the forecast of ONE scheme source, degrading through the
@@ -679,10 +691,11 @@ class F2dbEngine : public EngineInterface {
   ///   kUnavailable.
   /// A successful refit is offered copy-on-write (OfferReestimate); a
   /// failed one is recorded copy-on-write (OfferRefitFailure) and may
-  /// quarantine the node.
+  /// quarantine the node. Under RefitMode::kDecline a refit that would
+  /// start returns DegradedForecast::refit_declined instead, untouched.
   Result<DegradedForecast> ForecastSource(const SnapshotPtr& snapshot,
                                           NodeId source, std::size_t horizon,
-                                          bool want_variance, bool brownout,
+                                          bool want_variance, RefitMode mode,
                                           std::size_t depth) const;
 
   /// Whether a refit of the model with record `live` may be attempted now
@@ -768,8 +781,12 @@ class F2dbEngine : public EngineInterface {
   Status ApplySegmentState(const storage::ManifestData& manifest,
                            std::vector<storage::SegmentData>&& chain);
 
-  /// Recovery: re-applies one replayed WAL record.
+  /// Recovery: re-applies one replayed WAL record. A run of consecutive
+  /// kBookkeeping records builds one successor (bookkeeping_run_), which
+  /// the first record of another kind publishes.
   Status ApplyWalRecord(const WalRecord& record);
+  /// Recovery: publishes the pending bookkeeping run, if any.
+  void PublishBookkeepingRun();
 
   /// Body of the background compaction thread.
   void CompactionLoop();
@@ -874,6 +891,9 @@ class F2dbEngine : public EngineInterface {
   bool recovery_torn_tail_ = false;
   double recovery_seconds_ = 0.0;
   std::size_t recovery_segment_records_ = 0;
+  /// The unpublished successor a run of replayed kBookkeeping records
+  /// writes (ApplyWalRecord); empty outside such a run.
+  std::shared_ptr<EngineSnapshot> bookkeeping_run_;
 
   /// uptime_-relative stamp of the last completed compaction; negative
   /// when none completed yet.

@@ -66,6 +66,15 @@ struct ForecastQuery {
   /// out before load shedding starts.
   bool brownout = false;
 
+  /// Serve only what needs no model fit: where a source would start a
+  /// lazy re-estimation, the engine declines the whole query before any
+  /// side effect (no counter, offer or WAL record) and reports it through
+  /// QueryResult::refit_declined. The serving layer sets this on the
+  /// reactor and hands declined queries to a worker, which runs them with
+  /// refits allowed. Has no effect under brownout or a read-only engine,
+  /// which skip refits instead.
+  bool decline_refit = false;
+
   std::string ToString() const;
 };
 

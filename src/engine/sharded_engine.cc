@@ -422,6 +422,15 @@ Result<QueryResult> ShardedEngine::Execute(const ForecastQuery& query) const {
     return result;
   }
 
+  // A query that declines refits declines every scatter-gather before
+  // fan-out: a shard that declined after its siblings answered would have
+  // them count the query twice once the caller reruns it.
+  if (query.decline_refit) {
+    QueryResult declined;
+    declined.refit_declined = true;
+    return declined;
+  }
+
   // Deadline gate before fan-out: a cross-shard query multiplies its work
   // by the number of contributing shards, so an expired budget is checked
   // here once instead of discovered M times inside the shards. (The

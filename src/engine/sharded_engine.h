@@ -91,6 +91,9 @@ class ShardedEngine : public EngineInterface {
 
   // ---------------------------------------------------- EngineInterface
 
+  /// A single-partition query runs on its shard unchanged. A cross-shard
+  /// query with decline_refit set is declined before fan-out, so no shard
+  /// counts a query that will be run again.
   Result<QueryResult> Execute(const ForecastQuery& query) const override;
   Result<ExplainResult> Explain(const ForecastQuery& query) const override;
   /// Plan-cached parse at the facade: repeat statement shapes skip the

@@ -111,9 +111,10 @@ class ServerConnection {
   std::string tenant_id;
   TokenBucket* rate_limiter = nullptr;
 
-  /// Prepared-statement table and the EXECUTE hot path's scratch arena.
-  /// Reactor-thread only, like tenant_id: PREPARE/EXECUTE/CLOSE_STMT are
-  /// handled inline on the owning reactor, so none of this needs locking.
+  /// Prepared-statement table and the inline forecast path's scratch
+  /// arena (EXECUTE and QUERY). Reactor-thread only, like tenant_id:
+  /// PREPARE/EXECUTE/CLOSE_STMT and QUERY are handled on the owning
+  /// reactor, so none of this needs locking.
   /// Statement ids are per-connection and never reused within one
   /// connection's lifetime (next_stmt_id only grows).
   ///

@@ -82,8 +82,8 @@ class Reactor {
 
   /// RespondNow without the outbox round-trip: the frame bytes go straight
   /// into the connection's write buffer and the caller keeps ownership of
-  /// `encoded`'s storage (the EXECUTE hot path's reused arena). EVENT-LOOP
-  /// THREAD ONLY.
+  /// `encoded`'s storage (the inline forecast path's reused arena).
+  /// EVENT-LOOP THREAD ONLY.
   void RespondNowInline(const std::shared_ptr<ServerConnection>& conn,
                         std::string_view encoded);
 

@@ -525,36 +525,49 @@ void F2dbServer::HandleRequest(Reactor& reactor,
     }
   }
 
-  // EXECUTE runs inline on the reactor thread: the plan was parsed at
-  // PREPARE, the engine's query layer is a lock-free snapshot read, and
-  // the worker hand-off (two context switches on a single-core host) is
-  // the bulk of an unprepared QUERY's latency. It walked the whole
-  // admission ladder above, so deadline, throttle, shedding, and brownout
-  // behave exactly as for a raw QUERY; being synchronous, it never holds
-  // an in_flight_ slot across a loop iteration.
+  // Routing rule (DESIGN.md §14): QUERY and EXECUTE run on the reactor
+  // unless answering needs a model fit. The engine's query layer is a
+  // lock-free snapshot read, and the worker hand-off (a futex wake there,
+  // an eventfd wake back) would be the bulk of a cheap forecast's latency.
+  // Both walked the whole admission ladder above, so deadline, throttle,
+  // shedding and brownout behave as for hopped work; being synchronous,
+  // they never hold an in_flight_ slot across a loop iteration.
   if (request.type == FrameType::kExecute) {
     ExecutePreparedInline(reactor, conn, request.body, deadline, brownout);
     return;
   }
+  if (request.type == FrameType::kQuery) {
+    QueryInline(reactor, conn, request.body, deadline, brownout);
+    return;
+  }
+  Hop(reactor, conn, request.type, deadline,
+      [this, request = std::move(request)] {
+        return EncodeResponse(ExecuteRequest(request));
+      });
+}
 
+template <typename Work>
+void F2dbServer::Hop(Reactor& reactor,
+                     const std::shared_ptr<ServerConnection>& conn,
+                     FrameType type,
+                     std::chrono::steady_clock::time_point deadline,
+                     Work work) {
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   conn->BeginRequest();
-  pool_->Submit([this, &reactor, conn, deadline, brownout,
-                 request = std::move(request)] {
+  pool_->Post([this, &reactor, conn, type, deadline, work = std::move(work)] {
     if (options_.worker_test_hook) options_.worker_test_hook();
-    WireResponse response;
+    std::string encoded;
     // Deadline at dequeue: work that expired while queued is answered
     // cheaply instead of executed uselessly.
     if (deadline != ForecastQuery::kNoDeadline &&
         std::chrono::steady_clock::now() >= deadline) {
       stats_.deadline_expired_queue.Add();
-      response = ErrorResponse(
-          request.type,
-          Status::DeadlineExceeded("deadline expired while queued"));
+      encoded = EncodeResponse(ErrorResponse(
+          type, Status::DeadlineExceeded("deadline expired while queued")));
     } else {
-      response = ExecuteRequest(request, deadline, brownout);
+      encoded = work();
     }
-    conn->EnqueueResponse(EncodeResponse(response));
+    conn->EnqueueResponse(std::move(encoded));
     stats_.responses_sent.Add();
     reactor.NoteResponseReady(conn);
     conn->EndRequest();
@@ -565,83 +578,31 @@ void F2dbServer::HandleRequest(Reactor& reactor,
   });
 }
 
-WireResponse F2dbServer::ExecuteRequest(
-    const WireRequest& request, std::chrono::steady_clock::time_point deadline,
-    bool brownout) const {
+WireResponse F2dbServer::ExecuteRequest(const WireRequest& request) const {
   WireResponse response;
   response.type = request.type;
-  switch (request.type) {
-    case FrameType::kPing:
-    case FrameType::kHello:
-      response.body = "PONG";
-      return response;
-    case FrameType::kStats:
-      response.body = StatsPrometheusText();
-      return response;
-    case FrameType::kQuery: {
-      // Unprepared traffic also goes through the engine's plan cache: a
-      // repeated statement shape skips the lexer and parser, and the
-      // execution path below is the SAME ExecutePlanInto the prepared
-      // path uses, so QUERY and EXECUTE can never drift.
-      auto plan_or = engine_.ParsePlan(request.body);
-      if (!plan_or.ok()) return ErrorResponse(request.type, plan_or.status());
-      const PlanPtr& plan = plan_or.value();
-      if (plan->tmpl.statement.kind == Statement::Kind::kInsert) {
-        return ErrorResponse(
-            request.type,
-            Status::InvalidArgument(
-                "INSERT statements must be sent as INSERT frames"));
-      }
-      if (!plan->tmpl.slots.empty()) {
-        return ErrorResponse(
-            request.type,
-            Status::InvalidArgument(
-                "statement has " + std::to_string(plan->tmpl.slots.size()) +
-                " unbound `?` parameter(s); use PREPARE / EXECUTE"));
-      }
-      if (plan->tmpl.statement.kind == Statement::Kind::kExplain) {
-        auto explained = engine_.Explain(plan->tmpl.statement.forecast);
-        if (!explained.ok()) {
-          return ErrorResponse(request.type, explained.status());
-        }
-        response.body = RenderExplainResult(explained.value());
-        return response;
-      }
-      // The serving layer stamps the overload context; the SQL itself
-      // never carries deadlines or brownout.
-      ForecastQuery query = plan->tmpl.statement.forecast;
-      query.deadline = deadline;
-      query.brownout = brownout;
-      QueryResult result;
-      const Status executed = engine_.ExecutePlanInto(*plan, query, &result);
-      if (!executed.ok()) return ErrorResponse(request.type, executed);
-      response.degradation = result.degradation;
-      RenderQueryResultInto(result, &response.body);
-      return response;
-    }
-    case FrameType::kInsert: {
-      auto parsed = ParseStatement(request.body);
-      if (!parsed.ok()) return ErrorResponse(request.type, parsed.status());
-      const Statement& statement = parsed.value();
-      if (statement.kind != Statement::Kind::kInsert) {
-        return ErrorResponse(request.type,
-                             Status::InvalidArgument(
-                                 "INSERT frame requires an INSERT statement"));
-      }
-      const Status status = engine_.InsertFact(statement.insert.base_values,
-                                               statement.insert.time,
-                                               statement.insert.value);
-      if (!status.ok()) return ErrorResponse(request.type, status);
-      response.body = "INSERT ok (" + std::to_string(engine_.pending_inserts()) +
-                      " buffered)";
-      return response;
-    }
-    case FrameType::kPrepare:
-    case FrameType::kExecute:
-    case FrameType::kCloseStmt:
-      // Handled inline on the reactor thread; they never reach a worker.
-      break;
+  if (request.type == FrameType::kStats) {
+    response.body = StatsPrometheusText();
+    return response;
   }
+  if (request.type == FrameType::kInsert) {
+    auto parsed = ParseStatement(request.body);
+    if (!parsed.ok()) return ErrorResponse(request.type, parsed.status());
+    const Statement& statement = parsed.value();
+    if (statement.kind != Statement::Kind::kInsert) {
+      return ErrorResponse(request.type,
+                           Status::InvalidArgument(
+                               "INSERT frame requires an INSERT statement"));
+    }
+    const Status status = engine_.InsertFact(statement.insert.base_values,
+                                             statement.insert.time,
+                                             statement.insert.value);
+    if (!status.ok()) return ErrorResponse(request.type, status);
+    response.body = "INSERT ok (" + std::to_string(engine_.pending_inserts()) +
+                    " buffered)";
+    return response;
+  }
+  // Every other frame type is answered on the reactor thread.
   return ErrorResponse(request.type,
                        Status::Internal("unhandled frame type"));
 }
@@ -736,41 +697,107 @@ void F2dbServer::ExecutePreparedInline(
                                    " (never prepared, or already closed)"))));
     return;
   }
-  const CachedPlan& plan = *it->second;
   const Status bound =
-      BindStatementInto(plan.tmpl, st.body_scratch.binds, &st.stmt_scratch);
+      BindStatementInto(it->second->tmpl, st.body_scratch.binds,
+                        &st.stmt_scratch);
   if (!bound.ok()) {
     reactor.RespondNow(
         conn, EncodeResponse(ErrorResponse(FrameType::kExecute, bound)));
     return;
   }
+  ServeForecast(reactor, conn, FrameType::kExecute, it->second, deadline,
+                brownout);
+}
+
+void F2dbServer::QueryInline(Reactor& reactor,
+                             const std::shared_ptr<ServerConnection>& conn,
+                             const std::string& sql,
+                             std::chrono::steady_clock::time_point deadline,
+                             bool brownout) {
+  // Unprepared traffic also goes through the engine's plan cache: a
+  // repeated statement shape skips the lexer and parser, and execution is
+  // the SAME ServeForecast the prepared path uses, so QUERY and EXECUTE
+  // can never drift.
+  auto plan_or = engine_.ParsePlan(sql);
+  if (!plan_or.ok()) {
+    reactor.RespondNow(conn, EncodeResponse(ErrorResponse(FrameType::kQuery,
+                                                          plan_or.status())));
+    return;
+  }
+  const PlanPtr& plan = plan_or.value();
+  if (plan->tmpl.statement.kind == Statement::Kind::kInsert) {
+    reactor.RespondNow(
+        conn, EncodeResponse(ErrorResponse(
+                  FrameType::kQuery,
+                  Status::InvalidArgument(
+                      "INSERT statements must be sent as INSERT frames"))));
+    return;
+  }
+  if (!plan->tmpl.slots.empty()) {
+    reactor.RespondNow(
+        conn, EncodeResponse(ErrorResponse(
+                  FrameType::kQuery,
+                  Status::InvalidArgument(
+                      "statement has " +
+                      std::to_string(plan->tmpl.slots.size()) +
+                      " unbound `?` parameter(s); use PREPARE / EXECUTE"))));
+    return;
+  }
+  // Copy-assignment reuses the scratch statement's capacity.
+  conn->prepared().stmt_scratch = plan->tmpl.statement;
+  ServeForecast(reactor, conn, FrameType::kQuery, plan, deadline, brownout);
+}
+
+void F2dbServer::ServeForecast(Reactor& reactor,
+                               const std::shared_ptr<ServerConnection>& conn,
+                               FrameType type, const PlanPtr& plan,
+                               std::chrono::steady_clock::time_point deadline,
+                               bool brownout) {
+  ServerConnection::PreparedState& st = conn->prepared();
   Statement& statement = st.stmt_scratch;
   if (statement.kind == Statement::Kind::kExplain) {
-    // Cold path: EXPLAIN over EXECUTE is a debugging aid, not a hot path.
+    // Cold path: EXPLAIN is a debugging aid, not a hot path.
     auto explained = engine_.Explain(statement.forecast);
     if (!explained.ok()) {
-      reactor.RespondNow(conn, EncodeResponse(ErrorResponse(
-                                   FrameType::kExecute, explained.status())));
+      reactor.RespondNow(
+          conn, EncodeResponse(ErrorResponse(type, explained.status())));
       return;
     }
     WireResponse response;
-    response.type = FrameType::kExecute;
+    response.type = type;
     response.body = RenderExplainResult(explained.value());
     reactor.RespondNow(conn, EncodeResponse(response));
     return;
   }
-  statement.forecast.deadline = deadline;
-  statement.forecast.brownout = brownout;
+  // The serving layer stamps the overload context; the SQL itself never
+  // carries deadlines or brownout.
+  ForecastQuery& query = statement.forecast;
+  query.deadline = deadline;
+  query.brownout = brownout;
+  query.decline_refit = true;
   const Status executed =
-      engine_.ExecutePlanInto(plan, statement.forecast, &st.result_scratch);
+      engine_.ExecutePlanInto(*plan, query, &st.result_scratch);
   if (!executed.ok()) {
-    reactor.RespondNow(
-        conn, EncodeResponse(ErrorResponse(FrameType::kExecute, executed)));
+    reactor.RespondNow(conn, EncodeResponse(ErrorResponse(type, executed)));
+    return;
+  }
+  if (st.result_scratch.refit_declined) {
+    // A model must be re-estimated first: the worker pool runs the query
+    // with refits allowed, under the queue deadline and the shedding that
+    // govern the expensive work. The declined attempt left no trace.
+    query.decline_refit = false;
+    Hop(reactor, conn, type, deadline, [this, type, plan, query] {
+      QueryResult result;
+      const Status refit = engine_.ExecutePlanInto(*plan, query, &result);
+      if (!refit.ok()) return EncodeResponse(ErrorResponse(type, refit));
+      std::string frame;
+      AppendForecastResponseFrame(type, result, &frame);
+      return frame;
+    });
     return;
   }
   st.frame_scratch.clear();
-  AppendForecastResponseFrame(FrameType::kExecute, st.result_scratch,
-                              &st.frame_scratch);
+  AppendForecastResponseFrame(type, st.result_scratch, &st.frame_scratch);
   reactor.RespondNowInline(conn, st.frame_scratch);
 }
 

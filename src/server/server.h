@@ -8,16 +8,19 @@
 //     and the kernel load-balances new connections; without it (older
 //     kernels, or use_so_reuseport = false) reactor 0 accepts and hands
 //     sockets off round-robin.
-//   - A ThreadPool of workers executes complete requests. A QUERY goes
-//     through the engine's const query layer (each shard pins its own
-//     immutable snapshot), so serving reads never block maintenance;
-//     INSERT goes through the owning shard's serialized maintenance layer.
-//   - Workers hand finished responses back to the connection's owning
-//     reactor through the outbox plus an eventfd wake — workers never
-//     touch sockets.
+//   - Reactors answer every QUERY and EXECUTE that needs no model fit
+//     themselves, through the engine's const query layer (each shard pins
+//     its own immutable snapshot), so serving reads never block
+//     maintenance and never pay a thread hop.
+//   - A ThreadPool of workers executes the rest: forecasts that need a
+//     lazy re-estimation first (the engine declined them on the reactor),
+//     INSERT (through the owning shard's serialized maintenance layer) and
+//     STATS. Workers hand finished responses back to the connection's
+//     owning reactor through the outbox plus an eventfd wake — workers
+//     never touch sockets.
 //
-// Admission control: the server tracks queued-plus-running requests in one
-// atomic shared by all reactors. A request arriving while the count is at
+// Admission control: the server tracks queued-plus-running worker requests
+// in one atomic shared by all reactors. A request arriving while the count is at
 // the configured limit is answered immediately with kUnavailable ("server
 // overloaded") instead of being queued — bounded queues shed load early
 // rather than building an unbounded backlog (the thundering-herd regime
@@ -106,8 +109,10 @@ struct ServerOptions {
   /// it is refused with kResourceExhausted until the client closes one.
   std::size_t max_prepared_statements = 128;
   /// Test-only: runs at the start of every worker task (before the request
-  /// executes). Integration tests block here to saturate the admission
-  /// queue deterministically. Leave empty in production.
+  /// executes), so it fires only on work that hopped to the pool: INSERT,
+  /// STATS and forecasts that need a model fit — never on a forecast the
+  /// reactor answers itself. Integration tests block here to saturate the
+  /// admission queue deterministically. Leave empty in production.
   std::function<void()> worker_test_hook;
 };
 
@@ -149,15 +154,14 @@ struct ServerStats {
 };
 
 /// Renders a QUERY/EXECUTE result like the interactive shell does,
-/// appending to `out` without clearing it. ONE renderer serves both the
-/// worker QUERY path and the inline EXECUTE path, so a prepared execution
-/// is byte-identical to the raw statement (the differential wall pins
-/// this).
+/// appending to `out` without clearing it. ONE renderer serves QUERY and
+/// EXECUTE, inline or on a worker, so a prepared execution is
+/// byte-identical to the raw statement (the differential wall pins this).
 void RenderQueryResultInto(const QueryResult& result, std::string* out);
 
 /// Appends one complete kOk response frame (length prefix included)
 /// carrying a rendered forecast result. Everything lands in `out`, whose
-/// capacity is reused across requests — the EXECUTE hot path's
+/// capacity is reused across requests — the inline forecast path's
 /// zero-allocation encode.
 void AppendForecastResponseFrame(FrameType type, const QueryResult& result,
                                  std::string* out);
@@ -237,16 +241,21 @@ class F2dbServer {
   /// Called by a reactor for every decoded request payload; runs on that
   /// reactor's thread. Walks the admission ladder: HELLO/PING inline,
   /// shutdown shed, deadline-at-admission, per-tenant throttle, watermark
-  /// shed, brownout decision, then hands off to a worker.
+  /// shed, brownout decision. Then QUERY and EXECUTE are served inline
+  /// (ServeForecast), and INSERT and STATS hop to a worker.
   void HandleRequest(Reactor& reactor,
                      const std::shared_ptr<ServerConnection>& conn,
                      const std::string& payload);
-  /// Executes one decoded request on a worker thread. `deadline` and
-  /// `brownout` were stamped by admission and propagate into the engine's
-  /// ForecastQuery.
-  WireResponse ExecuteRequest(const WireRequest& request,
-                              std::chrono::steady_clock::time_point deadline,
-                              bool brownout) const;
+  /// Hands `work` (returning the encoded response) to a worker: holds an
+  /// in_flight_ slot, fires worker_test_hook, answers kDeadlineExceeded
+  /// instead when `deadline` passed while queued, and flushes through the
+  /// connection's outbox.
+  template <typename Work>
+  void Hop(Reactor& reactor, const std::shared_ptr<ServerConnection>& conn,
+           FrameType type, std::chrono::steady_clock::time_point deadline,
+           Work work);
+  /// Executes one INSERT or STATS request on a worker thread.
+  WireResponse ExecuteRequest(const WireRequest& request) const;
 
   /// PREPARE / CLOSE_STMT handlers: run inline on the reactor thread,
   /// which owns the connection's statement table.
@@ -256,16 +265,32 @@ class F2dbServer {
   void HandleCloseStmt(Reactor& reactor,
                        const std::shared_ptr<ServerConnection>& conn,
                        const std::string& body);
-  /// EXECUTE hot path: decodes, binds, executes, renders, and encodes
-  /// entirely on the reactor thread through the connection's scratch arena
-  /// — no worker hand-off, no steady-state allocation. Runs AFTER the
-  /// admission ladder, with the same deadline/brownout stamps a QUERY
-  /// would get.
+  /// EXECUTE hot path: decodes and binds into the connection's scratch
+  /// arena, then ServeForecast — no steady-state allocation. Runs AFTER
+  /// the admission ladder, with the same deadline/brownout stamps a QUERY
+  /// gets.
   void ExecutePreparedInline(Reactor& reactor,
                              const std::shared_ptr<ServerConnection>& conn,
                              const std::string& body,
                              std::chrono::steady_clock::time_point deadline,
                              bool brownout);
+  /// Raw QUERY: resolves the plan (plan cache, or a parse) on the reactor,
+  /// copies its statement into the scratch arena, then ServeForecast.
+  void QueryInline(Reactor& reactor,
+                   const std::shared_ptr<ServerConnection>& conn,
+                   const std::string& sql,
+                   std::chrono::steady_clock::time_point deadline,
+                   bool brownout);
+  /// The forecast tail QUERY and EXECUTE share, for the statement bound in
+  /// the connection's scratch: EXPLAIN, or an execution that declines
+  /// refits. An answer is rendered and flushed from the scratch arena; a
+  /// declined execution hops to a worker with `plan`, which reruns it
+  /// with refits allowed.
+  void ServeForecast(Reactor& reactor,
+                     const std::shared_ptr<ServerConnection>& conn,
+                     FrameType type, const PlanPtr& plan,
+                     std::chrono::steady_clock::time_point deadline,
+                     bool brownout);
 
   EngineInterface& engine_;
   const ServerOptions options_;
@@ -285,8 +310,8 @@ class F2dbServer {
   /// episode counting and the f2db_server_brownout_active gauge).
   std::atomic<bool> brownout_active_{false};
 
-  /// Queued + running requests (admission control and drain tracking);
-  /// shared across reactors.
+  /// Queued + running worker requests (admission control and drain
+  /// tracking); shared across reactors.
   std::atomic<std::size_t> in_flight_{0};
   /// Open connections across all reactors (max_connections enforcement).
   std::atomic<std::size_t> num_connections_{0};

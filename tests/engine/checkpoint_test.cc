@@ -15,6 +15,7 @@
 #include "common/failpoint.h"
 #include "core/evaluator.h"
 #include "engine/engine.h"
+#include "engine/sharded_engine.h"
 #include "engine/wal.h"
 #include "storage/fsio.h"
 #include "storage/manifest.h"
@@ -279,6 +280,38 @@ TEST_F(CheckpointTest, WriteLoadRoundTripAndNotFound) {
   }
   auto engine = Open();
   expect_restored(*engine, before, counters);
+}
+
+TEST_F(CheckpointTest, BookkeepingTailReplaysAsOnePublication) {
+  // A reopen publishes one snapshot for the whole run of bookkeeping
+  // records in a compaction's tail, not one per record: each publication
+  // would copy the record table, making the replay O(models^2).
+  // One model per base cell, so the tail holds a run of several records.
+  auto per_cell = BuildShardableConfiguration(
+      evaluator_graph_, ModelSpec::TripleExponentialSmoothing(4), 0.8);
+  ASSERT_TRUE(per_cell.ok()) << per_cell.status().ToString();
+  std::uint64_t catalog_only_version = 0;
+  {
+    auto engine = Open();
+    ASSERT_TRUE(engine->LoadConfiguration(per_cell.value(), evaluator_).ok());
+    ASSERT_TRUE(engine->CompactNow().ok());  // every model at its defaults
+  }
+  {
+    auto engine = Open();
+    EXPECT_EQ(engine->stats().wal_records_replayed, 1u);  // the catalog
+    catalog_only_version = engine->snapshot()->version;
+    Advance(*engine, 3);  // every model invalid
+    ASSERT_TRUE(engine->CompactNow().ok());
+  }
+  auto engine = Open();
+  const std::size_t models = BookkeepingOf(*engine).size();
+  ASSERT_GE(models, 2u);
+  EXPECT_EQ(engine->stats().wal_records_replayed, 1u + models);
+  EXPECT_EQ(engine->snapshot()->version, catalog_only_version + 1);
+  for (const Bookkeeping& model : BookkeepingOf(*engine)) {
+    EXPECT_TRUE(model.invalid) << "node " << model.node;
+    EXPECT_EQ(model.updates, 3u) << "node " << model.node;
+  }
 }
 
 TEST_F(CheckpointTest, FailedWriteLeavesThePreviousCheckpointIntact) {

@@ -11,6 +11,8 @@
 //     worker pool is saturated;
 //   - graceful drain on SIGTERM: in-flight responses still delivered, new
 //     work refused, sockets closed afterwards;
+//   - routing: forecasts that need no model fit are answered on the
+//     reactor, refit-bound ones hop to a worker exactly once;
 //   - protocol hardening: oversized frames answered-with-error and closed.
 
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 
 #include "baselines/advisor_builder.h"
 #include "engine/engine.h"
+#include "engine/sharded_engine.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "testing/test_cubes.h"
@@ -238,6 +241,9 @@ TEST_F(ServerIntegrationTest, DegradedAnnotationsPropagateOverTheWire) {
 
 TEST_F(ServerIntegrationTest, AdmissionControlShedsWithUnavailable) {
   auto engine = MakeEngine();
+  // Invalidate every model: the queries below must refit, so they queue
+  // on the worker pool instead of being answered on the reactor.
+  Advance(*engine, 3);
   std::promise<void> release;
   std::shared_future<void> released(release.get_future());
 
@@ -288,6 +294,7 @@ TEST_F(ServerIntegrationTest, AdmissionControlShedsWithUnavailable) {
 
 TEST_F(ServerIntegrationTest, SigtermDrainsInFlightThenCloses) {
   auto engine = MakeEngine();
+  Advance(*engine, 3);  // the query below must refit, on a worker
   std::promise<void> release;
   std::shared_future<void> released(release.get_future());
 
@@ -396,6 +403,231 @@ TEST_F(ServerIntegrationTest, StartIsSingleShotAndPortIsEphemeral) {
   ASSERT_TRUE(server.Start().ok());
   EXPECT_NE(server.port(), 0);
   EXPECT_EQ(server.Start().code(), StatusCode::kFailedPrecondition);
+  server.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Routing: a forecast that needs no model fit is answered on the reactor;
+// only one that must re-estimate a model first hops to the worker pool,
+// where worker_test_hook fires.
+
+/// The statement a client sends for `node`, with `horizon` spliced in
+/// verbatim (a quoted literal, or `?` for PREPARE).
+std::string NodeStatement(const TimeSeriesGraph& graph, NodeId node,
+                          const std::string& horizon) {
+  std::string sql = "SELECT time, sales FROM facts";
+  const NodeAddress address = graph.AddressOf(node);
+  const char* joiner = " WHERE ";
+  for (std::size_t d = 0; d < address.coords.size(); ++d) {
+    const Hierarchy& h = graph.schema().hierarchy(d);
+    const auto& c = address.coords[d];
+    if (c.level >= h.num_levels()) continue;  // ALL
+    sql += joiner;
+    sql += h.level_name(c.level) + " = '" + h.value_name(c.level, c.value) +
+           "'";
+    joiner = " AND ";
+  }
+  return sql + " AS OF now() + " + horizon;
+}
+
+/// A node whose stored scheme is one model, or num_nodes() if none is: a
+/// refit-bound forecast of it re-estimates exactly that model.
+NodeId SingleSourceNode(const F2dbEngine& engine) {
+  const SnapshotPtr snap = engine.snapshot();
+  for (NodeId node = 0; node < snap->graph->num_nodes(); ++node) {
+    const std::vector<NodeId>& sources = snap->schemes[node];
+    if (sources.size() == 1 && snap->models.Find(sources[0])) return node;
+  }
+  return snap->graph->num_nodes();
+}
+
+/// The body the server must send for `sql`, rendered in process.
+std::string InProcessBody(const EngineInterface& engine,
+                          const std::string& sql) {
+  auto query = ParseForecastQuery(sql);
+  EXPECT_TRUE(query.ok()) << query.status().message();
+  if (!query.ok()) return "";
+  auto result = engine.Execute(query.value());
+  EXPECT_TRUE(result.ok()) << result.status().message();
+  std::string body;
+  if (result.ok()) RenderQueryResultInto(result.value(), &body);
+  return body;
+}
+
+TEST_F(ServerIntegrationTest, QueryOnValidModelsIsAnsweredOnTheReactor) {
+  auto engine = MakeEngine();
+  std::atomic<int> hops{0};
+  ServerOptions options;
+  options.worker_test_hook = [&hops] { hops.fetch_add(1); };
+  F2dbServer server(*engine, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = F2dbClient::Connect(kHost, server.port());
+  ASSERT_TRUE(client.ok());
+
+  const std::string want = InProcessBody(*engine, kSumQuery);
+  const std::size_t queries_before = engine->stats().queries;
+  for (int i = 0; i < 5; ++i) {
+    auto result = client.value().Query(kSumQuery);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    EXPECT_EQ(result.value().status, StatusCode::kOk);
+    EXPECT_EQ(result.value().body, want);
+    EXPECT_EQ(server.stats().in_flight_requests, 0u);
+  }
+  EXPECT_EQ(hops.load(), 0);
+  EXPECT_EQ(engine->stats().queries, queries_before + 5);
+  server.Shutdown();
+}
+
+TEST_F(ServerIntegrationTest, RefitBoundQueryAndExecuteEachHopOnce) {
+  auto engine = MakeEngine();
+  const NodeId node = SingleSourceNode(*engine);
+  ASSERT_LT(node, engine->graph().num_nodes());
+  const NodeId source = engine->snapshot()->schemes[node][0];
+  const std::string sql = NodeStatement(engine->graph(), node, "'2'");
+
+  std::atomic<int> hops{0};
+  ServerOptions options;
+  options.worker_test_hook = [&hops] { hops.fetch_add(1); };
+  F2dbServer server(*engine, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = F2dbClient::Connect(kHost, server.port());
+  ASSERT_TRUE(client.ok());
+  auto prepared =
+      client.value().Prepare(NodeStatement(engine->graph(), node, "?"));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().message();
+
+  for (const bool execute : {false, true}) {
+    SCOPED_TRACE(execute ? "EXECUTE" : "QUERY");
+    Advance(*engine, 3);  // the node's one model is invalid again
+    ASSERT_TRUE(engine->snapshot()->models.Find(source).record->invalid);
+    const auto send = [&] {
+      return execute ? client.value().ExecutePrepared(
+                           prepared.value().stmt_id, {"2"})
+                     : client.value().Query(sql);
+    };
+    const int hops_before = hops.load();
+    const EngineStats before = engine->stats();
+    auto refit = send();
+    ASSERT_TRUE(refit.ok()) << refit.status().message();
+    EXPECT_EQ(refit.value().status, StatusCode::kOk) << refit.value().body;
+    EXPECT_EQ(refit.value().degradation, DegradationLevel::kNone);
+    EXPECT_EQ(hops.load(), hops_before + 1);
+    // The declined attempt on the reactor counted nothing.
+    const EngineStats after = engine->stats();
+    EXPECT_EQ(after.queries, before.queries + 1);
+    EXPECT_EQ(after.reestimates, before.reestimates + 1);
+
+    // The refit was installed: the same request is now answered on the
+    // reactor, byte for byte.
+    auto repeat = send();
+    ASSERT_TRUE(repeat.ok()) << repeat.status().message();
+    EXPECT_EQ(repeat.value().body, refit.value().body);
+    EXPECT_EQ(hops.load(), hops_before + 1);
+    EXPECT_EQ(engine->stats().reestimates, after.reestimates);
+  }
+  server.Shutdown();
+}
+
+TEST_F(ServerIntegrationTest, BrownoutQueryOnInvalidModelsIsServedInlineStale) {
+  auto engine = MakeEngine();
+  Advance(*engine, 3);  // invalidate every model
+  std::promise<void> release;
+  std::shared_future<void> released(release.get_future());
+  ServerOptions options;
+  options.worker_threads = 1;
+  options.brownout_watermark = 1;
+  options.worker_test_hook = [released] { released.wait(); };
+  F2dbServer server(*engine, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // A STATS request holds the only worker, putting the server at its
+  // brownout watermark.
+  Result<WireResponse> stats_outcome = Status::Internal("unset");
+  std::thread holder([&] {
+    auto client = F2dbClient::Connect(kHost, server.port());
+    ASSERT_TRUE(client.ok());
+    stats_outcome = client.value().Stats();
+  });
+  ASSERT_TRUE(WaitForInFlight(server, 1));
+
+  // Under brownout the query skips its refits and is answered on the
+  // reactor from the stale models, although the worker is blocked (a
+  // query that waited for the worker would time out instead).
+  ClientOptions client_options;
+  client_options.request_timeout_seconds = 5.0;
+  auto client = F2dbClient::Connect(kHost, server.port(), client_options);
+  const std::size_t reestimates_before = engine->stats().reestimates;
+  Result<WireResponse> stale = Status::Internal("not connected");
+  if (client.ok()) stale = client.value().Query(kSumQuery);
+  const EngineStats engine_stats = engine->stats();
+  const ServerStats server_stats = server.stats();
+  release.set_value();
+  holder.join();
+
+  ASSERT_TRUE(stale.ok()) << stale.status().message();
+  EXPECT_EQ(stale.value().status, StatusCode::kOk);
+  EXPECT_EQ(stale.value().degradation, DegradationLevel::kStaleModel);
+  EXPECT_NE(stale.value().body.find("-- degraded: STALE_MODEL"),
+            std::string::npos);
+  EXPECT_EQ(server_stats.brownout_queries, 1u);
+  EXPECT_EQ(engine_stats.reestimates, reestimates_before);
+  EXPECT_GT(engine_stats.brownout_refits_skipped, 0u);
+  ASSERT_TRUE(stats_outcome.ok()) << stats_outcome.status().message();
+  EXPECT_EQ(stats_outcome.value().status, StatusCode::kOk);
+  server.Shutdown();
+}
+
+TEST_F(ServerIntegrationTest, CrossShardQueryMatchesInProcessByteForByte) {
+  const TimeSeriesGraph graph = testing::MakeFigure2Cube(60, 0.05);
+  ModelSpec spec;
+  spec.type = ModelType::kSes;
+  spec.period = 1;
+  auto config = BuildShardableConfiguration(graph, spec, 1.0);
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  // The first shard count that splits the four cities.
+  std::unique_ptr<ShardedEngine> sharded;
+  for (std::size_t m = 2; m <= 8 && sharded == nullptr; ++m) {
+    ShardedEngineOptions sharded_options;
+    sharded_options.num_shards = m;
+    sharded_options.engine.maintenance_threads = 1;
+    auto opened = ShardedEngine::Open(graph, sharded_options);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    if (opened.value()->num_active_shards() > 1) {
+      sharded = std::move(opened).value();
+    }
+  }
+  ASSERT_NE(sharded, nullptr);
+  ASSERT_TRUE(sharded->LoadConfiguration(config.value(), 1.0).ok());
+
+  std::atomic<int> hops{0};
+  ServerOptions options;
+  options.worker_test_hook = [&hops] { hops.fetch_add(1); };
+  F2dbServer server(*sharded, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = F2dbClient::Connect(kHost, server.port());
+  ASSERT_TRUE(client.ok());
+
+  // A scatter-gather is declined before fan-out and runs once on a
+  // worker: every shard counts it exactly once.
+  const std::string want = InProcessBody(*sharded, kSumQuery);
+  const std::size_t queries_before = sharded->stats().queries;
+  auto got = client.value().Query(kSumQuery);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  EXPECT_EQ(got.value().status, StatusCode::kOk);
+  EXPECT_EQ(got.value().body, want);
+  EXPECT_EQ(hops.load(), 1);
+  EXPECT_EQ(sharded->stats().queries,
+            queries_before + sharded->num_active_shards());
+
+  // A single-partition query runs on its shard, on the reactor.
+  const std::string city_query =
+      "SELECT time, sales FROM facts WHERE city = 'C1' AS OF now() + '3'";
+  const std::string city_want = InProcessBody(*sharded, city_query);
+  auto city = client.value().Query(city_query);
+  ASSERT_TRUE(city.ok()) << city.status().message();
+  EXPECT_EQ(city.value().status, StatusCode::kOk);
+  EXPECT_EQ(city.value().body, city_want);
+  EXPECT_EQ(hops.load(), 1);
   server.Shutdown();
 }
 

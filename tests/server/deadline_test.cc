@@ -46,11 +46,25 @@ class OverloadServerFixture : public ::testing::Test {
     config_ = std::move(outcome.value().configuration);
   }
 
-  std::unique_ptr<F2dbEngine> MakeEngine() {
-    auto engine =
-        std::make_unique<F2dbEngine>(testing::MakeFigure2Cube(60, 0.05));
+  std::unique_ptr<F2dbEngine> MakeEngine(EngineOptions options = {}) {
+    auto engine = std::make_unique<F2dbEngine>(
+        testing::MakeFigure2Cube(60, 0.05), options);
     EXPECT_TRUE(engine->LoadConfiguration(config_, evaluator_).ok());
     return engine;
+  }
+
+  /// Inserts `periods` full periods at the frontier.
+  static void Advance(F2dbEngine& engine, int periods) {
+    const std::vector<NodeId> bases = engine.graph().base_nodes();
+    for (int period = 0; period < periods; ++period) {
+      const std::int64_t t =
+          engine.snapshot()->graph->series(bases[0]).end_time();
+      for (std::size_t i = 0; i < bases.size(); ++i) {
+        const Status status =
+            engine.InsertFact(bases[i], t, 10.0 + static_cast<double>(i));
+        ASSERT_TRUE(status.ok()) << status.message();
+      }
+    }
   }
 
   /// Polls until the server reports `want` in-flight requests (5s bound).
@@ -168,7 +182,12 @@ TEST_F(DeadlineTest, AlreadyExpiredRejectedAtAdmissionWithoutAWorker) {
 }
 
 TEST_F(DeadlineTest, MidQueueExpiryNeverReachesTheEngine) {
-  auto engine = MakeEngine();
+  // Only queries that must re-estimate a model reach the worker pool:
+  // invalidate every model so both requests below queue there.
+  EngineOptions engine_options;
+  engine_options.reestimate_after_updates = 2;
+  auto engine = MakeEngine(engine_options);
+  Advance(*engine, 3);
   std::promise<void> release;
   std::shared_future<void> released(release.get_future());
 
