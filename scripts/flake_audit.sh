@@ -20,8 +20,9 @@ REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="$REPO_ROOT/build-tsan"
 SUMMARY="$BUILD_DIR/flake_audit_summary.txt"
 
-# The audit surface: every suite the tsan preset covers, split so the
-# summary attributes a failure to a suite rather than to "the run".
+# The audit surface: the concurrency-sensitive suites (the tsan preset
+# itself runs the whole suite once), split so the summary attributes a
+# failure to a suite rather than to "the run".
 SUITES=(
   "Concurrent"
   "ThreadPool"

@@ -1,21 +1,34 @@
-// The differential driver: one generated workload, three executors.
+// The differential driver: one generated workload, replayed through the
+// ReferenceOracle and the engine executors of one grid point.
 //
-// RunDifferential() replays a WorkloadSpec through
-//   1. the ReferenceOracle (the naive ground truth),
-//   2. an embedded F2dbEngine (SQL in, typed QueryResult out),
-//   3. a second F2dbEngine behind a loopback F2dbServer, driven with the
-//      same SQL text through F2dbClient (the full wire path),
-// and checks after every op that the three agree: forecast values within
-// tolerance, insert verdicts by status code, row time stamps, degradation
-// annotations (a degraded answer must be annotated, and a full-fidelity
-// answer must match the oracle — never silently wrong), and the
-// maintenance invariants (pending inserts, advance counts) at the end.
+// RunDifferential(spec, plan) is the single entry point. The plan picks a
+// point on three axes:
+//   - topology: an embedded F2dbEngine driven with SQL text; that engine
+//     plus a second one behind a loopback F2dbServer driven with the same
+//     text through F2dbClient; or a ShardedEngine with M partitions driven
+//     with typed queries and inserts;
+//   - fault plan: only the spec's own faults (the engine.refit failpoint of
+//     a fault-mode spec, injected-insert ops); an I/O fault window followed
+//     by a forced storm, a probe heal and a bit-identical reopen; an
+//     overload flood against a brownout server; or a seeded SIGKILL of a
+//     durable child followed by recovery;
+//   - mode: raw queries, or every wire QUERY shadowed by a PREPARE/EXECUTE
+//     pair (the overload flood sends half its queries as EXECUTE frames).
+//
+// Every executor's answer is normalised (status, DegradationLevel, the
+// wire body's "-- degraded:" marker, (time, value) rows) and goes through
+// the same checks: answer-vs-oracle (availability, row times, values,
+// degradation annotation — a degraded answer must be annotated and still
+// correct), wire-vs-typed (a wire answer against the in-process answer of
+// the same state), insert verdicts by status code against the oracle, and
+// the prepared shadow (EXECUTE bit-identical to the raw QUERY). At the end
+// the maintenance counters (pending inserts, time advances) must match.
 //
 // Tolerance policy (see DESIGN.md §9): the engine aggregates
 // hierarchically while the oracle sums base cells flat, so bitwise
-// equality is impossible — embedded-vs-oracle uses rel 1e-6 / abs 1e-8.
-// The wire path renders values with "%.4f", so wire-vs-embedded uses an
-// absolute tolerance just above the rendering quantum.
+// equality is impossible — typed-vs-oracle uses rel 1e-6 / abs 1e-8. The
+// wire renders values with "%.4f", so a wire answer is compared with rel
+// 1e-9 / abs 2e-4, just above the rendering quantum.
 
 #ifndef F2DB_TESTING_DIFFERENTIAL_H_
 #define F2DB_TESTING_DIFFERENTIAL_H_
@@ -33,45 +46,178 @@
 
 namespace f2db::testing {
 
-struct DifferentialOptions {
-  /// Also run the workload through the TCP server (third executor). Off
-  /// for the shrinking inner loop when the failure reproduces embedded.
-  bool run_server = true;
-  /// Shadow every wire QUERY with the prepared path (requires run_server):
-  /// the same statement is PREPAREd with its horizon — and, when the op
-  /// says so, its last filter value — as `?` bind slots, then EXECUTEd
-  /// with the literals bound. The EXECUTE response must be BIT-IDENTICAL
-  /// to the raw QUERY response: same status, same DegradationLevel, same
-  /// body bytes (both paths share one renderer by construction; this wall
-  /// keeps it that way). Statements are cached per parameterized text, so
-  /// repeated queries reuse the server-side plan, and hitting the
-  /// per-connection statement cap exercises CLOSE_STMT eviction. Under
-  /// fault injection a QUERY/EXECUTE pair can straddle the refit
-  /// quarantine threshold (each attempt advances the failure count, and
-  /// crossing it rewrites the STALE_MODEL reason); the wall then
-  /// re-shadows once from the settled state, where the pair must agree
-  /// byte-for-byte again.
-  bool prepared_mode = false;
-  /// Embedded-engine-vs-oracle comparison: |a-b| <= abs + rel*max(|a|,|b|).
-  double rel_tol = 1e-6;
-  double abs_tol = 1e-8;
-  /// Wire-vs-embedded comparison; the wire body renders values "%.4f".
-  double wire_abs_tol = 2e-4;
+enum class Topology {
+  /// One F2dbEngine, SQL in, typed QueryResult out. The fast path for
+  /// shrinking a failure that reproduces without the wire.
+  kEmbedded,
+  /// The embedded engine plus a second engine behind a loopback server,
+  /// fed the same statements; each wire answer is compared with the
+  /// embedded answer of the same op (under kIo, with its own oracle).
+  kServer,
+  /// A ShardedEngine with num_shards partitions (typed queries and
+  /// inserts — the facade has no SQL surface). In prepared mode the same
+  /// engine also serves a loopback server. Feed it
+  /// GenerateScatterGatherWorkload specs: generic workloads place models at
+  /// cross-shard aggregates, which the facade rejects by design.
+  kSharded,
+};
+
+enum class FaultPlan {
+  /// Only the faults the spec carries: a fault-mode spec arms engine.refit
+  /// for the whole run (every query past the invalidation threshold must
+  /// be annotated kStaleModel), and kInsertInjectedFault ops arm
+  /// engine.insert across one insert.
+  kSpec,
+  /// Durable engines (fsync=always) under <data_dir>/embedded and
+  /// <data_dir>/server, each with its own oracle (under faults the
+  /// accepted-insert sets legitimately diverge). A seeded probabilistic
+  /// policy is armed on fault_site for the whole op window: every op must
+  /// agree with its oracle or be an HONEST disk rejection (kUnavailable
+  /// carrying the errno marker or the retry-after-ms hint; the oracle is
+  /// not touched). Then a forced storm (always-EIO WAL append and probe)
+  /// must drive every engine read-only within the failure-threshold bound
+  /// with exactly one open episode, queries keep answering, disarming must
+  /// heal every engine through the probe, and the embedded engine must
+  /// reopen with every forecast BIT-IDENTICAL. Specs must not be in
+  /// refit-fault mode; topology kEmbedded or kServer.
+  kIo,
+  /// The spec's queries are ignored: enough complete insert rounds go
+  /// through the wire to cross the invalidation threshold, then
+  /// concurrent clients flood an under-provisioned brownout server. Every
+  /// response must be a full-fidelity answer matching the oracle, a
+  /// DEGRADED answer that is annotated and value-correct, or an honest
+  /// rejection (kUnavailable / kDeadlineExceeded). Topology kServer.
+  kOverload,
+  /// Crash fuzzing (see RunDifferential). Topology kEmbedded (configured
+  /// F2dbEngine) or kSharded (unconfigured ShardedEngine, per-shard WALs
+  /// under <data_dir>/shard-<k>). The kill plan is derived from spec.seed.
+  kKill,
+};
+
+enum class Mode { kQuery, kPrepared };
+
+struct DifferentialPlan {
+  Topology topology = Topology::kServer;
+  /// Shard count M of kSharded (>= 1; 1 exercises the partition
+  /// restriction machinery with every value in one shard).
+  std::size_t num_shards = 2;
+  FaultPlan faults = FaultPlan::kSpec;
+  Mode mode = Mode::kQuery;
+  /// Scratch root of the durable plans (kIo, kKill): removed and recreated
+  /// at the start, removed on success, kept on failure for replay.
+  std::string data_dir;
+
+  // ---- kIo: the fault window over the op list ----
+  /// Seeds the window policy's coin flips (independent of the workload
+  /// seed, so one spec runs under many fault schedules).
+  std::uint64_t fault_seed = 0;
+  /// I/O failpoint site armed for the whole window.
+  std::string fault_site = "io.wal_append";
+  /// errno injected at the site (5 = EIO, 28 = ENOSPC).
+  int fault_errno = 5;
+  /// Torn short writes instead of clean errors (the WAL rollback path).
+  bool short_writes = false;
+  double fault_probability = 0.10;
+
+  // ---- kOverload ----
+  /// Kept small so the flood actually reaches the admission watermark.
+  std::size_t admission_queue_limit = 4;
+
+  // ---- kKill ----
+  /// The child arms seeded probabilistic I/O faults (short WAL writes,
+  /// fsync EIO) over its whole insert window and absorbs them with a deep
+  /// in-line retry budget, so the accepted-insert accounting stays exact
+  /// while every fault exercises the append rollback path. The kill-point
+  /// compaction leg is skipped (its accounting assumes compactions reach
+  /// their hooks); failures of the second compaction are tolerated.
+  bool dirty_disk = false;
 };
 
 struct DifferentialReport {
   bool ok = true;
-  /// First divergence, with the op index and a replay-friendly cause.
+  /// First divergence, prefixed with the seeds and the plan for replay.
   std::string failure;
+  /// Query ops replayed (kOverload: flood requests sent).
   std::size_t queries = 0;
+  /// Rows checked against an oracle.
   std::size_t rows_compared = 0;
+  /// Insert verdicts checked per executor; kKill: inserts accepted before
+  /// the crash (the torn one included).
   std::size_t inserts_accepted = 0;
   std::size_t inserts_rejected = 0;
-  /// Rows served with an expected non-kNone annotation.
+  /// Typed rows served with an expected non-kNone annotation.
   std::size_t degraded_rows = 0;
-  /// Prepared-mode EXECUTEs compared bit-identical to their raw QUERY.
+  /// EXECUTEs compared bit-identical to their raw QUERY (kOverload:
+  /// flood requests sent as EXECUTE frames).
   std::size_t prepared_executions = 0;
+
+  // ---- kOverload: one outcome per flood request ----
+  std::size_t ok_full_fidelity = 0;
+  /// kOk answers on a degradation rung, each verified annotated and
+  /// value-correct.
+  std::size_t ok_degraded = 0;
+  std::size_t shed = 0;              ///< kUnavailable
+  std::size_t deadline_expired = 0;  ///< kDeadlineExceeded
+
+  // ---- kIo ----
+  /// Honest disk rejections (errno marker or read-only hint).
+  std::size_t disk_rejections = 0;
+  /// The storm drove every engine read-only with one open episode.
+  bool forced_read_only = false;
+  /// Every engine healed through the probe, episode accounting closed and
+  /// inserts accepted again.
+  bool auto_recovered = false;
+  /// The reopened embedded engine answered every forecast bit-identically.
+  bool recovery_bit_identical = false;
+
+  // ---- kKill: what the iteration exercised ----
+  std::size_t attempts_total = 0;     ///< flattened insert attempts
+  std::size_t attempts_executed = 0;  ///< attempts before the kill
+  bool killed_by_sigkill = false;
+  /// The second, kill-point-free compaction ran before the kill.
+  bool second_compaction_taken = false;
+  bool torn_tail_injected = false;
+  /// A mid-workload compaction was attempted; `compaction_crash_point` is
+  /// the storage hook the SIGKILL landed on ("" when it completed).
+  bool compaction_attempted = false;
+  std::string compaction_crash_point;
+  std::size_t records_replayed = 0;  ///< engine recovery counter
 };
+
+/// Replays `spec` at the grid point `plan`; the report carries the first
+/// divergence (ok == false) or the agreement counters.
+///
+/// The kill plan is one crash iteration driven by spec.seed:
+///   1. flatten the spec's maintenance ops into an insert-attempt list;
+///   2. fork() a child that opens the durable engine (fsync=always) over a
+///      fresh data_dir — the F2dbEngine loads the configuration, logged as
+///      a kCatalog record; the ShardedEngine loads none, so every shard WAL
+///      holds only inserts — executes a seed-chosen prefix of the attempts
+///      through InsertFact(names), optionally compacting mid-way (once to
+///      completion, once with a SIGKILL inside a seed-chosen protocol
+///      stage), and then SIGKILLs itself: no destructors, no flushes;
+///   3. optionally tear the WAL tail (the tail of the shard owning the last
+///      accepted insert): truncate a seed-chosen number of bytes off the
+///      final record when it is an insert;
+///   4. reopen in the parent and compare: exact recovery counters and, for
+///      the F2dbEngine, every forecast through the shared answer check
+///      against an oracle fed the surviving accepted prefix; for the
+///      ShardedEngine, per-shard counters and base series cell by cell.
+/// The child disables re-estimation so replay is exactly reproducible by
+/// the oracle. fork() requires a single-threaded caller.
+DifferentialReport RunDifferential(const WorkloadSpec& spec,
+                                   const DifferentialPlan& plan = {});
+
+/// true = the candidate spec still reproduces the failure under test.
+using WorkloadPredicate = std::function<bool(const WorkloadSpec&)>;
+
+/// Greedy delta-debugging over the op list: repeatedly removes chunks
+/// (halving the chunk size down to single ops) while the predicate keeps
+/// failing. Returns the smallest still-failing spec found.
+WorkloadSpec ShrinkWorkload(WorkloadSpec spec,
+                            const WorkloadPredicate& still_fails);
+
+// ---- workload → engine plumbing (shared with the durability tests) ----
 
 /// Builds the TimeSeriesGraph of a spec with the full base histories
 /// installed and aggregates built.
@@ -112,105 +258,6 @@ std::string BuildPreparedQuerySql(const WorkloadSpec& spec,
                                   std::size_t horizon,
                                   bool parameterize_filter,
                                   std::vector<std::string>* binds);
-
-/// Runs the spec through all executors; the report carries the first
-/// divergence (ok == false) or the agreement counters.
-DifferentialReport RunDifferential(const WorkloadSpec& spec,
-                                   const DifferentialOptions& options = {});
-
-struct ShardedDifferentialOptions {
-  /// Shard count M of the ShardedEngine under test (>= 1; 1 exercises the
-  /// same partition-restriction machinery with every value in one shard).
-  std::size_t num_shards = 2;
-  /// Sharded-engine-vs-oracle tolerance. A scatter-gather merge sums
-  /// per-shard partial aggregates, so summation order differs from the
-  /// oracle's flat sum — same policy as embedded-vs-oracle.
-  double rel_tol = 1e-6;
-  double abs_tol = 1e-8;
-  /// Put the ShardedEngine behind a loopback F2dbServer and shadow every
-  /// query op twice over the wire: a raw QUERY (compared to the typed
-  /// scatter-gather answer within wire_abs_tol, same DegradationLevel) and
-  /// a PREPARE/EXECUTE pair whose response must be BIT-IDENTICAL to the
-  /// raw QUERY's — proving EXECUTE routes and scatter-gathers exactly like
-  /// QUERY on a multi-shard engine.
-  bool prepared_mode = false;
-  /// Wire-vs-typed comparison; the wire body renders values "%.4f".
-  double wire_abs_tol = 2e-4;
-};
-
-/// Replays a spec through the ReferenceOracle and a ShardedEngine with
-/// `num_shards` partitions (typed queries and inserts — the facade has no
-/// SQL surface), checking after every op: availability, row counts and
-/// times (cross-shard queries must see aligned frontiers), values within
-/// tolerance, the MERGED degradation annotation (worst contributing
-/// shard), and insert verdicts by status code. At the end: summed pending
-/// inserts match the oracle and every active shard's advance count equals
-/// the oracle's. Feed it GenerateScatterGatherWorkload specs — generic
-/// workloads place models at cross-shard aggregates, which the facade
-/// rejects by design.
-DifferentialReport RunShardedDifferential(
-    const WorkloadSpec& spec, const ShardedDifferentialOptions& options = {});
-
-struct OverloadDifferentialOptions {
-  /// Concurrent client threads flooding the server with queries.
-  std::size_t num_clients = 4;
-  /// Queries each client issues during the flood.
-  std::size_t queries_per_client = 40;
-  std::size_t worker_threads = 2;
-  /// Kept small so the flood actually reaches the admission watermark.
-  std::size_t admission_queue_limit = 4;
-  /// Brownout engages at depth >= 1 so concurrent clients force the
-  /// degradation ladder deterministically.
-  std::size_t brownout_watermark = 1;
-  /// Every flood client prepares its targets once and sends half of its
-  /// queries as EXECUTE frames (the deadline-carrying half stays raw
-  /// QUERY), so admission shedding, brownout stamping, and rate limiting
-  /// are exercised against the inline prepared path under concurrency.
-  bool prepared_mode = false;
-  /// Oracle-vs-wire tolerance (the wire body renders "%.4f").
-  double wire_abs_tol = 2e-4;
-};
-
-struct OverloadDifferentialReport {
-  bool ok = true;
-  std::string failure;
-  std::size_t queries_sent = 0;
-  /// kOk answers at full fidelity (values checked against the oracle).
-  std::size_t ok_full_fidelity = 0;
-  /// kOk answers on a degradation rung — every one verified ANNOTATED
-  /// (the "-- degraded:" marker) and value-correct against the oracle.
-  std::size_t ok_degraded = 0;
-  /// kUnavailable answers (admission or shutdown shedding).
-  std::size_t shed = 0;
-  /// kDeadlineExceeded answers.
-  std::size_t deadline_expired = 0;
-  /// Queries the server executed in brownout mode (server counter).
-  std::size_t brownout_queries = 0;
-  /// Flood queries sent as prepared EXECUTE frames (prepared_mode only).
-  std::size_t prepared_queries = 0;
-};
-
-/// Overload fuzz: replays the spec's insert rounds calmly (advancing the
-/// frontier past the invalidation threshold with the engine.refit
-/// failpoint armed when the spec is in fault mode), then floods the
-/// loopback server with `num_clients` concurrent query streams against a
-/// brownout-configured F2dbServer. Every response must be one of: a
-/// full-fidelity answer matching the oracle, a DEGRADED answer that is
-/// both annotated and value-correct (degraded-never-wrong), or an honest
-/// overload rejection (kUnavailable / kDeadlineExceeded). Anything else —
-/// a silently degraded body, a wrong value, an unexpected status — fails
-/// the report.
-OverloadDifferentialReport RunOverloadDifferential(
-    const WorkloadSpec& spec, const OverloadDifferentialOptions& options = {});
-
-/// true = the candidate spec still reproduces the failure under test.
-using WorkloadPredicate = std::function<bool(const WorkloadSpec&)>;
-
-/// Greedy delta-debugging over the op list: repeatedly removes chunks
-/// (halving the chunk size down to single ops) while the predicate keeps
-/// failing. Returns the smallest still-failing spec found.
-WorkloadSpec ShrinkWorkload(WorkloadSpec spec,
-                            const WorkloadPredicate& still_fails);
 
 }  // namespace f2db::testing
 

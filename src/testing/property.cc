@@ -45,11 +45,6 @@ std::size_t PropertyIterations(std::size_t base) {
   return base * multiplier;
 }
 
-std::string ReplayHint(std::uint64_t seed) {
-  return "replay: F2DB_PROPERTY_SEED=" + std::to_string(seed) +
-         " ctest -R Property --output-on-failure";
-}
-
 std::uint64_t SubSeed(std::uint64_t base, const std::string& label) {
   // FNV-1a over the label folded into the base seed; stable across runs
   // and platforms.

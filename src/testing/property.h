@@ -1,14 +1,15 @@
 // Property-test plumbing: seeds and iteration budgets.
 //
 // Every property/differential test derives all randomness from one 64-bit
-// seed so a reported failure replays exactly:
+// base seed so a reported failure replays exactly; each failure message
+// ends with the hint of tests/testing/replay_hint.h:
 //
-//   F2DB_PROPERTY_SEED=<seed> ctest -R Property --output-on-failure
+//   F2DB_PROPERTY_SEED=<base> ctest -R '^<Suite.Test>$' --output-on-failure
 //
 // The iteration budget scales with F2DB_PROPERTY_ITERATIONS (a multiplier;
-// the nightly CI job runs with 100). Both knobs default to fixed values so
-// `ctest -R Property` is deterministic out of the box: same seed -> same
-// workloads -> same verdict.
+// the nightly CI job runs the `property` ctest label with 100). Both knobs
+// default to fixed values so `ctest -L property` is deterministic out of
+// the box: same seed -> same workloads -> same verdict.
 
 #ifndef F2DB_TESTING_PROPERTY_H_
 #define F2DB_TESTING_PROPERTY_H_
@@ -35,10 +36,6 @@ std::size_t PropertyBudgetMultiplier();
 
 /// base * PropertyBudgetMultiplier(), saturating.
 std::size_t PropertyIterations(std::size_t base);
-
-/// One-line replay instruction embedded in every failure message, e.g.
-/// "replay: F2DB_PROPERTY_SEED=123 ctest -R Property".
-std::string ReplayHint(std::uint64_t seed);
 
 /// Derives a per-test sub-seed from the base seed and a stable label, so
 /// independent suites draw independent deterministic streams.

@@ -10,6 +10,12 @@
 
 namespace f2db::testing {
 
+std::string RenderDouble(double value) {
+  char buffer[48];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
 namespace {
 
 /// "d<d>l<l>v<j>" — globally unique value names so a rendered SQL
@@ -148,12 +154,6 @@ std::vector<std::size_t> SampleDistinct(std::size_t size, std::size_t count,
   }
   all.resize(std::min(count, size));
   return all;
-}
-
-std::string RenderDouble(double value) {
-  char buffer[48];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
 }
 
 /// Builds the model placement + full scheme cover for one cube.

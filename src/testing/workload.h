@@ -5,9 +5,8 @@
 // the model placement and derivation schemes, and an interleaved op list of
 // forecast queries and maintenance inserts (complete rounds, partial
 // batches, rejected inserts, fault-injected inserts). The same seed always
-// generates the same spec, so any differential failure replays with
-//
-//   F2DB_PROPERTY_SEED=<seed> ctest -R Property --output-on-failure
+// generates the same spec, so any differential failure replays from the
+// base seed its replay hint names (see testing/property.h).
 //
 // Spec values are generated once and stored; only execution-time facts
 // (insert time stamps, which track the cube frontier) are recomputed while
@@ -143,6 +142,9 @@ WorkloadSpec GenerateQueryStorm(std::uint64_t seed, std::size_t shape_index,
 WorkloadSpec GenerateScatterGatherWorkload(std::uint64_t seed,
                                            std::size_t shape_index,
                                            bool inject_refit_failures);
+
+/// Renders "%.17g", which round-trips every finite double exactly.
+std::string RenderDouble(double value);
 
 /// One-line rendering of an op ("QUERY addr=7 h=3", ...) for failure
 /// messages and determinism checks.

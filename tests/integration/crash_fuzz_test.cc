@@ -1,9 +1,10 @@
 // Crash-recovery fuzzing: SIGKILL a durable engine child at seeded random
 // points mid-workload, recover in the parent, and require differential
-// agreement with the ReferenceOracle (see src/testing/crash.h).
+// agreement with the ReferenceOracle (the kill plan of
+// src/testing/differential.h).
 //
-// Replay a reported failure with
-//   F2DB_PROPERTY_SEED=<seed> ctest -R CrashFuzz --output-on-failure
+// Replay a reported failure with the hint it prints
+//   F2DB_PROPERTY_SEED=<base> ctest -R '^<Suite.Test>$' --output-on-failure
 // (the failing iteration's data directory is kept on disk).
 
 #include <unistd.h>
@@ -13,7 +14,10 @@
 #include <string>
 
 #include "testing/crash.h"
+#include "testing/differential.h"
 #include "testing/property.h"
+#include "testing/replay_hint.h"
+#include "testing/workload.h"
 
 namespace f2db::testing {
 namespace {
@@ -28,7 +32,7 @@ struct CompactionCoverage {
   std::size_t after_rename = 0;
   std::size_t before_wal_delete = 0;
 
-  void Record(const CrashFuzzReport& report) {
+  void Record(const DifferentialReport& report) {
     if (!report.compaction_attempted) return;
     ++attempted;
     const std::string& point = report.compaction_crash_point;
@@ -49,6 +53,23 @@ struct CompactionCoverage {
     EXPECT_GT(before_wal_delete, 0u);
   }
 };
+
+/// One crash iteration of `seed`: the seed's workload (a scatter-gather
+/// one on `num_shards` > 1 shards) under the kill plan.
+DifferentialReport RunCrash(std::uint64_t seed, const std::string& data_dir,
+                            std::size_t num_shards = 1) {
+  const std::size_t shape =
+      static_cast<std::size_t>(seed % NumWorkloadShapes());
+  DifferentialPlan plan;
+  plan.faults = FaultPlan::kKill;
+  plan.data_dir = data_dir;
+  plan.topology = num_shards > 1 ? Topology::kSharded : Topology::kEmbedded;
+  plan.num_shards = num_shards;
+  return RunDifferential(
+      num_shards > 1 ? GenerateScatterGatherWorkload(seed, shape, false)
+                     : GenerateWorkload(seed, shape, false),
+      plan);
+}
 
 class CrashFuzzTest : public ::testing::Test {
  protected:
@@ -74,10 +95,8 @@ TEST_F(CrashFuzzTest, SeededKillPointsRecoverWithDifferentialAgreement) {
   std::size_t replayed = 0;
   CompactionCoverage compactions;
   for (std::size_t i = 0; i < iterations; ++i) {
-    CrashFuzzOptions options;
-    options.seed = SubSeed(base, "crash-" + std::to_string(i));
-    options.data_dir = dir_ + "/iter";
-    const CrashFuzzReport report = RunCrashFuzz(options);
+    const DifferentialReport report =
+        RunCrash(SubSeed(base, "crash-" + std::to_string(i)), dir_ + "/iter");
     ASSERT_TRUE(report.ok) << report.failure << "\n"
                            << ReplayHint(base) << " (iteration " << i << ")";
     EXPECT_TRUE(report.killed_by_sigkill);
@@ -109,14 +128,13 @@ TEST_F(CrashFuzzTest, MultiShardKillPointsRecoverEveryShard) {
   std::size_t second_compactions = 0;
   CompactionCoverage compactions;
   for (std::size_t i = 0; i < iterations; ++i) {
-    CrashFuzzOptions options;
-    options.seed = SubSeed(base, "crash-sharded-" + std::to_string(i));
-    options.data_dir = dir_ + "/iter";
-    options.num_shards = shard_counts[i % 3];
-    const CrashFuzzReport report = RunCrashFuzz(options);
+    const std::size_t num_shards = shard_counts[i % 3];
+    const DifferentialReport report =
+        RunCrash(SubSeed(base, "crash-sharded-" + std::to_string(i)),
+                 dir_ + "/iter", num_shards);
     ASSERT_TRUE(report.ok) << report.failure << "\n"
                            << ReplayHint(base) << " (iteration " << i
-                           << ", shards " << options.num_shards << ")";
+                           << ", shards " << num_shards << ")";
     EXPECT_TRUE(report.killed_by_sigkill);
     torn += report.torn_tail_injected ? 1 : 0;
     second_compactions += report.second_compaction_taken ? 1 : 0;
@@ -135,11 +153,9 @@ TEST_F(CrashFuzzTest, MultiShardKillPointsRecoverEveryShard) {
 }
 
 TEST_F(CrashFuzzTest, IterationsAreDeterministic) {
-  CrashFuzzOptions options;
-  options.seed = SubSeed(PropertySeed(), "crash-determinism");
-  options.data_dir = dir_ + "/iter";
-  const CrashFuzzReport first = RunCrashFuzz(options);
-  const CrashFuzzReport second = RunCrashFuzz(options);
+  const std::uint64_t seed = SubSeed(PropertySeed(), "crash-determinism");
+  const DifferentialReport first = RunCrash(seed, dir_ + "/iter");
+  const DifferentialReport second = RunCrash(seed, dir_ + "/iter");
   ASSERT_TRUE(first.ok) << first.failure;
   ASSERT_TRUE(second.ok) << second.failure;
   EXPECT_EQ(first.attempts_total, second.attempts_total);

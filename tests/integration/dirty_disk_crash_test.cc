@@ -4,8 +4,8 @@
 // Recovery must still agree with the oracle exactly — the rollback path
 // may never leak a half-written record into the replayable WAL.
 //
-// Replay a reported failure with
-//   F2DB_PROPERTY_SEED=<seed> ctest -R CrashFuzzDirtyDisk
+// Replay a reported failure with the hint it prints
+//   F2DB_PROPERTY_SEED=<base> ctest -R '^<Suite.Test>$' --output-on-failure
 // (the failing iteration's data directory is kept on disk).
 
 #include <unistd.h>
@@ -15,10 +15,25 @@
 #include <string>
 
 #include "testing/crash.h"
+#include "testing/differential.h"
 #include "testing/property.h"
+#include "testing/replay_hint.h"
+#include "testing/workload.h"
 
 namespace f2db::testing {
 namespace {
+
+/// One dirty-disk crash iteration of `seed`'s workload.
+DifferentialReport RunDirtyCrash(std::uint64_t seed,
+                                 const std::string& data_dir) {
+  DifferentialPlan plan;
+  plan.faults = FaultPlan::kKill;
+  plan.topology = Topology::kEmbedded;
+  plan.data_dir = data_dir;
+  plan.dirty_disk = true;
+  return RunDifferential(
+      GenerateWorkload(seed, seed % NumWorkloadShapes(), false), plan);
+}
 
 class CrashFuzzDirtyDiskTest : public ::testing::Test {
  protected:
@@ -42,11 +57,9 @@ TEST_F(CrashFuzzDirtyDiskTest, SeededKillPointsRecoverUnderIoFaults) {
   std::size_t accepted = 0;
   std::size_t second_compactions = 0;
   for (std::size_t i = 0; i < iterations; ++i) {
-    CrashFuzzOptions options;
-    options.seed = SubSeed(base, "dirty-" + std::to_string(i));
-    options.data_dir = dir_ + "/iter";
-    options.dirty_disk = true;
-    const CrashFuzzReport report = RunCrashFuzz(options);
+    const DifferentialReport report =
+        RunDirtyCrash(SubSeed(base, "dirty-" + std::to_string(i)),
+                      dir_ + "/iter");
     ASSERT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(base);
     if (report.killed_by_sigkill) ++killed;
     if (report.torn_tail_injected) ++torn;
@@ -65,17 +78,12 @@ TEST_F(CrashFuzzDirtyDiskTest, SeededKillPointsRecoverUnderIoFaults) {
 }
 
 TEST_F(CrashFuzzDirtyDiskTest, IterationIsDeterministicPerSeed) {
-  const std::uint64_t seed = SubSeed(PropertySeed(), "dirty-determinism");
-  CrashFuzzOptions options;
-  options.seed = seed;
-  options.dirty_disk = true;
+  const std::uint64_t base = PropertySeed();
+  const std::uint64_t seed = SubSeed(base, "dirty-determinism");
+  const DifferentialReport first = RunDirtyCrash(seed, dir_ + "/a");
+  const DifferentialReport second = RunDirtyCrash(seed, dir_ + "/b");
 
-  options.data_dir = dir_ + "/a";
-  const CrashFuzzReport first = RunCrashFuzz(options);
-  options.data_dir = dir_ + "/b";
-  const CrashFuzzReport second = RunCrashFuzz(options);
-
-  ASSERT_TRUE(first.ok) << first.failure << "\n" << ReplayHint(seed);
+  ASSERT_TRUE(first.ok) << first.failure << "\n" << ReplayHint(base);
   ASSERT_TRUE(second.ok) << second.failure;
   EXPECT_EQ(first.attempts_total, second.attempts_total);
   EXPECT_EQ(first.attempts_executed, second.attempts_executed);

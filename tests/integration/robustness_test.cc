@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <set>
 
@@ -68,10 +69,12 @@ TEST(FailureInjection, BaselinesSkipFailedNodes) {
   const TimeSeriesGraph graph = testing::MakeFigure2Cube(60, 0.1);
   ConfigurationEvaluator evaluator(graph, 0.8);
   ModelFactory factory(ModelSpec::TripleExponentialSmoothing(12));
-  std::size_t calls = 0;
+  // The builder fits on a thread pool, so the hook runs concurrently.
+  std::atomic<std::size_t> calls{0};
   factory.set_fit_hook([&calls](const TimeSeries&) {
     // Fail every third creation.
-    return (++calls % 3 == 0) ? Status::Internal("injected") : Status::OK();
+    return (calls.fetch_add(1) % 3 == 2) ? Status::Internal("injected")
+                                         : Status::OK();
   });
   DirectBuilder direct;
   auto outcome = direct.Build(evaluator, factory);

@@ -264,7 +264,15 @@ TEST_F(ServerIntegrationTest, AdmissionControlShedsWithUnavailable) {
       ASSERT_TRUE(client.ok());
       outcomes[i] = client.value().Query(kSumQuery);
     });
-    ASSERT_TRUE(WaitForInFlight(server, static_cast<std::size_t>(i + 1)));
+    // Released and joined before asserting: a failed ASSERT returning past
+    // a joinable std::thread would terminate instead of reporting.
+    const bool in_flight =
+        WaitForInFlight(server, static_cast<std::size_t>(i + 1));
+    if (!in_flight) {
+      release.set_value();
+      for (auto& t : blocked) t.join();
+    }
+    ASSERT_TRUE(in_flight);
   }
 
   // The next request is shed immediately with kUnavailable.
@@ -312,7 +320,14 @@ TEST_F(ServerIntegrationTest, SigtermDrainsInFlightThenCloses) {
     ASSERT_TRUE(client.ok());
     in_flight_outcome = client.value().Query(kSumQuery);
   });
-  ASSERT_TRUE(WaitForInFlight(server, 1));
+  // Released and joined before asserting: a failed ASSERT returning past a
+  // joinable std::thread would terminate instead of reporting.
+  const bool running = WaitForInFlight(server, 1);
+  if (!running) {
+    release.set_value();
+    in_flight.join();
+  }
+  ASSERT_TRUE(running);
 
   // SIGTERM starts the drain (the deployed shutdown path).
   ASSERT_EQ(::raise(SIGTERM), 0);
@@ -548,7 +563,9 @@ TEST_F(ServerIntegrationTest, BrownoutQueryOnInvalidModelsIsServedInlineStale) {
     ASSERT_TRUE(client.ok());
     stats_outcome = client.value().Stats();
   });
-  ASSERT_TRUE(WaitForInFlight(server, 1));
+  // Asserted after the release and join below: a failed ASSERT returning
+  // past a joinable std::thread would terminate instead of reporting.
+  const bool holding = WaitForInFlight(server, 1);
 
   // Under brownout the query skips its refits and is answered on the
   // reactor from the stale models, although the worker is blocked (a
@@ -564,6 +581,7 @@ TEST_F(ServerIntegrationTest, BrownoutQueryOnInvalidModelsIsServedInlineStale) {
   release.set_value();
   holder.join();
 
+  ASSERT_TRUE(holding);
   ASSERT_TRUE(stale.ok()) << stale.status().message();
   EXPECT_EQ(stale.value().status, StatusCode::kOk);
   EXPECT_EQ(stale.value().degradation, DegradationLevel::kStaleModel);

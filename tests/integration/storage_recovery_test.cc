@@ -33,6 +33,7 @@
 #include "testing/differential.h"
 #include "testing/oracle.h"
 #include "testing/property.h"
+#include "testing/replay_hint.h"
 #include "testing/test_cubes.h"
 #include "testing/workload.h"
 

@@ -10,25 +10,26 @@
 #include "testing/differential.h"
 #include "testing/oracle.h"
 #include "testing/property.h"
+#include "testing/replay_hint.h"
 #include "testing/workload.h"
 
 namespace f2db::testing {
 namespace {
 
 /// Runs one spec; on failure shrinks it (embedded-only for speed) and
-/// fails the test with the minimized spec and the replay hint.
-void RunAndReport(const WorkloadSpec& spec) {
+/// fails the test with the minimized spec and the replay hint of `base`.
+void RunAndReport(const WorkloadSpec& spec, std::uint64_t base) {
   DifferentialReport report = RunDifferential(spec);
   if (report.ok) return;
-  DifferentialOptions no_server;
-  no_server.run_server = false;
+  DifferentialPlan no_server;
+  no_server.topology = Topology::kEmbedded;
   const WorkloadSpec shrunk =
       ShrinkWorkload(spec, [&](const WorkloadSpec& candidate) {
         return !RunDifferential(candidate, no_server).ok;
       });
   const DifferentialReport shrunk_report = RunDifferential(shrunk, no_server);
   FAIL() << report.failure << "\n"
-         << ReplayHint(spec.seed) << "\n"
+         << ReplayHint(base) << "\n"
          << "minimized to " << shrunk.ops.size() << " op(s):\n"
          << DescribeWorkload(shrunk) << "\n"
          << (shrunk_report.ok ? "" : shrunk_report.failure);
@@ -43,7 +44,8 @@ TEST(PropertyDifferentialTest, GeneratedWorkloadsAgree) {
           SubSeed(base, "diff-" + std::to_string(shape) + "-" +
                             std::to_string(round));
       RunAndReport(GenerateWorkload(seed, shape,
-                                    /*inject_refit_failures=*/false));
+                                    /*inject_refit_failures=*/false),
+                   base);
       if (HasFatalFailure()) return;
     }
   }
@@ -56,7 +58,7 @@ TEST(PropertyDifferentialTest, SeedMixedWorkloadsAgree) {
   const std::size_t rounds = PropertyIterations(8);
   for (std::size_t round = 0; round < rounds; ++round) {
     const std::uint64_t seed = SubSeed(base, "mixed-" + std::to_string(round));
-    RunAndReport(GenerateWorkload(seed));
+    RunAndReport(GenerateWorkload(seed), base);
     if (HasFatalFailure()) return;
   }
 }
@@ -71,7 +73,7 @@ TEST(PropertyDifferentialTest, FaultInjectionRunsStayAnnotated) {
                             std::to_string(round));
       const WorkloadSpec spec =
           GenerateWorkload(seed, shape, /*inject_refit_failures=*/true);
-      RunAndReport(spec);
+      RunAndReport(spec, base);
       if (HasFatalFailure()) return;
     }
   }
@@ -89,7 +91,7 @@ TEST(PropertyDifferentialTest, TenThousandQueriesAcrossShapes) {
     const WorkloadSpec spec = GenerateQueryStorm(seed, shape, per_shape);
     const DifferentialReport report = RunDifferential(spec);
     if (!report.ok) {
-      FAIL() << report.failure << "\n" << ReplayHint(spec.seed);
+      FAIL() << report.failure << "\n" << ReplayHint(base);
       return;
     }
     total_queries += report.queries;
@@ -99,10 +101,11 @@ TEST(PropertyDifferentialTest, TenThousandQueriesAcrossShapes) {
 }
 
 TEST(PropertyDifferentialTest, ReportCountsAreConsistent) {
-  const std::uint64_t seed = SubSeed(PropertySeed(), "report-counts");
+  const std::uint64_t base = PropertySeed();
+  const std::uint64_t seed = SubSeed(base, "report-counts");
   const WorkloadSpec spec = GenerateWorkload(seed, 2, false);
   const DifferentialReport report = RunDifferential(spec);
-  ASSERT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(seed);
+  ASSERT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(base);
   std::size_t expected_queries = 0;
   for (const WorkloadOp& op : spec.ops) {
     if (op.kind == OpKind::kQuery) ++expected_queries;
@@ -127,7 +130,7 @@ TEST(PropertyDifferentialTest, RegressionTinyValuesSurviveSqlRoundTrip) {
       for (const double v : history) has_tiny = has_tiny || v < 1e-3;
     }
     if (!has_tiny) continue;
-    RunAndReport(spec);
+    RunAndReport(spec, PropertySeed());
     if (HasFatalFailure()) return;
   }
 }

@@ -7,8 +7,9 @@
 #include <string>
 
 #include "gtest/gtest.h"
-#include "testing/diskfault.h"
+#include "testing/differential.h"
 #include "testing/property.h"
+#include "testing/replay_hint.h"
 #include "testing/workload.h"
 
 namespace f2db::testing {
@@ -18,16 +19,22 @@ std::string ScratchDir(const std::string& label) {
   return "/tmp/f2db_diskfault_prop_" + label;
 }
 
+/// The I/O fault plan with the fault schedule seeded from `seed`.
+DifferentialPlan IoPlan(std::uint64_t seed) {
+  DifferentialPlan plan;
+  plan.faults = FaultPlan::kIo;
+  plan.fault_seed = SubSeed(seed, "faults");
+  return plan;
+}
+
 /// Runs one spec under one fault schedule and fails with the replay hint
 /// on any divergence. The report's storm/recovery bits are part of the
 /// contract, not best-effort.
-void RunAndReport(const WorkloadSpec& spec,
-                  DiskFaultDifferentialOptions options,
-                  const std::string& label) {
-  options.data_dir = ScratchDir(label);
-  const DiskFaultDifferentialReport report =
-      RunDiskFaultDifferential(spec, options);
-  ASSERT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(spec.seed);
+void RunAndReport(const WorkloadSpec& spec, DifferentialPlan plan,
+                  const std::string& label, std::uint64_t base) {
+  plan.data_dir = ScratchDir(label);
+  const DifferentialReport report = RunDifferential(spec, plan);
+  ASSERT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(base);
   EXPECT_TRUE(report.forced_read_only) << label;
   EXPECT_TRUE(report.auto_recovered) << label;
   EXPECT_TRUE(report.recovery_bit_identical) << label;
@@ -40,13 +47,12 @@ TEST(IoFaultPropertyTest, WalAppendEioSchedulesAgree) {
   for (std::size_t round = 0; round < rounds; ++round) {
     const std::uint64_t seed =
         SubSeed(base, "wal-eio-" + std::to_string(round));
-    DiskFaultDifferentialOptions options;
-    options.seed = SubSeed(seed, "faults");
-    options.fault_site = "io.wal_append";
-    options.fault_errno = 5;  // EIO
+    DifferentialPlan plan = IoPlan(seed);
+    plan.fault_site = "io.wal_append";
+    plan.fault_errno = 5;  // EIO
     RunAndReport(GenerateWorkload(seed, round % NumWorkloadShapes(),
                                   /*inject_refit_failures=*/false),
-                 options, "wal-eio-" + std::to_string(round));
+                 plan, "wal-eio-" + std::to_string(round), base);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -57,13 +63,12 @@ TEST(IoFaultPropertyTest, WalFsyncEioSchedulesAgree) {
   for (std::size_t round = 0; round < rounds; ++round) {
     const std::uint64_t seed =
         SubSeed(base, "fsync-eio-" + std::to_string(round));
-    DiskFaultDifferentialOptions options;
-    options.seed = SubSeed(seed, "faults");
-    options.fault_site = "io.wal_fsync";
-    options.fault_errno = 5;
+    DifferentialPlan plan = IoPlan(seed);
+    plan.fault_site = "io.wal_fsync";
+    plan.fault_errno = 5;
     RunAndReport(GenerateWorkload(seed, (round + 1) % NumWorkloadShapes(),
                                   /*inject_refit_failures=*/false),
-                 options, "fsync-eio-" + std::to_string(round));
+                 plan, "fsync-eio-" + std::to_string(round), base);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -74,15 +79,14 @@ TEST(IoFaultPropertyTest, TornShortWritesRollBackCleanly) {
   for (std::size_t round = 0; round < rounds; ++round) {
     const std::uint64_t seed =
         SubSeed(base, "torn-" + std::to_string(round));
-    DiskFaultDifferentialOptions options;
-    options.seed = SubSeed(seed, "faults");
-    options.fault_site = "io.wal_append";
-    options.short_writes = true;
+    DifferentialPlan plan = IoPlan(seed);
+    plan.fault_site = "io.wal_append";
+    plan.short_writes = true;
     // Torn appends exercise the rollback path hardest with a hot coin.
-    options.fault_probability = 0.25;
+    plan.fault_probability = 0.25;
     RunAndReport(GenerateWorkload(seed, (round + 2) % NumWorkloadShapes(),
                                   /*inject_refit_failures=*/false),
-                 options, "torn-" + std::to_string(round));
+                 plan, "torn-" + std::to_string(round), base);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -95,14 +99,13 @@ TEST(IoFaultPropertyTest, EnospcSchedulesAgreeEmbeddedOnly) {
   for (std::size_t round = 0; round < rounds; ++round) {
     const std::uint64_t seed =
         SubSeed(base, "enospc-" + std::to_string(round));
-    DiskFaultDifferentialOptions options;
-    options.seed = SubSeed(seed, "faults");
-    options.fault_site = "io.wal_append";
-    options.fault_errno = 28;  // ENOSPC
-    options.run_server = false;
+    DifferentialPlan plan = IoPlan(seed);
+    plan.fault_site = "io.wal_append";
+    plan.fault_errno = 28;  // ENOSPC
+    plan.topology = Topology::kEmbedded;
     RunAndReport(GenerateWorkload(seed, round % NumWorkloadShapes(),
                                   /*inject_refit_failures=*/false),
-                 options, "enospc-" + std::to_string(round));
+                 plan, "enospc-" + std::to_string(round), base);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -110,24 +113,22 @@ TEST(IoFaultPropertyTest, EnospcSchedulesAgreeEmbeddedOnly) {
 TEST(IoFaultPropertyTest, FaultScheduleIsDeterministicPerSeed) {
   // Same spec + same fault seed must produce the same accounting — the
   // property wall is replayable by construction.
-  const std::uint64_t seed = SubSeed(PropertySeed(), "determinism");
+  const std::uint64_t base = PropertySeed();
+  const std::uint64_t seed = SubSeed(base, "determinism");
   const WorkloadSpec spec =
       GenerateWorkload(seed, 0, /*inject_refit_failures=*/false);
-  DiskFaultDifferentialOptions options;
-  options.seed = SubSeed(seed, "faults");
-  options.run_server = false;
+  DifferentialPlan plan = IoPlan(seed);
+  plan.topology = Topology::kEmbedded;
 
-  options.data_dir = ScratchDir("det-a");
-  const DiskFaultDifferentialReport first =
-      RunDiskFaultDifferential(spec, options);
-  options.data_dir = ScratchDir("det-b");
-  const DiskFaultDifferentialReport second =
-      RunDiskFaultDifferential(spec, options);
+  plan.data_dir = ScratchDir("det-a");
+  const DifferentialReport first = RunDifferential(spec, plan);
+  plan.data_dir = ScratchDir("det-b");
+  const DifferentialReport second = RunDifferential(spec, plan);
 
-  ASSERT_TRUE(first.ok) << first.failure << "\n" << ReplayHint(seed);
+  ASSERT_TRUE(first.ok) << first.failure << "\n" << ReplayHint(base);
   ASSERT_TRUE(second.ok) << second.failure;
-  EXPECT_EQ(first.inserts_accepted_embedded, second.inserts_accepted_embedded);
-  EXPECT_EQ(first.disk_rejections_embedded, second.disk_rejections_embedded);
+  EXPECT_EQ(first.inserts_accepted, second.inserts_accepted);
+  EXPECT_EQ(first.disk_rejections, second.disk_rejections);
   EXPECT_EQ(first.inserts_rejected, second.inserts_rejected);
   EXPECT_EQ(first.queries, second.queries);
   EXPECT_EQ(first.rows_compared, second.rows_compared);

@@ -12,6 +12,7 @@
 #include "testing/differential.h"
 #include "testing/oracle.h"
 #include "testing/property.h"
+#include "testing/replay_hint.h"
 #include "testing/workload.h"
 #include "ts/model_factory.h"
 
@@ -64,7 +65,39 @@ TEST(PropertyHarnessTest, IterationBudgetScalesWithEnvironment) {
 TEST(PropertyHarnessTest, ReplayHintNamesTheSeedAndTheFilter) {
   const std::string hint = ReplayHint(12345);
   EXPECT_NE(hint.find("F2DB_PROPERTY_SEED=12345"), std::string::npos);
-  EXPECT_NE(hint.find("ctest -R Property"), std::string::npos);
+  EXPECT_NE(
+      hint.find(
+          "ctest -R '^PropertyHarnessTest.ReplayHintNamesTheSeedAndTheFilter$'"),
+      std::string::npos)
+      << hint;
+}
+
+TEST(PropertyHarnessTest, ReplayHintSeedRegeneratesTheFailingSpec) {
+  // A failing test reports ReplayHint(base); replaying sets
+  // F2DB_PROPERTY_SEED to the hinted seed, and the test re-derives its
+  // per-test seed with the same label — it must land on the same spec.
+  const std::uint64_t base = PropertySeed();
+  const std::string label = "diff-2-0";
+  const WorkloadSpec failing = GenerateWorkload(SubSeed(base, label), 2, false);
+  const std::string hint = ReplayHint(base);
+  const std::string key = "F2DB_PROPERTY_SEED=";
+  const std::size_t at = hint.find(key);
+  ASSERT_NE(at, std::string::npos) << hint;
+  const std::string hinted =
+      hint.substr(at + key.size(), hint.find(' ', at) - at - key.size());
+
+  const char* previous = std::getenv("F2DB_PROPERTY_SEED");
+  const std::string saved = previous == nullptr ? "" : previous;
+  setenv("F2DB_PROPERTY_SEED", hinted.c_str(), 1);
+  const std::uint64_t replayed = SubSeed(PropertySeed(), label);
+  if (previous == nullptr) {
+    unsetenv("F2DB_PROPERTY_SEED");
+  } else {
+    setenv("F2DB_PROPERTY_SEED", saved.c_str(), 1);
+  }
+  EXPECT_EQ(replayed, failing.seed) << hint;
+  EXPECT_EQ(DescribeWorkload(GenerateWorkload(replayed, 2, false)),
+            DescribeWorkload(failing));
 }
 
 TEST(PropertyHarnessTest, EveryShapeGeneratesConsistentSpecs) {

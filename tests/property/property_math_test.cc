@@ -10,6 +10,7 @@
 #include "gtest/gtest.h"
 #include "math/optimizer.h"
 #include "testing/property.h"
+#include "testing/replay_hint.h"
 #include "ts/arima.h"
 #include "ts/exponential_smoothing.h"
 #include "ts/time_series.h"

@@ -16,6 +16,7 @@
 #include "testing/differential.h"
 #include "testing/oracle.h"
 #include "testing/property.h"
+#include "testing/replay_hint.h"
 #include "testing/workload.h"
 
 namespace f2db::testing {
@@ -58,7 +59,7 @@ TEST(PropertyMetamorphicTest, AggregateSeriesEqualChildSumsAndOracle) {
         ASSERT_TRUE(Close(series[t], expected[t], 1e-9, 1e-9))
             << "node " << address.Key() << " t=" << t << " engine "
             << series[t] << " oracle " << expected[t] << "\n"
-            << ReplayHint(spec.seed);
+            << ReplayHint(base);
       }
       // One aggregation step down along each dimension must also sum to
       // the node (the engine's own child sets, the oracle untouched).
@@ -73,7 +74,7 @@ TEST(PropertyMetamorphicTest, AggregateSeriesEqualChildSumsAndOracle) {
           ASSERT_TRUE(Close(series[t], sum, 1e-9, 1e-9))
               << "node " << address.Key() << " dim " << dim << " t=" << t
               << "\n"
-              << ReplayHint(spec.seed);
+              << ReplayHint(base);
         }
       }
     }
@@ -131,12 +132,12 @@ TEST(PropertyMetamorphicTest, InsertOrderDoesNotChangeAnyForecast) {
       const auto fa = a.ForecastNode(node, 4);
       const auto fb = b.ForecastNode(node, 4);
       ASSERT_EQ(fa.ok(), fb.ok()) << "node " << node << "\n"
-                                  << ReplayHint(seed);
+                                  << ReplayHint(base);
       if (!fa.ok()) continue;
       for (std::size_t h = 0; h < 4; ++h) {
         ASSERT_EQ(fa.value()[h], fb.value()[h])
             << "node " << node << " h=" << h << "\n"
-            << ReplayHint(seed);
+            << ReplayHint(base);
       }
     }
   }
@@ -228,17 +229,17 @@ TEST(PropertyMetamorphicTest, FailedRefitDegradesToAnnotatedStaleAnswers) {
     if (!rig.oracle.FullFidelity(address)) continue;
     const auto sql = BuildQuerySql(rig.spec, address, 3);
     const auto result = rig.engine->ExecuteSql(sql);
-    ASSERT_TRUE(result.ok()) << sql << "\n" << ReplayHint(seed);
+    ASSERT_TRUE(result.ok()) << sql << "\n" << ReplayHint(PropertySeed());
     EXPECT_EQ(result.value().degradation, DegradationLevel::kStaleModel)
         << sql << ": a silently-degraded answer\n"
-        << ReplayHint(seed);
+        << ReplayHint(PropertySeed());
     const auto expected = rig.oracle.Forecast(address, 3);
     ASSERT_TRUE(expected.has_value());
     for (std::size_t h = 0; h < 3; ++h) {
       EXPECT_TRUE(Close(result.value().rows[h].value, (*expected)[h], 1e-6,
                         1e-8))
           << sql << " h=" << h << "\n"
-          << ReplayHint(seed);
+          << ReplayHint(PropertySeed());
     }
   }
 
@@ -252,7 +253,7 @@ TEST(PropertyMetamorphicTest, FailedRefitDegradesToAnnotatedStaleAnswers) {
     ASSERT_TRUE(result.ok()) << sql;
     EXPECT_EQ(result.value().degradation, DegradationLevel::kNone)
         << sql << "\n"
-        << ReplayHint(seed);
+        << ReplayHint(PropertySeed());
   }
 }
 
@@ -300,7 +301,7 @@ TEST(PropertyMetamorphicTest, ModellessChainServesAnnotatedNaiveFallback) {
   const auto result = engine.ExecuteSql(BuildQuerySql(spec, y, 2));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().degradation, DegradationLevel::kNaiveFallback)
-      << ReplayHint(seed);
+      << ReplayHint(PropertySeed());
   EXPECT_FALSE(result.value().degradation_reason.empty());
   for (const ForecastRow& row : result.value().rows) {
     EXPECT_TRUE(std::isfinite(row.value));
@@ -344,7 +345,7 @@ TEST(PropertyMetamorphicTest, IntervalQueriesEnvelopeThePointForecast) {
         // maintenance in between)...
         EXPECT_EQ(row.value, plain.value().rows[h].value)
             << interval_sql << " h=" << h << "\n"
-            << ReplayHint(seed);
+            << ReplayHint(base);
         // ...and a sane envelope around it.
         EXPECT_LE(row.lower, row.value) << interval_sql << " h=" << h;
         EXPECT_GE(row.upper, row.value) << interval_sql << " h=" << h;

@@ -11,19 +11,26 @@
 #include "gtest/gtest.h"
 #include "testing/differential.h"
 #include "testing/property.h"
+#include "testing/replay_hint.h"
 #include "testing/workload.h"
 
 namespace f2db::testing {
 namespace {
 
-void RunAndReport(const WorkloadSpec& spec,
-                  const OverloadDifferentialOptions& options) {
-  const OverloadDifferentialReport report =
-      RunOverloadDifferential(spec, options);
-  EXPECT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(spec.seed);
+DifferentialPlan OverloadPlan(std::size_t admission_queue_limit) {
+  DifferentialPlan plan;
+  plan.faults = FaultPlan::kOverload;
+  plan.admission_queue_limit = admission_queue_limit;
+  return plan;
+}
+
+void RunAndReport(const WorkloadSpec& spec, const DifferentialPlan& plan,
+                  std::uint64_t base) {
+  const DifferentialReport report = RunDifferential(spec, plan);
+  EXPECT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(base);
   // Accounting closes: every query got exactly one classified outcome.
-  EXPECT_EQ(report.queries_sent, report.ok_full_fidelity + report.ok_degraded +
-                                     report.shed + report.deadline_expired);
+  EXPECT_EQ(report.queries, report.ok_full_fidelity + report.ok_degraded +
+                                report.shed + report.deadline_expired);
 }
 
 TEST(OverloadDifferentialTest, FaultModeFloodsStayAnnotatedAndCorrect) {
@@ -32,8 +39,8 @@ TEST(OverloadDifferentialTest, FaultModeFloodsStayAnnotatedAndCorrect) {
   // answers (value-checked against the oracle) or honest rejections.
   const std::uint64_t base = PropertySeed();
   const std::size_t rounds = PropertyIterations(2);
-  OverloadDifferentialOptions options;
-  options.admission_queue_limit = 2;  // small enough that shedding happens
+  // Small enough that shedding happens.
+  const DifferentialPlan plan = OverloadPlan(2);
   for (std::size_t shape = 0; shape < NumWorkloadShapes(); ++shape) {
     for (std::size_t round = 0; round < rounds; ++round) {
       const std::uint64_t seed =
@@ -41,7 +48,7 @@ TEST(OverloadDifferentialTest, FaultModeFloodsStayAnnotatedAndCorrect) {
                             std::to_string(round));
       const WorkloadSpec spec =
           GenerateWorkload(seed, shape, /*inject_refit_failures=*/true);
-      RunAndReport(spec, options);
+      RunAndReport(spec, plan, base);
       if (HasFatalFailure()) return;
     }
   }
@@ -52,8 +59,7 @@ TEST(OverloadDifferentialTest, DegradedAnswersAreActuallyExercised) {
   // is vacuous. Aggregate across seeds so a single lucky scheduling run
   // cannot flake it.
   const std::uint64_t base = PropertySeed();
-  OverloadDifferentialOptions options;
-  options.admission_queue_limit = 4;
+  const DifferentialPlan plan = OverloadPlan(4);
   std::size_t total_degraded = 0;
   std::size_t total_sent = 0;
   for (std::size_t round = 0; round < 3; ++round) {
@@ -61,11 +67,10 @@ TEST(OverloadDifferentialTest, DegradedAnswersAreActuallyExercised) {
         GenerateWorkload(SubSeed(base, "degraded-" + std::to_string(round)),
                          round % NumWorkloadShapes(),
                          /*inject_refit_failures=*/true);
-    const OverloadDifferentialReport report =
-        RunOverloadDifferential(spec, options);
-    ASSERT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(spec.seed);
+    const DifferentialReport report = RunDifferential(spec, plan);
+    ASSERT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(base);
     total_degraded += report.ok_degraded;
-    total_sent += report.queries_sent;
+    total_sent += report.queries;
   }
   EXPECT_GT(total_sent, 0u);
   EXPECT_GT(total_degraded, 0u)
@@ -77,14 +82,11 @@ TEST(OverloadDifferentialTest, HealthyWorkloadsSurviveTheFloodUnchanged) {
   // Without fault injection the models stay valid: answers must be full
   // fidelity (oracle-correct) or honest rejections — never degraded.
   const std::uint64_t base = PropertySeed();
-  OverloadDifferentialOptions options;
-  options.admission_queue_limit = 2;
   const WorkloadSpec spec = GenerateWorkload(
       SubSeed(base, "healthy-overload"), 0, /*inject_refit_failures=*/false);
-  const OverloadDifferentialReport report =
-      RunOverloadDifferential(spec, options);
-  ASSERT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(spec.seed);
-  EXPECT_GT(report.queries_sent, 0u);
+  const DifferentialReport report = RunDifferential(spec, OverloadPlan(2));
+  ASSERT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(base);
+  EXPECT_GT(report.queries, 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "gtest/gtest.h"
 #include "testing/differential.h"
 #include "testing/property.h"
+#include "testing/replay_hint.h"
 #include "testing/workload.h"
 
 namespace f2db::testing {
@@ -19,10 +20,10 @@ namespace {
 /// Runs one spec in prepared mode; on failure shrinks it against the
 /// prepared-mode predicate so the minimized spec still reproduces the
 /// prepared-path divergence.
-void RunPreparedAndReport(const WorkloadSpec& spec) {
-  DifferentialOptions options;
-  options.prepared_mode = true;
-  DifferentialReport report = RunDifferential(spec, options);
+void RunPreparedAndReport(const WorkloadSpec& spec, std::uint64_t base) {
+  DifferentialPlan plan;
+  plan.mode = Mode::kPrepared;
+  DifferentialReport report = RunDifferential(spec, plan);
   if (report.ok) {
     EXPECT_GT(report.prepared_executions, 0u)
         << "prepared mode ran no EXECUTEs — the wall is not testing anything";
@@ -30,10 +31,10 @@ void RunPreparedAndReport(const WorkloadSpec& spec) {
   }
   const WorkloadSpec shrunk =
       ShrinkWorkload(spec, [&](const WorkloadSpec& candidate) {
-        return !RunDifferential(candidate, options).ok;
+        return !RunDifferential(candidate, plan).ok;
       });
   FAIL() << report.failure << "\n"
-         << ReplayHint(spec.seed) << "\n"
+         << ReplayHint(base) << "\n"
          << "minimized to " << shrunk.ops.size() << " op(s):\n"
          << DescribeWorkload(shrunk);
 }
@@ -47,7 +48,8 @@ TEST(PreparedDifferentialPropertyTest, ExecuteIsBitIdenticalToQuery) {
           SubSeed(base, "prepared-" + std::to_string(shape) + "-" +
                             std::to_string(round));
       RunPreparedAndReport(GenerateWorkload(seed, shape,
-                                            /*inject_refit_failures=*/false));
+                                            /*inject_refit_failures=*/false),
+                           base);
       if (HasFatalFailure()) return;
     }
   }
@@ -64,7 +66,8 @@ TEST(PreparedDifferentialPropertyTest, FaultInjectionKeepsByteParity) {
         SubSeed(base, "prepared-fault-" + std::to_string(round));
     const std::size_t shape = round % NumWorkloadShapes();
     RunPreparedAndReport(GenerateWorkload(seed, shape,
-                                          /*inject_refit_failures=*/true));
+                                          /*inject_refit_failures=*/true),
+                         base);
     if (HasFatalFailure()) return;
   }
 }
@@ -83,11 +86,12 @@ TEST(PreparedDifferentialPropertyTest, ShardedScatterGatherKeepsByteParity) {
       const WorkloadSpec spec = GenerateScatterGatherWorkload(
           seed, round % NumWorkloadShapes(),
           /*inject_refit_failures=*/round % 2 == 1);
-      ShardedDifferentialOptions options;
-      options.num_shards = num_shards;
-      options.prepared_mode = true;
-      const DifferentialReport report = RunShardedDifferential(spec, options);
-      EXPECT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(seed);
+      DifferentialPlan plan;
+      plan.topology = Topology::kSharded;
+      plan.num_shards = num_shards;
+      plan.mode = Mode::kPrepared;
+      const DifferentialReport report = RunDifferential(spec, plan);
+      EXPECT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(base);
       if (report.ok) {
         EXPECT_GT(report.prepared_executions, 0u);
       }
@@ -108,15 +112,15 @@ TEST(PreparedDifferentialPropertyTest, OverloadFloodKeepsPreparedPathHonest) {
     const WorkloadSpec spec =
         GenerateWorkload(seed, round % NumWorkloadShapes(),
                          /*inject_refit_failures=*/round % 2 == 1);
-    OverloadDifferentialOptions options;
-    options.prepared_mode = true;
-    options.admission_queue_limit = 2;
-    const OverloadDifferentialReport report =
-        RunOverloadDifferential(spec, options);
-    EXPECT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(seed);
+    DifferentialPlan plan;
+    plan.faults = FaultPlan::kOverload;
+    plan.mode = Mode::kPrepared;
+    plan.admission_queue_limit = 2;
+    const DifferentialReport report = RunDifferential(spec, plan);
+    EXPECT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(base);
     if (report.ok) {
-      EXPECT_GT(report.prepared_queries, 0u);
-      EXPECT_EQ(report.queries_sent,
+      EXPECT_GT(report.prepared_executions, 0u);
+      EXPECT_EQ(report.queries,
                 report.ok_full_fidelity + report.ok_degraded + report.shed +
                     report.deadline_expired);
     }

@@ -9,6 +9,7 @@
 #include "gtest/gtest.h"
 #include "testing/differential.h"
 #include "testing/property.h"
+#include "testing/replay_hint.h"
 #include "testing/workload.h"
 
 namespace f2db::testing {
@@ -16,13 +17,20 @@ namespace {
 
 constexpr std::size_t kShardCounts[] = {1, 2, 7};
 
-void RunAndReport(const WorkloadSpec& spec, std::size_t num_shards) {
-  ShardedDifferentialOptions options;
-  options.num_shards = num_shards;
-  const DifferentialReport report = RunShardedDifferential(spec, options);
+DifferentialPlan ShardedPlan(std::size_t num_shards) {
+  DifferentialPlan plan;
+  plan.topology = Topology::kSharded;
+  plan.num_shards = num_shards;
+  return plan;
+}
+
+void RunAndReport(const WorkloadSpec& spec, std::size_t num_shards,
+                  std::uint64_t base) {
+  const DifferentialReport report =
+      RunDifferential(spec, ShardedPlan(num_shards));
   if (report.ok) return;
   FAIL() << report.failure << "\n"
-         << ReplayHint(spec.seed) << "\n"
+         << ReplayHint(base) << "\n"
          << DescribeWorkload(spec);
 }
 
@@ -38,7 +46,7 @@ TEST(ScatterGatherTest, ShardCountsAgreeWithOracle) {
                               std::to_string(round));
         RunAndReport(GenerateScatterGatherWorkload(
                          seed, shape, /*inject_refit_failures=*/false),
-                     m);
+                     m, base);
         if (HasFatalFailure()) return;
       }
     }
@@ -61,13 +69,11 @@ TEST(ScatterGatherTest, FaultInjectionMergesWorstDegradation) {
                               std::to_string(round));
         const WorkloadSpec spec = GenerateScatterGatherWorkload(
             seed, shape, /*inject_refit_failures=*/true);
-        ShardedDifferentialOptions options;
-        options.num_shards = m;
         const DifferentialReport report =
-            RunShardedDifferential(spec, options);
+            RunDifferential(spec, ShardedPlan(m));
         if (!report.ok) {
           FAIL() << report.failure << "\n"
-                 << ReplayHint(seed) << "\n"
+                 << ReplayHint(base) << "\n"
                  << DescribeWorkload(spec);
           return;
         }
@@ -96,12 +102,11 @@ TEST(ScatterGatherTest, WorkloadsAreDeterministic) {
 }
 
 TEST(ScatterGatherTest, ReportCountsAreConsistent) {
-  const std::uint64_t seed = SubSeed(PropertySeed(), "scatter-counts");
+  const std::uint64_t base = PropertySeed();
+  const std::uint64_t seed = SubSeed(base, "scatter-counts");
   const WorkloadSpec spec = GenerateScatterGatherWorkload(seed, 2, false);
-  ShardedDifferentialOptions options;
-  options.num_shards = 2;
-  const DifferentialReport report = RunShardedDifferential(spec, options);
-  ASSERT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(seed);
+  const DifferentialReport report = RunDifferential(spec, ShardedPlan(2));
+  ASSERT_TRUE(report.ok) << report.failure << "\n" << ReplayHint(base);
   std::size_t expected_queries = 0;
   for (const WorkloadOp& op : spec.ops) {
     if (op.kind == OpKind::kQuery) ++expected_queries;

@@ -204,23 +204,31 @@ TEST_F(DeadlineTest, MidQueueExpiryNeverReachesTheEngine) {
     ASSERT_TRUE(client.ok());
     outcome_a = client.value().Query(kSumQuery);
   });
-  ASSERT_TRUE(WaitForInFlight(server, 1));
+  // The waits' verdicts are asserted only after the hook is released and
+  // the client threads joined: a failed ASSERT returning past a joinable
+  // std::thread would terminate the binary instead of reporting.
+  const bool a_in_flight = WaitForInFlight(server, 1);
 
   // Request B carries a 100ms budget and queues behind A.
   Result<WireResponse> outcome_b = Status::Internal("unset");
-  std::thread thread_b([&] {
-    auto client = F2dbClient::Connect(kHost, server.port());
-    ASSERT_TRUE(client.ok());
-    outcome_b = client.value().CallWithDeadline(FrameType::kQuery, kSumQuery,
-                                                /*deadline_ms=*/100);
-  });
-  ASSERT_TRUE(WaitForInFlight(server, 2));
-
-  // Let B's budget expire while it sits in the queue, then release A.
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  std::thread thread_b;
+  bool b_in_flight = false;
+  if (a_in_flight) {
+    thread_b = std::thread([&] {
+      auto client = F2dbClient::Connect(kHost, server.port());
+      ASSERT_TRUE(client.ok());
+      outcome_b = client.value().CallWithDeadline(
+          FrameType::kQuery, kSumQuery, /*deadline_ms=*/100);
+    });
+    b_in_flight = WaitForInFlight(server, 2);
+    // Let B's budget expire while it sits in the queue, then release A.
+    std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  }
   release.set_value();
   thread_a.join();
-  thread_b.join();
+  if (thread_b.joinable()) thread_b.join();
+  ASSERT_TRUE(a_in_flight);
+  ASSERT_TRUE(b_in_flight);
 
   ASSERT_TRUE(outcome_a.ok()) << outcome_a.status().message();
   EXPECT_EQ(outcome_a.value().status, StatusCode::kOk);

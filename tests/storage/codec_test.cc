@@ -17,6 +17,7 @@
 
 #include "common/rng.h"
 #include "testing/property.h"
+#include "testing/replay_hint.h"
 
 namespace f2db::storage {
 namespace {
