@@ -17,8 +17,8 @@
 // unrecoverable (the next response could belong to the dead request), so
 // both paths close the socket before returning.
 //
-// Used by the multi-connection load-generator bench
-// (bench/bench_server_throughput.cc) and the loopback integration tests.
+// Used by perfbench's serve workload (perfbench/perfbench.cc), the
+// f2db_client example and the loopback integration tests.
 
 #ifndef F2DB_SERVER_CLIENT_H_
 #define F2DB_SERVER_CLIENT_H_

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -309,6 +310,15 @@ struct InsertOutcome {
   /// The rejection carried the "retry-after-ms=" read-only hint.
   bool read_only_hint = false;
 };
+
+/// The disk-health counters only the insert path moves here (the health
+/// probe moves the state and the exits; no compaction runs in the
+/// background).
+std::array<std::size_t, 5> InsertPathDiskCounters(const F2dbEngine& engine) {
+  const EngineStats stats = engine.stats();
+  return {stats.io_retries, stats.io_failures_eio, stats.io_failures_enospc,
+          stats.io_failures_other, stats.read_only_entries};
+}
 
 InsertOutcome ClassifyInsert(StatusCode code, std::string message) {
   InsertOutcome out;
@@ -717,11 +727,17 @@ class Replay {
   /// Engine first, oracle second: an honest disk rejection (kIo only)
   /// must leave the oracle untouched. `injected` inserts run with
   /// engine.insert armed: the oracle never sees them and every executor
-  /// must shed them with kUnavailable.
+  /// must shed them with kUnavailable, without a disk marker and (under
+  /// kIo, where the fault window is armed too) without moving the
+  /// engine's insert-path disk-health counters.
   std::string Insert(Target& target, std::size_t cell, std::int64_t time,
                      double value, bool injected,
                      InsertOutcome* outcome = nullptr) {
     const std::string sql = BuildInsertSql(spec_, cell, time, value);
+    const bool check_health = injected && io_;
+    const std::array<std::size_t, 5> health_before =
+        check_health ? InsertPathDiskCounters(*target.engine)
+                     : std::array<std::size_t, 5>{};
     InsertOutcome out;
     if (target.sharded) {
       const Status status =
@@ -741,6 +757,15 @@ class Replay {
       out = ClassifyInsert(response.value().status, response.value().body);
     }
     if (outcome != nullptr) *outcome = out;
+    if (injected && out.disk_rejected) {
+      return target.name + " injected insert \"" + sql +
+             "\" was shed as a disk rejection: " + out.message;
+    }
+    if (check_health &&
+        InsertPathDiskCounters(*target.engine) != health_before) {
+      return target.name + " injected insert \"" + sql +
+             "\" moved the disk-health counters";
+    }
     if (io_ && out.disk_rejected) {
       ++report_.disk_rejections;
       return "";
@@ -807,9 +832,6 @@ class Replay {
         diverged = InsertOp(op.insert_order, values, 0, false);
       } else {
         const bool injected = op.kind == OpKind::kInsertInjectedFault;
-        // The I/O plan replays only what the fault window can touch; an
-        // injected insert fails before the WAL.
-        if (injected && io_) continue;
         if (injected) {
           failpoint::Enable(kFailpointEngineInsert,
                             failpoint::Policy::Always());

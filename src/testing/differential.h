@@ -74,7 +74,10 @@ enum class FaultPlan {
   /// policy is armed on fault_site for the whole op window: every op must
   /// agree with its oracle or be an HONEST disk rejection (kUnavailable
   /// carrying the errno marker or the retry-after-ms hint; the oracle is
-  /// not touched). Then a forced storm (always-EIO WAL append and probe)
+  /// not touched). kInsertInjectedFault ops replay inside the window too:
+  /// such an insert must be shed with kUnavailable, carry no errno marker
+  /// and leave the engine's insert-path disk-health counters (retries,
+  /// failures, read-only entries) unmoved. Then a forced storm (always-EIO WAL append and probe)
   /// must drive every engine read-only within the failure-threshold bound
   /// with exactly one open episode, queries keep answering, disarming must
   /// heal every engine through the probe, and the embedded engine must
