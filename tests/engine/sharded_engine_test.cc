@@ -1,16 +1,20 @@
 // ShardedEngine unit tests: hash partitioning, ancestor-closure shard
 // schemas, single-shard routing, scatter-gather merge additivity,
-// cross-shard configuration rejection, per-shard durability, and the
-// per-shard Prometheus exposition.
+// cross-shard configuration rejection, per-shard durability, the
+// per-shard Prometheus exposition, and the rule by which each counter of
+// the facade's stats() merges its shards.
 
 #include "engine/sharded_engine.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
@@ -368,6 +372,99 @@ TEST(ShardedEngineTest, DurableShardsCheckpointAndRecoverIndependently) {
                 0);
     }
   }
+  f2db::testing::RemoveDirectoryTree(dir);
+}
+
+TEST(ShardedEngineTest, StatsMergeRulesPerFamily) {
+  char tmpl[] = "/tmp/f2db_sharded_merge_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  ShardedEngineOptions options = MakeOptions(2);
+  options.engine.data_dir = dir;
+  const TimeSeriesGraph graph = testing::MakeFigure2Cube(48, 0.05);
+  auto config = BuildShardableConfiguration(graph, MeanSpec(), 1.0);
+  ASSERT_TRUE(config.ok());
+  {
+    // A first life leaves a WAL for every shard to replay.
+    auto first = ShardedEngine::Open(graph, options);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE(first.value()->LoadConfiguration(config.value(), 1.0).ok());
+    InsertRound(*first.value(), 48, 7.0);
+  }
+  auto sharded = ShardedEngine::Open(graph, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ShardedEngine& engine = *sharded.value();
+  const std::vector<std::size_t> parts = engine.active_partitions();
+  ASSERT_GE(parts.size(), 2u);
+
+  // Recovery ran in parallel: the facade reports the slowest shard's.
+  double slowest = 0.0;
+  for (const std::size_t p : parts) {
+    const double ms = engine.shard(p)->stats().recovery_duration_ms;
+    EXPECT_GT(ms, 0.0) << "shard " << p;
+    slowest = std::max(slowest, ms);
+  }
+  EXPECT_EQ(engine.stats().recovery_duration_ms, slowest);
+
+  // Only the facade's plan cache sees statement text; a shard's own cache,
+  // driven directly, stays out of the total.
+  const std::string sql =
+      "SELECT time, SUM(sales) FROM facts GROUP BY time AS OF now() + '2'";
+  ASSERT_TRUE(engine.ParsePlan(sql).ok());
+  ASSERT_TRUE(engine.ParsePlan(sql).ok());
+  F2dbEngine& first_shard = *engine.shard(parts[0]);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(first_shard.ParsePlan(sql).ok());
+  }
+  EXPECT_EQ(first_shard.stats().plan_cache_hits, 2u);
+  EXPECT_EQ(first_shard.stats().plan_cache_misses, 1u);
+  EXPECT_GT(first_shard.stats().plan_cache_invalidations, 0u);
+  const EngineStats plans = engine.stats();
+  EXPECT_EQ(plans.plan_cache_hits, 1u);
+  EXPECT_EQ(plans.plan_cache_misses, 1u);
+  EXPECT_EQ(plans.plan_cache_size, 1u);
+  EXPECT_EQ(plans.plan_cache_evictions, 0u);
+  EXPECT_EQ(plans.plan_cache_invalidations, 0u);
+
+  // Deadline rejections: each shard counts what reached it, and the facade
+  // adds the cross-shard queries it rejected before fan-out.
+  const auto expired = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  ForecastQuery city = CityQuery("C1", 1);
+  city.deadline = expired;
+  EXPECT_EQ(engine.Execute(city).status().code(),
+            StatusCode::kDeadlineExceeded);
+  ForecastQuery all = AllQuery(1);
+  all.deadline = expired;
+  EXPECT_EQ(engine.Execute(all).status().code(),
+            StatusCode::kDeadlineExceeded);
+  std::size_t shard_rejections = 0;
+  for (const std::size_t p : parts) {
+    shard_rejections += engine.shard(p)->stats().deadline_expired_queries;
+  }
+  EXPECT_EQ(shard_rejections, 1u);
+  EXPECT_EQ(engine.stats().deadline_expired_queries, 2u);
+
+  // Compaction age: -1 until every shard has compacted, then the stalest
+  // shard's age.
+  EXPECT_LT(engine.stats().last_compaction_age_seconds, 0.0);
+  ASSERT_TRUE(first_shard.CompactNow().ok());
+  EXPECT_GE(first_shard.stats().last_compaction_age_seconds, 0.0);
+  EXPECT_LT(engine.stats().last_compaction_age_seconds, 0.0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    ASSERT_TRUE(engine.shard(parts[i])->CompactNow().ok());
+  }
+  const double stalest_before = first_shard.stats().last_compaction_age_seconds;
+  const double merged = engine.stats().last_compaction_age_seconds;
+  const double stalest_after = first_shard.stats().last_compaction_age_seconds;
+  EXPECT_LE(stalest_before, merged);
+  EXPECT_LE(merged, stalest_after);
+  for (std::size_t i = 1; i < parts.size(); ++i) {
+    EXPECT_LT(engine.shard(parts[i])->stats().last_compaction_age_seconds,
+              stalest_before);
+  }
+
+  sharded.value().reset();
   f2db::testing::RemoveDirectoryTree(dir);
 }
 

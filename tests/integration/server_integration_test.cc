@@ -13,7 +13,9 @@
 //     work refused, sockets closed afterwards;
 //   - routing: forecasts that need no model fit are answered on the
 //     reactor, refit-bound ones hop to a worker exactly once;
-//   - protocol hardening: oversized frames answered-with-error and closed.
+//   - protocol hardening: oversized frames answered-with-error and closed;
+//   - the STATS exposition of an embedded and of a sharded server passes a
+//     Prometheus text-format lint.
 
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -21,7 +23,10 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <cstdlib>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +44,90 @@ namespace {
 constexpr char kHost[] = "127.0.0.1";
 constexpr char kSumQuery[] =
     "SELECT time, SUM(sales) FROM facts GROUP BY time AS OF now() + '3'";
+
+/// Lints one Prometheus text exposition and returns its families in order.
+/// Every family has exactly one `# HELP`, then exactly one `# TYPE`, then
+/// at least one sample; every counter family ends in `_total`; every sample
+/// line names the family being rendered and carries a number.
+std::vector<std::string> LintExposition(const std::string& text) {
+  std::vector<std::string> families;
+  std::set<std::string> seen;
+  std::string family;
+  bool typed = false;
+  std::size_t samples = 0;
+  const auto close_family = [&] {
+    if (!family.empty()) {
+      EXPECT_GT(samples, 0u) << family << " has no sample";
+    }
+  };
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    SCOPED_TRACE(line);
+    if (line.rfind("# HELP ", 0) == 0) {
+      close_family();
+      const std::string rest = line.substr(7);
+      family = rest.substr(0, rest.find(' '));
+      EXPECT_TRUE(seen.insert(family).second) << "second HELP for " << family;
+      families.push_back(family);
+      typed = false;
+      samples = 0;
+    } else if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream fields(line.substr(7));
+      std::string name;
+      std::string type;
+      fields >> name >> type;
+      EXPECT_EQ(name, family) << "TYPE without its HELP";
+      EXPECT_FALSE(typed) << "second TYPE for " << family;
+      typed = true;
+      EXPECT_TRUE(type == "counter" || type == "gauge") << type;
+      if (type == "counter") {
+        EXPECT_TRUE(name.size() > 6 &&
+                    name.compare(name.size() - 6, 6, "_total") == 0)
+            << "counter " << name << " does not end in _total";
+      }
+    } else {
+      EXPECT_TRUE(typed) << "sample before its family's HELP and TYPE";
+      EXPECT_EQ(line.substr(0, line.find_first_of("{ ")), family)
+          << "sample outside the family being rendered";
+      const std::string value = line.substr(line.rfind(' ') + 1);
+      char* end = nullptr;
+      std::strtod(value.c_str(), &end);
+      EXPECT_TRUE(!value.empty() && *end == '\0') << "value " << value;
+      ++samples;
+    }
+  }
+  close_family();
+  return families;
+}
+
+/// Fetches STATS over the wire from a server over `engine` and lints it:
+/// the text is the engine half followed by the server half, and no family
+/// appears in both.
+void ExpectStatsExpositionLintsClean(EngineInterface& engine) {
+  F2dbServer server(engine);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = F2dbClient::Connect(kHost, server.port());
+  ASSERT_TRUE(client.ok()) << client.status().message();
+  auto stats = client.value().Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().message();
+  ASSERT_EQ(stats.value().status, StatusCode::kOk);
+  const std::vector<std::string> families = LintExposition(stats.value().body);
+
+  const std::vector<std::string> engine_half =
+      LintExposition(engine.StatsPrometheusText());
+  const std::vector<std::string> server_half =
+      LintExposition(server.stats().ToPrometheusText());
+  const std::set<std::string> engine_names(engine_half.begin(),
+                                           engine_half.end());
+  for (const std::string& name : server_half) {
+    EXPECT_EQ(engine_names.count(name), 0u) << name << " is in both halves";
+  }
+  std::vector<std::string> both = engine_half;
+  both.insert(both.end(), server_half.begin(), server_half.end());
+  EXPECT_EQ(families, both);
+  server.Shutdown();
+}
 
 class ServerIntegrationTest : public ::testing::Test {
  protected:
@@ -647,6 +736,24 @@ TEST_F(ServerIntegrationTest, CrossShardQueryMatchesInProcessByteForByte) {
   EXPECT_EQ(city.value().body, city_want);
   EXPECT_EQ(hops.load(), 1);
   server.Shutdown();
+}
+
+TEST_F(ServerIntegrationTest, StatsExpositionLintsCleanEmbeddedAndSharded) {
+  {
+    SCOPED_TRACE("embedded");
+    auto engine = MakeEngine();
+    ASSERT_TRUE(engine->ExecuteSql(kSumQuery).ok());
+    ExpectStatsExpositionLintsClean(*engine);
+  }
+  SCOPED_TRACE("sharded");
+  const TimeSeriesGraph graph = testing::MakeFigure2Cube(60, 0.05);
+  ShardedEngineOptions options;
+  options.num_shards = 3;
+  options.engine.maintenance_threads = 1;
+  auto sharded = ShardedEngine::Open(graph, options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  ASSERT_GT(sharded.value()->num_active_shards(), 1u);
+  ExpectStatsExpositionLintsClean(*sharded.value());
 }
 
 }  // namespace
