@@ -178,11 +178,7 @@ Result<std::unique_ptr<F2dbEngine>> F2dbEngine::Open(TimeSeriesGraph graph,
   F2DB_ASSIGN_OR_RETURN(RecoveryInfo info,
                         RunRecovery(options.data_dir, callbacks));
   engine->PublishBookkeepingRun();
-  engine->recovery_records_replayed_ = info.records_replayed;
-  engine->recovery_torn_tail_ = info.torn_tail_detected;
-  engine->recovery_seconds_ = info.recovery_seconds;
-  engine->recovery_segment_records_ =
-      static_cast<std::size_t>(info.segment_records_loaded);
+  engine->recovery_ = info;
   engine->reseal_segments_ = info.segment_fallback;
 
   auto writer =
@@ -221,59 +217,17 @@ const TimeSeriesGraph& F2dbEngine::graph() const {
 }
 
 EngineStats F2dbEngine::stats() const {
-  EngineStats out;
-  out.queries = stats_.queries.Load();
-  out.inserts = stats_.inserts.Load();
-  out.time_advances = stats_.time_advances.Load();
-  out.reestimates = stats_.reestimates.Load();
-  out.refit_failures = stats_.refit_failures.Load();
-  out.quarantines = stats_.quarantines.Load();
-  out.degraded_rows_stale = stats_.degraded_rows_stale.Load();
-  out.degraded_rows_derived = stats_.degraded_rows_derived.Load();
-  out.degraded_rows_naive = stats_.degraded_rows_naive.Load();
-  out.deadline_expired_queries = stats_.deadline_expired_queries.Load();
-  out.brownout_refits_skipped = stats_.brownout_refits_skipped.Load();
   const PlanCache::Counters plan = plan_cache_.counters();
-  out.plan_cache_hits = plan.hits;
-  out.plan_cache_misses = plan.misses;
-  out.plan_cache_evictions = plan.evictions;
-  out.plan_cache_invalidations = plan.invalidations;
-  out.plan_cache_size = plan_cache_.size();
-  out.total_query_seconds = stats_.query_seconds.Load();
-  out.total_maintenance_seconds = stats_.maintenance_seconds.Load();
-  out.wal_records_appended = stats_.wal_records.Load();
-  out.wal_bytes = stats_.wal_bytes.Load();
-  out.wal_records_replayed = recovery_records_replayed_;
-  out.torn_tail_detected = recovery_torn_tail_ ? 1 : 0;
-  out.segments_sealed = stats_.segments_sealed.Load();
-  out.segment_records_sealed = stats_.segment_records_sealed.Load();
-  out.segments_live =
-      store_ ? static_cast<std::size_t>(store_->live_segments()) : 0;
-  out.segment_live_bytes =
-      store_ ? static_cast<std::size_t>(store_->live_bytes()) : 0;
-  out.compactions_completed = stats_.compactions_completed.Load();
-  out.compaction_failures = stats_.compaction_failures.Load();
-  out.retention_segments_deleted = stats_.retention_segments_deleted.Load();
-  out.retention_records_dropped = stats_.retention_records_dropped.Load();
-  out.segment_records_recovered = recovery_segment_records_;
-  out.recovery_duration_ms = recovery_seconds_ * 1e3;
   const DiskHealthCounters disk = disk_health_.counters();
-  out.disk_health = static_cast<std::size_t>(disk_health_.state());
-  out.io_retries = disk.io_retries;
-  out.io_failures_eio = disk.io_failures_eio;
-  out.io_failures_enospc = disk.io_failures_enospc;
-  out.io_failures_other = disk.io_failures_other;
-  out.read_only_entries = disk.read_only_entries;
-  out.read_only_exits = disk.read_only_exits;
-  out.emergency_retentions = stats_.emergency_retentions.Load();
-  out.scrub_cycles = stats_.scrub_cycles.Load();
-  out.scrub_bytes = stats_.scrub_bytes.Load();
-  out.scrub_corruptions = stats_.scrub_corruptions.Load();
-  out.scrub_reseals = stats_.scrub_reseals.Load();
-  const double last = last_compaction_seconds_.load(std::memory_order_relaxed);
-  out.last_compaction_age_seconds =
-      last < 0.0 ? -1.0 : uptime_.ElapsedSeconds() - last;
+  EngineStats out;
+  F2DB_ENGINE_METRICS(F2DB_METRIC_COPY_ROW, F2DB_METRIC_SWALLOW,
+                      F2DB_METRIC_COPY_ROW)
   return out;
+}
+
+double F2dbEngine::LastCompactionAgeSeconds() const {
+  const double last = last_compaction_seconds_.load(std::memory_order_relaxed);
+  return last < 0.0 ? -1.0 : uptime_.ElapsedSeconds() - last;
 }
 
 void F2dbEngine::Publish(std::shared_ptr<EngineSnapshot> next) const {
@@ -593,7 +547,7 @@ Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
         out->rows.push_back(row);
       }
       stats_.queries.Add();
-      stats_.query_seconds.Add(watch.ElapsedSeconds());
+      stats_.total_query_seconds.Add(watch.ElapsedSeconds());
       return Status::OK();
     }
   }
@@ -638,7 +592,7 @@ Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
   }
   CountDegradedRows(out->degradation, out->rows.size());
   stats_.queries.Add();
-  stats_.query_seconds.Add(watch.ElapsedSeconds());
+  stats_.total_query_seconds.Add(watch.ElapsedSeconds());
   return Status::OK();
 }
 
@@ -753,7 +707,7 @@ Result<std::vector<double>> F2dbEngine::ForecastNode(
       ForecastInternal(snapshot, node, horizon, /*want_variance=*/false));
   CountDegradedRows(forecast.level, forecast.values.size());
   stats_.queries.Add();
-  stats_.query_seconds.Add(watch.ElapsedSeconds());
+  stats_.total_query_seconds.Add(watch.ElapsedSeconds());
   return std::move(forecast.values);
 }
 
@@ -769,7 +723,7 @@ Result<std::vector<ForecastInterval>> F2dbEngine::ForecastNodeWithIntervals(
       IntervalsFromMoments(forecast.values, forecast.variances, confidence));
   CountDegradedRows(forecast.level, intervals.size());
   stats_.queries.Add();
-  stats_.query_seconds.Add(watch.ElapsedSeconds());
+  stats_.total_query_seconds.Add(watch.ElapsedSeconds());
   return intervals;
 }
 
@@ -866,7 +820,7 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
       if (fitted.ok()) {
         std::shared_ptr<const ForecastModel> model = std::move(refit);
         stats_.reestimates.Add();
-        stats_.maintenance_seconds.Add(watch.ElapsedSeconds());
+        stats_.total_maintenance_seconds.Add(watch.ElapsedSeconds());
         OfferReestimate(source, live.record->generation, model,
                         live.record->creation_seconds);
         return ForecastFromModel(*model, model->state(), source, horizon,
@@ -1156,7 +1110,7 @@ Status F2dbEngine::InsertFactImpl(NodeId base_node, std::int64_t time,
   period.Set(slot, value);
   stats_.inserts.Add();
   const Status advanced = AdvanceWhileCompleteLocked();
-  stats_.maintenance_seconds.Add(watch.ElapsedSeconds());
+  stats_.total_maintenance_seconds.Add(watch.ElapsedSeconds());
   return advanced;
 }
 
@@ -1289,7 +1243,7 @@ Status F2dbEngine::WalAppendLocked(std::span<const WalRecord> records) const {
   }
   const std::uint64_t before = wal_->bytes_appended();
   F2DB_RETURN_IF_ERROR(wal_->AppendAll(records));
-  stats_.wal_records.Add(records.size());
+  stats_.wal_records_appended.Add(records.size());
   stats_.wal_bytes.Add(static_cast<std::size_t>(wal_->bytes_appended() - before));
   return Status::OK();
 }

@@ -55,7 +55,9 @@
 #include "engine/disk_health.h"
 #include "engine/plan_cache.h"
 #include "engine/query.h"
+#include "engine/recovery.h"
 #include "engine/snapshot.h"
+#include "engine/stats_export.h"
 #include "engine/wal.h"
 #include "storage/store.h"
 #include "ts/intervals.h"
@@ -183,112 +185,160 @@ enum class DegradationLevel {
 /// Stable display name ("NONE", "STALE_MODEL", ...).
 const char* DegradationLevelName(DegradationLevel level);
 
-/// Counter values exposed for benchmarking (Figure 9(b)). This is a plain
-/// value snapshot; the live counters are relaxed atomics, so the fields
-/// are individually exact but not mutually consistent while threads run.
+/// Every engine metric, declared once (the row format is described in
+/// engine/stats_export.h). The list order is the exposition order. READ
+/// expressions run inside F2dbEngine::stats(), where `plan` is the plan
+/// cache's counters and `disk` the disk-health counters, each read once
+/// under its owner's lock; the plan-cache rows also run in
+/// ShardedEngine::stats() against the facade's cache.
+#define F2DB_ENGINE_METRICS(METRIC, FAMILY, SAMPLE)                          \
+  METRIC(queries, std::size_t, OWNED, counter, "f2db_queries_total",         \
+         "Forecast queries served.", kSum)                                   \
+  METRIC(inserts, std::size_t, OWNED, counter, "f2db_inserts_total",         \
+         "Facts accepted into the insert buffer.", kSum)                     \
+  METRIC(time_advances, std::size_t, OWNED, counter,                         \
+         "f2db_time_advances_total",                                         \
+         "Batched advances of the cube's time frontier.", kSum)              \
+  METRIC(reestimates, std::size_t, OWNED, counter, "f2db_reestimates_total", \
+         "Lazy model re-estimations published.", kSum)                       \
+  METRIC(refit_failures, std::size_t, OWNED, counter,                        \
+         "f2db_refit_failures_total",                                        \
+         "Lazy re-estimation attempts that returned non-OK.", kSum)          \
+  METRIC(quarantines, std::size_t, OWNED, counter, "f2db_quarantines_total", \
+         "Nodes quarantined after consecutive refit failures.", kSum)        \
+  FAMILY(counter, "f2db_degraded_rows_total",                                \
+         "Forecast rows served per degradation rung.", "rung")               \
+  SAMPLE(degraded_rows_stale, std::size_t, OWNED, "stale", kSum)             \
+  SAMPLE(degraded_rows_derived, std::size_t, OWNED, "derived", kSum)         \
+  SAMPLE(degraded_rows_naive, std::size_t, OWNED, "naive", kSum)             \
+  METRIC(deadline_expired_queries, std::size_t, OWNED, counter,              \
+         "f2db_deadline_expired_queries_total",                              \
+         "Queries rejected because their deadline had already expired.",     \
+         kSum)                                                               \
+  METRIC(brownout_refits_skipped, std::size_t, OWNED, counter,               \
+         "f2db_brownout_refits_skipped_total",                               \
+         "Lazy re-estimations skipped by brownout-mode queries.", kSum)      \
+  METRIC(plan_cache_hits, std::size_t, READ(plan.hits), counter,             \
+         "f2db_plan_cache_hits_total",                                       \
+         "Statement parses served from the plan cache.", kFacade)            \
+  METRIC(plan_cache_misses, std::size_t, READ(plan.misses), counter,         \
+         "f2db_plan_cache_misses_total",                                     \
+         "Statement parses that missed the plan cache.", kFacade)            \
+  METRIC(plan_cache_evictions, std::size_t, READ(plan.evictions), counter,   \
+         "f2db_plan_cache_evictions_total",                                  \
+         "Plan-cache entries dropped by the LRU capacity bound.", kFacade)   \
+  METRIC(plan_cache_invalidations, std::size_t, READ(plan.invalidations),    \
+         counter, "f2db_plan_cache_invalidations_total",                     \
+         "Whole plan-cache drops on configuration install.", kFacade)        \
+  METRIC(plan_cache_size, std::size_t, READ(plan_cache_.size()), gauge,      \
+         "f2db_plan_cache_size", "Plans currently cached.", kFacade)         \
+  METRIC(total_query_seconds, double, OWNED, counter,                        \
+         "f2db_query_seconds_total",                                         \
+         "Wall-clock seconds spent in the query layer.", kSum)               \
+  METRIC(total_maintenance_seconds, double, OWNED, counter,                  \
+         "f2db_maintenance_seconds_total",                                   \
+         "Wall-clock seconds spent in maintenance.", kSum)                   \
+  METRIC(wal_records_appended, std::size_t, OWNED, counter,                  \
+         "f2db_wal_records_appended_total",                                  \
+         "WAL records appended by this process.", kSum)                      \
+  METRIC(wal_bytes, std::size_t, OWNED, counter, "f2db_wal_bytes_total",     \
+         "WAL bytes appended by this process.", kSum)                        \
+  METRIC(wal_records_replayed, std::size_t, READ(recovery_.records_replayed),\
+         counter, "f2db_wal_records_replayed_total",                         \
+         "WAL records replayed by recovery at open.", kSum)                  \
+  METRIC(torn_tail_detected, std::size_t,                                    \
+         READ(recovery_.torn_tail_detected), gauge, "f2db_torn_tail_detected",\
+         "1 when recovery truncated a torn final WAL record.", kMax)         \
+  METRIC(recovery_duration_ms, double,                                       \
+         READ(recovery_.recovery_seconds * 1e3), gauge,                      \
+         "f2db_recovery_duration_ms",                                        \
+         "Milliseconds recovery took when the engine opened.", kMax)         \
+  METRIC(last_compaction_age_seconds, double,                                \
+         READ(LastCompactionAgeSeconds()), gauge,                            \
+         "f2db_last_compaction_age_seconds",                                 \
+         "Seconds since the last completed compaction (the durable cut); "   \
+         "-1 when none completed yet.",                                      \
+         kStalest)                                                           \
+  METRIC(segments_sealed, std::size_t, OWNED, counter,                       \
+         "f2db_segments_sealed_total",                                       \
+         "Sealed segments written by this process.", kSum)                   \
+  METRIC(segment_records_sealed, std::size_t, OWNED, counter,                \
+         "f2db_segment_records_sealed_total",                                \
+         "Observations sealed into segments by this process.", kSum)         \
+  METRIC(segments_live, std::size_t,                                         \
+         READ(store_ ? store_->live_segments() : 0), gauge,                  \
+         "f2db_segments_live",                                               \
+         "Sealed segments the current manifest references.", kSum)           \
+  METRIC(segment_live_bytes, std::size_t,                                    \
+         READ(store_ ? store_->live_bytes() : 0), gauge,                     \
+         "f2db_segment_live_bytes",                                          \
+         "On-disk bytes of the live sealed-segment chain.", kSum)            \
+  METRIC(compactions_completed, std::size_t, OWNED, counter,                 \
+         "f2db_compactions_completed_total",                                 \
+         "Compactions that committed their manifest.", kSum)                 \
+  METRIC(compaction_failures, std::size_t, OWNED, counter,                   \
+         "f2db_compaction_failures_total",                                   \
+         "Compaction attempts that failed.", kSum)                           \
+  METRIC(retention_segments_deleted, std::size_t, OWNED, counter,            \
+         "f2db_retention_segments_deleted_total",                            \
+         "Sealed segments deleted by retention.", kSum)                      \
+  METRIC(retention_records_dropped, std::size_t, OWNED, counter,             \
+         "f2db_retention_records_dropped_total",                             \
+         "Observations dropped by retention.", kSum)                         \
+  METRIC(segment_records_recovered, std::size_t,                             \
+         READ(recovery_.segment_records_loaded), counter,                    \
+         "f2db_segment_records_recovered_total",                             \
+         "Observations restored from sealed segments at open.", kSum)        \
+  METRIC(disk_health, std::size_t, READ(disk_health_.state()), gauge,        \
+         "f2db_disk_health",                                                 \
+         "Disk-health state: 0 ok, 1 degraded, 2 read-only (worst shard in " \
+         "sharded expositions).",                                            \
+         kMax)                                                               \
+  METRIC(io_retries, std::size_t, READ(disk.io_retries), counter,            \
+         "f2db_io_retries_total",                                            \
+         "In-line retries of failed durability I/O.", kSum)                  \
+  METRIC(read_only_entries, std::size_t, READ(disk.read_only_entries),       \
+         counter, "f2db_read_only_entries_total",                            \
+         "Read-only brownout episodes entered.", kSum)                       \
+  METRIC(read_only_exits, std::size_t, READ(disk.read_only_exits), counter,  \
+         "f2db_read_only_exits_total",                                       \
+         "Read-only brownout episodes exited via the health probe.", kSum)   \
+  METRIC(emergency_retentions, std::size_t, OWNED, counter,                  \
+         "f2db_emergency_retentions_total",                                  \
+         "Emergency retention passes spent on ENOSPC before read-only.",     \
+         kSum)                                                               \
+  METRIC(scrub_cycles, std::size_t, OWNED, counter, "f2db_scrub_cycles_total",\
+         "Completed integrity-scrub passes.", kSum)                          \
+  METRIC(scrub_bytes, std::size_t, OWNED, counter, "f2db_scrub_bytes_total", \
+         "Bytes re-read and CRC-verified by the scrubber.", kSum)            \
+  METRIC(scrub_corruptions, std::size_t, OWNED, counter,                     \
+         "f2db_scrub_corruptions_total",                                     \
+         "Corrupt durable artifacts detected by the scrubber.", kSum)        \
+  METRIC(scrub_reseals, std::size_t, OWNED, counter,                         \
+         "f2db_scrub_reseals_total",                                         \
+         "Reseal compactions triggered by scrub-detected corruption.", kSum) \
+  FAMILY(counter, "f2db_io_failures_total",                                  \
+         "Classified durability-I/O failures per errno family.", "err")      \
+  SAMPLE(io_failures_eio, std::size_t, READ(disk.io_failures_eio), "eio",    \
+         kSum)                                                               \
+  SAMPLE(io_failures_enospc, std::size_t, READ(disk.io_failures_enospc),     \
+         "enospc", kSum)                                                     \
+  SAMPLE(io_failures_other, std::size_t, READ(disk.io_failures_other),       \
+         "other", kSum)
+
+#define F2DB_ENGINE_METRIC_FIELD(field, ctype, source, type, name, help,   \
+                                 merge)                                    \
+  ctype field = static_cast<ctype>(MetricDefault(MergeRule::merge));
+#define F2DB_ENGINE_SAMPLE_FIELD(field, ctype, source, label_value, merge) \
+  ctype field = static_cast<ctype>(MetricDefault(MergeRule::merge));
+
+/// Counter values exposed for benchmarking (Figure 9(b)), one field per
+/// F2DB_ENGINE_METRICS series. This is a plain value snapshot; the live
+/// counters are relaxed atomics, so the fields are individually exact but
+/// not mutually consistent while threads run.
 struct EngineStats {
-  std::size_t queries = 0;
-  std::size_t inserts = 0;
-  std::size_t time_advances = 0;
-  std::size_t reestimates = 0;
-  /// Lazy re-estimation attempts that returned non-OK.
-  std::size_t refit_failures = 0;
-  /// Nodes that crossed the consecutive-failure threshold and entered
-  /// quarantine (counted once per quarantine episode).
-  std::size_t quarantines = 0;
-  /// Forecast rows served per degradation rung (kNone rows are not
-  /// counted; a row is attributed to the worst rung that contributed).
-  std::size_t degraded_rows_stale = 0;
-  std::size_t degraded_rows_derived = 0;
-  std::size_t degraded_rows_naive = 0;
-  /// Queries answered kDeadlineExceeded because their deadline had already
-  /// passed when the engine (or the scatter-gather fan-out) was reached.
-  std::size_t deadline_expired_queries = 0;
-  /// Lazy re-estimations skipped because the query ran in brownout mode
-  /// (the stale rung served instead, annotated).
-  std::size_t brownout_refits_skipped = 0;
-
-  // ---- plan-cache counters (DESIGN.md §14) ----
-
-  /// ParsePlan served from the cache (no lexer/parser work).
-  std::size_t plan_cache_hits = 0;
-  /// ParsePlan had to parse (and cached the result).
-  std::size_t plan_cache_misses = 0;
-  /// Entries dropped by the LRU capacity bound.
-  std::size_t plan_cache_evictions = 0;
-  /// Whole-cache drops on configuration/catalog install.
-  std::size_t plan_cache_invalidations = 0;
-  /// Entries currently cached (gauge).
-  std::size_t plan_cache_size = 0;
-
-  double total_query_seconds = 0.0;
-  double total_maintenance_seconds = 0.0;
-
-  // ---- durability counters (all zero for an in-memory engine) ----
-
-  /// WAL records appended (across segment rotations) since this process
-  /// opened the engine.
-  std::size_t wal_records_appended = 0;
-  /// WAL bytes appended since this process opened the engine.
-  std::size_t wal_bytes = 0;
-  /// WAL records replayed by recovery when the engine was opened.
-  std::size_t wal_records_replayed = 0;
-  /// 1 when recovery found (and truncated) a torn final WAL record.
-  std::size_t torn_tail_detected = 0;
-  /// Wall-clock milliseconds recovery took at open (0 for in-memory).
-  double recovery_duration_ms = 0.0;
-  /// Seconds since the last completed compaction (the durable cut); -1
-  /// when none completed in this process's lifetime.
-  double last_compaction_age_seconds = -1.0;
-
-  // ---- storage-engine counters (DESIGN.md §13; zero when no segments) ----
-
-  /// Segments sealed by this process.
-  std::size_t segments_sealed = 0;
-  /// Raw records (observations) sealed into segments by this process.
-  std::size_t segment_records_sealed = 0;
-  /// Segments currently in the live chain (gauge).
-  std::size_t segments_live = 0;
-  /// On-disk bytes of the live segment chain (gauge).
-  std::size_t segment_live_bytes = 0;
-  /// Compactions completed / failed by this process.
-  std::size_t compactions_completed = 0;
-  std::size_t compaction_failures = 0;
-  /// Segments deleted and raw records dropped by retention.
-  std::size_t retention_segments_deleted = 0;
-  std::size_t retention_records_dropped = 0;
-  /// Records recovery bulk-loaded from sealed segments at open (gauge).
-  std::size_t segment_records_recovered = 0;
-
-  // ---- disk-fault counters (DESIGN.md §15; zero when in-memory) ----
-
-  /// Disk-health gauge: 0 ok, 1 degraded, 2 read-only (worst shard for a
-  /// sharded engine).
-  std::size_t disk_health = 0;
-  /// In-line retries of failed durable operations.
-  std::size_t io_retries = 0;
-  /// Classified durability-I/O failures by errno family.
-  std::size_t io_failures_eio = 0;
-  std::size_t io_failures_enospc = 0;
-  std::size_t io_failures_other = 0;
-  /// Read-only episodes entered / exited (entries - exits == 1 while
-  /// read-only, 0 otherwise).
-  std::size_t read_only_entries = 0;
-  std::size_t read_only_exits = 0;
-  /// ENOSPC emergency retention passes attempted before declaring
-  /// read-only.
-  std::size_t emergency_retentions = 0;
-
-  // ---- integrity-scrubber counters (DESIGN.md §15) ----
-
-  /// Completed scrub cycles (chain + manifest).
-  std::size_t scrub_cycles = 0;
-  /// Bytes re-read and CRC-verified by the scrubber.
-  std::size_t scrub_bytes = 0;
-  /// Corrupt artifacts detected (and quarantined as *.corrupt).
-  std::size_t scrub_corruptions = 0;
-  /// Reseal compactions triggered by scrub-detected corruption.
-  std::size_t scrub_reseals = 0;
+  F2DB_ENGINE_METRICS(F2DB_ENGINE_METRIC_FIELD, F2DB_METRIC_SWALLOW,
+                      F2DB_ENGINE_SAMPLE_FIELD)
 
   /// Renders the counters in the Prometheus text exposition format (see
   /// engine/stats_export.h); served by the network layer's STATS frame.
@@ -610,36 +660,16 @@ class F2dbEngine : public EngineInterface {
   std::size_t pending_inserts() const override;
 
  private:
-  /// Live counters behind stats(): relaxed atomics, lock-free on both the
-  /// query and the maintenance side.
+  /// Live slots of the OWNED engine metrics: relaxed atomics, lock-free on
+  /// both the query and the maintenance side.
   struct StatsCounters {
-    RelaxedCounter queries;
-    RelaxedCounter inserts;
-    RelaxedCounter time_advances;
-    RelaxedCounter reestimates;
-    RelaxedCounter refit_failures;
-    RelaxedCounter quarantines;
-    RelaxedCounter degraded_rows_stale;
-    RelaxedCounter degraded_rows_derived;
-    RelaxedCounter degraded_rows_naive;
-    RelaxedCounter deadline_expired_queries;
-    RelaxedCounter brownout_refits_skipped;
-    RelaxedAccumulator query_seconds;
-    RelaxedAccumulator maintenance_seconds;
-    RelaxedCounter wal_records;
-    RelaxedCounter wal_bytes;
-    RelaxedCounter segments_sealed;
-    RelaxedCounter segment_records_sealed;
-    RelaxedCounter compactions_completed;
-    RelaxedCounter compaction_failures;
-    RelaxedCounter retention_segments_deleted;
-    RelaxedCounter retention_records_dropped;
-    RelaxedCounter emergency_retentions;
-    RelaxedCounter scrub_cycles;
-    RelaxedCounter scrub_bytes;
-    RelaxedCounter scrub_corruptions;
-    RelaxedCounter scrub_reseals;
+    F2DB_ENGINE_METRICS(F2DB_METRIC_SLOT_ROW, F2DB_METRIC_SWALLOW,
+                        F2DB_METRIC_SLOT_ROW)
   };
+
+  /// Seconds since the last completed compaction; -1 when none completed
+  /// in this process's lifetime.
+  double LastCompactionAgeSeconds() const;
 
   SnapshotPtr LoadSnapshot() const {
     return snapshot_.load(std::memory_order_acquire);
@@ -886,11 +916,8 @@ class F2dbEngine : public EngineInterface {
   /// read/cleared by CompactNow, all under compaction_serial_mutex_.
   bool reseal_segments_ = false;
 
-  // ---- recovery facts, written once inside Open() before any thread ----
-  std::size_t recovery_records_replayed_ = 0;
-  bool recovery_torn_tail_ = false;
-  double recovery_seconds_ = 0.0;
-  std::size_t recovery_segment_records_ = 0;
+  /// Recovery facts, written once inside Open() before any thread.
+  RecoveryInfo recovery_;
   /// The unpublished successor a run of replayed kBookkeeping records
   /// writes (ApplyWalRecord); empty outside such a run.
   std::shared_ptr<EngineSnapshot> bookkeeping_run_;

@@ -556,75 +556,71 @@ std::size_t ShardedEngine::pending_inserts() const {
   return total;
 }
 
-EngineStats ShardedEngine::stats() const {
-  EngineStats total;
-  total.recovery_duration_ms = 0.0;
-  total.last_compaction_age_seconds = -1.0;
-  bool compacted_everywhere = !shards_.empty();
-  for (const Shard& shard : shards_) {
-    const EngineStats s = shard.engine->stats();
-    total.queries += s.queries;
-    total.inserts += s.inserts;
-    total.time_advances += s.time_advances;
-    total.reestimates += s.reestimates;
-    total.refit_failures += s.refit_failures;
-    total.quarantines += s.quarantines;
-    total.degraded_rows_stale += s.degraded_rows_stale;
-    total.degraded_rows_derived += s.degraded_rows_derived;
-    total.degraded_rows_naive += s.degraded_rows_naive;
-    total.deadline_expired_queries += s.deadline_expired_queries;
-    total.brownout_refits_skipped += s.brownout_refits_skipped;
-    total.total_query_seconds += s.total_query_seconds;
-    total.total_maintenance_seconds += s.total_maintenance_seconds;
-    total.wal_records_appended += s.wal_records_appended;
-    total.wal_bytes += s.wal_bytes;
-    total.wal_records_replayed += s.wal_records_replayed;
-    total.torn_tail_detected += s.torn_tail_detected;
-    total.segments_sealed += s.segments_sealed;
-    total.segment_records_sealed += s.segment_records_sealed;
-    total.segments_live += s.segments_live;
-    total.segment_live_bytes += s.segment_live_bytes;
-    total.compactions_completed += s.compactions_completed;
-    total.compaction_failures += s.compaction_failures;
-    total.retention_segments_deleted += s.retention_segments_deleted;
-    total.retention_records_dropped += s.retention_records_dropped;
-    total.segment_records_recovered += s.segment_records_recovered;
-    // The facade reports the WORST shard's disk health: one read-only
-    // shard already rejects a slice of the keyspace.
-    total.disk_health = std::max(total.disk_health, s.disk_health);
-    total.io_retries += s.io_retries;
-    total.io_failures_eio += s.io_failures_eio;
-    total.io_failures_enospc += s.io_failures_enospc;
-    total.io_failures_other += s.io_failures_other;
-    total.read_only_entries += s.read_only_entries;
-    total.read_only_exits += s.read_only_exits;
-    total.emergency_retentions += s.emergency_retentions;
-    total.scrub_cycles += s.scrub_cycles;
-    total.scrub_bytes += s.scrub_bytes;
-    total.scrub_corruptions += s.scrub_corruptions;
-    total.scrub_reseals += s.scrub_reseals;
-    // Recovery ran in parallel, so the slowest shard is the wall clock.
-    total.recovery_duration_ms =
-        std::max(total.recovery_duration_ms, s.recovery_duration_ms);
-    if (s.last_compaction_age_seconds < 0) {
-      compacted_everywhere = false;
-    } else {
-      total.last_compaction_age_seconds = std::max(
-          total.last_compaction_age_seconds, s.last_compaction_age_seconds);
+namespace {
+
+/// One series of the facade's total under `rule` (MergeRule): over the
+/// shards' snapshots and the facade's own value.
+template <MergeRule rule, typename T>
+T MergeSeries(const std::vector<EngineStats>& shards, T facade,
+              T EngineStats::*field) {
+  if constexpr (rule == MergeRule::kFacade) {
+    return facade;
+  } else if constexpr (rule == MergeRule::kStalest) {
+    T stalest = shards.empty() ? -1 : 0;
+    for (const EngineStats& s : shards) {
+      if (s.*field < 0) return -1;
+      stalest = std::max(stalest, s.*field);
     }
+    return stalest;
+  } else {
+    for (const EngineStats& s : shards) {
+      facade = rule == MergeRule::kSum ? facade + s.*field
+                                       : std::max(facade, s.*field);
+    }
+    return facade;
   }
-  if (!compacted_everywhere) total.last_compaction_age_seconds = -1.0;
-  // Facade-level rejections (expired before fan-out) belong to the
-  // aggregate: no shard ever saw those queries.
-  total.deadline_expired_queries += fanout_deadline_expired_.Load();
-  // The facade's plan cache is the only one that sees statement text.
-  const PlanCache::Counters plan = plan_cache_.counters();
-  total.plan_cache_hits += plan.hits;
-  total.plan_cache_misses += plan.misses;
-  total.plan_cache_evictions += plan.evictions;
-  total.plan_cache_invalidations += plan.invalidations;
-  total.plan_cache_size += plan_cache_.size();
+}
+
+}  // namespace
+
+#define F2DB_MERGE_ROW(field, merge)                                \
+  total.field = MergeSeries<MergeRule::merge>(shards, facade.field, \
+                                              &EngineStats::field);
+#define F2DB_MERGE_METRIC(field, ctype, source, type, name, help, merge) \
+  F2DB_MERGE_ROW(field, merge)
+#define F2DB_MERGE_SAMPLE(field, ctype, source, label_value, merge) \
+  F2DB_MERGE_ROW(field, merge)
+
+EngineStats ShardedEngine::stats() const {
+  std::vector<EngineStats> shards;
+  shards.reserve(shards_.size());
+  for (const Shard& shard : shards_) shards.push_back(shard.engine->stats());
+  const EngineStats facade = FacadeStats();
+  EngineStats total;
+  F2DB_ENGINE_METRICS(F2DB_MERGE_METRIC, F2DB_METRIC_SWALLOW,
+                      F2DB_MERGE_SAMPLE)
   return total;
+}
+
+/// Expands a facade-only row's COPY; every other row expands to nothing.
+#define F2DB_FACADE_ONLY_kFacade(...) __VA_ARGS__
+#define F2DB_FACADE_ONLY_kSum(...)
+#define F2DB_FACADE_ONLY_kMax(...)
+#define F2DB_FACADE_ONLY_kStalest(...)
+#define F2DB_FACADE_METRIC(field, ctype, source, type, name, help, merge) \
+  F2DB_FACADE_ONLY_##merge(F2DB_METRIC_COPY_ROW(field, ctype, source))
+#define F2DB_FACADE_SAMPLE(field, ctype, source, label_value, merge) \
+  F2DB_FACADE_ONLY_##merge(F2DB_METRIC_COPY_ROW(field, ctype, source))
+
+EngineStats ShardedEngine::FacadeStats() const {
+  // The plan-cache rows read the facade's cache, the only one that sees
+  // statement text.
+  const PlanCache::Counters plan = plan_cache_.counters();
+  EngineStats out;
+  F2DB_ENGINE_METRICS(F2DB_FACADE_METRIC, F2DB_METRIC_SWALLOW,
+                      F2DB_FACADE_SAMPLE)
+  out.deadline_expired_queries = fanout_deadline_expired_.Load();
+  return out;
 }
 
 std::string ShardedEngine::StatsPrometheusText() const {

@@ -105,9 +105,8 @@ class ShardedEngine : public EngineInterface {
   Status InsertFact(const std::vector<std::string>& base_values,
                     std::int64_t time, double value) override;
   std::size_t pending_inserts() const override;
-  /// Aggregated across shards: counters sum; recovery_duration_ms and
-  /// last_compaction_age_seconds report the slowest/stalest shard (-1
-  /// when any shard has not compacted).
+  /// Aggregated across shards, each series by its MergeRule in
+  /// F2DB_ENGINE_METRICS.
   EngineStats stats() const override;
   std::string StatsPrometheusText() const override;
   bool durable() const override;
@@ -148,6 +147,10 @@ class ShardedEngine : public EngineInterface {
   /// The partitions whose base cells a dimension-0 coordinate rolls up.
   const std::vector<std::size_t>& PartitionsOfCoord(LevelIndex level,
                                                     ValueIndex value) const;
+
+  /// The facade's own series: the facade-only rows read from its plan
+  /// cache, and the queries it rejected before fan-out, which no shard saw.
+  EngineStats FacadeStats() const;
 
   const Shard& ShardForPartition(std::size_t partition) const {
     return shards_[slot_of_partition_[partition]];

@@ -51,20 +51,6 @@ WireResponse ErrorResponse(FrameType type, const Status& status) {
   return response;
 }
 
-/// One `family{label="value"} N` sample line.
-void AppendLabeledSample(std::string* out, std::string_view name,
-                         std::string_view label, std::string_view value,
-                         std::size_t count) {
-  out->append(name)
-      .append("{")
-      .append(label)
-      .append("=\"")
-      .append(PrometheusEscapeLabelValue(value))
-      .append("\"} ")
-      .append(std::to_string(count))
-      .append("\n");
-}
-
 }  // namespace
 
 /// The node name travels in the result, so no engine snapshot is needed
@@ -110,79 +96,16 @@ void AppendForecastResponseFrame(FrameType type, const QueryResult& result,
   (*out)[start + 3] = static_cast<char>((payload >> 24) & 0xff);
 }
 
+constexpr MetricRow kServerRows[] = {F2DB_SERVER_METRICS(
+    F2DB_METRIC_DESC_METRIC, F2DB_METRIC_DESC_FAMILY, F2DB_METRIC_DESC_SAMPLE)};
+
 std::string ServerStats::ToPrometheusText() const {
-  std::string out;
-  out.reserve(2048);
-  AppendPrometheusCounter(&out, "f2db_server_connections_accepted_total",
-                          "Client connections accepted.",
-                          static_cast<double>(connections_accepted));
-  AppendPrometheusCounter(&out, "f2db_server_connections_closed_total",
-                          "Client connections closed (peer or server side).",
-                          static_cast<double>(connections_closed));
-  AppendPrometheusCounter(&out, "f2db_server_connections_refused_total",
-                          "Connections refused at the max_connections cap.",
-                          static_cast<double>(connections_refused));
-  AppendPrometheusCounter(
-      &out, "f2db_server_connections_evicted_total",
-      "Connections dropped by backpressure (outbound hard cap or the "
-      "slow-client grace timer).",
-      static_cast<double>(connections_evicted));
-  AppendPrometheusCounter(
-      &out, "f2db_server_read_pauses_total",
-      "Times a connection crossed the outbound high watermark and had its "
-      "reading paused.",
-      static_cast<double>(read_pauses));
-  AppendPrometheusCounter(&out, "f2db_server_requests_total",
-                          "Request frames received.",
-                          static_cast<double>(requests_received));
-  AppendPrometheusCounter(&out, "f2db_server_responses_total",
-                          "Response frames queued for transmission.",
-                          static_cast<double>(responses_sent));
-  // Labeled per-cause breakdown plus the unlabeled total, matching the
-  // sharded engine's exposition style.
-  out.append(
-      "# HELP f2db_server_requests_shed_total Requests answered kUnavailable "
-      "by admission control, by cause.\n"
-      "# TYPE f2db_server_requests_shed_total counter\n");
-  AppendLabeledSample(&out, "f2db_server_requests_shed_total", "cause",
-                      "admission", requests_shed_admission);
-  AppendLabeledSample(&out, "f2db_server_requests_shed_total", "cause",
-                      "shutdown", requests_shed_shutdown);
-  out.append("f2db_server_requests_shed_total ")
-      .append(std::to_string(requests_shed))
-      .append("\n");
-  AppendPrometheusCounter(
-      &out, "f2db_server_requests_throttled_total",
-      "Requests refused with kResourceExhausted by a tenant's token bucket.",
-      static_cast<double>(requests_throttled));
-  out.append(
-      "# HELP f2db_server_deadline_expired_total Requests rejected with "
-      "kDeadlineExceeded before execution, by pipeline stage.\n"
-      "# TYPE f2db_server_deadline_expired_total counter\n");
-  AppendLabeledSample(&out, "f2db_server_deadline_expired_total", "stage",
-                      "admission", deadline_expired_admission);
-  AppendLabeledSample(&out, "f2db_server_deadline_expired_total", "stage",
-                      "queue", deadline_expired_queue);
-  out.append("f2db_server_deadline_expired_total ")
-      .append(std::to_string(deadline_expired_admission +
-                             deadline_expired_queue))
-      .append("\n");
-  AppendPrometheusCounter(&out, "f2db_server_protocol_errors_total",
-                          "Malformed or oversized frames received.",
-                          static_cast<double>(protocol_errors));
-  AppendPrometheusCounter(&out, "f2db_server_brownout_episodes_total",
-                          "Brownout-mode transitions (inactive to active).",
-                          static_cast<double>(brownout_episodes));
-  AppendPrometheusCounter(&out, "f2db_server_brownout_queries_total",
-                          "Queries executed in brownout mode.",
-                          static_cast<double>(brownout_queries));
-  AppendPrometheusGauge(&out, "f2db_server_brownout_active",
-                        "1 while the server is currently in brownout.",
-                        static_cast<double>(brownout_active));
-  AppendPrometheusGauge(&out, "f2db_server_inflight_requests",
-                        "Requests queued or executing right now.",
-                        static_cast<double>(in_flight_requests));
-  return out;
+  const ServerStats& s = *this;
+  return RenderMetrics(kServerRows, {},
+                       std::vector<double>{F2DB_SERVER_METRICS(
+                           F2DB_METRIC_VALUE_ROW, F2DB_METRIC_SWALLOW,
+                           F2DB_METRIC_VALUE_ROW)},
+                       true);
 }
 
 F2dbServer::F2dbServer(EngineInterface& engine, ServerOptions options)
@@ -357,25 +280,9 @@ void F2dbServer::Shutdown() {
 
 ServerStats F2dbServer::stats() const {
   ServerStats out;
-  out.connections_accepted = stats_.connections_accepted.Load();
-  out.connections_closed = stats_.connections_closed.Load();
-  out.connections_refused = stats_.connections_refused.Load();
-  out.connections_evicted = stats_.connections_evicted.Load();
-  out.read_pauses = stats_.read_pauses.Load();
-  out.requests_received = stats_.requests_received.Load();
-  out.responses_sent = stats_.responses_sent.Load();
-  out.requests_shed_admission = stats_.requests_shed_admission.Load();
-  out.requests_shed_shutdown = stats_.requests_shed_shutdown.Load();
+  F2DB_SERVER_METRICS(F2DB_METRIC_COPY_ROW, F2DB_METRIC_SWALLOW,
+                      F2DB_METRIC_COPY_ROW)
   out.requests_shed = out.requests_shed_admission + out.requests_shed_shutdown;
-  out.requests_throttled = stats_.requests_throttled.Load();
-  out.deadline_expired_admission = stats_.deadline_expired_admission.Load();
-  out.deadline_expired_queue = stats_.deadline_expired_queue.Load();
-  out.protocol_errors = stats_.protocol_errors.Load();
-  out.brownout_episodes = stats_.brownout_episodes.Load();
-  out.brownout_queries = stats_.brownout_queries.Load();
-  out.brownout_active =
-      brownout_active_.load(std::memory_order_relaxed) ? 1 : 0;
-  out.in_flight_requests = in_flight_.load(std::memory_order_relaxed);
   return out;
 }
 

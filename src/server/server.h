@@ -116,38 +116,76 @@ struct ServerOptions {
   std::function<void()> worker_test_hook;
 };
 
-/// Value snapshot of the server counters (relaxed atomics underneath, like
+/// Every server metric, declared once (row format in engine/stats_export.h;
+/// server rows carry no merge rule). READ expressions run inside
+/// F2dbServer::stats(). Each labeled family closes with an unlabeled
+/// sample summing its causes.
+#define F2DB_SERVER_METRICS(METRIC, FAMILY, SAMPLE)                          \
+  METRIC(connections_accepted, std::size_t, OWNED, counter,                  \
+         "f2db_server_connections_accepted_total",                           \
+         "Client connections accepted.")                                     \
+  METRIC(connections_closed, std::size_t, OWNED, counter,                    \
+         "f2db_server_connections_closed_total",                             \
+         "Client connections closed (peer or server side).")                 \
+  METRIC(connections_refused, std::size_t, OWNED, counter,                   \
+         "f2db_server_connections_refused_total",                            \
+         "Connections refused at the max_connections cap.")                  \
+  METRIC(connections_evicted, std::size_t, OWNED, counter,                   \
+         "f2db_server_connections_evicted_total",                            \
+         "Connections dropped by backpressure (outbound hard cap or the "    \
+         "slow-client grace timer).")                                        \
+  METRIC(read_pauses, std::size_t, OWNED, counter,                           \
+         "f2db_server_read_pauses_total",                                    \
+         "Times a connection crossed the outbound high watermark and had "   \
+         "its reading paused.")                                              \
+  METRIC(requests_received, std::size_t, OWNED, counter,                     \
+         "f2db_server_requests_total", "Request frames received.")           \
+  METRIC(responses_sent, std::size_t, OWNED, counter,                        \
+         "f2db_server_responses_total",                                      \
+         "Response frames queued for transmission.")                         \
+  FAMILY(counter, "f2db_server_requests_shed_total",                         \
+         "Requests answered kUnavailable by admission control, by cause.",   \
+         "cause")                                                            \
+  SAMPLE(requests_shed_admission, std::size_t, OWNED, "admission")           \
+  SAMPLE(requests_shed_shutdown, std::size_t, OWNED, "shutdown")             \
+  METRIC(requests_throttled, std::size_t, OWNED, counter,                    \
+         "f2db_server_requests_throttled_total",                             \
+         "Requests refused with kResourceExhausted by a tenant's token "     \
+         "bucket.")                                                          \
+  FAMILY(counter, "f2db_server_deadline_expired_total",                      \
+         "Requests rejected with kDeadlineExceeded before execution, by "    \
+         "pipeline stage.",                                                  \
+         "stage")                                                            \
+  SAMPLE(deadline_expired_admission, std::size_t, OWNED, "admission")        \
+  SAMPLE(deadline_expired_queue, std::size_t, OWNED, "queue")                \
+  METRIC(protocol_errors, std::size_t, OWNED, counter,                       \
+         "f2db_server_protocol_errors_total",                                \
+         "Malformed or oversized frames received.")                          \
+  METRIC(brownout_episodes, std::size_t, OWNED, counter,                     \
+         "f2db_server_brownout_episodes_total",                              \
+         "Brownout-mode transitions (inactive to active).")                  \
+  METRIC(brownout_queries, std::size_t, OWNED, counter,                      \
+         "f2db_server_brownout_queries_total",                               \
+         "Queries executed in brownout mode.")                               \
+  METRIC(brownout_active, std::size_t,                                       \
+         READ(brownout_active_.load(std::memory_order_relaxed)), gauge,      \
+         "f2db_server_brownout_active",                                      \
+         "1 while the server is currently in brownout.")                     \
+  METRIC(in_flight_requests, std::size_t,                                    \
+         READ(in_flight_.load(std::memory_order_relaxed)), gauge,            \
+         "f2db_server_inflight_requests",                                    \
+         "Requests queued or executing right now.")
+
+#define F2DB_SERVER_FIELD(field, ctype, ...) ctype field = 0;
+
+/// Value snapshot of the server counters, one field per
+/// F2DB_SERVER_METRICS series (relaxed atomics underneath, like
 /// EngineStats: individually exact, not mutually consistent).
 struct ServerStats {
-  std::size_t connections_accepted = 0;
-  std::size_t connections_closed = 0;
-  std::size_t connections_refused = 0;
-  /// Connections dropped by backpressure (hard-cap overflow or the
-  /// slow-client grace timer).
-  std::size_t connections_evicted = 0;
-  /// Times a connection crossed the outbound high watermark and had its
-  /// reading paused.
-  std::size_t read_pauses = 0;
-  std::size_t requests_received = 0;
-  std::size_t responses_sent = 0;
-  /// Sum of the per-cause shed counters below (kept for compatibility).
+  F2DB_SERVER_METRICS(F2DB_SERVER_FIELD, F2DB_METRIC_SWALLOW,
+                      F2DB_SERVER_FIELD)
+  /// requests_shed_admission + requests_shed_shutdown.
   std::size_t requests_shed = 0;
-  std::size_t requests_shed_admission = 0;
-  std::size_t requests_shed_shutdown = 0;
-  /// Requests refused with kResourceExhausted by a tenant's token bucket.
-  std::size_t requests_throttled = 0;
-  /// Requests whose deadline had already expired when the frame arrived.
-  std::size_t deadline_expired_admission = 0;
-  /// Requests whose deadline expired between admission and worker pickup.
-  std::size_t deadline_expired_queue = 0;
-  std::size_t protocol_errors = 0;
-  /// Brownout-mode transitions (inactive -> active).
-  std::size_t brownout_episodes = 0;
-  /// Queries executed in brownout mode.
-  std::size_t brownout_queries = 0;
-  /// 1 while the server is currently in brownout.
-  std::size_t brownout_active = 0;
-  std::size_t in_flight_requests = 0;
 
   /// Prometheus text for the server-side families (f2db_server_*).
   std::string ToPrometheusText() const;
@@ -216,21 +254,8 @@ class F2dbServer {
   friend class Reactor;
 
   struct StatsCounters {
-    RelaxedCounter connections_accepted;
-    RelaxedCounter connections_closed;
-    RelaxedCounter connections_refused;
-    RelaxedCounter connections_evicted;
-    RelaxedCounter read_pauses;
-    RelaxedCounter requests_received;
-    RelaxedCounter responses_sent;
-    RelaxedCounter requests_shed_admission;
-    RelaxedCounter requests_shed_shutdown;
-    RelaxedCounter requests_throttled;
-    RelaxedCounter deadline_expired_admission;
-    RelaxedCounter deadline_expired_queue;
-    RelaxedCounter protocol_errors;
-    RelaxedCounter brownout_episodes;
-    RelaxedCounter brownout_queries;
+    F2DB_SERVER_METRICS(F2DB_METRIC_SLOT_ROW, F2DB_METRIC_SWALLOW,
+                        F2DB_METRIC_SLOT_ROW)
   };
 
   /// Creates one non-blocking listener bound to host:port. Sets

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "engine/wal.h"
 #include "testing/crash.h"
 #include "testing/test_cubes.h"
 
@@ -465,6 +466,50 @@ TEST(ShardedEngineTest, StatsMergeRulesPerFamily) {
   }
 
   sharded.value().reset();
+  f2db::testing::RemoveDirectoryTree(dir);
+}
+
+TEST(ShardedEngineTest, TornTailGaugeIsMaxMergedAcrossShards) {
+  char tmpl[] = "/tmp/f2db_sharded_torn_XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  ShardedEngineOptions options = MakeOptions(2);
+  options.engine.data_dir = dir;
+  options.engine.fsync_policy = FsyncPolicy::kAlways;
+  const TimeSeriesGraph graph = testing::MakeFigure2Cube(48, 0.05);
+  std::vector<std::size_t> parts;
+  {
+    auto first = ShardedEngine::Open(graph, options);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    parts = first.value()->active_partitions();
+    InsertRound(*first.value(), 48, 7.0);
+  }
+  ASSERT_GE(parts.size(), 2u);
+  // Tear the final WAL record of two shards.
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::string shard_dir = dir + "/shard-" + std::to_string(parts[i]);
+    auto epochs = ListWalEpochs(shard_dir);
+    ASSERT_TRUE(epochs.ok());
+    const std::string last = WalPath(shard_dir, epochs.value().back());
+    auto segment = ReadWalSegment(last);
+    ASSERT_TRUE(segment.ok());
+    ASSERT_EQ(::truncate(last.c_str(),
+                         static_cast<off_t>(segment.value().valid_bytes - 3)),
+              0);
+  }
+  {
+    auto sharded = ShardedEngine::Open(graph, options);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    for (std::size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(sharded.value()->shard(parts[i])->stats().torn_tail_detected,
+                1u);
+    }
+    // A 0/1 gauge: two torn shards still read 1.
+    EXPECT_EQ(sharded.value()->stats().torn_tail_detected, 1u);
+    EXPECT_NE(sharded.value()->StatsPrometheusText().find(
+                  "\nf2db_torn_tail_detected 1\n"),
+              std::string::npos);
+  }
   f2db::testing::RemoveDirectoryTree(dir);
 }
 
