@@ -479,7 +479,9 @@ class EngineInterface {
 
   /// Prometheus exposition of the engine counters; a sharded engine
   /// additionally emits per-shard labeled samples.
-  virtual std::string StatsPrometheusText() const = 0;
+  virtual std::string StatsPrometheusText() const {
+    return stats().ToPrometheusText();
+  }
 
   /// Whether mutations are WAL-logged (drives the server's shutdown
   /// compaction).
@@ -553,11 +555,6 @@ class F2dbEngine : public EngineInterface {
 
   /// Value snapshot of the engine counters (safe to call concurrently).
   EngineStats stats() const override;
-
-  /// Prometheus exposition of stats() (EngineInterface contract).
-  std::string StatsPrometheusText() const override {
-    return stats().ToPrometheusText();
-  }
 
   const EngineOptions& options() const { return options_; }
 

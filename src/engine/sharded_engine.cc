@@ -558,7 +558,7 @@ std::size_t ShardedEngine::pending_inserts() const {
 
 namespace {
 
-/// One series of the facade's total under `rule` (MergeRule): over the
+/// One series of the facade's total under `rule` (MergeRule), from the
 /// shards' snapshots and the facade's own value.
 template <MergeRule rule, typename T>
 T MergeSeries(const std::vector<EngineStats>& shards, T facade,
@@ -583,44 +583,32 @@ T MergeSeries(const std::vector<EngineStats>& shards, T facade,
 
 }  // namespace
 
-#define F2DB_MERGE_ROW(field, merge)                                \
-  total.field = MergeSeries<MergeRule::merge>(shards, facade.field, \
-                                              &EngineStats::field);
+/// A row's facade value: the facade-only rows read the facade's own plan
+/// cache, the only one that sees statement text; the others start at 0.
+#define F2DB_FACADE_kFacade(source, field) \
+  F2DB_METRIC_VALUE_##source(stats_, field)
+#define F2DB_FACADE_kSum(...) 0
+#define F2DB_FACADE_kMax(...) 0
+#define F2DB_FACADE_kStalest(...) 0
+#define F2DB_MERGE_ROW(field, ctype, source, merge)             \
+  total.field = MergeSeries<MergeRule::merge>(                  \
+      shards, ctype(F2DB_FACADE_##merge(source, field)), &EngineStats::field);
 #define F2DB_MERGE_METRIC(field, ctype, source, type, name, help, merge) \
-  F2DB_MERGE_ROW(field, merge)
+  F2DB_MERGE_ROW(field, ctype, source, merge)
 #define F2DB_MERGE_SAMPLE(field, ctype, source, label_value, merge) \
-  F2DB_MERGE_ROW(field, merge)
+  F2DB_MERGE_ROW(field, ctype, source, merge)
 
 EngineStats ShardedEngine::stats() const {
   std::vector<EngineStats> shards;
   shards.reserve(shards_.size());
   for (const Shard& shard : shards_) shards.push_back(shard.engine->stats());
-  const EngineStats facade = FacadeStats();
+  const PlanCache::Counters plan = plan_cache_.counters();
   EngineStats total;
   F2DB_ENGINE_METRICS(F2DB_MERGE_METRIC, F2DB_METRIC_SWALLOW,
                       F2DB_MERGE_SAMPLE)
+  // Queries rejected before fan-out belong to the total: no shard saw them.
+  total.deadline_expired_queries += fanout_deadline_expired_.Load();
   return total;
-}
-
-/// Expands a facade-only row's COPY; every other row expands to nothing.
-#define F2DB_FACADE_ONLY_kFacade(...) __VA_ARGS__
-#define F2DB_FACADE_ONLY_kSum(...)
-#define F2DB_FACADE_ONLY_kMax(...)
-#define F2DB_FACADE_ONLY_kStalest(...)
-#define F2DB_FACADE_METRIC(field, ctype, source, type, name, help, merge) \
-  F2DB_FACADE_ONLY_##merge(F2DB_METRIC_COPY_ROW(field, ctype, source))
-#define F2DB_FACADE_SAMPLE(field, ctype, source, label_value, merge) \
-  F2DB_FACADE_ONLY_##merge(F2DB_METRIC_COPY_ROW(field, ctype, source))
-
-EngineStats ShardedEngine::FacadeStats() const {
-  // The plan-cache rows read the facade's cache, the only one that sees
-  // statement text.
-  const PlanCache::Counters plan = plan_cache_.counters();
-  EngineStats out;
-  F2DB_ENGINE_METRICS(F2DB_FACADE_METRIC, F2DB_METRIC_SWALLOW,
-                      F2DB_FACADE_SAMPLE)
-  out.deadline_expired_queries = fanout_deadline_expired_.Load();
-  return out;
 }
 
 std::string ShardedEngine::StatsPrometheusText() const {

@@ -148,10 +148,6 @@ class ShardedEngine : public EngineInterface {
   const std::vector<std::size_t>& PartitionsOfCoord(LevelIndex level,
                                                     ValueIndex value) const;
 
-  /// The facade's own series: the facade-only rows read from its plan
-  /// cache, and the queries it rejected before fan-out, which no shard saw.
-  EngineStats FacadeStats() const;
-
   const Shard& ShardForPartition(std::size_t partition) const {
     return shards_[slot_of_partition_[partition]];
   }

@@ -50,7 +50,7 @@ struct EngineStats;  // engine.h
 /// How a sharded engine's total of one series combines its shards and the
 /// facade's own value.
 enum class MergeRule {
-  kSum,      ///< shards plus the facade (fan-out rejections count there)
+  kSum,      ///< over the shards (plus the facade's fan-out rejections)
   kMax,      ///< the worst shard: health, the slowest parallel recovery
   kStalest,  ///< -1 until every shard reports >= 0, then the largest
   kFacade,   ///< the facade's value alone (only it sees statement text)
