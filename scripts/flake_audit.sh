@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Flake audit (satellite f): run the concurrency-sensitive suites —
 # concurrent engine stress, thread pool, fault injection, the TCP server
-# integration tests, the shared series panels and the flat model tables
-# (parameter/state split, allocation-free publication) — repeatedly under
+# integration tests, the shared series panels, the flat model tables
+# (parameter/state split, allocation-free publication) and the engine's
+# timing-dependent background thread — repeatedly under
 # ThreadSanitizer until one fails or the repeat budget is exhausted. A
 # test that cannot survive REPEATS back-to-back runs under tsan is flaky
 # by definition and must be deflaked, not retried.
@@ -33,6 +34,7 @@ SUITES=(
   "ModelContract"
   "Arima"
   "PublicationAllocation"
+  "BackgroundScheduler"
 )
 
 cd "$REPO_ROOT"

@@ -7,8 +7,8 @@
 // the configured threshold transitions the engine to READ-ONLY: queries
 // keep serving from COW snapshots (annotated through the degradation
 // ladder), INSERTs are rejected with kUnavailable and a retry-after-ms
-// hint, and the compaction and scrub loops park. A background probe
-// (engine-owned) re-tests the device and calls ExitReadOnly when a durable
+// hint, and the compaction and scrub tasks park. The engine's background
+// probe task re-tests the device and calls ExitReadOnly when a durable
 // write succeeds again, so the engine heals without a restart.
 //
 //     OK ──failure──▶ DEGRADED ──streak ≥ threshold──▶ READ_ONLY

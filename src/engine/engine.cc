@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -141,17 +142,12 @@ F2dbEngine::F2dbEngine(TimeSeriesGraph graph, EngineOptions options)
 }
 
 F2dbEngine::~F2dbEngine() {
-  if (compaction_thread_.joinable() || probe_thread_.joinable() ||
-      scrub_thread_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(background_mutex_);
-      stopping_ = true;
-    }
-    background_cv_.notify_all();
-    if (compaction_thread_.joinable()) compaction_thread_.join();
-    if (probe_thread_.joinable()) probe_thread_.join();
-    if (scrub_thread_.joinable()) scrub_thread_.join();
+  {
+    std::lock_guard<std::mutex> lock(background_mutex_);
+    stopping_ = true;
   }
+  background_cv_.notify_all();
+  if (background_thread_.joinable()) background_thread_.join();
   if (wal_) {
     std::lock_guard<std::mutex> lock(writer_mutex_);
     wal_->Close();
@@ -197,17 +193,11 @@ Result<std::unique_ptr<F2dbEngine>> F2dbEngine::Open(TimeSeriesGraph graph,
   F2DB_ASSIGN_OR_RETURN(engine->store_,
                         storage::SegmentStore::Open(options.data_dir));
 
-  if (options.compaction_interval_seconds > 0.0) {
-    engine->compaction_thread_ =
-        std::thread([raw = engine.get()] { raw->CompactionLoop(); });
-  }
-  if (options.disk_probe_interval_seconds > 0.0) {
-    engine->probe_thread_ =
-        std::thread([raw = engine.get()] { raw->ProbeLoop(); });
-  }
-  if (options.scrub_interval_seconds > 0.0) {
-    engine->scrub_thread_ =
-        std::thread([raw = engine.get()] { raw->ScrubLoop(); });
+  if (options.compaction_interval_seconds > 0.0 ||
+      options.disk_probe_interval_seconds > 0.0 ||
+      options.scrub_interval_seconds > 0.0) {
+    engine->background_thread_ =
+        std::thread([raw = engine.get()] { raw->BackgroundLoop(); });
   }
   return engine;
 }
@@ -499,12 +489,7 @@ Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
   }
   const std::int64_t now = snap->graph->series(node).end_time();
   const std::size_t horizon = query.horizon;
-  // A read-only engine serves queries like a brownout: refits are skipped
-  // (they could not be WAL-logged anyway) and rows carry the annotation.
-  const RefitMode mode =
-      query.brownout || (wal_ != nullptr && disk_health_.read_only())
-          ? RefitMode::kSkip
-          : (query.decline_refit ? RefitMode::kDecline : RefitMode::kRefit);
+  const RefitMode mode = ChooseRefitMode(query.brownout, query.decline_refit);
 
   // Hot path (EXECUTE / repeat QUERY shapes): a point query whose scheme
   // sources all carry valid models evaluates batched — each model walks
@@ -552,43 +537,31 @@ Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
     }
   }
 
+  F2DB_ASSIGN_OR_RETURN(
+      DegradedForecast forecast,
+      ForecastInternal(snap, node, horizon, query.with_intervals, mode));
+  if (forecast.refit_declined) return Declined(out);
+  std::vector<ForecastInterval> intervals;
   if (query.with_intervals) {
-    F2DB_ASSIGN_OR_RETURN(
-        DegradedForecast forecast,
-        ForecastInternal(snap, node, horizon, /*want_variance=*/true, mode));
-    if (forecast.refit_declined) return Declined(out);
-    F2DB_ASSIGN_OR_RETURN(
-        std::vector<ForecastInterval> intervals,
-        IntervalsFromMoments(forecast.values, forecast.variances,
-                             query.confidence));
-    out->degradation = forecast.level;
-    out->degradation_reason = std::move(forecast.reason);
-    out->rows.reserve(intervals.size());
-    for (std::size_t h = 0; h < intervals.size(); ++h) {
-      ForecastRow row;
-      row.time = now + static_cast<std::int64_t>(h);
-      row.value = intervals[h].point;
+    F2DB_ASSIGN_OR_RETURN(intervals,
+                          IntervalsFromMoments(forecast.values,
+                                               forecast.variances,
+                                               query.confidence));
+  }
+  out->degradation = forecast.level;
+  out->degradation_reason = std::move(forecast.reason);
+  out->rows.reserve(forecast.values.size());
+  for (std::size_t h = 0; h < forecast.values.size(); ++h) {
+    ForecastRow row;
+    row.time = now + static_cast<std::int64_t>(h);
+    row.value = forecast.values[h];  // an interval's point, exactly
+    if (query.with_intervals) {
       row.lower = intervals[h].lower;
       row.upper = intervals[h].upper;
       row.has_interval = true;
-      row.degradation = out->degradation;
-      out->rows.push_back(row);
     }
-  } else {
-    F2DB_ASSIGN_OR_RETURN(
-        DegradedForecast forecast,
-        ForecastInternal(snap, node, horizon, /*want_variance=*/false, mode));
-    if (forecast.refit_declined) return Declined(out);
-    out->degradation = forecast.level;
-    out->degradation_reason = std::move(forecast.reason);
-    out->rows.reserve(forecast.values.size());
-    for (std::size_t h = 0; h < forecast.values.size(); ++h) {
-      ForecastRow row;
-      row.time = now + static_cast<std::int64_t>(h);
-      row.value = forecast.values[h];
-      row.degradation = out->degradation;
-      out->rows.push_back(row);
-    }
+    row.degradation = out->degradation;
+    out->rows.push_back(row);
   }
   CountDegradedRows(out->degradation, out->rows.size());
   stats_.queries.Add();
@@ -704,7 +677,8 @@ Result<std::vector<double>> F2dbEngine::ForecastNode(
   StopWatch watch;
   F2DB_ASSIGN_OR_RETURN(
       DegradedForecast forecast,
-      ForecastInternal(snapshot, node, horizon, /*want_variance=*/false));
+      ForecastInternal(snapshot, node, horizon, /*want_variance=*/false,
+                       ChooseRefitMode()));
   CountDegradedRows(forecast.level, forecast.values.size());
   stats_.queries.Add();
   stats_.total_query_seconds.Add(watch.ElapsedSeconds());
@@ -717,7 +691,8 @@ Result<std::vector<ForecastInterval>> F2dbEngine::ForecastNodeWithIntervals(
   const SnapshotPtr snap = LoadSnapshot();
   F2DB_ASSIGN_OR_RETURN(
       DegradedForecast forecast,
-      ForecastInternal(snap, node, horizon, /*want_variance=*/true));
+      ForecastInternal(snap, node, horizon, /*want_variance=*/true,
+                       ChooseRefitMode()));
   F2DB_ASSIGN_OR_RETURN(
       std::vector<ForecastInterval> intervals,
       IntervalsFromMoments(forecast.values, forecast.variances, confidence));
@@ -725,6 +700,16 @@ Result<std::vector<ForecastInterval>> F2dbEngine::ForecastNodeWithIntervals(
   stats_.queries.Add();
   stats_.total_query_seconds.Add(watch.ElapsedSeconds());
   return intervals;
+}
+
+F2dbEngine::RefitMode F2dbEngine::ChooseRefitMode(bool brownout,
+                                                   bool decline_refit) const {
+  // A read-only engine serves queries like a brownout: refits are skipped
+  // and rows carry the annotation.
+  if (brownout || (wal_ != nullptr && disk_health_.read_only())) {
+    return RefitMode::kSkip;
+  }
+  return decline_refit ? RefitMode::kDecline : RefitMode::kRefit;
 }
 
 Result<DegradedForecast> F2dbEngine::ForecastInternal(
@@ -1678,27 +1663,84 @@ Status F2dbEngine::CompactNow() {
   return status;
 }
 
-void F2dbEngine::CompactionLoop() {
-  const auto interval =
-      std::chrono::duration<double>(options_.compaction_interval_seconds);
+// ------------------------------------------------------ background work
+
+/// A scrub pass in progress: the chain as the pass began (compaction and
+/// retention may reshape the live one mid-pass) and how far it got.
+struct F2dbEngine::ScrubPass {
+  explicit ScrubPass(storage::ManifestData chain)
+      : manifest(std::move(chain)) {}
+
+  storage::ManifestData manifest;
+  std::size_t next = 0;  ///< next segment; segments.size(): the manifest
+  /// When the next step may run (the last file paced at the read budget).
+  std::chrono::steady_clock::time_point resume_at;
+  bool finished = false;
+  ScrubReport report;
+};
+
+bool F2dbEngine::WaitUntil(std::chrono::steady_clock::time_point deadline) {
   std::unique_lock<std::mutex> lock(background_mutex_);
-  while (!stopping_) {
-    if (background_cv_.wait_for(lock, interval,
-                                [this] { return stopping_; })) {
-      break;
+  return !background_cv_.wait_until(lock, deadline,
+                                    [this] { return stopping_; });
+}
+
+void F2dbEngine::BackgroundLoop() {
+  using Clock = std::chrono::steady_clock;
+  // When a task with cadence `seconds` is next due; a disabled task never.
+  const auto after = [](double seconds) {
+    if (seconds <= 0.0) return Clock::time_point::max();
+    return Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(seconds));
+  };
+  Clock::time_point compact_due = after(options_.compaction_interval_seconds);
+  Clock::time_point probe_due = after(options_.disk_probe_interval_seconds);
+  Clock::time_point scrub_due = after(options_.scrub_interval_seconds);
+  const std::string sentinel = options_.data_dir + "/.f2db-health-probe";
+  std::optional<ScrubPass> pass;
+
+  while (WaitUntil(std::min({compact_due, probe_due, scrub_due}))) {
+    if (Clock::now() >= compact_due) {
+      // Park while read-only: sealing would only churn the failing device.
+      if (!disk_health_.read_only()) {
+        const Status status = CompactNow();
+        if (!status.ok()) {
+          F2DB_LOG(kWarning) << "background compaction failed: "
+                             << status.message();
+        }
+      }
+      compact_due = after(options_.compaction_interval_seconds);
     }
-    lock.unlock();
-    // Park while read-only: sealing would only churn the failing device.
-    if (disk_health_.read_only()) {
-      lock.lock();
-      continue;
+    if (Clock::now() >= probe_due) {
+      if (disk_health_.read_only()) {
+        // One durable sentinel write proves the device accepts writes
+        // again; it exercises the same open/write/fsync/rename path the
+        // WAL and the manifest depend on.
+        const Status probed = storage::WriteFileDurably(
+            sentinel, "ok\n", /*hook_before_rename=*/nullptr,
+            /*hook_after_rename=*/nullptr, storage::kIoSiteProbeWrite);
+        if (probed.ok()) {
+          (void)storage::RemoveFile(sentinel);
+          if (disk_health_.ExitReadOnly()) {
+            F2DB_LOG(kWarning) << "health probe succeeded; leaving read-only";
+          }
+        }
+      }
+      probe_due = after(options_.disk_probe_interval_seconds);
     }
-    const Status status = CompactNow();
-    if (!status.ok()) {
-      F2DB_LOG(kWarning) << "background compaction failed: "
-                         << status.message();
+    // Park the scrub while read-only: a reseal could not land anyway.
+    if (Clock::now() >= scrub_due && disk_health_.read_only()) {
+      scrub_due = after(options_.scrub_interval_seconds);
+    } else if (Clock::now() >= scrub_due) {
+      if (!pass) pass.emplace(store_->manifest());
+      const Status status = ScrubStep(*pass);
+      if (!status.ok()) {
+        F2DB_LOG(kWarning) << "background scrub failed: " << status.message();
+      }
+      scrub_due = pass->finished ? after(options_.scrub_interval_seconds)
+                                 : pass->resume_at;
+      if (pass->finished) pass.reset();
     }
-    lock.lock();
   }
 }
 
@@ -1714,95 +1756,49 @@ void F2dbEngine::RecordDiskOutcome(const Status& status) {
   if (err != 0) disk_health_.RecordFailure(err);
 }
 
-void F2dbEngine::ProbeLoop() {
-  const auto interval =
-      std::chrono::duration<double>(options_.disk_probe_interval_seconds);
-  const std::string sentinel = options_.data_dir + "/.f2db-health-probe";
-  std::unique_lock<std::mutex> lock(background_mutex_);
-  while (!stopping_) {
-    if (background_cv_.wait_for(lock, interval,
-                                [this] { return stopping_; })) {
-      break;
-    }
-    if (!disk_health_.read_only()) continue;
-    lock.unlock();
-    // One durable sentinel write proves the device accepts writes again;
-    // it exercises the same open/write/fsync/rename path the WAL and
-    // the manifest depend on.
-    const Status probed = storage::WriteFileDurably(
-        sentinel, "ok\n", /*hook_before_rename=*/nullptr,
-        /*hook_after_rename=*/nullptr, storage::kIoSiteProbeWrite);
-    if (probed.ok()) {
-      (void)storage::RemoveFile(sentinel);
-      if (disk_health_.ExitReadOnly()) {
-        F2DB_LOG(kWarning) << "health probe succeeded; leaving read-only";
-      }
-    }
-    lock.lock();
-  }
-}
-
-bool F2dbEngine::ScrubPace(std::uint64_t bytes_read) {
-  const std::size_t rate = options_.scrub_rate_bytes_per_second;
-  if (rate == 0 || bytes_read == 0) return true;
-  const double seconds =
-      static_cast<double>(bytes_read) / static_cast<double>(rate);
-  std::unique_lock<std::mutex> lock(background_mutex_);
-  return !background_cv_.wait_for(lock, std::chrono::duration<double>(seconds),
-                                  [this] { return stopping_; });
-}
-
-void F2dbEngine::ScrubLoop() {
-  const auto interval =
-      std::chrono::duration<double>(options_.scrub_interval_seconds);
-  std::unique_lock<std::mutex> lock(background_mutex_);
-  while (!stopping_) {
-    if (background_cv_.wait_for(lock, interval,
-                                [this] { return stopping_; })) {
-      break;
-    }
-    lock.unlock();
-    // Park while read-only: a reseal could not land anyway.
-    if (disk_health_.read_only()) {
-      lock.lock();
-      continue;
-    }
-    const Status status = ScrubOnce(nullptr);
-    if (!status.ok()) {
-      F2DB_LOG(kWarning) << "background scrub failed: " << status.message();
-    }
-    lock.lock();
-  }
-}
-
 Status F2dbEngine::ScrubOnce(ScrubReport* report) {
   if (!durable()) {
     return Status::FailedPrecondition(
         "scrub requires a durable engine (open with a data_dir)");
   }
-  ScrubReport local;
-  ScrubReport* out = report != nullptr ? report : &local;
-  *out = ScrubReport{};
+  ScrubPass pass(store_->manifest());
+  Status status;
+  do {
+    status = ScrubStep(pass);
+  } while (status.ok() && !pass.finished && WaitUntil(pass.resume_at));
+  if (report != nullptr) *report = pass.report;
+  return status;
+}
 
-  // Snapshot the chain, then verify each file OFF the serial lock:
-  // compaction and retention may reshape the chain mid-pass, so a missing
-  // file is a benign race (skipped) and corruption is re-checked against
-  // the CURRENT manifest before anything is quarantined.
-  const storage::ManifestData manifest = store_->manifest();
-
-  for (const storage::ManifestSegment& seg : manifest.segments) {
+Status F2dbEngine::ScrubStep(ScrubPass& pass) {
+  ScrubReport& out = pass.report;
+  bool reseal = false;
+  // Each file is verified OFF the serial lock: a missing file is a benign
+  // race with compaction or retention (skipped), and corruption is
+  // re-checked against the CURRENT manifest before anything is
+  // quarantined.
+  if (pass.next < pass.manifest.segments.size()) {
+    const storage::ManifestSegment& seg = pass.manifest.segments[pass.next++];
     const std::string path = storage::SegmentPath(store_->dir(), seg.seq);
     const auto data = storage::ReadSegmentFile(path);
     if (data.ok()) {
-      ++out->segments_verified;
-      out->bytes_verified += seg.bytes;
+      ++out.segments_verified;
+      out.bytes_verified += seg.bytes;
       stats_.scrub_bytes.Add(static_cast<std::size_t>(seg.bytes));
-      if (!ScrubPace(seg.bytes)) return Status::OK();  // shutting down
-      continue;
+      const double rate =
+          static_cast<double>(options_.scrub_rate_bytes_per_second);
+      pass.resume_at =
+          std::chrono::steady_clock::now() +
+          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+              std::chrono::duration<double>(
+                  rate > 0.0 ? static_cast<double>(seg.bytes) / rate : 0.0));
+      return Status::OK();
     }
-    if (data.status().code() == StatusCode::kNotFound) continue;  // retention won
+    if (data.status().code() == StatusCode::kNotFound) {
+      return Status::OK();  // retention won
+    }
 
-    ++out->corruptions;
+    ++out.corruptions;
     stats_.scrub_corruptions.Add();
     F2DB_LOG(kError) << "scrub: corrupt sealed segment " << path << ": "
                      << data.status().message();
@@ -1835,61 +1831,51 @@ Status F2dbEngine::ScrubOnce(ScrubReport* report) {
         if (can_reseal) reseal_segments_ = true;
       }
     }
-    if (!still_live) continue;  // compaction already replaced it
-    if (can_reseal) {
-      const Status resealed = CompactNow();
-      if (resealed.ok()) {
-        out->resealed = true;
-        stats_.scrub_reseals.Add();
-        F2DB_LOG(kWarning) << "scrub: resealed segment chain from memory "
-                              "after quarantining "
-                           << path;
-        // The manifest and chain were just rewritten; this pass is done.
-        stats_.scrub_cycles.Add();
-        return Status::OK();
-      }
-      out->entered_read_only = disk_health_.EnterReadOnly();
-      return resealed;
+    if (!still_live) return Status::OK();  // compaction already replaced it
+    if (!can_reseal) {
+      pass.finished = true;
+      disk_health_.EnterReadOnly();
+      out.entered_read_only = true;
+      return Status::Internal("scrub: sealed history at " + path +
+                              " is corrupt and no longer reconstructible "
+                              "from memory; engine is read-only");
     }
-    disk_health_.EnterReadOnly();
-    out->entered_read_only = true;
-    return Status::Internal("scrub: sealed history at " + path +
-                            " is corrupt and no longer reconstructible "
-                            "from memory; engine is read-only");
-  }
-
-  // Manifest: re-read and re-verify its CRC. A corrupt manifest is
-  // quarantined and (the cached copy being authoritative) healed by a
-  // reseal, which rewrites it wholesale.
-  if (store_->has_manifest()) {
+    reseal = true;  // rewrites the manifest too; the pass ends with it
+  } else if (store_->has_manifest()) {
+    // Manifest: re-read and re-verify its CRC. A corrupt manifest is
+    // quarantined and (the cached copy being authoritative) healed by a
+    // reseal, which rewrites it wholesale.
     const std::string manifest_path =
         store_->dir() + "/" + storage::kManifestFileName;
     const auto text = storage::ReadFileToString(manifest_path);
     if (text.ok()) {
-      out->bytes_verified += text.value().size();
+      out.bytes_verified += text.value().size();
       stats_.scrub_bytes.Add(text.value().size());
       if (!storage::ParseManifest(text.value()).ok()) {
-        ++out->corruptions;
+        ++out.corruptions;
         stats_.scrub_corruptions.Add();
         F2DB_LOG(kError) << "scrub: corrupt manifest " << manifest_path;
-        {
-          std::lock_guard<std::mutex> serial(compaction_serial_mutex_);
-          (void)::rename(manifest_path.c_str(),
-                         (manifest_path + ".corrupt").c_str());
-          reseal_segments_ = true;
-        }
-        const Status resealed = CompactNow();
-        if (!resealed.ok()) {
-          out->entered_read_only = disk_health_.EnterReadOnly();
-          return resealed;
-        }
-        out->resealed = true;
-        stats_.scrub_reseals.Add();
+        std::lock_guard<std::mutex> serial(compaction_serial_mutex_);
+        (void)::rename(manifest_path.c_str(),
+                       (manifest_path + ".corrupt").c_str());
+        reseal_segments_ = true;
+        reseal = true;
       }
-      if (!ScrubPace(text.value().size())) return Status::OK();
     }
   }
 
+  pass.finished = true;
+  if (reseal) {
+    const Status resealed = CompactNow();
+    if (!resealed.ok()) {
+      out.entered_read_only = disk_health_.EnterReadOnly();
+      return resealed;
+    }
+    out.resealed = true;
+    stats_.scrub_reseals.Add();
+    F2DB_LOG(kWarning) << "scrub: resealed the segment chain and manifest "
+                          "from memory after quarantining a corrupt file";
+  }
   stats_.scrub_cycles.Add();
   return Status::OK();
 }

@@ -34,6 +34,7 @@
 #define F2DB_ENGINE_ENGINE_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <map>
 #include <memory>
@@ -123,9 +124,8 @@ struct EngineOptions {
   // ---- storage engine (DESIGN.md §13) ----
 
   /// Background compaction cadence in seconds: closed WAL history is
-  /// sealed into compressed segments on this interval. 0 disables the
-  /// background thread (compaction then happens only via CompactNow /
-  /// shutdown).
+  /// sealed into compressed segments on this interval. 0 disables this
+  /// task (compaction then happens only via CompactNow / shutdown).
   double compaction_interval_seconds = 0.0;
   /// Retention window in periods. After a compaction, sealed segments
   /// whose entire range is older than `frontier - retention_window` are
@@ -148,9 +148,9 @@ struct EngineOptions {
   std::size_t disk_retry_attempts = 1;
   double disk_retry_backoff_ms = 2.0;
   /// Read-only probe cadence in seconds: while read-only, a background
-  /// thread writes and removes a sentinel file (<data_dir>/.f2db-health-
+  /// task writes and removes a sentinel file (<data_dir>/.f2db-health-
   /// probe, failpoint site io.probe_write) on this interval and exits
-  /// read-only on the first durable success. 0 disables the probe thread
+  /// read-only on the first durable success. 0 disables this task
   /// (read-only then persists until restart). Ignored in-memory.
   double disk_probe_interval_seconds = 0.25;
   /// retry-after-ms hint carried by read-only INSERT rejections (the
@@ -160,11 +160,10 @@ struct EngineOptions {
   // ---- integrity scrubber (DESIGN.md §15) ----
 
   /// Background scrub cadence in seconds: one full pass over the sealed
-  /// segment chain and the manifest per interval. 0 disables the
-  /// background thread (scrubs then happen only via ScrubOnce). Ignored
-  /// in-memory.
+  /// segment chain and the manifest per interval. 0 disables this task
+  /// (scrubs then happen only via ScrubOnce). Ignored in-memory.
   double scrub_interval_seconds = 0.0;
-  /// Scrub read budget in bytes/second: the scrubber sleeps between files
+  /// Scrub read budget in bytes/second: the scrubber waits between files
   /// to stay under it, so a large chain cannot starve the live query
   /// path of disk bandwidth. 0 = unthrottled.
   std::size_t scrub_rate_bytes_per_second = 4u << 20;
@@ -502,7 +501,7 @@ class F2dbEngine : public EngineInterface {
   /// engines are built through Open().
   explicit F2dbEngine(TimeSeriesGraph graph, EngineOptions options = {});
 
-  /// Stops the background threads and closes the WAL (final fsync unless
+  /// Stops the background thread and closes the WAL (final fsync unless
   /// the policy is kNone). No shutdown compaction is run here — callers
   /// that want one (the server's drain path) call CompactNow() first.
   ~F2dbEngine();
@@ -535,12 +534,13 @@ class F2dbEngine : public EngineInterface {
   /// Current disk-health state (always kOk for an in-memory engine). While
   /// kReadOnly, queries serve annotated from COW snapshots, InsertFact
   /// rejects with kUnavailable + a retry-after-ms hint, and the background
-  /// compaction and scrub loops park (DESIGN.md §15).
+  /// compaction and scrub tasks park (DESIGN.md §15).
   DiskHealthState disk_health() const { return disk_health_.state(); }
 
   /// One full integrity-scrub pass right now: re-reads and CRC-verifies
   /// every sealed segment and the manifest, throttled to
-  /// options().scrub_rate_bytes_per_second. A corrupt segment is
+  /// options().scrub_rate_bytes_per_second (the background scrub's steps,
+  /// run to completion on the calling thread). A corrupt segment is
   /// quarantined as *.corrupt and resealed from in-memory history via
   /// CompactNow — or, when retention already dropped that history, the
   /// engine enters read-only instead (serving memory is still exact; only
@@ -693,14 +693,19 @@ class F2dbEngine : public EngineInterface {
   /// (ForecastQuery::decline_refit).
   enum class RefitMode { kRefit, kSkip, kDecline };
 
+  /// The refit posture of every forecast entry point: kSkip for brownout
+  /// or a read-only durable engine, then kDecline for decline_refit.
+  RefitMode ChooseRefitMode(bool brownout = false,
+                            bool decline_refit = false) const;
+
   /// Scheme-based forecast against one snapshot (shared by Execute and
   /// ForecastNode; no stats accounting). Bounds-checks `node`, then
   /// combines the node's stored scheme via CombineScheme. `want_variance`
   /// additionally fills DegradedForecast::variances (interval path).
-  /// `mode` rides along to ForecastSource.
+  /// `mode` (from ChooseRefitMode) rides along to ForecastSource.
   Result<DegradedForecast> ForecastInternal(
       const SnapshotPtr& snapshot, NodeId node, std::size_t horizon,
-      bool want_variance, RefitMode mode = RefitMode::kRefit) const;
+      bool want_variance, RefitMode mode) const;
 
   /// Sums the source forecasts of `node`'s stored scheme and applies the
   /// derivation weight. The reported level/reason is the worst rung any
@@ -815,9 +820,6 @@ class F2dbEngine : public EngineInterface {
   /// Recovery: publishes the pending bookkeeping run, if any.
   void PublishBookkeepingRun();
 
-  /// Body of the background compaction thread.
-  void CompactionLoop();
-
   // ------------------------------------------------ disk-fault internals
 
   /// The kUnavailable status a read-only engine answers INSERTs with. Its
@@ -831,17 +833,19 @@ class F2dbEngine : public EngineInterface {
   /// a marker (validation errors, failpoint injections) are ignored.
   void RecordDiskOutcome(const Status& status);
 
-  /// Body of the read-only probe thread: while read-only, durably writes
-  /// and removes <data_dir>/.f2db-health-probe (failpoint site
-  /// io.probe_write) each interval and exits read-only on success.
-  void ProbeLoop();
+  /// A scrub pass in progress: the cursor of ScrubStep (engine.cc).
+  struct ScrubPass;
+  /// Verifies the next file of `pass` (the manifest last) as ScrubOnce
+  /// describes; the manifest or a corruption finishes the pass.
+  Status ScrubStep(ScrubPass& pass);
 
-  /// Body of the background scrubber thread (ScrubOnce per interval).
-  void ScrubLoop();
+  /// Body of the one background thread: compaction, the read-only health
+  /// probe and scrub steps, each on its own cadence (DESIGN.md §15).
+  void BackgroundLoop();
 
-  /// Interruptible pacing sleep for the scrub byte-rate budget; returns
-  /// false when the engine is stopping (the scrub pass aborts).
-  bool ScrubPace(std::uint64_t bytes_read);
+  /// The one interruptible wait of the background work: sleeps until
+  /// `deadline` and returns false, at once, when the engine is stopping.
+  bool WaitUntil(std::chrono::steady_clock::time_point deadline);
 
   /// The maintenance fan-out pool (nullptr = serial maintenance).
   ThreadPool* MaintenancePool() const;
@@ -923,13 +927,11 @@ class F2dbEngine : public EngineInterface {
   /// when none completed yet.
   std::atomic<double> last_compaction_seconds_{-1.0};
 
-  // ---- background compaction/probe/scrub threads ----
+  // ---- the background thread (compaction, probe, scrub) ----
   std::mutex background_mutex_;
   std::condition_variable background_cv_;
   bool stopping_ = false;  ///< guarded by background_mutex_
-  std::thread compaction_thread_;
-  std::thread probe_thread_;
-  std::thread scrub_thread_;
+  std::thread background_thread_;
 };
 
 }  // namespace f2db

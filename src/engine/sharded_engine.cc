@@ -598,10 +598,9 @@ T MergeSeries(const std::vector<EngineStats>& shards, T facade,
 #define F2DB_MERGE_SAMPLE(field, ctype, source, label_value, merge) \
   F2DB_MERGE_ROW(field, ctype, source, merge)
 
-EngineStats ShardedEngine::stats() const {
-  std::vector<EngineStats> shards;
-  shards.reserve(shards_.size());
-  for (const Shard& shard : shards_) shards.push_back(shard.engine->stats());
+EngineStats ShardedEngine::ReadStats(std::vector<EngineStats>* read) const {
+  for (const Shard& shard : shards_) read->push_back(shard.engine->stats());
+  const std::vector<EngineStats>& shards = *read;
   const PlanCache::Counters plan = plan_cache_.counters();
   EngineStats total;
   F2DB_ENGINE_METRICS(F2DB_MERGE_METRIC, F2DB_METRIC_SWALLOW,
@@ -611,14 +610,20 @@ EngineStats ShardedEngine::stats() const {
   return total;
 }
 
+EngineStats ShardedEngine::stats() const {
+  std::vector<EngineStats> shards;
+  return ReadStats(&shards);
+}
+
 std::string ShardedEngine::StatsPrometheusText() const {
+  // The total merges exactly the shard samples printed above it.
+  std::vector<EngineStats> shards;
+  const EngineStats total = ReadStats(&shards);
   std::vector<std::pair<std::string, EngineStats>> per_shard;
-  per_shard.reserve(shards_.size());
-  for (const Shard& shard : shards_) {
-    per_shard.emplace_back(std::to_string(shard.partition),
-                           shard.engine->stats());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    per_shard.emplace_back(std::to_string(shards_[i].partition), shards[i]);
   }
-  return ShardedEngineStatsPrometheusText(per_shard, stats());
+  return ShardedEngineStatsPrometheusText(per_shard, total);
 }
 
 bool ShardedEngine::durable() const {

@@ -152,6 +152,10 @@ class ShardedEngine : public EngineInterface {
     return shards_[slot_of_partition_[partition]];
   }
 
+  /// Reads each shard's stats() once into *shards (shards_ order) and
+  /// returns their merge: the one read behind stats() and the exposition.
+  EngineStats ReadStats(std::vector<EngineStats>* shards) const;
+
   const ShardedEngineOptions options_;
   /// Facade-level plan cache behind ParsePlan; shard engines' own caches
   /// sit idle because the facade hands them parsed queries, not text.

@@ -242,6 +242,26 @@ TEST_F(ReadOnlyBrownoutTest, BrownoutQueriesSkipRefitsButStillServe) {
   EXPECT_GE(engine->stats().brownout_refits_skipped, 1u);
 }
 
+TEST_F(ReadOnlyBrownoutTest, ForecastNodeSkipsRefitsWhileReadOnly) {
+  EngineOptions options = DurableOptions();
+  options.reestimate_after_updates = 1;  // every insert invalidates models
+  auto engine = Open(options);
+  Advance(*engine, 5);
+
+  failpoint::Enable(storage::kIoSiteWalAppend, failpoint::Policy::Always());
+  StormToReadOnly(*engine);
+
+  // The node-id entry point takes the same posture as a SQL query: no
+  // model is fitted on a read-only engine, the stale rung serves.
+  const EngineStats before = engine->stats();
+  auto forecast = engine->ForecastNode(engine->graph().top_node(), 3);
+  ASSERT_TRUE(forecast.ok()) << forecast.status().ToString();
+  EXPECT_EQ(forecast.value().size(), 3u);
+  const EngineStats after = engine->stats();
+  EXPECT_EQ(after.reestimates, before.reestimates);
+  EXPECT_GT(after.brownout_refits_skipped, before.brownout_refits_skipped);
+}
+
 // ------------------------------------------------- WAL short-write rollback
 
 class IoFaultWalRollbackTest : public ReadOnlyBrownoutTest {};

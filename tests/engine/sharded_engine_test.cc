@@ -10,9 +10,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <map>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -335,6 +340,84 @@ TEST(ShardedEngineTest, StatsAggregateAndPrometheusCarryShardLabels) {
   }
   // The unlabeled aggregate line is still present for existing dashboards.
   EXPECT_NE(text.find("\nf2db_queries_total "), std::string::npos) << text;
+}
+
+/// The families whose facade total is the plain sum of the shard series:
+/// every kSum row except deadline_expired_queries, to which the facade
+/// adds its own fan-out rejections.
+std::set<std::string> SummedFamilies() {
+  std::set<std::string> names;
+  std::string family;
+#define SUMMED_METRIC(field, ctype, source, type, name, help, merge) \
+  if (MergeRule::merge == MergeRule::kSum) names.insert(name);
+#define SUMMED_FAMILY(type, name, help, label) family = name;
+#define SUMMED_SAMPLE(field, ctype, source, label_value, merge) \
+  if (MergeRule::merge == MergeRule::kSum) names.insert(family);
+  F2DB_ENGINE_METRICS(SUMMED_METRIC, SUMMED_FAMILY, SUMMED_SAMPLE)
+#undef SUMMED_METRIC
+#undef SUMMED_FAMILY
+#undef SUMMED_SAMPLE
+  names.erase("f2db_deadline_expired_queries_total");
+  return names;
+}
+
+TEST(ShardedEngineTest, ExpositionTotalsMatchShardSamplesUnderTraffic) {
+  const TimeSeriesGraph graph = testing::MakeFigure2Cube(48, 0.05);
+  auto config = BuildShardableConfiguration(graph, MeanSpec(), 1.0);
+  ASSERT_TRUE(config.ok());
+  auto sharded = ShardedEngine::Open(graph, MakeOptions(2));
+  ASSERT_TRUE(sharded.ok());
+  ShardedEngine& engine = *sharded.value();
+  ASSERT_TRUE(engine.LoadConfiguration(config.value(), 1.0).ok());
+  ASSERT_GE(engine.num_active_shards(), 2u);
+
+  std::atomic<bool> stop{false};
+  std::thread traffic([&] {
+    for (std::int64_t t = 48; t < 48 + 2000 && !stop.load(); ++t) {
+      for (const std::string& city : kCities) {
+        for (const std::string& product : kProducts) {
+          EXPECT_TRUE(engine.InsertFact({city, product}, t, 5.0).ok());
+        }
+      }
+      EXPECT_TRUE(engine.Execute(AllQuery(2)).ok());
+    }
+  });
+
+  const std::set<std::string> summed = SummedFamilies();
+  std::size_t checked = 0;
+  for (int scrape = 0; scrape < 50; ++scrape) {
+    // Sample key (name plus non-shard labels) -> the shards' sum and the
+    // unlabeled total.
+    std::map<std::string, double> shard_sum;
+    std::map<std::string, double> total;
+    std::istringstream lines(engine.StatsPrometheusText());
+    std::string line;
+    while (std::getline(lines, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      const std::size_t space = line.rfind(' ');
+      std::string key = line.substr(0, space);
+      const double value = std::strtod(line.c_str() + space + 1, nullptr);
+      const std::size_t shard = key.find("shard=\"");
+      if (shard == std::string::npos) {
+        total[key] = value;
+        continue;
+      }
+      const std::size_t end = key.find('"', shard + 7) + 1;
+      const std::size_t from = key[shard - 1] == ',' ? shard - 1 : shard;
+      key.erase(from, end - from);
+      if (key.ends_with("{}")) key.resize(key.size() - 2);
+      shard_sum[key] += value;
+    }
+    for (const auto& [key, sum] : shard_sum) {
+      if (!summed.contains(key.substr(0, key.find('{')))) continue;
+      EXPECT_TRUE(total.contains(key)) << key;
+      EXPECT_EQ(total[key], sum) << key << " on scrape " << scrape;
+      ++checked;
+    }
+  }
+  stop = true;
+  traffic.join();
+  EXPECT_GT(checked, 0u);
 }
 
 TEST(ShardedEngineTest, DurableShardsCheckpointAndRecoverIndependently) {
