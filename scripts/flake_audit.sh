@@ -2,8 +2,9 @@
 # Flake audit (satellite f): run the concurrency-sensitive suites —
 # concurrent engine stress, thread pool, fault injection, the TCP server
 # integration tests, the shared series panels, the flat model tables
-# (parameter/state split, allocation-free publication) and the engine's
-# timing-dependent background thread — repeatedly under
+# (parameter/state split, allocation-free publication) and the durable
+# log's timing-dependent background thread, with the read-only and scrub
+# suites that poll it — repeatedly under
 # ThreadSanitizer until one fails or the repeat budget is exhausted. A
 # test that cannot survive REPEATS back-to-back runs under tsan is flaky
 # by definition and must be deflaked, not retried.
@@ -35,6 +36,8 @@ SUITES=(
   "Arima"
   "PublicationAllocation"
   "BackgroundScheduler"
+  "ReadOnly"
+  "Scrub"
 )
 
 cd "$REPO_ROOT"

@@ -1,21 +1,13 @@
 #include "engine/engine.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <optional>
-#include <thread>
 #include <utility>
 
-#include "common/logging.h"
 #include "common/stopwatch.h"
-#include "engine/recovery.h"
-#include "storage/fsio.h"
 #include "ts/model_factory.h"
 #include "ts/naive_models.h"
 
@@ -43,6 +35,12 @@ namespace {
 /// scheme may hit sources that are themselves degraded; beyond this depth
 /// the ladder skips to the naive rung instead of walking the graph.
 constexpr std::size_t kMaxDerivationDepth = 4;
+
+/// What an in-memory engine answers a durable-log verb (`what`) with.
+Status NotDurable(const std::string& what) {
+  return Status::FailedPrecondition(
+      what + " requires a durable engine (open with a data_dir)");
+}
 
 /// The answer to a query that declined a re-estimation: no rows, nothing
 /// counted (ForecastQuery::decline_refit).
@@ -106,10 +104,44 @@ Result<NodeId> ResolveFilters(const TimeSeriesGraph& graph,
   return graph.NodeFor(address);
 }
 
-Result<PlanPtr> EngineInterface::ParsePlan(const std::string& sql) const {
-  auto plan = std::make_shared<CachedPlan>();
-  F2DB_ASSIGN_OR_RETURN(plan->tmpl, ParseStatementTemplate(sql));
-  return PlanPtr(std::move(plan));
+void RenderQueryResultInto(const QueryResult& result, std::string* out) {
+  out->append("-- node: ").append(result.node_name).append("\n");
+  if (result.degradation != DegradationLevel::kNone) {
+    out->append("-- degraded: ")
+        .append(DegradationLevelName(result.degradation))
+        .append(" (")
+        .append(result.degradation_reason)
+        .append(")\n");
+  }
+  char buffer[160];
+  for (const ForecastRow& row : result.rows) {
+    int n;
+    if (row.has_interval) {
+      n = std::snprintf(buffer, sizeof(buffer), "%lld | %.4f  [%.4f, %.4f]\n",
+                        static_cast<long long>(row.time), row.value, row.lower,
+                        row.upper);
+    } else {
+      n = std::snprintf(buffer, sizeof(buffer), "%lld | %.4f\n",
+                        static_cast<long long>(row.time), row.value);
+    }
+    if (n > 0) out->append(buffer, std::min<std::size_t>(
+                                       static_cast<std::size_t>(n),
+                                       sizeof(buffer) - 1));
+  }
+}
+
+std::string RenderExplainResult(const ExplainResult& plan) {
+  std::string out = "Forecast Query Plan\n";
+  out += "  node:    " + plan.node_name + " (#" + std::to_string(plan.node) +
+         ")\n";
+  out += "  horizon: " + std::to_string(plan.horizon) + "\n";
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "  weight:  %.6f\n", plan.weight);
+  out += buffer;
+  out += "  scheme:  from " + std::to_string(plan.sources.size()) +
+         " model(s)\n";
+  for (const std::string& m : plan.source_models) out += "    " + m + "\n";
+  return out;
 }
 
 Status EngineInterface::ExecutePlanInto(const CachedPlan& plan,
@@ -141,64 +173,14 @@ F2dbEngine::F2dbEngine(TimeSeriesGraph graph, EngineOptions options)
   snapshot_.store(std::move(initial), std::memory_order_release);
 }
 
-F2dbEngine::~F2dbEngine() {
-  {
-    std::lock_guard<std::mutex> lock(background_mutex_);
-    stopping_ = true;
-  }
-  background_cv_.notify_all();
-  if (background_thread_.joinable()) background_thread_.join();
-  if (wal_) {
-    std::lock_guard<std::mutex> lock(writer_mutex_);
-    wal_->Close();
-  }
-}
+F2dbEngine::~F2dbEngine() = default;
 
 Result<std::unique_ptr<F2dbEngine>> F2dbEngine::Open(TimeSeriesGraph graph,
                                                      EngineOptions options) {
   auto engine = std::make_unique<F2dbEngine>(std::move(graph), options);
   if (options.data_dir.empty()) return engine;
-
-  // Recovery runs single-threaded: the engine exists but no other thread
-  // can reach it yet, so the replay callbacks use the regular maintenance
-  // paths (with logging suppressed — replayed records are already logged).
-  RecoveryCallbacks callbacks;
-  callbacks.apply_segments = [&engine](
-                                 const storage::ManifestData& manifest,
-                                 std::vector<storage::SegmentData>&& chain) {
-    return engine->ApplySegmentState(manifest, std::move(chain));
-  };
-  callbacks.apply_record = [&engine](const WalRecord& record) {
-    return engine->ApplyWalRecord(record);
-  };
-  F2DB_ASSIGN_OR_RETURN(RecoveryInfo info,
-                        RunRecovery(options.data_dir, callbacks));
-  engine->PublishBookkeepingRun();
-  engine->recovery_ = info;
-  engine->reseal_segments_ = info.segment_fallback;
-
-  auto writer =
-      info.create_segment
-          ? WalWriter::Create(options.data_dir, info.append_epoch,
-                              options.fsync_policy, options.wal_batch_records)
-          : WalWriter::Reopen(options.data_dir, info.append_epoch,
-                              info.append_valid_bytes, options.fsync_policy,
-                              options.wal_batch_records);
-  if (!writer.ok()) return writer.status();
-  engine->wal_ = std::make_unique<WalWriter>(std::move(writer.value()));
-
-  // The segment store opens AFTER recovery: recovery reads the manifest
-  // and chain straight from disk, then the store cleans up whatever a
-  // crash orphaned (half-written segments, retention leftovers).
-  F2DB_ASSIGN_OR_RETURN(engine->store_,
-                        storage::SegmentStore::Open(options.data_dir));
-
-  if (options.compaction_interval_seconds > 0.0 ||
-      options.disk_probe_interval_seconds > 0.0 ||
-      options.scrub_interval_seconds > 0.0) {
-    engine->background_thread_ =
-        std::thread([raw = engine.get()] { raw->BackgroundLoop(); });
-  }
+  F2DB_ASSIGN_OR_RETURN(engine->log_,
+                        DurableLog::Open(engine->options_, *engine));
   return engine;
 }
 
@@ -208,16 +190,11 @@ const TimeSeriesGraph& F2dbEngine::graph() const {
 
 EngineStats F2dbEngine::stats() const {
   const PlanCache::Counters plan = plan_cache_.counters();
-  const DiskHealthCounters disk = disk_health_.counters();
   EngineStats out;
-  F2DB_ENGINE_METRICS(F2DB_METRIC_COPY_ROW, F2DB_METRIC_SWALLOW,
-                      F2DB_METRIC_COPY_ROW)
+  F2DB_ENGINE_OWN_METRICS(F2DB_METRIC_COPY_ROW, F2DB_METRIC_SWALLOW,
+                          F2DB_METRIC_COPY_ROW)
+  if (log_) log_->StatsInto(out);
   return out;
-}
-
-double F2dbEngine::LastCompactionAgeSeconds() const {
-  const double last = last_compaction_seconds_.load(std::memory_order_relaxed);
-  return last < 0.0 ? -1.0 : uptime_.ElapsedSeconds() - last;
 }
 
 void F2dbEngine::Publish(std::shared_ptr<EngineSnapshot> next) const {
@@ -299,8 +276,10 @@ Status F2dbEngine::LoadConfiguration(const ModelConfiguration& config,
   // append replays into this exact state (the caught-up models included),
   // a crash before it leaves the previous state — either way WAL and
   // published state agree.
-  F2DB_RETURN_IF_ERROR(WalAppendLocked(
-      WalRecord::Catalog(CatalogFromSnapshot(*next).SerializeToString())));
+  if (log_) {
+    F2DB_RETURN_IF_ERROR(log_->Append(
+        WalRecord::Catalog(CatalogFromSnapshot(*next).SerializeToString())));
+  }
   Publish(std::move(next));
   // Conservative: plans pre-resolve against graph structure only (which a
   // configuration install never changes today), but dropping the cache on
@@ -310,11 +289,6 @@ Status F2dbEngine::LoadConfiguration(const ModelConfiguration& config,
 }
 
 Status F2dbEngine::LoadCatalog(const ConfigurationCatalog& catalog) {
-  return LoadCatalogImpl(catalog, /*log=*/true);
-}
-
-Status F2dbEngine::LoadCatalogImpl(const ConfigurationCatalog& catalog,
-                                   bool log) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const SnapshotPtr cur = LoadSnapshot();
   auto next = cur->CopyForWrite();
@@ -362,9 +336,9 @@ Status F2dbEngine::LoadCatalogImpl(const ConfigurationCatalog& catalog,
     }
   }
   // All rows validated — log, then only now does the state become visible.
-  if (log) {
+  if (log_) {
     F2DB_RETURN_IF_ERROR(
-        WalAppendLocked(WalRecord::Catalog(catalog.SerializeToString())));
+        log_->Append(WalRecord::Catalog(catalog.SerializeToString())));
   }
   Publish(std::move(next));
   plan_cache_.Invalidate();  // same conservative rule as LoadConfiguration
@@ -461,19 +435,11 @@ Result<PlanPtr> F2dbEngine::ParsePlan(const std::string& sql) const {
 Status F2dbEngine::ExecutePlanInto(const CachedPlan& plan,
                                    const ForecastQuery& query,
                                    QueryResult* out) const {
+  if (!plan.has_resolved_node()) return ExecuteInto(query, out);
   F2DB_RETURN_IF_ERROR(CheckQueryDeadline(query));
-  const SnapshotPtr snap = LoadSnapshot();
-  NodeId node;
-  if (plan.has_resolved_node()) {
-    node = plan.resolved_node;
-    out->node = node;
-    out->node_name.assign(plan.node_name);  // reuses the buffer's capacity
-  } else {
-    F2DB_ASSIGN_OR_RETURN(node, ResolveFilters(*snap->graph, query.filters));
-    out->node = node;
-    snap->graph->NodeNameInto(node, &out->node_name);
-  }
-  return ForecastIntoResult(snap, node, query, out);
+  out->node = plan.resolved_node;
+  out->node_name.assign(plan.node_name);  // reuses the buffer's capacity
+  return ForecastIntoResult(LoadSnapshot(), plan.resolved_node, query, out);
 }
 
 Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
@@ -604,33 +570,17 @@ Result<ExplainResult> F2dbEngine::Explain(const ForecastQuery& query) const {
 Result<std::string> F2dbEngine::ExecuteStatementText(const std::string& sql) {
   F2DB_ASSIGN_OR_RETURN(Statement statement, ParseStatement(sql));
   std::string out;
-  char buffer[160];
   switch (statement.kind) {
     case Statement::Kind::kForecast: {
       F2DB_ASSIGN_OR_RETURN(QueryResult result, Execute(statement.forecast));
-      out = "-- node: " + graph().NodeName(result.node) + "\n";
-      if (result.degradation != DegradationLevel::kNone) {
-        out += "-- degraded: " +
-               std::string(DegradationLevelName(result.degradation)) + " (" +
-               result.degradation_reason + ")\n";
-      }
-      for (const ForecastRow& row : result.rows) {
-        if (row.has_interval) {
-          std::snprintf(buffer, sizeof(buffer), "%lld | %.4f  [%.4f, %.4f]\n",
-                        static_cast<long long>(row.time), row.value, row.lower,
-                        row.upper);
-        } else {
-          std::snprintf(buffer, sizeof(buffer), "%lld | %.4f\n",
-                        static_cast<long long>(row.time), row.value);
-        }
-        out += buffer;
-      }
+      RenderQueryResultInto(result, &out);
       break;
     }
     case Statement::Kind::kInsert: {
       F2DB_RETURN_IF_ERROR(InsertFact(statement.insert.base_values,
                                       statement.insert.time,
                                       statement.insert.value));
+      char buffer[160];
       std::snprintf(buffer, sizeof(buffer),
                     "INSERT ok (%zu buffered, %zu advances)\n",
                     pending_inserts(), stats_.time_advances.Load());
@@ -639,22 +589,7 @@ Result<std::string> F2dbEngine::ExecuteStatementText(const std::string& sql) {
     }
     case Statement::Kind::kExplain: {
       F2DB_ASSIGN_OR_RETURN(ExplainResult plan, Explain(statement.forecast));
-      out = "Forecast Query Plan\n";
-      out += "  node:    " + plan.node_name + " (#" +
-             std::to_string(plan.node) + ")\n";
-      out += "  horizon: " + std::to_string(plan.horizon) + "\n";
-      std::snprintf(buffer, sizeof(buffer), "  weight:  %.6f\n", plan.weight);
-      out += buffer;
-      out += "  scheme:  " +
-             std::string(plan.sources.size() == 1 &&
-                                 plan.sources[0] == plan.node
-                             ? "direct"
-                             : (plan.sources.size() == 1 ? "derivation"
-                                                         : "multi-source")) +
-             " from " + std::to_string(plan.sources.size()) + " model(s)\n";
-      for (const std::string& m : plan.source_models) {
-        out += "    " + m + "\n";
-      }
+      out = RenderExplainResult(plan);
       break;
     }
   }
@@ -704,11 +639,10 @@ Result<std::vector<ForecastInterval>> F2dbEngine::ForecastNodeWithIntervals(
 
 F2dbEngine::RefitMode F2dbEngine::ChooseRefitMode(bool brownout,
                                                    bool decline_refit) const {
+  if (brownout) return RefitMode::kSkipOverload;
   // A read-only engine serves queries like a brownout: refits are skipped
   // and rows carry the annotation.
-  if (brownout || (wal_ != nullptr && disk_health_.read_only())) {
-    return RefitMode::kSkip;
-  }
+  if (log_ && log_->read_only()) return RefitMode::kSkipReadOnly;
   return decline_refit ? RefitMode::kDecline : RefitMode::kRefit;
 }
 
@@ -786,10 +720,13 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
     // so do brownout queries: re-estimation is the expensive step the
     // serving layer sheds first under overload. A declining query stops
     // here, before the fit and its failpoint, counters and offers.
-    if (mode == RefitMode::kSkip) {
+    if (mode == RefitMode::kSkipOverload ||
+        mode == RefitMode::kSkipReadOnly) {
       stats_.brownout_refits_skipped.Add();
       reason = "node " + std::to_string(source) +
-               " re-estimation skipped under brownout";
+               " re-estimation skipped under " +
+               (mode == RefitMode::kSkipReadOnly ? "read-only" : "overload") +
+               " brownout";
     } else if (RefitAllowed(*live.record)) {
       if (mode == RefitMode::kDecline) {
         DegradedForecast declined;
@@ -916,10 +853,10 @@ void F2dbEngine::OfferReestimate(
   // Log before publishing. If the append fails the refit simply is not
   // installed (the caller still serves its result once) — a degradation,
   // never a divergence between the log and the published state.
-  if (!WalAppendLocked(
-           WalRecord::ModelInstall(node, creation_seconds,
-                                   ModelFactory::SerializeModel(*fresh)))
-           .ok()) {
+  if (log_ && !log_->Append(WalRecord::ModelInstall(
+                                node, creation_seconds,
+                                ModelFactory::SerializeModel(*fresh)))
+                   .ok()) {
     return;
   }
   auto next = cur->CopyForWrite();
@@ -950,7 +887,7 @@ void F2dbEngine::OfferRefitFailure(NodeId node,
     // refits retry sooner). An append failure skips the whole
     // publication; the state stays unchanged and a later attempt retries
     // the transition.
-    if (!WalAppendLocked(WalRecord::Quarantine(node, failures)).ok()) {
+    if (log_ && !log_->Append(WalRecord::Quarantine(node, failures)).ok()) {
       return;
     }
     stats_.quarantines.Add();
@@ -984,75 +921,12 @@ Status F2dbEngine::InsertFact(const std::vector<std::string>& base_values,
 Status F2dbEngine::InsertFact(NodeId base_node, std::int64_t time,
                               double value) {
   F2DB_INJECT_FAILPOINT(kFailpointEngineInsert);
-  if (wal_ == nullptr) {
-    return InsertFactImpl(base_node, time, value, /*log=*/true);
-  }
-  if (disk_health_.read_only()) return ReadOnlyRejection();
-
-  Status status = InsertFactImpl(base_node, time, value, /*log=*/true);
-  if (status.ok()) {
-    disk_health_.RecordSuccess();
-    return status;
-  }
-  // Only statuses carrying an fsio errno marker are disk trouble;
-  // validation refusals and failpoint injections pass through untouched.
-  int err = storage::ErrnoFromStatus(status);
-  if (err == 0) return status;
-
-  // Bounded in-line retry with linear backoff, off the writer lock — a
-  // failed append buffered nothing, so the re-run is a clean insert.
-  for (std::size_t attempt = 1; attempt <= options_.disk_retry_attempts;
-       ++attempt) {
-    disk_health_.RecordRetry();
-    if (options_.disk_retry_backoff_ms > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          options_.disk_retry_backoff_ms * static_cast<double>(attempt)));
-    }
-    status = InsertFactImpl(base_node, time, value, /*log=*/true);
-    if (status.ok()) {
-      disk_health_.RecordSuccess();
-      return status;
-    }
-    err = storage::ErrnoFromStatus(status);
-    if (err == 0) return status;
-  }
-
-  // A full disk may be self-inflicted: spend the one-shot emergency
-  // retention pass (CompactNow phase C reclaims aged sealed history)
-  // before giving up on this insert.
-  if (err == ENOSPC && options_.retention_window > 0 &&
-      disk_health_.TakeEmergencyRetentionToken()) {
-    stats_.emergency_retentions.Add();
-    (void)CompactNow();  // best effort; its failures classify below
-    status = InsertFactImpl(base_node, time, value, /*log=*/true);
-    if (status.ok()) {
-      disk_health_.RecordSuccess();
-      return status;
-    }
-    err = storage::ErrnoFromStatus(status);
-    if (err == 0) return status;
-  }
-
-  if (disk_health_.RecordFailure(err) == DiskHealthState::kReadOnly) {
-    F2DB_LOG(kError) << "disk failure streak crossed threshold; engine is "
-                        "read-only until the health probe succeeds: "
-                     << status.message();
-    return ReadOnlyRejection();
-  }
-  return status;
-}
-
-Status F2dbEngine::ReadOnlyRejection() const {
-  const auto hint = static_cast<long long>(
-      std::max(0.0, options_.read_only_retry_after_ms));
-  return Status::Unavailable(
-      "retry-after-ms=" + std::to_string(hint) +
-      "; engine is read-only: disk unhealthy, writes resume after the "
-      "health probe succeeds");
+  const auto insert = [&] { return InsertFactImpl(base_node, time, value); };
+  return log_ ? log_->Mutate(insert) : insert();
 }
 
 Status F2dbEngine::InsertFactImpl(NodeId base_node, std::int64_t time,
-                                  double value, bool log) {
+                                  double value) {
   // NaN/Inf would silently poison every aggregate above this cell and the
   // CSS/SSE recursions of every model that later updates on it.
   if (!std::isfinite(value)) {
@@ -1086,9 +960,9 @@ Status F2dbEngine::InsertFactImpl(NodeId base_node, std::int64_t time,
   // disk, failed fsync) rejects the insert with NOTHING buffered — the
   // WAL writer rolled its bytes back, so the caller's error and a future
   // recovery agree the fact does not exist.
-  if (log) {
+  if (log_) {
     F2DB_RETURN_IF_ERROR(
-        WalAppendLocked(WalRecord::Insert(base_node, time, value)));
+        log_->Append(WalRecord::Insert(base_node, time, value)));
   }
   PendingPeriod& period =
       PendingPeriodLocked(time, cur->graph->num_base_nodes());
@@ -1213,38 +1087,20 @@ Status F2dbEngine::AdvanceWhileCompleteLocked() {
   return Status::OK();
 }
 
-// --------------------------------------------------- durability internals
+// ------------------------------------- DurableState: the apply side
 
-Status F2dbEngine::WalAppendLocked(const WalRecord& record) const {
-  return WalAppendLocked(std::span<const WalRecord>(&record, 1));
-}
-
-Status F2dbEngine::WalAppendLocked(std::span<const WalRecord> records) const {
-  if (!wal_) return Status::OK();  // in-memory engine: nothing to log
-  if (!wal_->open()) {
-    return Status::Unavailable(
-        "WAL writer is broken (an earlier fsync rollback failed); "
-        "mutations are refused until the engine is reopened");
-  }
-  const std::uint64_t before = wal_->bytes_appended();
-  F2DB_RETURN_IF_ERROR(wal_->AppendAll(records));
-  stats_.wal_records_appended.Add(records.size());
-  stats_.wal_bytes.Add(static_cast<std::size_t>(wal_->bytes_appended() - before));
-  return Status::OK();
-}
-
-void F2dbEngine::PublishBookkeepingRun() {
+void F2dbEngine::EndRecovery() {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   // Moving out leaves bookkeeping_run_ empty: the run ends here.
   if (bookkeeping_run_) Publish(std::move(bookkeeping_run_));
 }
 
 Status F2dbEngine::ApplyWalRecord(const WalRecord& record) {
-  if (record.kind != WalRecord::Kind::kBookkeeping) PublishBookkeepingRun();
+  if (record.kind != WalRecord::Kind::kBookkeeping) EndRecovery();
   switch (record.kind) {
     case WalRecord::Kind::kInsert: {
-      const Status applied = InsertFactImpl(record.node, record.time,
-                                            record.value, /*log=*/false);
+      const Status applied =
+          InsertFactImpl(record.node, record.time, record.value);
       // Compaction rewrites the pending inserts into the fresh epoch; a
       // crash between the WAL rotation and the manifest commit leaves both
       // the original record (in a still-undeleted old epoch) and the
@@ -1260,7 +1116,7 @@ Status F2dbEngine::ApplyWalRecord(const WalRecord& record) {
     case WalRecord::Kind::kCatalog: {
       ConfigurationCatalog catalog;
       F2DB_RETURN_IF_ERROR(catalog.ParseFromString(record.payload));
-      return LoadCatalogImpl(catalog, /*log=*/false);
+      return LoadCatalog(catalog);
     }
     case WalRecord::Kind::kModelInstall: {
       F2DB_ASSIGN_OR_RETURN(std::unique_ptr<ForecastModel> model,
@@ -1321,10 +1177,8 @@ Status F2dbEngine::ApplyWalRecord(const WalRecord& record) {
                           std::to_string(static_cast<int>(record.kind)));
 }
 
-// ------------------------------------------------------ storage lifecycle
-
-Status F2dbEngine::ApplySegmentState(const storage::ManifestData& manifest,
-                                     std::vector<storage::SegmentData>&& chain) {
+Status F2dbEngine::ApplySegmentState(const Manifest& manifest,
+                                     SegmentChain&& chain) {
   std::lock_guard<std::mutex> lock(writer_mutex_);
   const SnapshotPtr cur = LoadSnapshot();
   auto graph = std::make_shared<TimeSeriesGraph>(*cur->graph);
@@ -1348,12 +1202,12 @@ Status F2dbEngine::ApplySegmentState(const storage::ManifestData& manifest,
                                 std::to_string(node));
       }
       std::size_t total = 0;
-      for (const storage::SegmentData& segment : chain) {
+      for (const auto& segment : chain) {
         total += segment.series[s].values.size();
       }
       std::vector<double> values;
       values.reserve(total);
-      for (const storage::SegmentData& segment : chain) {
+      for (const auto& segment : chain) {
         values.insert(values.end(), segment.series[s].values.begin(),
                       segment.series[s].values.end());
       }
@@ -1402,482 +1256,75 @@ Status F2dbEngine::ApplySegmentState(const storage::ManifestData& manifest,
   return Status::OK();
 }
 
+// ------------------------------------- DurableState: the durable cut
+
+Status F2dbEngine::CaptureCut(Cut* cut, const std::function<Status()>& write) {
+  std::lock_guard<std::mutex> lock(writer_mutex_);
+  const SnapshotPtr snap = LoadSnapshot();
+  if (!snap->models.empty() ||
+      std::any_of(snap->schemes.begin(), snap->schemes.end(),
+                  [](const auto& scheme) { return !scheme.empty(); })) {
+    cut->tail.push_back(
+        WalRecord::Catalog(CatalogFromSnapshot(*snap).SerializeToString()));
+  }
+  // The catalog reinstalls every record at its defaults; restore the ones
+  // that moved since.
+  for (const ModelView live : snap->models) {  // in node order
+    const ModelRecord& record = *live.record;
+    if (record.invalid || record.updates_since_estimate != 0 ||
+        record.refit_failures != 0 || record.quarantined) {
+      cut->tail.push_back(WalRecord::Bookkeeping(
+          live.node, record.invalid, record.updates_since_estimate,
+          record.refit_failures, record.quarantined));
+    }
+  }
+  const std::size_t state_records = cut->tail.size();
+  const std::vector<NodeId>& base_nodes = snap->graph->base_nodes();
+  for (const auto& [time, period] : pending_) {
+    for (std::size_t slot = 0; slot < period.values.size(); ++slot) {
+      if (period.present[slot]) {
+        cut->tail.push_back(
+            WalRecord::Insert(base_nodes[slot], time, period.values[slot]));
+      }
+    }
+  }
+  cut->graph = snap->graph;
+  // Replay of the tail re-adds the pending inserts, so subtract them.
+  cut->inserts = stats_.inserts.Load() - (cut->tail.size() - state_records);
+  cut->time_advances = stats_.time_advances.Load();
+  cut->reestimates = stats_.reestimates.Load();
+  cut->quarantines = stats_.quarantines.Load();
+  cut->refit_failures = stats_.refit_failures.Load();
+  return write();
+}
+
+Status F2dbEngine::DropHistoryBefore(std::int64_t tick) {
+  std::lock_guard<std::mutex> lock(writer_mutex_);
+  const SnapshotPtr cur = LoadSnapshot();
+  const TimeSeries& first = cur->graph->series(cur->graph->base_nodes()[0]);
+  if (first.start_time() >= tick) return Status::OK();
+  auto graph = std::make_shared<TimeSeriesGraph>(*cur->graph);
+  F2DB_RETURN_IF_ERROR(graph->DropHistoryBefore(tick));
+  auto updated = cur->CopyForWrite();
+  updated->graph = std::move(graph);
+  Publish(std::move(updated));
+  return Status::OK();
+}
+
+bool F2dbEngine::HistoryReaches(std::int64_t tick) const {
+  const SnapshotPtr snap = LoadSnapshot();
+  const std::vector<NodeId>& bases = snap->graph->base_nodes();
+  return !bases.empty() && snap->graph->series(bases[0]).start_time() <= tick;
+}
+
+// ------------------------------------------------- the log's public verbs
+
 Status F2dbEngine::CompactNow() {
-  if (!durable()) {
-    return Status::FailedPrecondition(
-        "compaction requires a durable engine (open with a data_dir)");
-  }
-  std::lock_guard<std::mutex> serial(compaction_serial_mutex_);
-
-  const Status status = [&]() -> Status {
-    const bool has_base = store_->has_manifest();
-    storage::ManifestData base = store_->manifest();
-    // When recovery fell back because the sealed chain failed validation,
-    // extending that chain would commit a higher-epoch manifest over the
-    // invalid segments and then delete the WAL epochs the fallback still
-    // needs — the next restart would lose acknowledged writes. Instead,
-    // reseal the full retained history from memory into a fresh chain
-    // (offsets and drop counters survive) and truncate only once that
-    // chain is durable.
-    const bool reseal = reseal_segments_;
-    std::vector<storage::ManifestSegment> invalid_chain;
-    if (reseal) {
-      invalid_chain = std::move(base.segments);
-      base.segments.clear();
-    }
-
-    // ---- Phase A, under the writer lock: rotate the WAL and rewrite the
-    // live tail into the fresh epoch. After the manifest commits, replay
-    // starts HERE — these records carry everything the sealed history
-    // does not: the configuration, each model's refit bookkeeping (lazy
-    // re-estimation and quarantine state), and the pending insert buffer.
-    SnapshotPtr snap;
-    std::uint64_t new_epoch = 0;
-    std::int64_t sealed_from = 0;
-    std::int64_t sealed_to = 0;
-    storage::ManifestData next;
-    {
-      std::lock_guard<std::mutex> lock(writer_mutex_);
-      if (!wal_->open()) {
-        return Status::Unavailable("WAL writer is broken; cannot rotate");
-      }
-      F2DB_RETURN_IF_ERROR(wal_->Sync());
-      auto rotated = WalWriter::Create(options_.data_dir, wal_->epoch() + 1,
-                                       options_.fsync_policy,
-                                       options_.wal_batch_records);
-      if (!rotated.ok()) return rotated.status();
-      wal_->Close();
-      *wal_ = std::move(rotated.value());
-      new_epoch = wal_->epoch();
-
-      snap = LoadSnapshot();
-      bool any_scheme = false;
-      for (const auto& scheme : snap->schemes) {
-        if (!scheme.empty()) {
-          any_scheme = true;
-          break;
-        }
-      }
-      // The tail goes out in one append: one write(2), one sync.
-      std::vector<WalRecord> tail;
-      if (!snap->models.empty() || any_scheme) {
-        tail.push_back(WalRecord::Catalog(
-            CatalogFromSnapshot(*snap).SerializeToString()));
-      }
-      // The catalog reinstalls every record at its defaults; restore the
-      // ones that moved since.
-      for (const ModelView live : snap->models) {  // in node order
-        const ModelRecord& record = *live.record;
-        if (record.invalid || record.updates_since_estimate != 0 ||
-            record.refit_failures != 0 || record.quarantined) {
-          tail.push_back(WalRecord::Bookkeeping(
-              live.node, record.invalid, record.updates_since_estimate,
-              record.refit_failures, record.quarantined));
-        }
-      }
-      const std::size_t state_records = tail.size();
-      const std::vector<NodeId>& base_nodes = snap->graph->base_nodes();
-      for (const auto& [time, period] : pending_) {
-        for (std::size_t slot = 0; slot < period.values.size(); ++slot) {
-          if (period.present[slot]) {
-            tail.push_back(WalRecord::Insert(base_nodes[slot], time,
-                                             period.values[slot]));
-          }
-        }
-      }
-      const std::uint64_t pending_count = tail.size() - state_records;
-      F2DB_RETURN_IF_ERROR(WalAppendLocked(tail));
-      F2DB_RETURN_IF_ERROR(wal_->Sync());
-      F2DB_RETURN_IF_ERROR(SyncDirectory(options_.data_dir));
-
-      // The cut: everything strictly before the frontier is closed (its
-      // batches completed) and gets sealed; [sealed_from, sealed_to).
-      const TimeSeries& first = snap->graph->series(base_nodes[0]);
-      sealed_from =
-          (has_base && !reseal) ? base.sealed_to : first.start_time();
-      sealed_to = first.end_time();
-
-      next.wal_epoch = new_epoch;
-      next.sealed_from = has_base ? base.sealed_from : sealed_from;
-      next.sealed_to = sealed_to;
-      // Counters at the cut: replay of the rewritten tail re-adds the
-      // pending inserts, so subtract them.
-      next.inserts = stats_.inserts.Load() - pending_count;
-      next.time_advances = stats_.time_advances.Load();
-      next.reestimates = stats_.reestimates.Load();
-      next.quarantines = stats_.quarantines.Load();
-      next.refit_failures = stats_.refit_failures.Load();
-      next.records_dropped = base.records_dropped;
-      next.offsets = base.offsets;
-      next.segments = base.segments;
-    }
-
-    // ---- Phase B, off the writer lock: seal, commit, truncate. The
-    // manifest rename is the commit point — until it lands, recovery uses
-    // the previous artifact and the old (still-undeleted) WAL epochs.
-    const std::uint64_t count =
-        static_cast<std::uint64_t>(sealed_to - sealed_from);
-    if (count > 0) {
-      storage::SegmentData segment;
-      segment.seq = store_->next_seq();
-      segment.start_time = sealed_from;
-      segment.count = count;
-      const std::vector<NodeId>& base_nodes = snap->graph->base_nodes();
-      segment.series.reserve(base_nodes.size());
-      for (NodeId node : base_nodes) {
-        const TimeSeries& series = snap->graph->series(node);
-        if (series.start_time() > sealed_from) {
-          return Status::Internal(
-              "series history no longer covers the seal range");
-        }
-        const std::size_t begin =
-            static_cast<std::size_t>(sealed_from - series.start_time());
-        storage::SegmentSeries out;
-        out.node = node;
-        const std::span<const double> sealed =
-            series.values().subspan(begin, count);
-        out.values.assign(sealed.begin(), sealed.end());
-        segment.series.push_back(std::move(out));
-      }
-      F2DB_ASSIGN_OR_RETURN(const std::uint64_t bytes,
-                            store_->WriteSegment(segment));
-      storage::ManifestSegment entry;
-      entry.seq = segment.seq;
-      entry.start_time = segment.start_time;
-      entry.count = segment.count;
-      entry.num_series = static_cast<std::uint32_t>(segment.series.size());
-      entry.bytes = bytes;
-      next.segments.push_back(entry);
-    }
-    F2DB_RETURN_IF_ERROR(store_->CommitManifest(next));
-    if (reseal) {
-      // The fresh chain is durable and the manifest no longer references
-      // the invalidated segments; their files can go (best effort — the
-      // next store open sweeps unreferenced leftovers anyway).
-      for (const storage::ManifestSegment& seg : invalid_chain) {
-        (void)store_->DeleteSegmentFile(seg.seq);
-      }
-      reseal_segments_ = false;
-    }
-    if (count > 0) {
-      stats_.segments_sealed.Add();
-      stats_.segment_records_sealed.Add(static_cast<std::size_t>(
-          count * snap->graph->num_base_nodes()));
-    }
-    storage::FireStorageCrashHook("before_wal_delete");
-    // The manifest is durable — WAL epochs below its epoch are redundant.
-    // A failed unlink merely leaves a stale segment for the next recovery
-    // (or compaction) to clean up.
-    auto epochs = ListWalEpochs(options_.data_dir);
-    if (epochs.ok()) {
-      for (const std::uint64_t epoch : epochs.value()) {
-        if (epoch < new_epoch) {
-          ::unlink(WalPath(options_.data_dir, epoch).c_str());
-        }
-      }
-    }
-    stats_.compactions_completed.Add();
-    last_compaction_seconds_.store(uptime_.ElapsedSeconds(),
-                                   std::memory_order_relaxed);
-
-    // ---- Phase C: retention. Whole segments entirely older than the
-    // window are dropped — their per-series sums fold into the manifest
-    // offsets (keeping history sums, and with them derivation weights,
-    // exact), the pruned manifest commits, and only then do the files go.
-    // The newest segment always survives so the chain stays anchored.
-    if (options_.retention_window == 0 || next.segments.size() < 2) {
-      return Status::OK();
-    }
-    const std::int64_t cutoff =
-        sealed_to - static_cast<std::int64_t>(options_.retention_window);
-    std::vector<storage::ManifestSegment> doomed;
-    std::vector<storage::ManifestSegment> kept;
-    for (std::size_t i = 0; i < next.segments.size(); ++i) {
-      const storage::ManifestSegment& seg = next.segments[i];
-      const bool last = (i + 1 == next.segments.size());
-      if (!last &&
-          seg.start_time + static_cast<std::int64_t>(seg.count) <= cutoff) {
-        doomed.push_back(seg);
-      } else {
-        kept.push_back(seg);
-      }
-    }
-    if (doomed.empty()) return Status::OK();
-
-    std::map<std::uint32_t, double> offset_map(next.offsets.begin(),
-                                               next.offsets.end());
-    std::uint64_t dropped_records = 0;
-    for (const storage::ManifestSegment& seg : doomed) {
-      // Decode the doomed file to accumulate the exact sums being
-      // forgotten — the values on disk, not a re-derivation.
-      F2DB_ASSIGN_OR_RETURN(
-          const storage::SegmentData data,
-          storage::ReadSegmentFile(storage::SegmentPath(
-              storage::SegmentsDirFor(options_.data_dir), seg.seq)));
-      for (const storage::SegmentSeries& series : data.series) {
-        double sum = 0.0;
-        for (const double v : series.values) sum += v;
-        offset_map[series.node] += sum;
-      }
-      dropped_records += seg.count * seg.num_series;
-    }
-    storage::ManifestData pruned = next;
-    pruned.segments = kept;
-    pruned.records_dropped += dropped_records;
-    pruned.offsets.assign(offset_map.begin(), offset_map.end());
-    F2DB_RETURN_IF_ERROR(store_->CommitManifest(pruned));
-    for (const storage::ManifestSegment& seg : doomed) {
-      F2DB_RETURN_IF_ERROR(store_->DeleteSegmentFile(seg.seq));
-    }
-    stats_.retention_segments_deleted.Add(doomed.size());
-    stats_.retention_records_dropped.Add(
-        static_cast<std::size_t>(dropped_records));
-
-    // In-memory half: forget the same prefix from every series, base and
-    // aggregate alike. History sums stay untouched — the offsets now
-    // carry the forgotten mass. No other compaction can cut between the
-    // pruned manifest commit above and this drop: compactions serialize on
-    // compaction_serial_mutex_, so none rewrites a tail over undropped
-    // series alongside the pruned offsets.
-    const std::int64_t new_start = kept.front().start_time;
-    {
-      std::lock_guard<std::mutex> lock(writer_mutex_);
-      const SnapshotPtr cur = LoadSnapshot();
-      const TimeSeries& first =
-          cur->graph->series(cur->graph->base_nodes()[0]);
-      if (first.start_time() < new_start) {
-        auto graph = std::make_shared<TimeSeriesGraph>(*cur->graph);
-        F2DB_RETURN_IF_ERROR(graph->DropHistoryBefore(new_start));
-        auto updated = cur->CopyForWrite();
-        updated->graph = std::move(graph);
-        Publish(std::move(updated));
-      }
-    }
-    return Status::OK();
-  }();
-
-  if (!status.ok()) {
-    stats_.compaction_failures.Add();
-    RecordDiskOutcome(status);
-  }
-  return status;
-}
-
-// ------------------------------------------------------ background work
-
-/// A scrub pass in progress: the chain as the pass began (compaction and
-/// retention may reshape the live one mid-pass) and how far it got.
-struct F2dbEngine::ScrubPass {
-  explicit ScrubPass(storage::ManifestData chain)
-      : manifest(std::move(chain)) {}
-
-  storage::ManifestData manifest;
-  std::size_t next = 0;  ///< next segment; segments.size(): the manifest
-  /// When the next step may run (the last file paced at the read budget).
-  std::chrono::steady_clock::time_point resume_at;
-  bool finished = false;
-  ScrubReport report;
-};
-
-bool F2dbEngine::WaitUntil(std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock<std::mutex> lock(background_mutex_);
-  return !background_cv_.wait_until(lock, deadline,
-                                    [this] { return stopping_; });
-}
-
-void F2dbEngine::BackgroundLoop() {
-  using Clock = std::chrono::steady_clock;
-  // When a task with cadence `seconds` is next due; a disabled task never.
-  const auto after = [](double seconds) {
-    if (seconds <= 0.0) return Clock::time_point::max();
-    return Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(seconds));
-  };
-  Clock::time_point compact_due = after(options_.compaction_interval_seconds);
-  Clock::time_point probe_due = after(options_.disk_probe_interval_seconds);
-  Clock::time_point scrub_due = after(options_.scrub_interval_seconds);
-  const std::string sentinel = options_.data_dir + "/.f2db-health-probe";
-  std::optional<ScrubPass> pass;
-
-  while (WaitUntil(std::min({compact_due, probe_due, scrub_due}))) {
-    if (Clock::now() >= compact_due) {
-      // Park while read-only: sealing would only churn the failing device.
-      if (!disk_health_.read_only()) {
-        const Status status = CompactNow();
-        if (!status.ok()) {
-          F2DB_LOG(kWarning) << "background compaction failed: "
-                             << status.message();
-        }
-      }
-      compact_due = after(options_.compaction_interval_seconds);
-    }
-    if (Clock::now() >= probe_due) {
-      if (disk_health_.read_only()) {
-        // One durable sentinel write proves the device accepts writes
-        // again; it exercises the same open/write/fsync/rename path the
-        // WAL and the manifest depend on.
-        const Status probed = storage::WriteFileDurably(
-            sentinel, "ok\n", /*hook_before_rename=*/nullptr,
-            /*hook_after_rename=*/nullptr, storage::kIoSiteProbeWrite);
-        if (probed.ok()) {
-          (void)storage::RemoveFile(sentinel);
-          if (disk_health_.ExitReadOnly()) {
-            F2DB_LOG(kWarning) << "health probe succeeded; leaving read-only";
-          }
-        }
-      }
-      probe_due = after(options_.disk_probe_interval_seconds);
-    }
-    // Park the scrub while read-only: a reseal could not land anyway.
-    if (Clock::now() >= scrub_due && disk_health_.read_only()) {
-      scrub_due = after(options_.scrub_interval_seconds);
-    } else if (Clock::now() >= scrub_due) {
-      if (!pass) pass.emplace(store_->manifest());
-      const Status status = ScrubStep(*pass);
-      if (!status.ok()) {
-        F2DB_LOG(kWarning) << "background scrub failed: " << status.message();
-      }
-      scrub_due = pass->finished ? after(options_.scrub_interval_seconds)
-                                 : pass->resume_at;
-      if (pass->finished) pass.reset();
-    }
-  }
-}
-
-// ------------------------------------------------------ disk-fault policy
-
-void F2dbEngine::RecordDiskOutcome(const Status& status) {
-  // Failure-only by design: a maintenance success must NOT reset the
-  // insert-path failure streak (or re-arm the emergency-retention token),
-  // else a working segment path would mask a dead WAL forever and the
-  // engine would never reach read-only.
-  if (status.ok()) return;
-  const int err = storage::ErrnoFromStatus(status);
-  if (err != 0) disk_health_.RecordFailure(err);
+  return log_ ? log_->CompactNow() : NotDurable("compaction");
 }
 
 Status F2dbEngine::ScrubOnce(ScrubReport* report) {
-  if (!durable()) {
-    return Status::FailedPrecondition(
-        "scrub requires a durable engine (open with a data_dir)");
-  }
-  ScrubPass pass(store_->manifest());
-  Status status;
-  do {
-    status = ScrubStep(pass);
-  } while (status.ok() && !pass.finished && WaitUntil(pass.resume_at));
-  if (report != nullptr) *report = pass.report;
-  return status;
-}
-
-Status F2dbEngine::ScrubStep(ScrubPass& pass) {
-  ScrubReport& out = pass.report;
-  bool reseal = false;
-  // Each file is verified OFF the serial lock: a missing file is a benign
-  // race with compaction or retention (skipped), and corruption is
-  // re-checked against the CURRENT manifest before anything is
-  // quarantined.
-  if (pass.next < pass.manifest.segments.size()) {
-    const storage::ManifestSegment& seg = pass.manifest.segments[pass.next++];
-    const std::string path = storage::SegmentPath(store_->dir(), seg.seq);
-    const auto data = storage::ReadSegmentFile(path);
-    if (data.ok()) {
-      ++out.segments_verified;
-      out.bytes_verified += seg.bytes;
-      stats_.scrub_bytes.Add(static_cast<std::size_t>(seg.bytes));
-      const double rate =
-          static_cast<double>(options_.scrub_rate_bytes_per_second);
-      pass.resume_at =
-          std::chrono::steady_clock::now() +
-          std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-              std::chrono::duration<double>(
-                  rate > 0.0 ? static_cast<double>(seg.bytes) / rate : 0.0));
-      return Status::OK();
-    }
-    if (data.status().code() == StatusCode::kNotFound) {
-      return Status::OK();  // retention won
-    }
-
-    ++out.corruptions;
-    stats_.scrub_corruptions.Add();
-    F2DB_LOG(kError) << "scrub: corrupt sealed segment " << path << ": "
-                     << data.status().message();
-
-    bool still_live = false;
-    bool can_reseal = false;
-    {
-      std::lock_guard<std::mutex> serial(compaction_serial_mutex_);
-      const storage::ManifestData current = store_->manifest();
-      for (const storage::ManifestSegment& live_seg : current.segments) {
-        if (live_seg.seq == seg.seq) {
-          still_live = true;
-          break;
-        }
-      }
-      if (still_live) {
-        // Quarantine first: recovery and later scrubs must never read the
-        // bad bytes again. The file is renamed, not deleted — the evidence
-        // stays available for offline repair.
-        (void)::rename(path.c_str(), (path + ".corrupt").c_str());
-        // A reseal can replace the whole chain only while the in-memory
-        // history still reaches back to the chain's first sealed tick
-        // (retention forgets the disk-only past in lockstep, so normally
-        // it does; the guard protects torn intermediate states).
-        const SnapshotPtr snap = LoadSnapshot();
-        const auto& bases = snap->graph->base_nodes();
-        can_reseal = !bases.empty() && !current.segments.empty() &&
-                     snap->graph->series(bases[0]).start_time() <=
-                         current.segments.front().start_time;
-        if (can_reseal) reseal_segments_ = true;
-      }
-    }
-    if (!still_live) return Status::OK();  // compaction already replaced it
-    if (!can_reseal) {
-      pass.finished = true;
-      disk_health_.EnterReadOnly();
-      out.entered_read_only = true;
-      return Status::Internal("scrub: sealed history at " + path +
-                              " is corrupt and no longer reconstructible "
-                              "from memory; engine is read-only");
-    }
-    reseal = true;  // rewrites the manifest too; the pass ends with it
-  } else if (store_->has_manifest()) {
-    // Manifest: re-read and re-verify its CRC. A corrupt manifest is
-    // quarantined and (the cached copy being authoritative) healed by a
-    // reseal, which rewrites it wholesale.
-    const std::string manifest_path =
-        store_->dir() + "/" + storage::kManifestFileName;
-    const auto text = storage::ReadFileToString(manifest_path);
-    if (text.ok()) {
-      out.bytes_verified += text.value().size();
-      stats_.scrub_bytes.Add(text.value().size());
-      if (!storage::ParseManifest(text.value()).ok()) {
-        ++out.corruptions;
-        stats_.scrub_corruptions.Add();
-        F2DB_LOG(kError) << "scrub: corrupt manifest " << manifest_path;
-        std::lock_guard<std::mutex> serial(compaction_serial_mutex_);
-        (void)::rename(manifest_path.c_str(),
-                       (manifest_path + ".corrupt").c_str());
-        reseal_segments_ = true;
-        reseal = true;
-      }
-    }
-  }
-
-  pass.finished = true;
-  if (reseal) {
-    const Status resealed = CompactNow();
-    if (!resealed.ok()) {
-      out.entered_read_only = disk_health_.EnterReadOnly();
-      return resealed;
-    }
-    out.resealed = true;
-    stats_.scrub_reseals.Add();
-    F2DB_LOG(kWarning) << "scrub: resealed the segment chain and manifest "
-                          "from memory after quarantining a corrupt file";
-  }
-  stats_.scrub_cycles.Add();
-  return Status::OK();
+  return log_ ? log_->ScrubOnce(report) : NotDurable("scrub");
 }
 
 }  // namespace f2db

@@ -26,6 +26,11 @@
 //      store. Readers mid-query keep the old snapshot alive.
 //   3. A STATS layer of relaxed atomic counters, updated from both sides
 //      without locks.
+// A durable engine (Open with a data_dir) additionally owns a DurableLog
+// (engine/durable_log.h): the WAL, the sealed segments, the durable cut,
+// disk health, the scrub and their background thread. The engine logs
+// through it and applies what recovery hands back; nothing above it knows
+// about files.
 // Lazy re-estimation follows the same rule: a query that references an
 // invalid model fits a fresh clone against its snapshot's history and
 // publishes the result copy-on-write; the published entry never mutates.
@@ -35,13 +40,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/concurrent.h"
@@ -53,14 +56,11 @@
 #include "core/evaluator.h"
 #include "cube/graph.h"
 #include "engine/catalog.h"
-#include "engine/disk_health.h"
+#include "engine/durable_log.h"
 #include "engine/plan_cache.h"
 #include "engine/query.h"
-#include "engine/recovery.h"
 #include "engine/snapshot.h"
 #include "engine/stats_export.h"
-#include "engine/wal.h"
-#include "storage/store.h"
 #include "ts/intervals.h"
 #include "ts/model.h"
 
@@ -185,12 +185,17 @@ enum class DegradationLevel {
 const char* DegradationLevelName(DegradationLevel level);
 
 /// Every engine metric, declared once (the row format is described in
-/// engine/stats_export.h). The list order is the exposition order. READ
-/// expressions run inside F2dbEngine::stats(), where `plan` is the plan
-/// cache's counters and `disk` the disk-health counters, each read once
-/// under its owner's lock; the plan-cache rows also run in
+/// engine/stats_export.h). The list order is the exposition order: the
+/// query and maintenance series, then the durable log's
+/// (F2DB_DURABLE_LOG_METRICS). READ expressions of the former run inside
+/// F2dbEngine::stats(), where `plan` is the plan cache's counters, read
+/// once under its lock; the plan-cache rows also run in
 /// ShardedEngine::stats() against the facade's cache.
-#define F2DB_ENGINE_METRICS(METRIC, FAMILY, SAMPLE)                          \
+#define F2DB_ENGINE_METRICS(METRIC, FAMILY, SAMPLE)  \
+  F2DB_ENGINE_OWN_METRICS(METRIC, FAMILY, SAMPLE)    \
+  F2DB_DURABLE_LOG_METRICS(METRIC, FAMILY, SAMPLE)
+
+#define F2DB_ENGINE_OWN_METRICS(METRIC, FAMILY, SAMPLE)                      \
   METRIC(queries, std::size_t, OWNED, counter, "f2db_queries_total",         \
          "Forecast queries served.", kSum)                                   \
   METRIC(inserts, std::size_t, OWNED, counter, "f2db_inserts_total",         \
@@ -236,94 +241,7 @@ const char* DegradationLevelName(DegradationLevel level);
          "Wall-clock seconds spent in the query layer.", kSum)               \
   METRIC(total_maintenance_seconds, double, OWNED, counter,                  \
          "f2db_maintenance_seconds_total",                                   \
-         "Wall-clock seconds spent in maintenance.", kSum)                   \
-  METRIC(wal_records_appended, std::size_t, OWNED, counter,                  \
-         "f2db_wal_records_appended_total",                                  \
-         "WAL records appended by this process.", kSum)                      \
-  METRIC(wal_bytes, std::size_t, OWNED, counter, "f2db_wal_bytes_total",     \
-         "WAL bytes appended by this process.", kSum)                        \
-  METRIC(wal_records_replayed, std::size_t, READ(recovery_.records_replayed),\
-         counter, "f2db_wal_records_replayed_total",                         \
-         "WAL records replayed by recovery at open.", kSum)                  \
-  METRIC(torn_tail_detected, std::size_t,                                    \
-         READ(recovery_.torn_tail_detected), gauge, "f2db_torn_tail_detected",\
-         "1 when recovery truncated a torn final WAL record.", kMax)         \
-  METRIC(recovery_duration_ms, double,                                       \
-         READ(recovery_.recovery_seconds * 1e3), gauge,                      \
-         "f2db_recovery_duration_ms",                                        \
-         "Milliseconds recovery took when the engine opened.", kMax)         \
-  METRIC(last_compaction_age_seconds, double,                                \
-         READ(LastCompactionAgeSeconds()), gauge,                            \
-         "f2db_last_compaction_age_seconds",                                 \
-         "Seconds since the last completed compaction (the durable cut); "   \
-         "-1 when none completed yet.",                                      \
-         kStalest)                                                           \
-  METRIC(segments_sealed, std::size_t, OWNED, counter,                       \
-         "f2db_segments_sealed_total",                                       \
-         "Sealed segments written by this process.", kSum)                   \
-  METRIC(segment_records_sealed, std::size_t, OWNED, counter,                \
-         "f2db_segment_records_sealed_total",                                \
-         "Observations sealed into segments by this process.", kSum)         \
-  METRIC(segments_live, std::size_t,                                         \
-         READ(store_ ? store_->live_segments() : 0), gauge,                  \
-         "f2db_segments_live",                                               \
-         "Sealed segments the current manifest references.", kSum)           \
-  METRIC(segment_live_bytes, std::size_t,                                    \
-         READ(store_ ? store_->live_bytes() : 0), gauge,                     \
-         "f2db_segment_live_bytes",                                          \
-         "On-disk bytes of the live sealed-segment chain.", kSum)            \
-  METRIC(compactions_completed, std::size_t, OWNED, counter,                 \
-         "f2db_compactions_completed_total",                                 \
-         "Compactions that committed their manifest.", kSum)                 \
-  METRIC(compaction_failures, std::size_t, OWNED, counter,                   \
-         "f2db_compaction_failures_total",                                   \
-         "Compaction attempts that failed.", kSum)                           \
-  METRIC(retention_segments_deleted, std::size_t, OWNED, counter,            \
-         "f2db_retention_segments_deleted_total",                            \
-         "Sealed segments deleted by retention.", kSum)                      \
-  METRIC(retention_records_dropped, std::size_t, OWNED, counter,             \
-         "f2db_retention_records_dropped_total",                             \
-         "Observations dropped by retention.", kSum)                         \
-  METRIC(segment_records_recovered, std::size_t,                             \
-         READ(recovery_.segment_records_loaded), counter,                    \
-         "f2db_segment_records_recovered_total",                             \
-         "Observations restored from sealed segments at open.", kSum)        \
-  METRIC(disk_health, std::size_t, READ(disk_health_.state()), gauge,        \
-         "f2db_disk_health",                                                 \
-         "Disk-health state: 0 ok, 1 degraded, 2 read-only (worst shard in " \
-         "sharded expositions).",                                            \
-         kMax)                                                               \
-  METRIC(io_retries, std::size_t, READ(disk.io_retries), counter,            \
-         "f2db_io_retries_total",                                            \
-         "In-line retries of failed durability I/O.", kSum)                  \
-  METRIC(read_only_entries, std::size_t, READ(disk.read_only_entries),       \
-         counter, "f2db_read_only_entries_total",                            \
-         "Read-only brownout episodes entered.", kSum)                       \
-  METRIC(read_only_exits, std::size_t, READ(disk.read_only_exits), counter,  \
-         "f2db_read_only_exits_total",                                       \
-         "Read-only brownout episodes exited via the health probe.", kSum)   \
-  METRIC(emergency_retentions, std::size_t, OWNED, counter,                  \
-         "f2db_emergency_retentions_total",                                  \
-         "Emergency retention passes spent on ENOSPC before read-only.",     \
-         kSum)                                                               \
-  METRIC(scrub_cycles, std::size_t, OWNED, counter, "f2db_scrub_cycles_total",\
-         "Completed integrity-scrub passes.", kSum)                          \
-  METRIC(scrub_bytes, std::size_t, OWNED, counter, "f2db_scrub_bytes_total", \
-         "Bytes re-read and CRC-verified by the scrubber.", kSum)            \
-  METRIC(scrub_corruptions, std::size_t, OWNED, counter,                     \
-         "f2db_scrub_corruptions_total",                                     \
-         "Corrupt durable artifacts detected by the scrubber.", kSum)        \
-  METRIC(scrub_reseals, std::size_t, OWNED, counter,                         \
-         "f2db_scrub_reseals_total",                                         \
-         "Reseal compactions triggered by scrub-detected corruption.", kSum) \
-  FAMILY(counter, "f2db_io_failures_total",                                  \
-         "Classified durability-I/O failures per errno family.", "err")      \
-  SAMPLE(io_failures_eio, std::size_t, READ(disk.io_failures_eio), "eio",    \
-         kSum)                                                               \
-  SAMPLE(io_failures_enospc, std::size_t, READ(disk.io_failures_enospc),     \
-         "enospc", kSum)                                                     \
-  SAMPLE(io_failures_other, std::size_t, READ(disk.io_failures_other),       \
-         "other", kSum)
+         "Wall-clock seconds spent in maintenance.", kSum)
 
 #define F2DB_ENGINE_METRIC_FIELD(field, ctype, source, type, name, help,   \
                                  merge)                                    \
@@ -342,22 +260,6 @@ struct EngineStats {
   /// Renders the counters in the Prometheus text exposition format (see
   /// engine/stats_export.h); served by the network layer's STATS frame.
   std::string ToPrometheusText() const;
-};
-
-/// Outcome of one full scrub pass (F2dbEngine::ScrubOnce).
-struct ScrubReport {
-  /// Sealed segments whose CRCs were re-verified this pass.
-  std::size_t segments_verified = 0;
-  /// Bytes read and verified (segments + manifest).
-  std::uint64_t bytes_verified = 0;
-  /// Corrupt artifacts detected this pass.
-  std::size_t corruptions = 0;
-  /// A reseal compaction was triggered (corrupt segment, history still in
-  /// memory).
-  bool resealed = false;
-  /// Corruption forced the read-only transition (history no longer
-  /// reconstructible from memory).
-  bool entered_read_only = false;
 };
 
 /// One output row of a forecast query.
@@ -422,6 +324,17 @@ struct ExplainResult {
   std::size_t horizon = 0;
 };
 
+/// Appends the display text of a forecast answer to *out: a "-- node:"
+/// line, a "-- degraded:" line when degraded, then one "<time> | <value>"
+/// row each (with "[lower, upper]" on the interval path). The one renderer
+/// of the shell (ExecuteStatementText) and of the server's QUERY/EXECUTE
+/// bodies; it needs no snapshot, since the node name travels in the result.
+void RenderQueryResultInto(const QueryResult& result, std::string* out);
+
+/// The display text of an EXPLAIN plan ("Forecast Query Plan" ...), for
+/// the shell and the server alike.
+std::string RenderExplainResult(const ExplainResult& plan);
+
 /// Resolves WHERE filters against `graph`'s schema: each filter names a
 /// level of some dimension and a member of that level, and dimensions
 /// without a filter default to ALL. A second filter on an already
@@ -450,11 +363,11 @@ class EngineInterface {
   virtual Result<ExplainResult> Explain(const ForecastQuery& query) const = 0;
 
   /// Parses statement text into a shared, immutable plan (DESIGN.md §14).
-  /// Implementations with a plan cache serve repeat shapes without
-  /// touching the lexer/parser; the default simply parses. Plans from one
-  /// implementation must only execute against that implementation (a
-  /// pre-resolved node id is engine-local).
-  virtual Result<PlanPtr> ParsePlan(const std::string& sql) const;
+  /// Implementations serve repeat shapes from their plan cache without
+  /// touching the lexer/parser. Plans from one implementation must only
+  /// execute against that implementation (a pre-resolved node id is
+  /// engine-local).
+  virtual Result<PlanPtr> ParsePlan(const std::string& sql) const = 0;
 
   /// Executes a bound forecast query that came from one of this
   /// implementation's plans, writing into *out — the serving layer reuses
@@ -492,8 +405,9 @@ class EngineInterface {
   virtual Status CompactNow() = 0;
 };
 
-/// The embedded forecast-enabled database engine.
-class F2dbEngine : public EngineInterface {
+/// The embedded forecast-enabled database engine. It implements
+/// DurableState privately: only its own DurableLog calls back into it.
+class F2dbEngine : public EngineInterface, private DurableState {
  public:
   /// Takes ownership of the loaded fact cube (aggregates built). This
   /// constructor is always IN-MEMORY: options.data_dir is ignored here
@@ -501,9 +415,10 @@ class F2dbEngine : public EngineInterface {
   /// engines are built through Open().
   explicit F2dbEngine(TimeSeriesGraph graph, EngineOptions options = {});
 
-  /// Stops the background thread and closes the WAL (final fsync unless
-  /// the policy is kNone). No shutdown compaction is run here — callers
-  /// that want one (the server's drain path) call CompactNow() first.
+  /// Closes the durable log: stops its background thread and closes the
+  /// WAL (final fsync unless the policy is kNone). No shutdown compaction
+  /// is run here — callers that want one (the server's drain path) call
+  /// CompactNow() first.
   ~F2dbEngine();
 
   /// Opens an engine over options.data_dir: bulk-loads the sealed segment
@@ -517,7 +432,7 @@ class F2dbEngine : public EngineInterface {
 
   /// Whether this engine writes a WAL (opened through Open with a
   /// data_dir; the plain constructor never is).
-  bool durable() const override { return wal_ != nullptr; }
+  bool durable() const override { return log_ != nullptr; }
 
   /// Runs one compaction — the engine's durable cut — right now: rotates
   /// the WAL to a fresh epoch, rewrites the live tail (configuration, each
@@ -526,16 +441,17 @@ class F2dbEngine : public EngineInterface {
   /// atomic rename, and only then deletes the covered WAL epochs. When a
   /// retention window is configured, segments entirely older than the
   /// window are then dropped (on disk and in memory) with history sums
-  /// preserved via manifest offsets. Serialized against itself
-  /// (compaction_serial_mutex_). kFailedPrecondition for an in-memory
-  /// engine.
+  /// preserved via manifest offsets. Serialized against itself.
+  /// kFailedPrecondition for an in-memory engine.
   Status CompactNow() override;
 
   /// Current disk-health state (always kOk for an in-memory engine). While
   /// kReadOnly, queries serve annotated from COW snapshots, InsertFact
   /// rejects with kUnavailable + a retry-after-ms hint, and the background
   /// compaction and scrub tasks park (DESIGN.md §15).
-  DiskHealthState disk_health() const { return disk_health_.state(); }
+  DiskHealthState disk_health() const {
+    return log_ ? log_->health() : DiskHealthState::kOk;
+  }
 
   /// One full integrity-scrub pass right now: re-reads and CRC-verifies
   /// every sealed segment and the manifest, throttled to
@@ -657,16 +573,12 @@ class F2dbEngine : public EngineInterface {
   std::size_t pending_inserts() const override;
 
  private:
-  /// Live slots of the OWNED engine metrics: relaxed atomics, lock-free on
-  /// both the query and the maintenance side.
+  /// Live slots of the engine's OWNED metrics: relaxed atomics, lock-free
+  /// on both the query and the maintenance side.
   struct StatsCounters {
-    F2DB_ENGINE_METRICS(F2DB_METRIC_SLOT_ROW, F2DB_METRIC_SWALLOW,
-                        F2DB_METRIC_SLOT_ROW)
+    F2DB_ENGINE_OWN_METRICS(F2DB_METRIC_SLOT_ROW, F2DB_METRIC_SWALLOW,
+                            F2DB_METRIC_SLOT_ROW)
   };
-
-  /// Seconds since the last completed compaction; -1 when none completed
-  /// in this process's lifetime.
-  double LastCompactionAgeSeconds() const;
 
   SnapshotPtr LoadSnapshot() const {
     return snapshot_.load(std::memory_order_acquire);
@@ -688,13 +600,14 @@ class F2dbEngine : public EngineInterface {
   Status CheckQueryDeadline(const ForecastQuery& query) const;
 
   /// What a source whose model is invalid does about its lazy
-  /// re-estimation: fit it, skip it and serve the stale rung (brownout or
-  /// a read-only engine), or decline the whole query before the fit
-  /// (ForecastQuery::decline_refit).
-  enum class RefitMode { kRefit, kSkip, kDecline };
+  /// re-estimation: fit it, skip it and serve the stale rung (an overload
+  /// brownout or a read-only engine — the skip names which), or decline
+  /// the whole query before the fit (ForecastQuery::decline_refit).
+  enum class RefitMode { kRefit, kSkipOverload, kSkipReadOnly, kDecline };
 
-  /// The refit posture of every forecast entry point: kSkip for brownout
-  /// or a read-only durable engine, then kDecline for decline_refit.
+  /// The refit posture of every forecast entry point: kSkipOverload for
+  /// brownout, kSkipReadOnly for a read-only durable engine, then kDecline
+  /// for decline_refit.
   RefitMode ChooseRefitMode(bool brownout = false,
                             bool decline_refit = false) const;
 
@@ -783,79 +696,43 @@ class F2dbEngine : public EngineInterface {
   }
   static constexpr std::uint32_t kNoBaseSlot = 0xffffffffu;
 
-  // ------------------------------------------------- durability internals
-
-  /// Shared core of InsertFact and WAL replay: full validation, then a WAL
-  /// append when `log` is set (replay must not re-log), then buffer and
-  /// advance.
-  Status InsertFactImpl(NodeId base_node, std::int64_t time, double value,
-                        bool log);
-
-  /// Shared core of LoadCatalog and kCatalog replay.
-  Status LoadCatalogImpl(const ConfigurationCatalog& catalog, bool log);
-
-  /// Appends one record when the engine is durable (no-op otherwise) and
-  /// accounts the WAL counters. Caller holds writer_mutex_. Const because
-  /// query-side re-estimation publications log too.
-  Status WalAppendLocked(const WalRecord& record) const;
-  /// Same for several records, appended all or none (WalWriter::AppendAll).
-  Status WalAppendLocked(std::span<const WalRecord> records) const;
+  /// Shared core of InsertFact and the replay of a kInsert record: full
+  /// validation, then a WAL append when the engine has a log, then buffer
+  /// and advance.
+  Status InsertFactImpl(NodeId base_node, std::int64_t time, double value);
 
   /// Renders the given snapshot's configuration as catalog tables (the
   /// payload of a WAL kCatalog record; also backs ExportCatalog).
   static ConfigurationCatalog CatalogFromSnapshot(const EngineSnapshot& snap);
 
-  /// Recovery: restores series history by decoding the sealed segment
-  /// chain directly — base series are bulk-loaded and aggregates/history
-  /// sums rebuilt once, instead of re-running maintenance per record.
+  // ---------------------------------------- DurableState (durable_log.h)
+
+  /// Restores series history by decoding the sealed segment chain
+  /// directly — base series are bulk-loaded and aggregates/history sums
+  /// rebuilt once, instead of re-running maintenance per record.
   /// Configuration, model bookkeeping, and the pending buffer arrive via
   /// the rewritten records at the head of the manifest's WAL epoch.
-  Status ApplySegmentState(const storage::ManifestData& manifest,
-                           std::vector<storage::SegmentData>&& chain);
+  Status ApplySegmentState(const Manifest& manifest,
+                           SegmentChain&& chain) override;
 
-  /// Recovery: re-applies one replayed WAL record. A run of consecutive
+  /// Re-applies one replayed WAL record. A run of consecutive
   /// kBookkeeping records builds one successor (bookkeeping_run_), which
   /// the first record of another kind publishes.
-  Status ApplyWalRecord(const WalRecord& record);
-  /// Recovery: publishes the pending bookkeeping run, if any.
-  void PublishBookkeepingRun();
+  Status ApplyWalRecord(const WalRecord& record) override;
+  /// Publishes the pending bookkeeping run, if any.
+  void EndRecovery() override;
 
-  // ------------------------------------------------ disk-fault internals
-
-  /// The kUnavailable status a read-only engine answers INSERTs with. Its
-  /// message leads with "retry-after-ms=<n>; " — the same hint format the
-  /// rate limiter uses — so clients reuse ParseRetryAfterMs unchanged.
-  Status ReadOnlyRejection() const;
-
-  /// Feeds a durable operation's outcome to the disk-health tracker:
-  /// success ends a failure streak; a failure carrying an fsio errno
-  /// marker is classified and may cross into read-only. Statuses without
-  /// a marker (validation errors, failpoint injections) are ignored.
-  void RecordDiskOutcome(const Status& status);
-
-  /// A scrub pass in progress: the cursor of ScrubStep (engine.cc).
-  struct ScrubPass;
-  /// Verifies the next file of `pass` (the manifest last) as ScrubOnce
-  /// describes; the manifest or a corruption finishes the pass.
-  Status ScrubStep(ScrubPass& pass);
-
-  /// Body of the one background thread: compaction, the read-only health
-  /// probe and scrub steps, each on its own cadence (DESIGN.md §15).
-  void BackgroundLoop();
-
-  /// The one interruptible wait of the background work: sleeps until
-  /// `deadline` and returns false, at once, when the engine is stopping.
-  bool WaitUntil(std::chrono::steady_clock::time_point deadline);
+  /// Under writer_mutex_: the tail (catalog, bookkeeping, pending
+  /// inserts), the graph and the counters of the current snapshot.
+  Status CaptureCut(Cut* cut, const std::function<Status()>& write) override;
+  Status DropHistoryBefore(std::int64_t tick) override;
+  bool HistoryReaches(std::int64_t tick) const override;
 
   /// The maintenance fan-out pool (nullptr = serial maintenance).
   ThreadPool* MaintenancePool() const;
 
   const EngineOptions options_;
   mutable StatsCounters stats_;
-
-  /// Disk-health state machine (DESIGN.md §15). Internally synchronized;
-  /// state reads are lock-free (insert and query hot paths).
-  mutable DiskHealth disk_health_{options_.disk_failure_threshold};
 
   /// LRU plan cache behind ParsePlan (DESIGN.md §14). Internally
   /// synchronized; invalidated by LoadConfiguration / LoadCatalog.
@@ -891,47 +768,14 @@ class F2dbEngine : public EngineInterface {
   /// computes from the period's base values.
   std::vector<double> advance_column_;
 
-  /// The WAL of the current epoch; nullptr for an in-memory engine.
-  /// Rotated by CompactNow. Guarded by writer_mutex_ (mutable for the
-  /// same reason WalAppendLocked is const).
-  mutable std::unique_ptr<WalWriter> wal_;
-
-  /// The sealed-segment store; nullptr for an in-memory engine. The store
-  /// object is internally synchronized; compactions themselves are
-  /// serialized by compaction_serial_mutex_.
-  std::unique_ptr<storage::SegmentStore> store_;
-
-  /// Serializes whole compactions against each other (the background
-  /// thread vs. an explicit CompactNow vs. the shutdown path vs. a scrub
-  /// reseal), so no compaction observes the state between another's
-  /// retention manifest commit and the matching in-memory
-  /// DropHistoryBefore. Always acquired BEFORE writer_mutex_.
-  std::mutex compaction_serial_mutex_;
-
-  /// Recovery fell back to a full WAL replay because the on-disk
-  /// sealed chain failed validation. The next compaction must reseal the
-  /// chain from the in-memory history instead of extending the invalid
-  /// one — extending would commit a higher-epoch manifest and truncate
-  /// the very WAL epochs the fallback still needs. Written once inside
-  /// Open(); afterwards set by the scrubber (quarantined segment) and
-  /// read/cleared by CompactNow, all under compaction_serial_mutex_.
-  bool reseal_segments_ = false;
-
-  /// Recovery facts, written once inside Open() before any thread.
-  RecoveryInfo recovery_;
   /// The unpublished successor a run of replayed kBookkeeping records
   /// writes (ApplyWalRecord); empty outside such a run.
   std::shared_ptr<EngineSnapshot> bookkeeping_run_;
 
-  /// uptime_-relative stamp of the last completed compaction; negative
-  /// when none completed yet.
-  std::atomic<double> last_compaction_seconds_{-1.0};
-
-  // ---- the background thread (compaction, probe, scrub) ----
-  std::mutex background_mutex_;
-  std::condition_variable background_cv_;
-  bool stopping_ = false;  ///< guarded by background_mutex_
-  std::thread background_thread_;
+  /// The WAL, the sealed segments and the background thread; nullptr for
+  /// an in-memory engine, and until recovery is over. Declared last so that
+  /// its thread stops before anything it calls back into is destroyed.
+  std::unique_ptr<DurableLog> log_;
 };
 
 }  // namespace f2db

@@ -2,7 +2,6 @@
 
 #include <errno.h>
 #include <string.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <optional>
@@ -10,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "storage/fsio.h"
 #include "storage/store.h"
 
 namespace f2db {
@@ -37,16 +37,6 @@ Status MissingHistory(const std::string& data_dir, std::string message) {
   return Status::Internal(message);
 }
 
-/// Creates `dir` when missing. Parent directories must already exist — a
-/// data directory is configured explicitly, not discovered.
-Status EnsureDirectory(const std::string& dir) {
-  if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) {
-    return Status::OK();
-  }
-  return Status::Unavailable("cannot create data directory " + dir + ": " +
-                             ::strerror(errno));
-}
-
 }  // namespace
 
 Result<RecoveryInfo> RunRecovery(const std::string& data_dir,
@@ -54,7 +44,9 @@ Result<RecoveryInfo> RunRecovery(const std::string& data_dir,
   const StopWatch watch;
   RecoveryInfo info;
 
-  Status status = EnsureDirectory(data_dir);
+  // Parent directories must already exist — a data directory is
+  // configured explicitly, not discovered.
+  Status status = storage::EnsureDir(data_dir);
   if (!status.ok()) return status;
 
   // Phase 1: the durable cut. kNotFound means no compaction has committed

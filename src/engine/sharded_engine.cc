@@ -1,9 +1,6 @@
 #include "engine/sharded_engine.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -14,6 +11,7 @@
 #include "cube/cube_schema.h"
 #include "cube/hierarchy.h"
 #include "engine/stats_export.h"
+#include "storage/fsio.h"
 
 namespace f2db {
 namespace {
@@ -215,11 +213,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
   if (durable) {
     // Shard directories hang off the root; the per-shard recovery path
     // creates each shard's own directory.
-    if (::mkdir(options.engine.data_dir.c_str(), 0755) != 0 &&
-        errno != EEXIST) {
-      return Status::Internal("cannot create data dir " +
-                              options.engine.data_dir);
-    }
+    F2DB_RETURN_IF_ERROR(storage::EnsureDir(options.engine.data_dir));
   }
 
   // Build every non-empty partition's graph, then open all shards in

@@ -297,30 +297,8 @@ Result<std::vector<std::uint64_t>> ListWalEpochs(const std::string& dir) {
 }
 
 Result<WalReadResult> ReadWalSegment(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::NotFound("cannot open WAL segment " + path + ": " +
-                            ::strerror(errno));
-  }
-  std::string data;
-  char buffer[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n > 0) {
-      data.append(buffer, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      const Status status = Status::Unavailable(
-          std::string("wal read(): ") + ::strerror(errno));
-      ::close(fd);
-      return status;
-    }
-    break;
-  }
-  ::close(fd);
-
+  F2DB_ASSIGN_OR_RETURN(const std::string data,
+                        storage::ReadFileToString(path));
   WalReadResult result;
   if (data.size() < kWalHeaderBytes ||
       std::memcmp(data.data(), kWalMagic, sizeof(kWalMagic)) != 0) {
@@ -416,7 +394,7 @@ Result<WalWriter> WalWriter::Create(const std::string& dir,
   const std::string header = EncodeWalHeader(epoch);
   Status written = WriteAllFd(fd, header.data(), header.size());
   if (written.ok()) written = FsyncFd(fd, "wal header");
-  if (written.ok()) written = SyncDirectory(dir);
+  if (written.ok()) written = storage::SyncDir(dir);
   if (!written.ok()) {
     ::close(fd);
     ::unlink(path.c_str());
@@ -510,20 +488,6 @@ void WalWriter::Close() {
   if (policy_ != FsyncPolicy::kNone) ::fsync(fd_);
   ::close(fd_);
   fd_ = -1;
-}
-
-Status SyncDirectory(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::Unavailable("cannot open dir for fsync: " + dir + ": " +
-                               ::strerror(errno));
-  }
-  const int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) {
-    return Status::Unavailable("dir fsync(): " + std::string(::strerror(errno)));
-  }
-  return Status::OK();
 }
 
 }  // namespace f2db

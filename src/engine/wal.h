@@ -198,9 +198,6 @@ class WalWriter {
   std::string frame_;
 };
 
-/// fsyncs the directory itself so a rename/create inside it is durable.
-Status SyncDirectory(const std::string& dir);
-
 }  // namespace f2db
 
 #endif  // F2DB_ENGINE_WAL_H_

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "common/logging.h"
@@ -29,20 +28,6 @@ void SigtermHandler(int /*signo*/) {
   }
 }
 
-std::string RenderExplainResult(const ExplainResult& plan) {
-  std::string out = "Forecast Query Plan\n";
-  out += "  node:    " + plan.node_name + " (#" + std::to_string(plan.node) +
-         ")\n";
-  out += "  horizon: " + std::to_string(plan.horizon) + "\n";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "  weight:  %.6f\n", plan.weight);
-  out += buffer;
-  out += "  scheme:  from " + std::to_string(plan.sources.size()) +
-         " model(s)\n";
-  for (const std::string& m : plan.source_models) out += "    " + m + "\n";
-  return out;
-}
-
 WireResponse ErrorResponse(FrameType type, const Status& status) {
   WireResponse response;
   response.type = type;
@@ -52,34 +37,6 @@ WireResponse ErrorResponse(FrameType type, const Status& status) {
 }
 
 }  // namespace
-
-/// The node name travels in the result, so no engine snapshot is needed
-/// here — a sharded engine has no single global snapshot to pin.
-void RenderQueryResultInto(const QueryResult& result, std::string* out) {
-  out->append("-- node: ").append(result.node_name).append("\n");
-  if (result.degradation != DegradationLevel::kNone) {
-    out->append("-- degraded: ")
-        .append(DegradationLevelName(result.degradation))
-        .append(" (")
-        .append(result.degradation_reason)
-        .append(")\n");
-  }
-  char buffer[160];
-  for (const ForecastRow& row : result.rows) {
-    int n;
-    if (row.has_interval) {
-      n = std::snprintf(buffer, sizeof(buffer), "%lld | %.4f  [%.4f, %.4f]\n",
-                        static_cast<long long>(row.time), row.value, row.lower,
-                        row.upper);
-    } else {
-      n = std::snprintf(buffer, sizeof(buffer), "%lld | %.4f\n",
-                        static_cast<long long>(row.time), row.value);
-    }
-    if (n > 0) out->append(buffer, std::min<std::size_t>(
-                                       static_cast<std::size_t>(n),
-                                       sizeof(buffer) - 1));
-  }
-}
 
 void AppendForecastResponseFrame(FrameType type, const QueryResult& result,
                                  std::string* out) {

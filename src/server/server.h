@@ -191,12 +191,6 @@ struct ServerStats {
   std::string ToPrometheusText() const;
 };
 
-/// Renders a QUERY/EXECUTE result like the interactive shell does,
-/// appending to `out` without clearing it. ONE renderer serves QUERY and
-/// EXECUTE, inline or on a worker, so a prepared execution is
-/// byte-identical to the raw statement (the differential wall pins this).
-void RenderQueryResultInto(const QueryResult& result, std::string* out);
-
 /// Appends one complete kOk response frame (length prefix included)
 /// carrying a rendered forecast result. Everything lands in `out`, whose
 /// capacity is reused across requests — the inline forecast path's

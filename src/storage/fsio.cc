@@ -32,23 +32,24 @@ void FireStorageCrashHook(const char* point) {
 
 Status EnsureDir(const std::string& dir) {
   if (::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST) return Status::OK();
-  return Status::Internal(Errno("mkdir", dir));
+  return IoError("mkdir", dir, errno);
 }
 
 Status SyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return Status::Internal(Errno("open dir", dir));
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return IoError("open dir", dir, errno);
   const int rc = ::fsync(fd);
+  const int err = errno;
   ::close(fd);
-  if (rc != 0) return Status::Internal(Errno("fsync dir", dir));
+  if (rc != 0) return IoError("fsync dir", dir, err);
   return Status::OK();
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     if (errno == ENOENT) return Status::NotFound("no such file: " + path);
-    return Status::Internal(Errno("open", path));
+    return IoError("open", path, errno);
   }
   std::string out;
   char buffer[1 << 16];
@@ -56,8 +57,9 @@ Result<std::string> ReadFileToString(const std::string& path) {
     const ssize_t n = ::read(fd, buffer, sizeof(buffer));
     if (n < 0) {
       if (errno == EINTR) continue;
+      const int err = errno;
       ::close(fd);
-      return Status::Internal(Errno("read", path));
+      return IoError("read", path, err);
     }
     if (n == 0) break;
     out.append(buffer, static_cast<std::size_t>(n));

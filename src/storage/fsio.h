@@ -52,6 +52,9 @@ void SetStorageCrashHook(StorageCrashHook hook);
 /// Invokes the installed hook, if any, with `point`.
 void FireStorageCrashHook(const char* point);
 
+// The three helpers below report a failed syscall in the IoError form, so
+// disk health classifies it like any other durability-I/O failure.
+
 /// Creates `dir` if it does not exist (one level; parents must exist).
 Status EnsureDir(const std::string& dir);
 

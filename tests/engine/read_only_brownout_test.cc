@@ -239,6 +239,10 @@ TEST_F(ReadOnlyBrownoutTest, BrownoutQueriesSkipRefitsButStillServe) {
   EXPECT_NE(result.value().degradation_reason.find("brownout"),
             std::string::npos)
       << result.value().degradation_reason;
+  EXPECT_NE(result.value().degradation_reason.find(
+                "re-estimation skipped under read-only brownout"),
+            std::string::npos)
+      << result.value().degradation_reason;
   EXPECT_GE(engine->stats().brownout_refits_skipped, 1u);
 }
 

@@ -676,6 +676,10 @@ TEST_F(ServerIntegrationTest, BrownoutQueryOnInvalidModelsIsServedInlineStale) {
   EXPECT_EQ(stale.value().degradation, DegradationLevel::kStaleModel);
   EXPECT_NE(stale.value().body.find("-- degraded: STALE_MODEL"),
             std::string::npos);
+  EXPECT_NE(stale.value().body.find(
+                "re-estimation skipped under overload brownout"),
+            std::string::npos)
+      << stale.value().body;
   EXPECT_EQ(server_stats.brownout_queries, 1u);
   EXPECT_EQ(engine_stats.reestimates, reestimates_before);
   EXPECT_GT(engine_stats.brownout_refits_skipped, 0u);
