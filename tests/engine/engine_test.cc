@@ -7,6 +7,7 @@
 
 #include "baselines/advisor_builder.h"
 #include "baselines/bottom_up.h"
+#include "common/failpoint.h"
 #include "testing/test_cubes.h"
 #include "ts/accuracy.h"
 
@@ -222,6 +223,141 @@ TEST_F(EngineTest, MaintenancePublishesNewSnapshotVersions) {
   // The old snapshot's data is untouched by the advance.
   EXPECT_EQ(first->graph->series(0).end_time(), t);
   EXPECT_EQ(second->graph->series(0).end_time(), t + 1);
+}
+
+TEST_F(EngineTest, EveryForecastEntryPointAgreesOnEveryRung) {
+  // One query target per rung of the degradation ladder: V carries a valid
+  // model; S an invalidated one whose refit fails (stale); D's scheme
+  // source X has no model but its own scheme reaches V (derived); N has no
+  // model and its scheme is itself (naive drift).
+  EngineOptions options;
+  options.reestimate_after_updates = 1;
+  F2dbEngine engine(testing::MakeFigure2Cube(60, 0.05), options);
+  const auto node = [&](std::vector<DimensionFilter> filters) {
+    auto resolved = engine.ResolveNode(filters);
+    EXPECT_TRUE(resolved.ok());
+    return resolved.value();
+  };
+  const NodeId v = node({{"city", "C1"}, {"product", "P1"}});
+  const NodeId s = node({{"city", "C2"}, {"product", "P1"}});
+  const NodeId x = node({{"city", "C3"}, {"product", "P1"}});
+  const NodeId d = node({{"region", "R1"}});
+  const NodeId n = node({{"city", "C4"}, {"product", "P2"}});
+  ConfigurationCatalog catalog;
+  for (NodeId modeled : {v, s}) {
+    auto model = factory_.CreateAndFit(engine.graph().series(modeled));
+    ASSERT_TRUE(model.ok());
+    ModelRow row;
+    row.node = modeled;
+    row.payload = ModelFactory::SerializeModel(*model.value());
+    catalog.model_table().push_back(std::move(row));
+  }
+  for (const auto& [target, source] : std::vector<std::pair<NodeId, NodeId>>{
+           {v, v}, {s, s}, {x, v}, {d, x}, {n, n}}) {
+    SchemeRow row;
+    row.target = target;
+    row.sources = {source};
+    catalog.scheme_table().push_back(std::move(row));
+  }
+  ASSERT_TRUE(engine.LoadCatalog(catalog).ok());
+
+  // One advance invalidates both models; V's refit then succeeds, and
+  // every later refit (S's) fails.
+  const std::int64_t t = engine.graph().series(0).end_time();
+  for (NodeId base : engine.graph().base_nodes()) {
+    ASSERT_TRUE(engine.InsertFact(base, t, 10.0).ok());
+  }
+  ASSERT_TRUE(engine.ForecastNode(v, 1).ok());
+  ASSERT_EQ(engine.stats().reestimates, 1u);
+  struct Disarm {
+    ~Disarm() { failpoint::DisableAll(); }
+  } disarm;
+  failpoint::Enable(kFailpointEngineRefit, failpoint::Policy::Always());
+
+  constexpr std::size_t kHorizon = 3;
+  struct Rung {
+    std::string where;
+    NodeId node;
+    DegradationLevel level;
+  };
+  for (const Rung& rung : std::vector<Rung>{
+           {"city = 'C1' AND product = 'P1'", v, DegradationLevel::kNone},
+           {"city = 'C2' AND product = 'P1'", s, DegradationLevel::kStaleModel},
+           {"region = 'R1'", d, DegradationLevel::kDerivedFallback},
+           {"city = 'C4' AND product = 'P2'", n,
+            DegradationLevel::kNaiveFallback}}) {
+    SCOPED_TRACE(rung.where);
+    const std::string sql = "SELECT time, SUM(sales) FROM facts WHERE " +
+                            rung.where + " GROUP BY time AS OF now() + '3'";
+    // Every call counts one query and `kHorizon` rows on its own rung.
+    EngineStats before = engine.stats();
+    const auto expect_counted = [&] {
+      const EngineStats after = engine.stats();
+      const auto rows_on = [&](DegradationLevel level) {
+        return rung.level == level ? kHorizon : 0u;
+      };
+      EXPECT_EQ(after.queries, before.queries + 1);
+      EXPECT_EQ(after.degraded_rows_stale,
+                before.degraded_rows_stale +
+                    rows_on(DegradationLevel::kStaleModel));
+      EXPECT_EQ(after.degraded_rows_derived,
+                before.degraded_rows_derived +
+                    rows_on(DegradationLevel::kDerivedFallback));
+      EXPECT_EQ(after.degraded_rows_naive,
+                before.degraded_rows_naive +
+                    rows_on(DegradationLevel::kNaiveFallback));
+      before = after;
+    };
+    const auto expect_rows = [&](const QueryResult& result) {
+      EXPECT_EQ(result.node, rung.node);
+      EXPECT_EQ(result.degradation, rung.level);
+      ASSERT_EQ(result.rows.size(), kHorizon);
+      for (const ForecastRow& row : result.rows) {
+        EXPECT_EQ(row.degradation, rung.level);
+      }
+    };
+
+    auto sql_result = engine.ExecuteSql(sql);
+    ASSERT_TRUE(sql_result.ok()) << sql_result.status().ToString();
+    expect_rows(sql_result.value());
+    expect_counted();
+    std::vector<double> expected;
+    for (const ForecastRow& row : sql_result.value().rows) {
+      expected.push_back(row.value);
+    }
+
+    auto plan = engine.ParsePlan(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    QueryResult planned;
+    ASSERT_TRUE(engine
+                    .ExecutePlanInto(*plan.value(),
+                                     plan.value()->tmpl.statement.forecast,
+                                     &planned)
+                    .ok());
+    expect_rows(planned);
+    expect_counted();
+    for (std::size_t h = 0; h < kHorizon; ++h) {
+      EXPECT_EQ(planned.rows[h].value, expected[h]) << "h=" << h;
+    }
+
+    auto latest = engine.ForecastNode(rung.node, kHorizon);
+    ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+    expect_counted();
+    EXPECT_EQ(latest.value(), expected);
+
+    auto pinned = engine.ForecastNode(engine.snapshot(), rung.node, kHorizon);
+    ASSERT_TRUE(pinned.ok()) << pinned.status().ToString();
+    expect_counted();
+    EXPECT_EQ(pinned.value(), expected);
+
+    auto intervals = engine.ForecastNodeWithIntervals(rung.node, kHorizon);
+    ASSERT_TRUE(intervals.ok()) << intervals.status().ToString();
+    expect_counted();
+    ASSERT_EQ(intervals.value().size(), kHorizon);
+    for (std::size_t h = 0; h < kHorizon; ++h) {
+      EXPECT_EQ(intervals.value()[h].point, expected[h]) << "h=" << h;
+    }
+  }
 }
 
 TEST_F(EngineTest, FailedCatalogLoadLeavesEngineUsable) {
