@@ -42,35 +42,6 @@ Status NotDurable(const std::string& what) {
       what + " requires a durable engine (open with a data_dir)");
 }
 
-/// The answer to a query that declined a re-estimation: no rows, nothing
-/// counted (ForecastQuery::decline_refit).
-Status Declined(QueryResult* out) {
-  out->refit_declined = true;
-  return Status::OK();
-}
-
-/// Evaluates `model` from `state` into a DegradedForecast tagged with
-/// `level`/`reason`. Fails with kUnimplemented when variances are requested
-/// but unsupported.
-Result<DegradedForecast> ForecastFromModel(const ForecastModel& model,
-                                           std::span<const double> state,
-                                           NodeId source, std::size_t horizon,
-                                           bool want_variance,
-                                           DegradationLevel level,
-                                           std::string reason) {
-  DegradedForecast out;
-  out.values = model.Forecast(state, horizon);
-  if (want_variance) {
-    out.variances = model.ForecastVariance(state, horizon);
-    if (out.variances.size() != horizon) {
-      return Status::Unimplemented("model at node " + std::to_string(source) +
-                                   " does not support interval forecasts");
-    }
-  }
-  out.level = level;
-  out.reason = std::move(reason);
-  return out;
-}
 
 }  // namespace
 
@@ -398,7 +369,6 @@ Status F2dbEngine::ExecuteInto(const ForecastQuery& query,
   const SnapshotPtr snap = LoadSnapshot();
   F2DB_ASSIGN_OR_RETURN(NodeId node,
                         ResolveFilters(*snap->graph, query.filters));
-  out->node = node;
   snap->graph->NodeNameInto(node, &out->node_name);
   return ForecastIntoResult(snap, node, query, out);
 }
@@ -437,15 +407,65 @@ Status F2dbEngine::ExecutePlanInto(const CachedPlan& plan,
                                    QueryResult* out) const {
   if (!plan.has_resolved_node()) return ExecuteInto(query, out);
   F2DB_RETURN_IF_ERROR(CheckQueryDeadline(query));
-  out->node = plan.resolved_node;
   out->node_name.assign(plan.node_name);  // reuses the buffer's capacity
   return ForecastIntoResult(LoadSnapshot(), plan.resolved_node, query, out);
 }
+
+/// One scheme's forecast as the ladder accumulates it: the source forecasts
+/// (and, on the interval path, their variances) summed in scheme order from
+/// 0.0, and the worst rung any source fell to with its cause. A declined
+/// refit ends the sum.
+struct F2dbEngine::SchemeSum {
+  bool with_variances = false;
+  std::vector<double> values;
+  std::vector<double> variances;
+  DegradationLevel level = DegradationLevel::kNone;
+  std::string reason;  ///< empty while level == kNone
+  bool refit_declined = false;
+
+  /// Adds the other sum's values and variances, step by step.
+  void Add(std::span<const double> more_values,
+           std::span<const double> more_variances) {
+    for (std::size_t h = 0; h < values.size(); ++h) {
+      values[h] += more_values[h];
+      if (with_variances) variances[h] += more_variances[h];
+    }
+  }
+
+  /// Adds `model`'s forecasts from `state`. Fails with kUnimplemented when
+  /// variances are wanted but unsupported.
+  Status AddModel(const ForecastModel& model, std::span<const double> state,
+                  NodeId source) {
+    thread_local std::vector<double> forecast;  // live only in this call
+    model.ForecastInto(state, values.size(), &forecast);
+    std::vector<double> variance;
+    if (with_variances) {
+      variance = model.ForecastVariance(state, values.size());
+      if (variance.size() != values.size()) {
+        return Status::Unimplemented("model at node " +
+                                     std::to_string(source) +
+                                     " does not support interval forecasts");
+      }
+    }
+    Add(forecast, variance);
+    return Status::OK();
+  }
+
+  /// Records that a source fell to `rung` because of `why`; the worst rung
+  /// and its cause win.
+  void Degrade(DegradationLevel rung, std::string why) {
+    if (rung > level) {
+      level = rung;
+      reason = std::move(why);
+    }
+  }
+};
 
 Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
                                       const ForecastQuery& query,
                                       QueryResult* out) const {
   StopWatch watch;
+  out->node = node;
   out->rows.clear();
   out->degradation = DegradationLevel::kNone;
   out->degradation_reason.clear();
@@ -454,82 +474,47 @@ Status F2dbEngine::ForecastIntoResult(const SnapshotPtr& snap, NodeId node,
     return Status::OutOfRange("node id out of range");
   }
   const std::int64_t now = snap->graph->series(node).end_time();
-  const std::size_t horizon = query.horizon;
-  const RefitMode mode = ChooseRefitMode(query.brownout, query.decline_refit);
-
-  // Hot path (EXECUTE / repeat QUERY shapes): a point query whose scheme
-  // sources all carry valid models evaluates batched — each model walks
-  // its state ONCE emitting every horizon into recycled per-thread
-  // buffers, with no DegradedForecast/reason churn. Any degradation (or
-  // the interval path) falls through to the general ladder below.
-  if (!query.with_intervals) {
-    const std::vector<NodeId>& sources = snap->schemes[node];
-    bool all_valid = !sources.empty();
-    for (NodeId source : sources) {
-      const ModelView live = snap->models.Find(source);
-      if (!live || live.record->invalid || !live.model->is_fitted()) {
-        all_valid = false;
-        break;
-      }
-    }
-    if (all_valid) {
-      thread_local std::vector<double> values;
-      thread_local std::vector<double> source_scratch;
-      if (sources.size() == 1) {
-        const ModelView live = snap->models.Find(sources[0]);
-        live.model->ForecastInto(live.state, horizon, &values);
-      } else {
-        values.clear();
-        values.resize(horizon, 0.0);
-        for (NodeId source : sources) {
-          const ModelView live = snap->models.Find(source);
-          live.model->ForecastInto(live.state, horizon, &source_scratch);
-          for (std::size_t h = 0; h < horizon; ++h) {
-            values[h] += source_scratch[h];
-          }
-        }
-      }
-      const double weight = snap->Weight(sources, node);
-      if (out->rows.capacity() < horizon) out->rows.reserve(horizon);
-      for (std::size_t h = 0; h < horizon; ++h) {
-        ForecastRow row;
-        row.time = now + static_cast<std::int64_t>(h);
-        row.value = values[h] * weight;
-        out->rows.push_back(row);
-      }
-      stats_.queries.Add();
-      stats_.total_query_seconds.Add(watch.ElapsedSeconds());
-      return Status::OK();
-    }
-  }
-
-  F2DB_ASSIGN_OR_RETURN(
-      DegradedForecast forecast,
-      ForecastInternal(snap, node, horizon, query.with_intervals, mode));
-  if (forecast.refit_declined) return Declined(out);
+  // Reused across calls: a warmed point query allocates nothing.
+  thread_local SchemeSum sum;
+  sum.with_variances = query.with_intervals;
+  // The refit posture: skipped under brownout or on a read-only engine (the
+  // reason names which), else declined when the query asks.
+  const RefitMode mode = query.brownout            ? RefitMode::kSkipOverload
+                         : log_ && log_->read_only() ? RefitMode::kSkipReadOnly
+                         : query.decline_refit       ? RefitMode::kDecline
+                                                     : RefitMode::kRefit;
+  F2DB_RETURN_IF_ERROR(
+      CombineScheme(snap, node, query.horizon, mode, /*depth=*/0, &sum));
+  // A declined query answers no rows and counts nothing.
+  out->refit_declined = sum.refit_declined;
+  if (out->refit_declined) return Status::OK();
   std::vector<ForecastInterval> intervals;
   if (query.with_intervals) {
-    F2DB_ASSIGN_OR_RETURN(intervals,
-                          IntervalsFromMoments(forecast.values,
-                                               forecast.variances,
-                                               query.confidence));
+    F2DB_ASSIGN_OR_RETURN(intervals, IntervalsFromMoments(sum.values,
+                                                          sum.variances,
+                                                          query.confidence));
   }
-  out->degradation = forecast.level;
-  out->degradation_reason = std::move(forecast.reason);
-  out->rows.reserve(forecast.values.size());
-  for (std::size_t h = 0; h < forecast.values.size(); ++h) {
-    ForecastRow row;
+  out->degradation = sum.level;
+  out->degradation_reason = sum.reason;
+  out->rows.reserve(sum.values.size());  // a no-op once warmed
+  for (std::size_t h = 0; h < sum.values.size(); ++h) {
+    ForecastRow& row = out->rows.emplace_back();
     row.time = now + static_cast<std::int64_t>(h);
-    row.value = forecast.values[h];  // an interval's point, exactly
+    row.value = sum.values[h];  // an interval's point, exactly
+    row.degradation = sum.level;
     if (query.with_intervals) {
       row.lower = intervals[h].lower;
       row.upper = intervals[h].upper;
       row.has_interval = true;
     }
-    row.degradation = out->degradation;
-    out->rows.push_back(row);
   }
-  CountDegradedRows(out->degradation, out->rows.size());
+  if (sum.level == DegradationLevel::kStaleModel) {
+    stats_.degraded_rows_stale.Add(out->rows.size());
+  } else if (sum.level == DegradationLevel::kDerivedFallback) {
+    stats_.degraded_rows_derived.Add(out->rows.size());
+  } else if (sum.level == DegradationLevel::kNaiveFallback) {
+    stats_.degraded_rows_naive.Add(out->rows.size());
+  }
   stats_.queries.Add();
   stats_.total_query_seconds.Add(watch.ElapsedSeconds());
   return Status::OK();
@@ -609,103 +594,63 @@ Result<std::vector<double>> F2dbEngine::ForecastNode(NodeId node,
 
 Result<std::vector<double>> F2dbEngine::ForecastNode(
     const SnapshotPtr& snapshot, NodeId node, std::size_t horizon) const {
-  StopWatch watch;
-  F2DB_ASSIGN_OR_RETURN(
-      DegradedForecast forecast,
-      ForecastInternal(snapshot, node, horizon, /*want_variance=*/false,
-                       ChooseRefitMode()));
-  CountDegradedRows(forecast.level, forecast.values.size());
-  stats_.queries.Add();
-  stats_.total_query_seconds.Add(watch.ElapsedSeconds());
-  return std::move(forecast.values);
+  ForecastQuery query;
+  query.horizon = horizon;
+  QueryResult result;
+  F2DB_RETURN_IF_ERROR(ForecastIntoResult(snapshot, node, query, &result));
+  std::vector<double> values;
+  for (const ForecastRow& row : result.rows) values.push_back(row.value);
+  return values;
 }
 
 Result<std::vector<ForecastInterval>> F2dbEngine::ForecastNodeWithIntervals(
     NodeId node, std::size_t horizon, double confidence) const {
-  StopWatch watch;
-  const SnapshotPtr snap = LoadSnapshot();
-  F2DB_ASSIGN_OR_RETURN(
-      DegradedForecast forecast,
-      ForecastInternal(snap, node, horizon, /*want_variance=*/true,
-                       ChooseRefitMode()));
-  F2DB_ASSIGN_OR_RETURN(
-      std::vector<ForecastInterval> intervals,
-      IntervalsFromMoments(forecast.values, forecast.variances, confidence));
-  CountDegradedRows(forecast.level, intervals.size());
-  stats_.queries.Add();
-  stats_.total_query_seconds.Add(watch.ElapsedSeconds());
+  ForecastQuery query;
+  query.horizon = horizon;
+  query.with_intervals = true;
+  query.confidence = confidence;
+  QueryResult result;
+  F2DB_RETURN_IF_ERROR(ForecastIntoResult(LoadSnapshot(), node, query, &result));
+  std::vector<ForecastInterval> intervals;
+  for (const ForecastRow& row : result.rows) {
+    intervals.push_back({row.lower, row.value, row.upper});
+  }
   return intervals;
 }
 
-F2dbEngine::RefitMode F2dbEngine::ChooseRefitMode(bool brownout,
-                                                   bool decline_refit) const {
-  if (brownout) return RefitMode::kSkipOverload;
-  // A read-only engine serves queries like a brownout: refits are skipped
-  // and rows carry the annotation.
-  if (log_ && log_->read_only()) return RefitMode::kSkipReadOnly;
-  return decline_refit ? RefitMode::kDecline : RefitMode::kRefit;
-}
-
-Result<DegradedForecast> F2dbEngine::ForecastInternal(
-    const SnapshotPtr& snapshot, NodeId node, std::size_t horizon,
-    bool want_variance, RefitMode mode) const {
-  if (node >= snapshot->graph->num_nodes()) {
-    return Status::OutOfRange("node id out of range");
-  }
-  return CombineScheme(snapshot, node, horizon, want_variance, mode,
-                       /*depth=*/0);
-}
-
-Result<DegradedForecast> F2dbEngine::CombineScheme(const SnapshotPtr& snapshot,
-                                                   NodeId node,
-                                                   std::size_t horizon,
-                                                   bool want_variance,
-                                                   RefitMode mode,
-                                                   std::size_t depth) const {
+Status F2dbEngine::CombineScheme(const SnapshotPtr& snapshot, NodeId node,
+                                 std::size_t horizon, RefitMode mode,
+                                 std::size_t depth, SchemeSum* sum) const {
   const std::vector<NodeId>& sources = snapshot->schemes[node];
   if (sources.empty()) {
     return Status::FailedPrecondition("no derivation scheme stored for node " +
                                       snapshot->graph->NodeName(node));
   }
-  DegradedForecast out;
-  out.values.assign(horizon, 0.0);
-  if (want_variance) out.variances.assign(horizon, 0.0);
+  sum->values.assign(horizon, 0.0);
+  if (sum->with_variances) sum->variances.assign(horizon, 0.0);
+  sum->level = DegradationLevel::kNone;
+  sum->reason.clear();
+  sum->refit_declined = false;
   for (NodeId source : sources) {
-    F2DB_ASSIGN_OR_RETURN(
-        DegradedForecast from_source,
-        ForecastSource(snapshot, source, horizon, want_variance, mode,
-                       depth));
-    if (from_source.refit_declined) return from_source;
-    for (std::size_t h = 0; h < horizon; ++h) {
-      out.values[h] += from_source.values[h];
-      if (want_variance) out.variances[h] += from_source.variances[h];
-    }
-    // Report the worst rung any source had to fall to.
-    if (from_source.level > out.level) {
-      out.level = from_source.level;
-      out.reason = std::move(from_source.reason);
-    }
+    F2DB_RETURN_IF_ERROR(ForecastSource(snapshot, source, mode, depth, sum));
+    if (sum->refit_declined) return Status::OK();
   }
   const double weight = snapshot->Weight(sources, node);
   for (std::size_t h = 0; h < horizon; ++h) {
-    out.values[h] *= weight;
-    if (want_variance) out.variances[h] *= weight * weight;
+    sum->values[h] *= weight;
+    if (sum->with_variances) sum->variances[h] *= weight * weight;
   }
-  return out;
+  return Status::OK();
 }
 
-Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
-                                                    NodeId source,
-                                                    std::size_t horizon,
-                                                    bool want_variance,
-                                                    RefitMode mode,
-                                                    std::size_t depth) const {
+Status F2dbEngine::ForecastSource(const SnapshotPtr& snapshot, NodeId source,
+                                  RefitMode mode, std::size_t depth,
+                                  SchemeSum* sum) const {
   const ModelView live = snapshot->models.Find(source);
 
   // Primary path: a valid published model.
   if (live && !live.record->invalid) {
-    return ForecastFromModel(*live.model, live.state, source, horizon,
-                             want_variance, DegradationLevel::kNone, "");
+    return sum->AddModel(*live.model, live.state, source);
   }
 
   std::string reason;
@@ -729,9 +674,8 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
                " brownout";
     } else if (RefitAllowed(*live.record)) {
       if (mode == RefitMode::kDecline) {
-        DegradedForecast declined;
-        declined.refit_declined = true;
-        return declined;
+        sum->refit_declined = true;
+        return Status::OK();
       }
       StopWatch watch;
       std::unique_ptr<ForecastModel> refit = live.model->Clone();
@@ -745,8 +689,7 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
         stats_.total_maintenance_seconds.Add(watch.ElapsedSeconds());
         OfferReestimate(source, live.record->generation, model,
                         live.record->creation_seconds);
-        return ForecastFromModel(*model, model->state(), source, horizon,
-                                 want_variance, DegradationLevel::kNone, "");
+        return sum->AddModel(*model, model->state(), source);
       }
       stats_.refit_failures.Add();
       OfferRefitFailure(source, *live.record);
@@ -765,30 +708,36 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
     // date but its state was advanced through every insert, so it still
     // produces a usable forecast for this snapshot's frontier.
     if (live.model->is_fitted()) {
-      return ForecastFromModel(*live.model, live.state, source, horizon,
-                               want_variance, DegradationLevel::kStaleModel,
-                               reason + "; serving stale model");
+      F2DB_RETURN_IF_ERROR(sum->AddModel(*live.model, live.state, source));
+      sum->Degrade(DegradationLevel::kStaleModel,
+                   reason + "; serving stale model");
+      return Status::OK();
     }
   }
 
   // Rung 2: recompute the source through its OWN stored derivation scheme
   // (bounded recursion; schemes that reference the source itself cannot
-  // help and are skipped).
+  // help and are skipped). The recursion sums into its own SchemeSum, so a
+  // failed attempt leaves no trace and falls to rung 3.
   if (depth < kMaxDerivationDepth) {
     const std::vector<NodeId>& scheme = snapshot->schemes[source];
     const bool refers_self =
         std::find(scheme.begin(), scheme.end(), source) != scheme.end();
-    if (!scheme.empty() && !refers_self) {
-      Result<DegradedForecast> derived =
-          CombineScheme(snapshot, source, horizon, want_variance, mode,
-                        depth + 1);
-      if (derived.ok()) {
-        if (derived.value().refit_declined) return derived;
-        DegradedForecast out = std::move(derived).value();
-        out.level = std::max(out.level, DegradationLevel::kDerivedFallback);
-        out.reason = reason + "; served via the node's derivation scheme";
-        return out;
+    SchemeSum derived;
+    derived.with_variances = sum->with_variances;
+    if (!scheme.empty() && !refers_self &&
+        CombineScheme(snapshot, source, sum->values.size(), mode, depth + 1,
+                      &derived)
+            .ok()) {
+      if (derived.refit_declined) {
+        sum->refit_declined = true;
+        return Status::OK();
       }
+      sum->Add(derived.values, derived.variances);
+      sum->Degrade(
+          std::max(derived.level, DegradationLevel::kDerivedFallback),
+          reason + "; served via the node's derivation scheme");
+      return Status::OK();
     }
   }
 
@@ -797,9 +746,10 @@ Result<DegradedForecast> F2dbEngine::ForecastSource(const SnapshotPtr& snapshot,
   DriftModel drift;
   const Status drift_fitted = drift.Fit(snapshot->graph->series(source));
   if (drift_fitted.ok()) {
-    return ForecastFromModel(drift, drift.state(), source, horizon,
-                             want_variance, DegradationLevel::kNaiveFallback,
-                             reason + "; serving naive drift fallback");
+    F2DB_RETURN_IF_ERROR(sum->AddModel(drift, drift.state(), source));
+    sum->Degrade(DegradationLevel::kNaiveFallback,
+                 reason + "; serving naive drift fallback");
+    return Status::OK();
   }
 
   return Status::Unavailable("forecast unavailable for node " +
@@ -817,25 +767,6 @@ bool F2dbEngine::RefitAllowed(const ModelRecord& live) const {
   const double wait = options_.refit_retry_backoff_seconds *
                       static_cast<double>(std::size_t{1} << exponent);
   return uptime_.ElapsedSeconds() >= live.last_refit_attempt_seconds + wait;
-}
-
-void F2dbEngine::CountDegradedRows(DegradationLevel level,
-                                   std::size_t rows) const {
-  switch (level) {
-    case DegradationLevel::kNone:
-      break;
-    case DegradationLevel::kStaleModel:
-      stats_.degraded_rows_stale.Add(rows);
-      break;
-    case DegradationLevel::kDerivedFallback:
-      stats_.degraded_rows_derived.Add(rows);
-      break;
-    case DegradationLevel::kNaiveFallback:
-      stats_.degraded_rows_naive.Add(rows);
-      break;
-    case DegradationLevel::kUnavailable:
-      break;  // surfaced as a status, never as rows
-  }
 }
 
 void F2dbEngine::OfferReestimate(

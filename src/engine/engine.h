@@ -45,6 +45,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/concurrent.h"
@@ -294,20 +295,6 @@ struct QueryResult {
   /// The query set ForecastQuery::decline_refit and answering it needs a
   /// lazy re-estimation: nothing was computed or counted (rows are empty),
   /// and the caller must run the query again with refits allowed.
-  bool refit_declined = false;
-};
-
-/// A scheme-derived forecast annotated with the degradation outcome — the
-/// internal currency of the query path, exposed for tests and benches.
-struct DegradedForecast {
-  std::vector<double> values;
-  /// Forecast variances; filled only on the interval query path.
-  std::vector<double> variances;
-  DegradationLevel level = DegradationLevel::kNone;
-  /// Cause of the degradation; empty when level == kNone.
-  std::string reason;
-  /// A source needed a re-estimation the query declined
-  /// (ForecastQuery::decline_refit); values are incomplete, never served.
   bool refit_declined = false;
 };
 
@@ -588,10 +575,11 @@ class F2dbEngine : public EngineInterface, private DurableState {
   /// Const because query threads publish re-estimates too.
   void Publish(std::shared_ptr<EngineSnapshot> next) const;
 
-  /// Shared core of Execute / ExecuteInto / ExecutePlanInto: forecasts
-  /// `node` against `snapshot` and renders rows into *out, reusing its
-  /// buffers. Handles stats accounting (queries, query seconds, degraded
-  /// rows); the deadline gate has already run.
+  /// The one forecast routine behind every entry point (Execute,
+  /// ExecuteInto, ExecutePlanInto, ForecastNode, ForecastNodeWithIntervals):
+  /// forecasts `node` against `snapshot` through the ladder and renders
+  /// rows into *out, reusing its buffers. It alone counts queries, query
+  /// seconds and degraded rows; the deadline gate has already run.
   Status ForecastIntoResult(const SnapshotPtr& snapshot, NodeId node,
                             const ForecastQuery& query, QueryResult* out) const;
 
@@ -605,43 +593,32 @@ class F2dbEngine : public EngineInterface, private DurableState {
   /// the whole query before the fit (ForecastQuery::decline_refit).
   enum class RefitMode { kRefit, kSkipOverload, kSkipReadOnly, kDecline };
 
-  /// The refit posture of every forecast entry point: kSkipOverload for
-  /// brownout, kSkipReadOnly for a read-only durable engine, then kDecline
-  /// for decline_refit.
-  RefitMode ChooseRefitMode(bool brownout = false,
-                            bool decline_refit = false) const;
+  /// One scheme's forecast as the ladder accumulates it (engine.cc).
+  struct SchemeSum;
 
-  /// Scheme-based forecast against one snapshot (shared by Execute and
-  /// ForecastNode; no stats accounting). Bounds-checks `node`, then
-  /// combines the node's stored scheme via CombineScheme. `want_variance`
-  /// additionally fills DegradedForecast::variances (interval path).
-  /// `mode` (from ChooseRefitMode) rides along to ForecastSource.
-  Result<DegradedForecast> ForecastInternal(
-      const SnapshotPtr& snapshot, NodeId node, std::size_t horizon,
-      bool want_variance, RefitMode mode) const;
+  /// Sums the source forecasts of `node`'s stored scheme into *sum (values
+  /// and, when sum->with_variances, variances; both resized to `horizon`)
+  /// in scheme order from 0.0, then applies the derivation weight. `mode`
+  /// rides along to ForecastSource; `depth` limits derived-fallback
+  /// recursion.
+  Status CombineScheme(const SnapshotPtr& snapshot, NodeId node,
+                       std::size_t horizon, RefitMode mode, std::size_t depth,
+                       SchemeSum* sum) const;
 
-  /// Sums the source forecasts of `node`'s stored scheme and applies the
-  /// derivation weight. The reported level/reason is the worst rung any
-  /// source had to fall to; a declined source ends the sum at once.
-  /// `depth` limits derived-fallback recursion.
-  Result<DegradedForecast> CombineScheme(const SnapshotPtr& snapshot,
-                                         NodeId node, std::size_t horizon,
-                                         bool want_variance, RefitMode mode,
-                                         std::size_t depth) const;
-
-  /// Produces the forecast of ONE scheme source, degrading through the
-  /// fallback ladder (DESIGN.md, "Failure semantics"):
+  /// Adds the forecast of ONE scheme source into *sum, degrading through
+  /// the fallback ladder (DESIGN.md, "Failure semantics"):
   ///   valid model → lazy refit → stale pre-invalidation model →
   ///   source's own derivation scheme → drift model on stored history →
   ///   kUnavailable.
-  /// A successful refit is offered copy-on-write (OfferReestimate); a
-  /// failed one is recorded copy-on-write (OfferRefitFailure) and may
-  /// quarantine the node. Under RefitMode::kDecline a refit that would
-  /// start returns DegradedForecast::refit_declined instead, untouched.
-  Result<DegradedForecast> ForecastSource(const SnapshotPtr& snapshot,
-                                          NodeId source, std::size_t horizon,
-                                          bool want_variance, RefitMode mode,
-                                          std::size_t depth) const;
+  /// A degraded rung is recorded in *sum with its cause; a valid model
+  /// builds no reason and allocates nothing. A successful refit is offered
+  /// copy-on-write (OfferReestimate); a failed one is recorded
+  /// copy-on-write (OfferRefitFailure) and may quarantine the node. Under
+  /// RefitMode::kDecline a refit that would start sets
+  /// SchemeSum::refit_declined instead and adds nothing.
+  Status ForecastSource(const SnapshotPtr& snapshot, NodeId source,
+                        RefitMode mode, std::size_t depth,
+                        SchemeSum* sum) const;
 
   /// Whether a refit of the model with record `live` may be attempted now
   /// (not quarantined and outside the exponential backoff window).
@@ -659,9 +636,6 @@ class F2dbEngine : public EngineInterface, private DurableState {
   /// quarantines the node once the threshold is crossed. Checked against
   /// `expected`'s generation like OfferReestimate.
   void OfferRefitFailure(NodeId node, const ModelRecord& expected) const;
-
-  /// Attributes `rows` forecast rows to the stats counter of `level`.
-  void CountDegradedRows(DegradationLevel level, std::size_t rows) const;
 
   /// Applies every complete buffered batch at the current frontier and
   /// publishes one successor snapshot. Caller holds writer_mutex_.
