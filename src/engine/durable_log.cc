@@ -1,9 +1,7 @@
 #include "engine/durable_log.h"
 
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -34,13 +32,8 @@ Result<std::unique_ptr<DurableLog>> DurableLog::Open(
   // Recovery runs single-threaded: the engine exists but no other thread
   // can reach it yet, and it has no log yet, so the replay goes through
   // the regular maintenance paths without logging the records again.
-  RecoveryCallbacks callbacks;
-  callbacks.apply_segments =
-      std::bind_front(&DurableState::ApplySegmentState, &state);
-  callbacks.apply_record =
-      std::bind_front(&DurableState::ApplyWalRecord, &state);
   F2DB_ASSIGN_OR_RETURN(RecoveryInfo info,
-                        RunRecovery(options.data_dir, callbacks));
+                        RunRecovery(options.data_dir, state));
   state.EndRecovery();
 
   std::unique_ptr<DurableLog> log(new DurableLog(options, state));
@@ -269,7 +262,7 @@ Status DurableLog::CompactNow() {
     if (epochs.ok()) {
       for (const std::uint64_t epoch : epochs.value()) {
         if (epoch < new_epoch) {
-          ::unlink(WalPath(options_.data_dir, epoch).c_str());
+          (void)storage::RemoveFile(WalPath(options_.data_dir, epoch));
         }
       }
     }
@@ -489,7 +482,7 @@ Status DurableLog::ScrubStep(ScrubPass& pass) {
         // Quarantine first: recovery and later scrubs must never read the
         // bad bytes again. The file is renamed, not deleted — the evidence
         // stays available for offline repair.
-        (void)::rename(path.c_str(), (path + ".corrupt").c_str());
+        (void)storage::Quarantine(path);
         // A reseal can replace the whole chain only while the in-memory
         // history still reaches back to the chain's first sealed tick
         // (retention forgets the disk-only past in lockstep, so normally
@@ -524,8 +517,7 @@ Status DurableLog::ScrubStep(ScrubPass& pass) {
         stats_.scrub_corruptions.Add();
         F2DB_LOG(kError) << "scrub: corrupt manifest " << manifest_path;
         std::lock_guard<std::mutex> serial(compaction_serial_mutex_);
-        (void)::rename(manifest_path.c_str(),
-                       (manifest_path + ".corrupt").c_str());
+        (void)storage::Quarantine(manifest_path);
         reseal_segments_ = true;
         reseal = true;
       }

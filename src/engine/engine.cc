@@ -423,7 +423,7 @@ struct F2dbEngine::SchemeSum {
   std::string reason;  ///< empty while level == kNone
   bool refit_declined = false;
 
-  /// Adds the other sum's values and variances, step by step.
+  /// Adds `more_values` (and `more_variances`, when summed) step by step.
   void Add(std::span<const double> more_values,
            std::span<const double> more_variances) {
     for (std::size_t h = 0; h < values.size(); ++h) {

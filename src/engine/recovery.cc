@@ -1,7 +1,5 @@
 #include "engine/recovery.h"
 
-#include <errno.h>
-#include <string.h>
 #include <unistd.h>
 
 #include <optional>
@@ -9,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "engine/durable_log.h"
 #include "storage/fsio.h"
 #include "storage/store.h"
 
@@ -40,7 +39,7 @@ Status MissingHistory(const std::string& data_dir, std::string message) {
 }  // namespace
 
 Result<RecoveryInfo> RunRecovery(const std::string& data_dir,
-                                 const RecoveryCallbacks& callbacks) {
+                                 DurableState& state) {
   const StopWatch watch;
   RecoveryInfo info;
 
@@ -86,10 +85,8 @@ Result<RecoveryInfo> RunRecovery(const std::string& data_dir,
         info.segment_records_loaded +=
             segment.count * static_cast<std::uint64_t>(segment.series.size());
       }
-      if (callbacks.apply_segments) {
-        status = callbacks.apply_segments(*manifest, std::move(chain));
-        if (!status.ok()) return status;
-      }
+      status = state.ApplySegmentState(*manifest, std::move(chain));
+      if (!status.ok()) return status;
     } else {
       info.segment_fallback = true;
       F2DB_LOG(kWarning) << "recovery: sealed segment chain invalid ("
@@ -106,11 +103,8 @@ Result<RecoveryInfo> RunRecovery(const std::string& data_dir,
   std::vector<std::uint64_t> epochs;
   for (const std::uint64_t epoch : epochs_result.value()) {
     if (epoch < replay_from_epoch) {
-      const std::string stale = WalPath(data_dir, epoch);
-      if (::unlink(stale.c_str()) != 0 && errno != ENOENT) {
-        return Status::Unavailable("cannot delete stale WAL segment " + stale +
-                                   ": " + ::strerror(errno));
-      }
+      status = storage::RemoveFile(WalPath(data_dir, epoch));
+      if (!status.ok()) return status;
       continue;
     }
     epochs.push_back(epoch);
@@ -173,10 +167,8 @@ Result<RecoveryInfo> RunRecovery(const std::string& data_dir,
                               " — log history is damaged");
     }
     for (const WalRecord& record : segment.value().records) {
-      if (callbacks.apply_record) {
-        status = callbacks.apply_record(record);
-        if (!status.ok()) return status;
-      }
+      status = state.ApplyWalRecord(record);
+      if (!status.ok()) return status;
       ++info.records_replayed;
     }
     if (last_segment) {

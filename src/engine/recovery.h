@@ -1,57 +1,41 @@
 // Crash recovery: durable-cut load + WAL tail replay (DESIGN.md §10,
 // §13).
 //
-// RunRecovery() owns the file-level recovery protocol so the engine only
-// has to say how state is applied:
+// RunRecovery() owns the file-level recovery protocol; the engine's
+// DurableState says how state is applied:
 //   1. create the data directory on first use;
 //   2. load the segment manifest — the one durable cut, written by
 //      compaction — if it exists (an unreadable manifest falls back to a
 //      full WAL replay, because WAL epochs are only deleted after a
 //      manifest commit);
 //   3. restore history by decoding the sealed segment chain the manifest
-//      names (bulk load, no per-record replay); when the chain fails
-//      validation, fall back to a full WAL replay from epoch 1;
+//      names and handing it to DurableState::ApplySegmentState (bulk
+//      load, no per-record replay); when the chain fails validation, fall
+//      back to a full WAL replay from epoch 1;
 //   4. delete WAL segments older than the manifest's epoch (redundant
 //      segments whose deletion a previous crash interrupted);
-//   5. replay every remaining WAL segment in epoch order, tolerating
+//   5. replay every remaining WAL segment in epoch order through
+//      DurableState::ApplyWalRecord, tolerating
 //      exactly one torn record at the tail of the NEWEST segment (the
 //      write a crash interrupted); a tear anywhere else — or a missing
 //      epoch — means lost history and fails recovery loudly;
 //   6. report where appends must continue (segment epoch + the byte
 //      offset the torn tail was truncated to).
 //
-// The callbacks apply state mutations; RunRecovery never touches engine
-// internals directly, which keeps the protocol testable against plain
-// in-memory accumulators (see tests/integration/recovery_test.cc).
+// RunRecovery reaches the engine only through those two DurableState
+// calls; DurableLog::Open runs it and then calls EndRecovery.
 
 #ifndef F2DB_ENGINE_RECOVERY_H_
 #define F2DB_ENGINE_RECOVERY_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
-#include "engine/wal.h"
-#include "storage/manifest.h"
-#include "storage/segment.h"
 
 namespace f2db {
 
-/// How the recovered state is applied (all optional; an unset callback
-/// skips that phase, which the dry-run inspection tools use).
-/// apply_segments is called at most once, before any WAL record.
-struct RecoveryCallbacks {
-  /// Installs history decoded from the sealed segment chain. The chain is
-  /// already CRC-verified and validated against the manifest (contiguous,
-  /// ascending, consistent node sets).
-  std::function<Status(const storage::ManifestData&,
-                       std::vector<storage::SegmentData>&&)>
-      apply_segments;
-  /// Applies one replayed WAL record, in log order.
-  std::function<Status(const WalRecord&)> apply_record;
-};
+class DurableState;  // engine/durable_log.h
 
 /// What recovery found — the source of the engine's recovery counters.
 struct RecoveryInfo {
@@ -80,9 +64,12 @@ struct RecoveryInfo {
   bool create_segment = true;
 };
 
-/// Runs the recovery protocol over `data_dir` (created when missing).
+/// Runs the recovery protocol over `data_dir` (created when missing),
+/// applying what it recovers to `state`: the sealed segment chain (already
+/// CRC-verified and validated against the manifest) at most once, then
+/// every replayed WAL record in log order.
 Result<RecoveryInfo> RunRecovery(const std::string& data_dir,
-                                 const RecoveryCallbacks& callbacks);
+                                 DurableState& state);
 
 }  // namespace f2db
 

@@ -16,28 +16,6 @@
 namespace f2db {
 namespace {
 
-/// Rebuilds one hierarchy verbatim from its read API (for the dimensions
-/// a partition keeps in full).
-Result<Hierarchy> CopyHierarchy(const Hierarchy& source) {
-  Hierarchy copy(source.name());
-  const std::size_t levels = source.num_levels();
-  for (std::size_t l = 0; l < levels; ++l) {
-    std::vector<std::string> names;
-    names.reserve(source.num_values(l));
-    for (ValueIndex v = 0; v < source.num_values(l); ++v) {
-      names.push_back(source.value_name(l, v));
-    }
-    F2DB_RETURN_IF_ERROR(copy.AddLevel(source.level_name(l), std::move(names)));
-  }
-  for (std::size_t l = 0; l + 1 < levels; ++l) {
-    for (ValueIndex v = 0; v < source.num_values(l); ++v) {
-      F2DB_RETURN_IF_ERROR(copy.SetParent(l, v, source.parent_value(l, v)));
-    }
-  }
-  F2DB_RETURN_IF_ERROR(copy.Finalize());
-  return copy;
-}
-
 /// The ancestor-closure restriction of one partition: kept[l] lists the
 /// GLOBAL dimension-0 value indices present at level l (ascending), and
 /// local_of[l] maps global value index -> local index (or -1).
@@ -99,10 +77,6 @@ Result<Hierarchy> BuildRestrictedDimZero(const Hierarchy& dim0,
   return restricted;
 }
 
-DegradationLevel Worse(DegradationLevel a, DegradationLevel b) {
-  return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
-}
-
 /// The GLOBAL value index of `value`'s ancestor at `level` (walking the
 /// parent chain from level 0). `level` == num_levels() means ALL.
 ValueIndex AncestorAt(const Hierarchy& hierarchy, ValueIndex value,
@@ -152,28 +126,9 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
   }
   const Hierarchy& dim0 = schema.hierarchy(0);
 
-  // Retain a structural copy of the global graph for routing and naming.
-  F2DB_ASSIGN_OR_RETURN(CubeSchema global_schema_copy, [&]() -> Result<CubeSchema> {
-    CubeSchema copy;
-    for (std::size_t d = 0; d < schema.num_dimensions(); ++d) {
-      F2DB_ASSIGN_OR_RETURN(Hierarchy h, CopyHierarchy(schema.hierarchy(d)));
-      F2DB_RETURN_IF_ERROR(copy.AddHierarchy(std::move(h)));
-    }
-    return copy;
-  }());
-  F2DB_ASSIGN_OR_RETURN(TimeSeriesGraph global_copy,
-                        TimeSeriesGraph::Create(std::move(global_schema_copy)));
-  for (const NodeId base : global_copy.base_nodes()) {
-    const NodeAddress address = global_copy.AddressOf(base);
-    F2DB_ASSIGN_OR_RETURN(const NodeId source, global_graph.NodeFor(address));
-    F2DB_RETURN_IF_ERROR(
-        global_copy.SetBaseSeries(base, global_graph.series(source)));
-  }
-  F2DB_RETURN_IF_ERROR(global_copy.BuildAggregates());
-
+  // Retain a copy of the global graph for routing and naming.
   auto engine = std::unique_ptr<ShardedEngine>(new ShardedEngine(
-      options,
-      std::make_shared<const TimeSeriesGraph>(std::move(global_copy))));
+      options, std::make_shared<const TimeSeriesGraph>(global_graph)));
   const TimeSeriesGraph& graph = *engine->global_graph_;
   const std::size_t shards = options.num_shards;
 
@@ -236,8 +191,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     CubeSchema shard_schema;
     F2DB_RETURN_IF_ERROR(shard_schema.AddHierarchy(std::move(restricted)));
     for (std::size_t d = 1; d < schema.num_dimensions(); ++d) {
-      F2DB_ASSIGN_OR_RETURN(Hierarchy h, CopyHierarchy(schema.hierarchy(d)));
-      F2DB_RETURN_IF_ERROR(shard_schema.AddHierarchy(std::move(h)));
+      F2DB_RETURN_IF_ERROR(shard_schema.AddHierarchy(schema.hierarchy(d)));
     }
     F2DB_ASSIGN_OR_RETURN(TimeSeriesGraph shard_graph,
                           TimeSeriesGraph::Create(std::move(shard_schema)));
@@ -472,7 +426,7 @@ Result<QueryResult> ShardedEngine::Execute(const ForecastQuery& query) const {
     for (const auto& [p, piece] : pieces) {
       const ForecastRow& src = piece.rows[h];
       row.value += src.value;
-      row.degradation = Worse(row.degradation, src.degradation);
+      row.degradation = std::max(row.degradation, src.degradation);
       if (!src.has_interval) row.has_interval = false;
       lower_sq += (src.value - src.lower) * (src.value - src.lower);
       upper_sq += (src.upper - src.value) * (src.upper - src.value);
@@ -484,7 +438,7 @@ Result<QueryResult> ShardedEngine::Execute(const ForecastQuery& query) const {
     }
   }
   for (const auto& [p, piece] : pieces) {
-    merged.degradation = Worse(merged.degradation, piece.degradation);
+    merged.degradation = std::max(merged.degradation, piece.degradation);
     if (!piece.degradation_reason.empty()) {
       if (!merged.degradation_reason.empty()) {
         merged.degradation_reason += "; ";

@@ -14,10 +14,16 @@
 #include <utility>
 
 #include "common/crc32c.h"
+#include "storage/codec.h"
 #include "storage/fsio.h"
 
 namespace f2db {
 namespace {
+
+using storage::GetU32;
+using storage::GetU64;
+using storage::PutU32;
+using storage::PutU64;
 
 constexpr char kWalMagic[7] = {'F', '2', 'D', 'B', 'W', 'A', 'L'};
 /// magic + version byte + u64 epoch.
@@ -28,40 +34,14 @@ constexpr std::size_t kFramePrefixBytes = 8;
 constexpr std::uint8_t kBookkeepingInvalid = 1;
 constexpr std::uint8_t kBookkeepingQuarantined = 2;
 
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
 void PutF64(std::string* out, double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
   PutU64(out, bits);
 }
 
-std::uint32_t GetU32(std::string_view in, std::size_t at) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(in[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t GetU64(std::string_view in, std::size_t at) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(in[at + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
 double GetF64(std::string_view in, std::size_t at) {
-  const std::uint64_t bits = GetU64(in, at);
+  const std::uint64_t bits = GetU64(in.data() + at);
   double v;
   std::memcpy(&v, &bits, sizeof(v));
   return v;
@@ -227,8 +207,8 @@ Result<WalRecord> DecodeWalRecordBody(std::string_view body) {
       if (rest.size() != 4 + 8 + 8) {
         return Status::InvalidArgument("bad insert record size");
       }
-      record.node = GetU32(rest, 0);
-      record.time = static_cast<std::int64_t>(GetU64(rest, 4));
+      record.node = GetU32(rest.data());
+      record.time = static_cast<std::int64_t>(GetU64(rest.data() + 4));
       record.value = GetF64(rest, 12);
       return record;
     case WalRecord::Kind::kCatalog:
@@ -238,7 +218,7 @@ Result<WalRecord> DecodeWalRecordBody(std::string_view body) {
       if (rest.size() < 4 + 8) {
         return Status::InvalidArgument("bad model-install record size");
       }
-      record.node = GetU32(rest, 0);
+      record.node = GetU32(rest.data());
       record.value = GetF64(rest, 4);
       record.payload.assign(rest.substr(12));
       return record;
@@ -246,8 +226,8 @@ Result<WalRecord> DecodeWalRecordBody(std::string_view body) {
       if (rest.size() != 4 + 8) {
         return Status::InvalidArgument("bad quarantine record size");
       }
-      record.node = GetU32(rest, 0);
-      record.count = GetU64(rest, 4);
+      record.node = GetU32(rest.data());
+      record.count = GetU64(rest.data() + 4);
       return record;
     case WalRecord::Kind::kBookkeeping: {
       if (rest.size() != 4 + 1 + 8 + 8) {
@@ -257,11 +237,11 @@ Result<WalRecord> DecodeWalRecordBody(std::string_view body) {
       if ((flags & ~(kBookkeepingInvalid | kBookkeepingQuarantined)) != 0) {
         return Status::InvalidArgument("bad bookkeeping record flags");
       }
-      record.node = GetU32(rest, 0);
+      record.node = GetU32(rest.data());
       record.invalid = (flags & kBookkeepingInvalid) != 0;
       record.quarantined = (flags & kBookkeepingQuarantined) != 0;
-      record.updates = GetU64(rest, 5);
-      record.count = GetU64(rest, 13);
+      record.updates = GetU64(rest.data() + 5);
+      record.count = GetU64(rest.data() + 13);
       return record;
     }
   }
@@ -312,7 +292,7 @@ Result<WalReadResult> ReadWalSegment(const std::string& path) {
         std::to_string(version) + ", this build reads v" +
         std::to_string(kWalFormatVersion));
   }
-  result.epoch = GetU64(data, sizeof(kWalMagic) + 1);
+  result.epoch = GetU64(data.data() + sizeof(kWalMagic) + 1);
 
   std::size_t pos = kWalHeaderBytes;
   result.valid_bytes = pos;
@@ -321,8 +301,8 @@ Result<WalReadResult> ReadWalSegment(const std::string& path) {
       result.torn_tail = true;  // partial length/CRC prefix
       break;
     }
-    const std::uint32_t length = GetU32(data, pos);
-    const std::uint32_t crc = GetU32(data, pos + 4);
+    const std::uint32_t length = GetU32(data.data() + pos);
+    const std::uint32_t crc = GetU32(data.data() + pos + 4);
     if (length == 0 || data.size() - pos - kFramePrefixBytes < length) {
       result.torn_tail = true;  // record body cut short
       break;

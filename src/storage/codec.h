@@ -27,6 +27,9 @@
 //
 // The point count is NOT part of the block — the segment frames each
 // block with an explicit count and a CRC (segment.h).
+//
+// The fixed-width little-endian integers of the WAL frames and the segment
+// headers are written and read by the Put/Get helpers at the end.
 
 #ifndef F2DB_STORAGE_CODEC_H_
 #define F2DB_STORAGE_CODEC_H_
@@ -89,6 +92,30 @@ Result<std::string> EncodeSeriesBlock(const std::vector<std::int64_t>& times,
 Status DecodeSeriesBlock(std::string_view block, std::size_t count,
                          std::vector<std::int64_t>* times,
                          std::vector<double>* values);
+
+/// Appends `v` as 4 little-endian bytes.
+inline void PutU32(std::string* out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+
+/// Appends `v` as 8 little-endian bytes.
+inline void PutU64(std::string* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
+}
+
+/// Reads 4 little-endian bytes at `p`.
+inline std::uint32_t GetU32(const char* p) {
+  std::uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
+  return v;
+}
+
+/// Reads 8 little-endian bytes at `p`.
+inline std::uint64_t GetU64(const char* p) {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
+  return v;
+}
 
 }  // namespace f2db::storage
 

@@ -14,10 +14,6 @@ namespace {
 
 std::atomic<StorageCrashHook> g_crash_hook{nullptr};
 
-std::string Errno(const std::string& op, const std::string& path) {
-  return op + " " + path + ": " + std::strerror(errno);
-}
-
 }  // namespace
 
 void SetStorageCrashHook(StorageCrashHook hook) {
@@ -149,7 +145,14 @@ Status WriteFileDurably(const std::string& path, std::string_view bytes,
 
 Status RemoveFile(const std::string& path) {
   if (::unlink(path.c_str()) == 0 || errno == ENOENT) return Status::OK();
-  return Status::Internal(Errno("unlink", path));
+  return IoError("unlink", path, errno);
+}
+
+Status Quarantine(const std::string& path) {
+  if (::rename(path.c_str(), (path + ".corrupt").c_str()) == 0) {
+    return Status::OK();
+  }
+  return IoError("rename", path, errno);
 }
 
 }  // namespace f2db::storage

@@ -52,8 +52,9 @@ void SetStorageCrashHook(StorageCrashHook hook);
 /// Invokes the installed hook, if any, with `point`.
 void FireStorageCrashHook(const char* point);
 
-// The three helpers below report a failed syscall in the IoError form, so
-// disk health classifies it like any other durability-I/O failure.
+// EnsureDir, SyncDir, ReadFileToString, RemoveFile and Quarantine report a
+// failed syscall in the IoError form, so disk health classifies it like any
+// other durability-I/O failure.
 
 /// Creates `dir` if it does not exist (one level; parents must exist).
 Status EnsureDir(const std::string& dir);
@@ -97,6 +98,10 @@ Status WriteFileDurably(const std::string& path, std::string_view bytes,
 
 /// Unlinks `path`; missing files are OK (idempotent delete).
 Status RemoveFile(const std::string& path);
+
+/// Renames `path` to `path.corrupt`: a file that failed verification is
+/// never read again but stays as evidence for offline repair.
+Status Quarantine(const std::string& path);
 
 }  // namespace f2db::storage
 

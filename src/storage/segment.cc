@@ -15,26 +15,6 @@ constexpr std::size_t kHeaderSize = 40;
 constexpr std::size_t kHeaderCrcOffset = 36;
 constexpr std::size_t kBlockHeaderSize = 16;
 
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-std::uint32_t GetU32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  return v;
-}
-
-std::uint64_t GetU64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<std::uint8_t>(p[i]);
-  return v;
-}
-
 Status Corrupt(const char* what) {
   return Status::InvalidArgument(std::string("segment: ") + what);
 }

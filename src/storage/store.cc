@@ -1,7 +1,6 @@
 #include "storage/store.h"
 
 #include <dirent.h>
-#include <stdio.h>
 
 #include <algorithm>
 #include <set>
@@ -97,7 +96,7 @@ Result<std::unique_ptr<SegmentStore>> SegmentStore::Open(
                         " *.corrupt — retention offsets may be understated"
                         " until repaired";
     const std::string path = dir + "/" + kManifestFileName;
-    if (::rename(path.c_str(), (path + ".corrupt").c_str()) != 0) {
+    if (!Quarantine(path).ok()) {
       F2DB_LOG(kWarning) << "cannot quarantine " << path;
     }
   }
@@ -131,7 +130,7 @@ Result<std::unique_ptr<SegmentStore>> SegmentStore::Open(
   }
   for (const std::string& name : quarantined) {
     const std::string path = dir + "/" + name;
-    if (::rename(path.c_str(), (path + ".corrupt").c_str()) != 0) {
+    if (!Quarantine(path).ok()) {
       F2DB_LOG(kWarning) << "cannot quarantine " << path;
     }
   }

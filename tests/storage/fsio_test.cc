@@ -195,5 +195,18 @@ TEST_F(IoFaultFsioTest, WriteFileDurablyCleansUpOnInjectedFault) {
   EXPECT_EQ(ReadFileToString(path).value(), "bytes");
 }
 
+TEST_F(IoFaultFsioTest, RemoveFileFailureCarriesItsErrno) {
+  // Unlinking a non-empty directory fails (EISDIR on Linux, EPERM in
+  // POSIX); the failure reaches disk health in the IoError form.
+  const std::string path = dir_ + "/file";
+  ASSERT_TRUE(WriteFileDurably(path, "bytes").ok());
+  const Status status = RemoveFile(dir_);
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_NE(ErrnoFromStatus(status), 0) << status.ToString();
+  EXPECT_TRUE(ReadFileToString(path).ok()) << "nothing may be removed";
+  // A missing file is not a failure.
+  EXPECT_TRUE(RemoveFile(dir_ + "/missing").ok());
+}
+
 }  // namespace
 }  // namespace f2db::storage
