@@ -1,6 +1,5 @@
 #include "engine/durable_log.h"
 
-
 #include <algorithm>
 #include <cstdio>
 #include <map>
