@@ -42,7 +42,6 @@ Status NotDurable(const std::string& what) {
       what + " requires a durable engine (open with a data_dir)");
 }
 
-
 }  // namespace
 
 Result<NodeId> ResolveFilters(const TimeSeriesGraph& graph,

@@ -45,7 +45,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/concurrent.h"
